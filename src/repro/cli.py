@@ -24,7 +24,10 @@ columns over the OID interner, the engine's fixpoint default),
 (tuple-at-a-time kernels, the ad-hoc query default), or
 ``interpreted`` (the dict-binding walk); ``--stats`` rows ``batches``
 and ``batch_rows`` report how many batched executions ran and how many
-solution rows they produced (zero outside batched evaluation).
+solution rows they produced (zero outside batched evaluation),
+``heads-compiled``/``heads-fallback`` how many plans realise their
+heads set-at-a-time vs. row by row, and ``snapshot-s`` the part of
+``seconds`` spent before the first rule fires (clone, catalog, mirrors).
 ``--timeout-ms`` and ``--max-derived`` attach a cooperative
 :class:`~repro.engine.budget.QueryBudget` to the whole invocation
 (evaluation, maintenance, and query answering share one deadline); on

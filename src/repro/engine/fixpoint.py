@@ -26,13 +26,14 @@ fixpoint iteration.  By default each plan is additionally lowered to
 its **batched** column-at-a-time form (:mod:`repro.engine.batch`,
 ``executor="batch"``): full firings push one batch through the whole
 body, semi-naive rounds turn the realizer log into the initial batch in
-a single pass, and simple rule heads are asserted straight from the
-solution columns.  ``executor="compiled"`` keeps the tuple-at-a-time
-slot/kernel form of :mod:`repro.engine.compile` (the B13 baseline), and
-``executor="interpreted"`` (equivalently ``compiled=False``) the
-dict-binding walk (B10's baseline).  The plans chosen for full
-evaluations are captured with their observed row counts and kernel
-names; :meth:`Engine.explain` renders them.
+a single pass, and rule heads are asserted straight from the solution
+columns (simple heads by a precompiled emitter, all others by the
+realizer's compiled column program).  ``executor="compiled"`` keeps the
+tuple-at-a-time slot/kernel form of :mod:`repro.engine.compile` (the
+B13 baseline), and ``executor="interpreted"`` (equivalently
+``compiled=False``) the dict-binding walk (B10's baseline).  The plans
+chosen for full evaluations are captured with their observed row counts
+and kernel names; :meth:`Engine.explain` renders them.
 
 Safeguards (the paper is silent on termination, so the engine is not):
 ``max_iterations`` per stratum, ``max_universe`` size, and
@@ -48,12 +49,16 @@ from typing import Iterable, Union
 
 from repro.core.ast import Program, Rule
 from repro.core.variables import variables_of
-from repro.engine.batch import DeltaIndex
+from repro.engine.batch import DeltaIndex, head_emitter
 from repro.engine.compile import compile_delta_plan, compile_plan
 from repro.engine.explain import PlanReport, report_for_plan
 from repro.engine.heads import Derived, HeadRealizer
 from repro.engine.matching import Binding, MatchPolicy, match_atom_delta
-from repro.engine.normalize import NormalizedRule, normalize_program
+from repro.engine.normalize import (
+    COMPUTED,
+    NormalizedRule,
+    normalize_program,
+)
 from repro.engine.planner import Plan, PlanCache, relevant_bound
 from repro.engine.profiler import EngineStats
 from repro.engine.solve import execute_plan, solve
@@ -143,8 +148,11 @@ class _DeltaPlanRecord:
 class Engine:
     """Evaluates a PathLog program bottom-up over a database.
 
-    The input database is never mutated: :meth:`run` clones it and
-    returns the materialised result.  After a run, :attr:`stats` holds
+    The input database's facts are never mutated: :meth:`run` clones it
+    and returns the materialised result.  What the clone carries -- the
+    cardinality catalog and, for the columnar executor, the int mirrors
+    -- is built on the input when missing, so repeated runs over an
+    unchanged input pay for it once.  After a run, :attr:`stats` holds
     the :class:`~repro.engine.profiler.EngineStats` of the evaluation.
     """
 
@@ -230,11 +238,21 @@ class Engine:
         way, so an interrupted run leaves no partial state behind --
         the half-built clone is simply discarded.
         """
+        started = time.perf_counter()
         budget = self._budget
         if budget is not None:
             budget.begin_run()
             budget.check("engine.start")
-        work = self._db.clone()
+        source = self._db
+        # What the clone carries is built on the *source*, so it is
+        # built once per source version instead of once per run: the
+        # cardinality catalog, and the int mirrors the columnar kernels
+        # and head emitters read (maintained in place from then on).
+        source.catalog()
+        if self._executor == "columnar":
+            source.scalars.surrogate_view(source.interner)
+            source.sets.surrogate_view(source.interner)
+        work = source.clone()
         strata = stratify(self._rules)
         if self._record_support and self.support is None:
             from repro.engine.incremental import SupportIndex
@@ -254,7 +272,7 @@ class Engine:
         realizer = HeadRealizer(
             work, max_virtual_depth=self._limits.max_virtual_depth
         )
-        started = time.perf_counter()
+        self.stats.snapshot_s = time.perf_counter() - started
         try:
             for level, group in enumerate(strata):
                 self._eval_stratum(work, group, realizer, level)
@@ -272,6 +290,14 @@ class Engine:
             )
             if budget is not None:
                 self.stats.budget_checks = budget.checks
+        # The run asserted facts of the predicates its heads define and
+        # nothing else, so the result keeps the run catalog and recounts
+        # just those on its next use (heads with variable or computed
+        # methods can touch anything: the result then rescans, as any
+        # changed database does).
+        defined = set().union(*(rule.defines for rule in self._rules))
+        if not any(name is None or name == COMPUTED for _, name in defined):
+            work.catalog_moved(defined)
         return work
 
     # ------------------------------------------------------------------
@@ -384,36 +410,19 @@ class Engine:
             # Facts (empty bodies) have nothing to compile: the
             # interpreted walk yields the empty binding once.
             if self._executor == "columnar" and plan.steps:
-                from repro.engine.columnar import (
-                    columnar_head_emitter,
-                    compile_columnar_plan,
-                    head_emitter,
-                )
+                from repro.engine.columnar import compile_columnar_plan
 
                 cplan = compile_columnar_plan(db, plan, self._policy)
                 record.kernels = cplan.kernel_names
-                # Support recording observes per-binding, so tracked
-                # rules must realise through OID columns; otherwise the
-                # int-native emitter consumes raw surrogate columns and
-                # the deref at the plan boundary is skipped entirely.
-                tracked = (self.support is not None
-                           and self.support.tracks(rule))
-                emit = None if tracked else columnar_head_emitter(
-                    db, rule, cplan)
-                raw = emit is not None
-                if emit is None and not tracked:
-                    emit = head_emitter(db, rule, cplan.slots)
-                record.emit = emit
+                record.emit, raw = self._head_emitter(
+                    db, rule, realizer, cplan.slots, cplan)
                 record.execute_cols, record.head_pairs = \
                     cplan.column_executor(record.counters,
                                           project=variables_of(rule.head),
                                           raw=raw, budget=self._budget)
                 self.stats.plans_compiled += 1
             elif self._executor == "batch" and plan.steps:
-                from repro.engine.batch import (
-                    compile_batch_plan,
-                    head_emitter,
-                )
+                from repro.engine.batch import compile_batch_plan
 
                 batch = compile_batch_plan(db, plan, self._policy)
                 record.kernels = batch.kernel_names
@@ -421,7 +430,8 @@ class Engine:
                     batch.column_executor(record.counters,
                                           project=variables_of(rule.head),
                                           budget=self._budget)
-                record.emit = head_emitter(db, rule, batch.slots)
+                record.emit, _ = self._head_emitter(
+                    db, rule, realizer, batch.slots)
                 self.stats.plans_compiled += 1
             elif self._compiled and plan.steps:
                 compiled = compile_plan(db, plan, self._policy)
@@ -475,21 +485,13 @@ class Engine:
                     record = _DeltaPlanRecord(plan)
                     if self._executor == "columnar":
                         from repro.engine.columnar import (
-                            columnar_head_emitter,
                             compile_columnar_delta_plan,
-                            head_emitter,
                         )
 
                         cplan = compile_columnar_delta_plan(
                             db, atom, plan, self._policy)
-                        tracked = (self.support is not None
-                                   and self.support.tracks(rule))
-                        emit = None if tracked else columnar_head_emitter(
-                            db, rule, cplan)
-                        raw = emit is not None
-                        if emit is None and not tracked:
-                            emit = head_emitter(db, rule, cplan.slots)
-                        record.emit = emit
+                        record.emit, raw = self._head_emitter(
+                            db, rule, realizer, cplan.slots, cplan)
                         record.execute_cols, record.head_pairs = \
                             cplan.column_executor(
                                 record.counters,
@@ -499,7 +501,6 @@ class Engine:
                     elif self._executor == "batch":
                         from repro.engine.batch import (
                             compile_batch_delta_plan,
-                            head_emitter,
                         )
 
                         batch = compile_batch_delta_plan(db, atom, plan,
@@ -509,7 +510,8 @@ class Engine:
                                 record.counters,
                                 project=variables_of(rule.head),
                                 budget=self._budget)
-                        record.emit = head_emitter(db, rule, batch.slots)
+                        record.emit, _ = self._head_emitter(
+                            db, rule, realizer, batch.slots)
                         self.stats.plans_compiled += 1
                     elif self._compiled:
                         compiled = compile_delta_plan(db, atom, plan,
@@ -546,14 +548,44 @@ class Engine:
         for record, cols, nrows in batches:
             self._realize_columns(db, rule, record, cols, nrows, realizer)
 
+    def _head_emitter(self, db: Database, rule: NormalizedRule,
+                      realizer: HeadRealizer, slots: dict, cplan=None):
+        """``(emit, raw)``: how one plan's solution batches are realised.
+
+        ``emit(cols, nrows, log)`` is the first that applies of: the
+        int-native emitter (columnar plans, the single-filter hot
+        shape; it alone consumes ``raw`` surrogate columns, skipping
+        the deref at the plan boundary), the boxed simple-head emitter,
+        the realizer's compiled column program (every other head:
+        virtual-creating paths, computed methods, built-in filters).
+        Support recording observes per binding, so tracked rules get no
+        emitter and fall back to per-row realisation -- as does a head
+        with a variable the plan does not bind.
+        """
+        emit = None
+        raw = False
+        if self.support is None or not self.support.tracks(rule):
+            if cplan is not None:
+                from repro.engine.columnar import columnar_head_emitter
+
+                emit = columnar_head_emitter(db, rule, cplan)
+                raw = emit is not None
+            if emit is None:
+                emit = (head_emitter(db, rule, slots)
+                        or realizer.compile_columns(rule.head, slots))
+        if emit is None:
+            self.stats.heads_fallback += 1
+        else:
+            self.stats.heads_compiled += 1
+        return emit, raw
+
     def _realize_columns(self, db: Database, rule: NormalizedRule,
                          record, cols: list, nrows: int,
                          realizer: HeadRealizer) -> None:
-        """Realise one batch of solution columns, set-at-a-time when simple.
+        """Realise one batch of solution columns, set-at-a-time.
 
-        Simple heads are asserted straight from the columns by the
-        record's precompiled emitter; complex heads (and
-        support-recording runs, which observe per-binding) fall back to
+        The record's emitter (see :meth:`_head_emitter`) asserts the
+        heads straight from the columns; plans without one fall back to
         per-row realisation through :meth:`_realize_all`.
         """
         fault_point("engine.emit")
@@ -561,9 +593,7 @@ class Engine:
         self.stats.batch_rows += nrows
         if not nrows:
             return
-        support = self.support
-        if record.emit is not None and (
-                support is None or not support.tracks(rule)):
+        if record.emit is not None:
             record.emit(cols, nrows, realizer.log)
             self.stats.firings += nrows
             return

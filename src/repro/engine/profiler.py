@@ -21,8 +21,12 @@ class EngineStats:
     derived_isa: int = 0
     #: Virtual objects created.
     virtuals_created: int = 0
-    #: Wall-clock evaluation time in seconds.
+    #: Wall-clock time of the whole ``run()`` call in seconds, from
+    #: entry (snapshot included) to return.
     elapsed_s: float = 0.0
+    #: The part of ``elapsed_s`` spent before the first stratum starts:
+    #: cloning the input, its catalog, and its int mirrors.
+    snapshot_s: float = 0.0
     #: Whether semi-naive iteration was used.
     seminaive: bool = True
     #: Join plans built by the cost-based planner (plan-cache misses).
@@ -40,6 +44,13 @@ class EngineStats:
     batches: int = 0
     #: Solution rows those batched executions produced.
     batch_rows: int = 0
+    #: Plans (rule bodies + delta positions) whose solution batches are
+    #: realised set-at-a-time: by a simple-head emitter or a compiled
+    #: column head program.
+    heads_compiled: int = 0
+    #: Plans whose batches still go row by row through
+    #: ``HeadRealizer.realize`` (support-tracked rules).
+    heads_fallback: int = 0
     #: Magic seed facts asserted for a demand-driven run (0 = full run).
     magic_seeds: int = 0
     #: Rule variants guarded by magic atoms in the evaluated program.
@@ -93,6 +104,8 @@ class EngineStats:
             "tuples": self.tuples,
             "batches": self.batches,
             "batch_rows": self.batch_rows,
+            "heads-compiled": self.heads_compiled,
+            "heads-fallback": self.heads_fallback,
             "magic-seeds": self.magic_seeds,
             "rules-rewritten": self.rules_rewritten,
             "rules-fallback": self.rules_fallback,
@@ -103,5 +116,6 @@ class EngineStats:
             "evictions": self.memo_evictions,
             "budget-checks": self.budget_checks,
             "stopped-at": self.stopped_at or "-",
+            "snapshot-s": round(self.snapshot_s, 4),
             "seconds": round(self.elapsed_s, 4),
         }

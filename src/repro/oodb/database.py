@@ -210,6 +210,9 @@ class Database:
         self._catalog = None
         self._catalog_version = -1
         self._catalog_cursor: int | None = None
+        #: Predicates the catalog must recount before its next use
+        #: (see :meth:`catalog_moved`), or None when it is exact.
+        self._catalog_touched: frozenset | None = None
         self._alias_version = 0
         self._change_log: ChangeLog | None = None
         # Change-log cursors held by live consumers (memoising queries),
@@ -534,21 +537,24 @@ class Database:
     def trim_changes(self) -> int:
         """Drop the change-log prefix every live consumer has replayed.
 
-        The low-water mark is the minimum of the catalog's replay
-        cursor and every cursor registered through
-        :meth:`hold_changes`; entries below it can never be requested
-        again and are discarded (cursors are absolute, so nothing needs
-        rebasing).  Returns how many entries were dropped.  A consumer
-        that keeps a cursor *without* registering it gets a
-        :class:`ValueError` from ``since()`` once trimming passes its
-        cursor -- loud, rather than an incomplete delta.
+        The low-water mark is the minimum of every cursor registered
+        through :meth:`hold_changes`; entries below it can never be
+        requested again and are discarded (cursors are absolute, so
+        nothing needs rebasing).  The catalog is the one consumer that
+        can always catch up on the spot, so a log-synced catalog is
+        patched first (O(unreplayed entries)) and never pins the log
+        -- otherwise a catalog built once for a fixpoint run would hold
+        the whole suffix until the next run.  Returns how many entries
+        were dropped.  A consumer that keeps a cursor *without* registering
+        it gets a :class:`ValueError` from ``since()`` once trimming
+        passes its cursor -- loud, rather than an incomplete delta.
         """
         log = self._change_log
         if log is None:
             return 0
-        low = log.cursor()
         if self._catalog_cursor is not None:
-            low = min(low, self._catalog_cursor)
+            self.catalog()  # its cursor is now the log head, or dropped
+        low = log.cursor()
         for cursor in self._change_holds.values():
             low = min(low, cursor)
         return log.trim_to(low)
@@ -577,13 +583,19 @@ class Database:
         When a change log is active and proves it covers the gap since
         the catalog was built, the catalog is *patched* from the logged
         deltas (fact counts and totals adjust in place) instead of
-        being rebuilt by a full O(|facts|) scan.
+        being rebuilt by a full O(|facts|) scan.  A catalog kept across
+        a fixpoint run (:meth:`catalog_moved`) recounts the predicates
+        the run derived, here, on its first use.
         """
         from repro.oodb.statistics import CardinalityCatalog
 
         version = self.data_version()
         if self._catalog is not None and self._catalog_version == version:
+            if self._catalog_touched is not None:
+                self._catalog.recount(self, self._catalog_touched)
+                self._catalog_touched = None
             return self._catalog
+        self._catalog_touched = None
         log = self._change_log
         if (self._catalog is not None and log is not None
                 and self._catalog_cursor is not None
@@ -602,6 +614,32 @@ class Database:
             cursor = log.cursor()
         self._catalog_cursor = cursor
         return self._catalog
+
+    def catalog_moved(self, predicates) -> None:
+        """Keep the catalog across a bulk derivation into this database.
+
+        A fixpoint run that planned against :meth:`catalog` and then
+        asserted facts of only the given ``(kind, name)`` predicates --
+        ``kind`` one of ``"scalar"``, ``"set"``, ``"isa"``; ``name``
+        the method's name -- calls this when it is done: the catalog is
+        re-stamped with the current data version and those predicates
+        are recounted on its next use
+        (:meth:`CardinalityCatalog.recount`), instead of the whole
+        database being rescanned.  The recount is deferred because it
+        reads the boxed indexes, which a columnar run leaves to be
+        back-filled by the first boxed reader.  Without a catalog or
+        without secondary indexes this is a no-op (the next
+        :meth:`catalog` call rebuilds as usual).
+        """
+        if self._catalog is None or not self._indexed:
+            return
+        aliases = self._aliases
+        touched = {(kind, aliases.get(name) or NamedOid(name))
+                   for kind, name in predicates}
+        self._catalog_touched = frozenset(
+            touched.union(self._catalog_touched or ()))
+        self._catalog_version = self.data_version()
+        self._catalog_cursor = None
 
     # ------------------------------------------------------------------
     # High-level loading API
@@ -647,7 +685,16 @@ class Database:
     # ------------------------------------------------------------------
 
     def clone(self) -> "Database":
-        """An independent deep copy (used by the engine for evaluation)."""
+        """An independent deep copy (used by the engine for evaluation).
+
+        The copy is structural (see :meth:`ScalarMethodTable.clone`) and
+        *carries* what this database already knows about its facts: the
+        int-surrogate mirrors and the cardinality catalog.  Both
+        describe exactly the facts being copied, so a clone never pays
+        for rebuilding them -- they are built at most once per source
+        database version, however many clones are evaluated.  The
+        change log and its holds are not carried.
+        """
         copy = Database(indexed=self._indexed,
                         reflexive_isa=self.hierarchy.reflexive)
         copy._aliases = dict(self._aliases)
@@ -658,8 +705,15 @@ class Database:
         copy.sets = self.sets.clone()
         # Surrogates must be *stable* across clones: the engine evaluates
         # on a clone, and columnar plans compiled against the original
-        # must agree with plans compiled against the copy.
+        # must agree with plans compiled against the copy.  The same
+        # stability keeps the carried mirrors valid.
         copy._interner = self._interner.clone()
+        copy.scalars.rebind_mirror(self._interner, copy._interner)
+        copy.sets.rebind_mirror(self._interner, copy._interner)
+        if self._catalog is not None:
+            copy._catalog = self._catalog.copy()
+            copy._catalog_version = self._catalog_version
+            copy._catalog_touched = self._catalog_touched
         return copy
 
     def virtual_count(self) -> int:

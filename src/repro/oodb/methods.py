@@ -34,6 +34,15 @@ from repro.oodb.oid import Oid, OidInterner
 AppKey = tuple[Oid, Oid, tuple[Oid, ...]]
 
 
+def _clone_inverse(inverse: dict[int, dict[int, list[int]]]
+                   ) -> dict[int, dict[int, list[int]]]:
+    """Copy a mirror's ``method -> {result -> [subjects]}`` index."""
+    return {
+        m: {r: subjects.copy() for r, subjects in bucket.items()}
+        for m, bucket in inverse.items()
+    }
+
+
 class ScalarSurrogateView:
     """Int-surrogate mirror of a scalar table's parameterless facts.
 
@@ -70,6 +79,19 @@ class ScalarSurrogateView:
     def _record(self, m: int, s: int, r: int) -> None:
         self.apps.setdefault(m, {})[s] = r
         self.inverse.setdefault(m, {}).setdefault(r, []).append(s)
+
+    def clone(self) -> "ScalarSurrogateView":
+        """An independent copy bound to the same interner.
+
+        Only int-keyed containers are copied -- no OID is hashed.
+        """
+        copy = ScalarSurrogateView.__new__(ScalarSurrogateView)
+        copy.interner = self.interner
+        copy.apps = {m: bucket.copy() for m, bucket in self.apps.items()}
+        copy.inverse = _clone_inverse(self.inverse)
+        # Sorted pairs are replaced, never edited in place: share them.
+        copy._sorted = self._sorted.copy()
+        return copy
 
     def on_put(self, method: Oid, subject: Oid, result: Oid) -> None:
         intern = self.interner.intern
@@ -137,6 +159,18 @@ class SetSurrogateView:
     def _record(self, m: int, s: int, r: int) -> None:
         self.apps.setdefault(m, {}).setdefault(s, set()).add(r)
         self.inverse.setdefault(m, {}).setdefault(r, []).append(s)
+
+    def clone(self) -> "SetSurrogateView":
+        """An independent copy bound to the same interner."""
+        copy = SetSurrogateView.__new__(SetSurrogateView)
+        copy.interner = self.interner
+        copy.apps = {
+            m: {s: members.copy() for s, members in bucket.items()}
+            for m, bucket in self.apps.items()
+        }
+        copy.inverse = _clone_inverse(self.inverse)
+        copy._sorted = self._sorted.copy()
+        return copy
 
     def on_add(self, method: Oid, subject: Oid, member: Oid) -> None:
         intern = self.interner.intern
@@ -475,6 +509,17 @@ class ScalarMethodTable:
             self._surrogates = view
         return view
 
+    def rebind_mirror(self, old: OidInterner, new: OidInterner) -> None:
+        """Bind a mirror built on ``old`` to ``new``, a clone of ``old``.
+
+        A cloned interner assigns the same surrogates, so the mirror
+        stays valid; a mirror bound to any other interner is left
+        alone (and rebuilt by the next :meth:`surrogate_view` call).
+        """
+        view = self._surrogates
+        if view is not None and view.interner is old:
+            view.interner = new
+
     def mentioned_oids(self) -> Iterator[Oid]:
         """Every OID occurring in any stored fact."""
         if self._pending:
@@ -488,6 +533,16 @@ class ScalarMethodTable:
     def clone(self) -> "ScalarMethodTable":
         """An independent copy (same indexing mode and version).
 
+        A structural copy: the primary dict and the index buckets are
+        duplicated by C-level ``dict``/``set`` copies, which reuse the
+        stored hashes -- no application key is re-hashed and no fact is
+        re-inserted.  (Only the *outer* keys of the three secondary
+        indexes -- one per method, per (method, result) pair, per
+        subject -- are hashed, once each.)  The int-surrogate mirror,
+        when the source has one, is carried along, still bound to the
+        source's interner; :meth:`Database.clone` re-binds it to the
+        cloned interner (:meth:`rebind_mirror`).
+
         The version counter is carried over: a clone holds the same
         facts as its source, so a ``data_version`` computed from it must
         not collide with a version the source had when its facts were
@@ -496,8 +551,21 @@ class ScalarMethodTable:
         if self._pending:
             self._drain()
         copy = ScalarMethodTable(indexed=self._indexed)
-        for (method, subject, args), result in self._facts.items():
-            copy.put(method, subject, args, result)
+        copy._facts = self._facts.copy()
+        copy._by_method = {
+            method: bucket.copy()
+            for method, bucket in self._by_method.items()
+        }
+        copy._by_method_result = {
+            pair: keys.copy()
+            for pair, keys in self._by_method_result.items()
+        }
+        copy._by_subject = {
+            subject: bucket.copy()
+            for subject, bucket in self._by_subject.items()
+        }
+        if self._surrogates is not None:
+            copy._surrogates = self._surrogates.clone()
         copy.version = self.version
         return copy
 
@@ -778,6 +846,12 @@ class SetMethodTable:
             self._surrogates = view
         return view
 
+    def rebind_mirror(self, old: OidInterner, new: OidInterner) -> None:
+        """See :meth:`ScalarMethodTable.rebind_mirror`."""
+        view = self._surrogates
+        if view is not None and view.interner is old:
+            view.interner = new
+
     def mentioned_oids(self) -> Iterator[Oid]:
         """Every OID occurring in any stored membership."""
         if self._pending:
@@ -791,15 +865,36 @@ class SetMethodTable:
     def clone(self) -> "SetMethodTable":
         """An independent copy (same indexing mode and version).
 
-        As for :meth:`ScalarMethodTable.clone`, the version counter is
-        carried over so a clone's ``data_version`` stays comparable with
-        its source's history.
+        Structural, like :meth:`ScalarMethodTable.clone`, with one
+        twist: a membership bucket is *shared* between the primary
+        dict and the method/subject indexes, so each bucket is copied
+        once and the three structures are re-pointed at the copy.  The
+        (method, member) index holds key sets only and is copied
+        bucket by bucket.  The mirror and the version counter are
+        carried as for the scalar table.
         """
         if self._pending:
             self._drain()
         copy = SetMethodTable(indexed=self._indexed)
-        for (method, subject, args), bucket in self._facts.items():
-            for member in bucket:
-                copy.add(method, subject, args, member)
+        fresh = {id(bucket): bucket.copy()
+                 for bucket in self._facts.values()}
+        copy._facts = {key: fresh[id(bucket)]
+                       for key, bucket in self._facts.items()}
+        copy._by_method = {
+            method: {key: fresh[id(bucket)]
+                     for key, bucket in apps.items()}
+            for method, apps in self._by_method.items()
+        }
+        copy._by_subject = {
+            subject: {key: fresh[id(bucket)]
+                      for key, bucket in apps.items()}
+            for subject, apps in self._by_subject.items()
+        }
+        copy._by_method_member = {
+            pair: keys.copy()
+            for pair, keys in self._by_method_member.items()
+        }
+        if self._surrogates is not None:
+            copy._surrogates = self._surrogates.clone()
         copy.version = self.version
         return copy

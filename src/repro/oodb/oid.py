@@ -21,7 +21,7 @@ Both kinds are immutable and hashable and compare structurally.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 #: Python values usable as names.
@@ -55,11 +55,38 @@ class NamedOid(Oid):
 
 @dataclass(frozen=True, slots=True)
 class VirtualOid(Oid):
-    """A virtual object: the ground scalar application that created it."""
+    """A virtual object: the ground scalar application that created it.
+
+    The structural hash and the nesting depth are computed once, at
+    construction: every dict probe keyed on a virtual object (and every
+    depth-limit check on a freshly created one) then costs O(1) instead
+    of a recursive walk over the whole term.  Components are immutable,
+    so the cached values can never go stale.
+    """
 
     method: Oid
     subject: Oid
     args: tuple[Oid, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        method, subject, args = self.method, self.subject, self.args
+        depth = 0
+        for child in (method, subject, *args):
+            if type(child) is VirtualOid and child._depth > depth:
+                depth = child._depth
+        _set = object.__setattr__
+        _set(self, "_hash", hash((method, subject, args)))
+        _set(self, "_depth", depth + 1)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes are salted per
+        # process, so a pickled ``_hash`` would be wrong elsewhere.
+        return (VirtualOid, (self.method, self.subject, self.args))
 
     def display(self) -> str:
         args = ""
@@ -69,11 +96,7 @@ class VirtualOid(Oid):
 
     def depth(self) -> int:
         """Nesting depth of virtual construction (used by engine limits)."""
-        children = [self.method, self.subject, *self.args]
-        return 1 + max(
-            (c.depth() for c in children if isinstance(c, VirtualOid)),
-            default=0,
-        )
+        return self._depth
 
 
 class OidInterner:

@@ -140,15 +140,72 @@ class CardinalityCatalog:
             catalog.set_apps_total += apps
         catalog.set_subjects = len(all_subjects)
 
+        catalog._count_isa(db)
+        return catalog
+
+    def copy(self) -> "CardinalityCatalog":
+        """An independent copy (what :meth:`Database.clone` carries)."""
+        copy = CardinalityCatalog()
+        for name in self.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.scalar = dict(self.scalar)
+        copy.sets = dict(self.sets)
+        return copy
+
+    def recount(self, db: Database, touched) -> None:
+        """Make the catalog exact again after facts of ``touched`` moved.
+
+        ``touched`` holds ``("scalar" | "set" | "isa", method)`` pairs
+        (the method of an ``"isa"`` pair is ignored): the only
+        predicates whose stored facts differ from what this catalog
+        describes (a fixpoint run knows them from its rule heads).  Each touched method is recounted from
+        its index bucket and the totals are re-derived, so the cost
+        follows the touched predicates' size, not the database's, and
+        the result equals :meth:`build` on the same database.  Requires
+        secondary indexes (``db`` must be ``indexed``).
+        """
+        self.universe = len(db)
+        scalar_apps = db.scalars.by_method_view()
+        set_apps = db.sets.by_method_view()
+        for kind, method in touched:
+            if kind == "scalar":
+                bucket = scalar_apps.get(method)
+                if bucket:
+                    self.scalar[method] = MethodCard(
+                        facts=len(bucket), apps=len(bucket),
+                        subjects=len({key[1] for key in bucket}),
+                        results=len(set(bucket.values())))
+                else:
+                    self.scalar.pop(method, None)
+            elif kind == "set":
+                apps = set_apps.get(method)
+                if apps:
+                    self.sets[method] = MethodCard(
+                        facts=sum(map(len, apps.values())), apps=len(apps),
+                        subjects=len({key[1] for key in apps}),
+                        results=len(set().union(*apps.values())))
+                else:
+                    self.sets.pop(method, None)
+            else:
+                self._count_isa(db)
+        self.scalar_total = sum(c.facts for c in self.scalar.values())
+        self.set_total = sum(c.facts for c in self.sets.values())
+        self.set_apps_total = sum(c.apps for c in self.sets.values())
+        self.scalar_subjects = sum(
+            1 for bucket in db.scalars.by_subject_view().values() if bucket)
+        self.set_subjects = len(db.sets.by_subject_view())
+
+    def _count_isa(self, db: Database) -> None:
         members_seen: set[Oid] = set()
         classes_seen: set[Oid] = set()
+        edges = 0
         for member, cls_oid in db.hierarchy.declared_edges():
-            catalog.isa_edges += 1
+            edges += 1
             members_seen.add(member)
             classes_seen.add(cls_oid)
-        catalog.isa_members = len(members_seen)
-        catalog.isa_classes = len(classes_seen)
-        return catalog
+        self.isa_edges = edges
+        self.isa_members = len(members_seen)
+        self.isa_classes = len(classes_seen)
 
     # -- incremental patching (change-log replay) ---------------------------
 
