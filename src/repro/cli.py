@@ -26,8 +26,10 @@ columns over the OID interner, the engine's fixpoint default),
 and ``batch_rows`` report how many batched executions ran and how many
 solution rows they produced (zero outside batched evaluation),
 ``heads-compiled``/``heads-fallback`` how many plans realise their
-heads set-at-a-time vs. row by row, and ``snapshot-s`` the part of
-``seconds`` spent before the first rule fires (clone, catalog, mirrors).
+heads set-at-a-time vs. row by row, ``snapshot-s`` the part of
+``seconds`` spent before the first rule fires (clone, catalog, mirrors),
+and ``buckets-copied`` how many shared buckets of that copy-on-write
+clone the run had to copy before writing to them.
 ``--timeout-ms`` and ``--max-derived`` attach a cooperative
 :class:`~repro.engine.budget.QueryBudget` to the whole invocation
 (evaluation, maintenance, and query answering share one deadline); on

@@ -1039,6 +1039,7 @@ def columnar_head_emitter(db: Database, rule, cplan):
     else:
         db.sets.surrogate_view(interner)
         writer = db.sets.int_writer(method, m_sur)
+    check_writer = writer.check
     s_slot, s_int, s_sur, s_oid = s_part
     r_slot, r_int, r_sur, r_oid = r_part
     intern = interner.intern
@@ -1048,6 +1049,7 @@ def columnar_head_emitter(db: Database, rule, cplan):
         # registration needed -- every column value originates from a
         # registered fact, and the head constants were registered when
         # this emitter resolved them.
+        check_writer()
         scol = cols[s_slot] if s_slot is not None else None
         rcol = cols[r_slot] if r_slot is not None else None
         append = log.append

@@ -281,6 +281,7 @@ class Engine:
             raise
         finally:
             self.stats.elapsed_s = time.perf_counter() - started
+            self.stats.buckets_copied = work.buckets_copied
             self.stats.virtuals_created = realizer.virtuals_created
             self.stats.plans_built = self._plan_cache.misses
             self.stats.plan_cache_hits = self._plan_cache.hits

@@ -27,6 +27,13 @@ class EngineStats:
     #: The part of ``elapsed_s`` spent before the first stratum starts:
     #: cloning the input, its catalog, and its int mirrors.
     snapshot_s: float = 0.0
+    #: Copy-on-write copies the run made in its snapshot: shared index
+    #: buckets, mirror slices, the class hierarchy -- what the run paid
+    #: for the database it *wrote to* (the snapshot itself costs the
+    #: same whatever it holds).  Boxed back-fills of mirror-first
+    #: inserts are lazy; the copies they make after the run returns
+    #: show in ``Database.buckets_copied`` of the result instead.
+    buckets_copied: int = 0
     #: Whether semi-naive iteration was used.
     seminaive: bool = True
     #: Join plans built by the cost-based planner (plan-cache misses).
@@ -117,5 +124,6 @@ class EngineStats:
             "budget-checks": self.budget_checks,
             "stopped-at": self.stopped_at or "-",
             "snapshot-s": round(self.snapshot_s, 4),
+            "buckets-copied": self.buckets_copied,
             "seconds": round(self.elapsed_s, 4),
         }

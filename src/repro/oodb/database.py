@@ -602,8 +602,7 @@ class Database:
                 and log.in_sync(version, log.cursor())
                 and log.in_sync(self._catalog_version,
                                 self._catalog_cursor)):
-            self._catalog.apply(log.since(self._catalog_cursor),
-                                universe=len(self._universe))
+            self._catalog.apply(log.since(self._catalog_cursor), self)
             self._catalog_version = version
             self._catalog_cursor = log.cursor()
             return self._catalog
@@ -685,15 +684,28 @@ class Database:
     # ------------------------------------------------------------------
 
     def clone(self) -> "Database":
-        """An independent deep copy (used by the engine for evaluation).
+        """A copy-on-write snapshot (what the engine evaluates on).
 
-        The copy is structural (see :meth:`ScalarMethodTable.clone`) and
-        *carries* what this database already knows about its facts: the
-        int-surrogate mirrors and the cardinality catalog.  Both
-        describe exactly the facts being copied, so a clone never pays
-        for rebuilding them -- they are built at most once per source
-        database version, however many clones are evaluated.  The
-        change log and its holds are not carried.
+        Observably an independent copy: no later write to either side
+        shows through the other, by any access path.  Physically only
+        the *top-level* containers are copied (C-level, no re-hashing);
+        every index bucket, mirror slice and the class hierarchy stay
+        shared until the first write reaches them, and that write
+        copies just what it is about to change (see
+        :class:`~repro.oodb.methods._MethodTable` for the invariant).
+        A clone therefore costs the same whatever the database holds
+        per method or subject, and an evaluation pays for the buckets
+        it derives into (:attr:`buckets_copied`), not for the ones it
+        reads.
+
+        The clone *carries* what this database already knows about its
+        facts -- the int-surrogate mirrors and the cardinality catalog
+        -- so they are built at most once per source version, however
+        many clones are evaluated.  The change log and its holds are
+        not carried.  Cloning writes nothing to ``self`` that a
+        concurrent reader or a second concurrent ``clone()`` could
+        observe, so readers sharing a quiescent database may each take
+        their own.
         """
         copy = Database(indexed=self._indexed,
                         reflexive_isa=self.hierarchy.reflexive)
@@ -715,6 +727,13 @@ class Database:
             copy._catalog_version = self._catalog_version
             copy._catalog_touched = self._catalog_touched
         return copy
+
+    @property
+    def buckets_copied(self) -> int:
+        """Copy-on-write copies this database has made since it was
+        created or cloned: index buckets, mirror slices, the hierarchy."""
+        return (self.scalars.buckets_copied + self.sets.buckets_copied
+                + self.hierarchy.copied)
 
     def virtual_count(self) -> int:
         """Number of virtual objects currently in the universe."""

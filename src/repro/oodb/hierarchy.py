@@ -23,6 +23,10 @@ they slightly refine the paper's one-line description:
 
 Reachability is computed by DFS over the declared edges and memoised;
 any mutation invalidates the memo.
+
+A :meth:`ClassHierarchy.clone` shares the edge dicts *and* the memo
+with its source until either side's first isa write, which copies the
+whole structure once (most evaluations never write an isa fact).
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ class ClassHierarchy:
         self._descendants_memo: dict[Oid, frozenset[Oid]] = {}
         #: Bumped on every successful mutation (planner cache key).
         self.version = 0
+        #: True while the four dicts above may be shared with a clone
+        #: (or a source): readers may fill the memo, nobody may edit.
+        self._shared = False
+        #: Whole-structure copies made by a first write after a clone.
+        self.copied = 0
 
     # -- mutation -----------------------------------------------------------
 
@@ -66,25 +75,33 @@ class ClassHierarchy:
                 f"declaring {member} in_U {cls} closes a cycle: "
                 f"{cls} already reaches {member}"
             )
+        self._begin_write()
         self._up.setdefault(member, set()).add(cls)
         self._down.setdefault(cls, set()).add(member)
-        self._invalidate()
         return True
 
     def remove(self, member: Oid, cls: Oid) -> bool:
         """Remove a declared edge; return False if it was not declared."""
-        ups = self._up.get(member)
-        if not ups or cls not in ups:
+        if cls not in self._up.get(member, ()):
             return False
-        ups.discard(cls)
+        self._begin_write()
+        self._up[member].discard(cls)
         self._down[cls].discard(member)
-        self._invalidate()
         return True
 
-    def _invalidate(self) -> None:
+    def _begin_write(self) -> None:
+        """Make the edges private and drop the memo, before an edit."""
         self.version += 1
-        self._ancestors_memo.clear()
-        self._descendants_memo.clear()
+        if self._shared:
+            self._up = {k: set(v) for k, v in self._up.items()}
+            self._down = {k: set(v) for k, v in self._down.items()}
+            self._ancestors_memo = {}
+            self._descendants_memo = {}
+            self._shared = False
+            self.copied += 1
+        else:
+            self._ancestors_memo.clear()
+            self._descendants_memo.clear()
 
     # -- queries ------------------------------------------------------------
 
@@ -165,7 +182,13 @@ class ClassHierarchy:
         return seen
 
     def clone(self) -> "ClassHierarchy":
-        """An independent copy: same declared edges, same version.
+        """A copy-on-write copy: same declared edges, same version.
+
+        O(1): the clone shares the edge dicts and the reachability memo
+        (both sides have the same edges, so either may fill it) until
+        the first ``declare``/``remove`` on either side copies the
+        structure for the writer.  The only write to ``self`` is the
+        idempotent ``_shared`` flag.
 
         Carrying the version over keeps a clone's contribution to
         ``Database.data_version()`` aligned with its source, so caches
@@ -173,7 +196,10 @@ class ClassHierarchy:
         different set of edges.
         """
         copy = ClassHierarchy(reflexive=self._reflexive)
-        copy._up = {k: set(v) for k, v in self._up.items()}
-        copy._down = {k: set(v) for k, v in self._down.items()}
+        copy._up = self._up
+        copy._down = self._down
+        copy._ancestors_memo = self._ancestors_memo
+        copy._descendants_memo = self._descendants_memo
         copy.version = self.version
+        self._shared = copy._shared = True
         return copy

@@ -20,6 +20,11 @@ ablation benchmark; all lookups then scan the primary dict.
 Both tables keep a monotone :attr:`version` counter, bumped on every
 successful mutation.  The query planner's cardinality catalog and plan
 caches key on it to notice (and only then recompute after) data changes.
+
+Clones are copy-on-write: ``clone()`` copies the top-level dicts and
+shares every inner bucket until one side writes to it
+(:class:`_MethodTable` states the invariant; docs/performance.md, "What
+a clone costs", has the who-copies-when table).
 """
 
 from __future__ import annotations
@@ -34,17 +39,28 @@ from repro.oodb.oid import Oid, OidInterner
 AppKey = tuple[Oid, Oid, tuple[Oid, ...]]
 
 
-def _clone_inverse(inverse: dict[int, dict[int, list[int]]]
-                   ) -> dict[int, dict[int, list[int]]]:
-    """Copy a mirror's ``method -> {result -> [subjects]}`` index."""
-    return {
-        m: {r: subjects.copy() for r, subjects in bucket.items()}
-        for m, bucket in inverse.items()
-    }
+class _OwnedDict(dict):
+    """An inner index bucket that knows who may write to it.
+
+    ``owner`` is the write token of the one table (or mirror) allowed
+    to change the bucket in place; everyone else copies it first (see
+    :class:`_MethodTable`).  Readers never look at it.
+    """
+
+    __slots__ = ("owner",)
+
+    #: Drop one key -- the verb a set bucket has for it.
+    remove = dict.__delitem__
 
 
-class ScalarSurrogateView:
-    """Int-surrogate mirror of a scalar table's parameterless facts.
+class _OwnedSet(set):
+    """The set-valued counterpart of :class:`_OwnedDict`."""
+
+    __slots__ = ("owner",)
+
+
+class _SurrogateView:
+    """Int-surrogate mirror of a table's parameterless facts.
 
     The columnar executor probes these dicts instead of the boxed
     indexes: keys are dense integer surrogates, so every probe hashes a
@@ -56,59 +72,87 @@ class ScalarSurrogateView:
     mutators (including the engine's direct ``put``/``add`` fast path),
     so kernels may capture :attr:`apps`/:attr:`inverse` once per plan
     and trust them across fixpoint iterations.
+
+    Copy-on-write: a :meth:`clone` shares every method's *slice* --
+    ``apps[m]``, ``inverse[m]`` and the sets and lists inside them --
+    with its source.  A slice is written in place only by the view
+    whose token its ``apps[m]`` bucket carries; :meth:`own` copies the
+    slice (once per method and clone) before the first write.
     """
 
-    __slots__ = ("interner", "apps", "inverse", "_sorted")
+    __slots__ = ("interner", "apps", "inverse", "_sorted", "_token",
+                 "copied")
 
-    def __init__(self, interner: OidInterner,
-                 facts: dict[AppKey, Oid]) -> None:
+    def __init__(self, interner: OidInterner) -> None:
         self.interner = interner
-        #: method -> {subject -> result}, all surrogates.
-        self.apps: dict[int, dict[int, int]] = {}
+        #: method -> {subject -> result or {members}}, all surrogates.
+        self.apps: dict[int, _OwnedDict] = {}
         #: method -> {result -> [subjects]}, all surrogates.
         self.inverse: dict[int, dict[int, list[int]]] = {}
         #: method -> sorted ``(results, subjects)`` arrays; dropped on
         #: mutation, rebuilt lazily by :meth:`sorted_inverse`.
         self._sorted: dict[int, tuple[array, array]] = {}
-        intern = interner.intern
-        for (method, subject, args), result in facts.items():
-            if args:
-                continue
-            self._record(intern(method), intern(subject), intern(result))
+        #: Write token: slices whose ``owner`` is this object are ours.
+        self._token = object()
+        #: Method slices copied before a first write (see :meth:`own`).
+        self.copied = 0
 
-    def _record(self, m: int, s: int, r: int) -> None:
-        self.apps.setdefault(m, {})[s] = r
-        self.inverse.setdefault(m, {}).setdefault(r, []).append(s)
+    def clone(self) -> "_SurrogateView":
+        """A copy-on-write copy bound to the same interner.
 
-    def clone(self) -> "ScalarSurrogateView":
-        """An independent copy bound to the same interner.
-
-        Only int-keyed containers are copied -- no OID is hashed.
+        Three top-level ``dict.copy()`` calls; no slice is touched.
+        Both sides get a fresh token, so neither owns a shared slice
+        (and an ``int_writer`` acquired earlier notices it is stale).
         """
-        copy = ScalarSurrogateView.__new__(ScalarSurrogateView)
+        copy = type(self).__new__(type(self))
         copy.interner = self.interner
-        copy.apps = {m: bucket.copy() for m, bucket in self.apps.items()}
-        copy.inverse = _clone_inverse(self.inverse)
+        copy.apps = self.apps.copy()
+        copy.inverse = self.inverse.copy()
         # Sorted pairs are replaced, never edited in place: share them.
         copy._sorted = self._sorted.copy()
+        copy.copied = 0
+        self._token = object()
+        copy._token = object()
         return copy
 
-    def on_put(self, method: Oid, subject: Oid, result: Oid) -> None:
+    def own(self, m: int) -> tuple[_OwnedDict, dict[int, list[int]]]:
+        """Method ``m``'s ``(apps, inverse)`` buckets, writable in place.
+
+        Created when the method has no facts yet; copied -- the whole
+        slice, down to the member sets and subject lists -- when it is
+        still shared with a clone.
+        """
+        bucket = self.apps.get(m)
+        if bucket is None:
+            bucket = self.apps[m] = _OwnedDict()
+            self.inverse[m] = {}
+        elif bucket.owner is self._token:
+            return bucket, self.inverse[m]
+        else:
+            bucket = self.apps[m] = _OwnedDict(bucket)
+            self._own_values(bucket)
+            self.inverse[m] = {r: subjects.copy()
+                               for r, subjects in self.inverse[m].items()}
+            self.copied += 1
+        bucket.owner = self._token
+        return bucket, self.inverse[m]
+
+    def _own_values(self, bucket: _OwnedDict) -> None:
+        """Un-share the values of a freshly copied ``apps`` bucket."""
+
+    def _on_insert(self, method: Oid, subject: Oid, result: Oid) -> None:
+        """Mirror one boxed insert (``on_put`` / ``on_add``)."""
         intern = self.interner.intern
         m = intern(method)
         self._record(m, intern(subject), intern(result))
         self._sorted.pop(m, None)
 
-    def on_remove(self, method: Oid, subject: Oid, result: Oid) -> None:
-        intern = self.interner.intern
-        m, s, r = intern(method), intern(subject), intern(result)
-        bucket = self.apps.get(m)
-        if bucket is None or bucket.pop(s, None) is None:
-            return
-        subjects = self.inverse[m][r]
+    def _unrecord(self, m: int, s: int, r: int,
+                  inverse: dict[int, list[int]]) -> None:
+        subjects = inverse[r]
         subjects.remove(s)
         if not subjects:
-            del self.inverse[m][r]
+            del inverse[r]
         self._sorted.pop(m, None)
 
     def sorted_inverse(self, m: int) -> tuple[array, array]:
@@ -131,92 +175,102 @@ class ScalarSurrogateView:
         return pair
 
 
-class SetSurrogateView:
-    """Int-surrogate mirror of a set table's parameterless facts.
+class ScalarSurrogateView(_SurrogateView):
+    """The scalar mirror: ``apps[m]`` maps subject to result."""
 
-    Same contract as :class:`ScalarSurrogateView`, with set-valued
-    buckets: membership probes become ``int in set-of-ints``.
-    """
+    __slots__ = ()
 
-    __slots__ = ("interner", "apps", "inverse", "_sorted")
+    def __init__(self, interner: OidInterner,
+                 facts: dict[AppKey, Oid]) -> None:
+        super().__init__(interner)
+        intern = interner.intern
+        for (method, subject, args), result in facts.items():
+            if not args:
+                self._record(intern(method), intern(subject), intern(result))
+
+    def _record(self, m: int, s: int, r: int) -> None:
+        bucket, inverse = self.own(m)
+        bucket[s] = r
+        inverse.setdefault(r, []).append(s)
+
+    on_put = _SurrogateView._on_insert
+
+    def on_remove(self, method: Oid, subject: Oid, result: Oid) -> None:
+        intern = self.interner.intern
+        m, s, r = intern(method), intern(subject), intern(result)
+        if s not in self.apps.get(m, ()):
+            return
+        bucket, inverse = self.own(m)
+        del bucket[s]
+        self._unrecord(m, s, r, inverse)
+
+
+class SetSurrogateView(_SurrogateView):
+    """The set mirror: ``apps[m]`` maps subject to a set of members,
+    so membership probes become ``int in set-of-ints``."""
+
+    __slots__ = ()
 
     def __init__(self, interner: OidInterner,
                  facts: dict[AppKey, set[Oid]]) -> None:
-        self.interner = interner
-        #: method -> {subject -> {members}}, all surrogates.
-        self.apps: dict[int, dict[int, set[int]]] = {}
-        #: method -> {member -> [subjects]}, all surrogates.
-        self.inverse: dict[int, dict[int, list[int]]] = {}
-        self._sorted: dict[int, tuple[array, array]] = {}
+        super().__init__(interner)
         intern = interner.intern
-        for (method, subject, args), bucket in facts.items():
-            if args or not bucket:
+        for (method, subject, args), members in facts.items():
+            if args:
                 continue
             m, s = intern(method), intern(subject)
-            for member in bucket:
+            for member in members:
                 self._record(m, s, intern(member))
 
+    def _own_values(self, bucket: _OwnedDict) -> None:
+        for s, members in bucket.items():
+            bucket[s] = members.copy()
+
     def _record(self, m: int, s: int, r: int) -> None:
-        self.apps.setdefault(m, {}).setdefault(s, set()).add(r)
-        self.inverse.setdefault(m, {}).setdefault(r, []).append(s)
+        bucket, inverse = self.own(m)
+        bucket.setdefault(s, set()).add(r)
+        inverse.setdefault(r, []).append(s)
 
-    def clone(self) -> "SetSurrogateView":
-        """An independent copy bound to the same interner."""
-        copy = SetSurrogateView.__new__(SetSurrogateView)
-        copy.interner = self.interner
-        copy.apps = {
-            m: {s: members.copy() for s, members in bucket.items()}
-            for m, bucket in self.apps.items()
-        }
-        copy.inverse = _clone_inverse(self.inverse)
-        copy._sorted = self._sorted.copy()
-        return copy
-
-    def on_add(self, method: Oid, subject: Oid, member: Oid) -> None:
-        intern = self.interner.intern
-        m = intern(method)
-        self._record(m, intern(subject), intern(member))
-        self._sorted.pop(m, None)
+    on_add = _SurrogateView._on_insert
 
     def on_discard(self, method: Oid, subject: Oid, member: Oid) -> None:
         intern = self.interner.intern
         m, s, r = intern(method), intern(subject), intern(member)
-        bucket = self.apps.get(m)
-        members = bucket.get(s) if bucket is not None else None
-        if members is None or r not in members:
+        if r not in self.apps.get(m, {}).get(s, ()):
             return
-        members.discard(r)
-        subjects = self.inverse[m][r]
-        subjects.remove(s)
-        if not subjects:
-            del self.inverse[m][r]
-        self._sorted.pop(m, None)
-
-    def sorted_inverse(self, m: int) -> tuple[array, array]:
-        """Sorted ``(members, subjects)`` bucket pair for merge joins."""
-        pair = self._sorted.get(m)
-        if pair is None:
-            keys = array("q")
-            vals = array("q")
-            for r, subjects in sorted(self.inverse.get(m, {}).items()):
-                for s in subjects:
-                    keys.append(r)
-                    vals.append(s)
-            pair = (keys, vals)
-            self._sorted[m] = pair
-        return pair
+        bucket, inverse = self.own(m)
+        members = bucket[s]
+        if len(members) == 1:
+            del bucket[s]  # fully retracted: the application is gone
+        else:
+            members.remove(r)
+        self._unrecord(m, s, r, inverse)
 
 
-class ScalarMethodTable:
-    """The stored graph of ``I_->``: partial functions per method object."""
+class _MethodTable:
+    """What the scalar and the set table share: copy-on-write clones.
+
+    **The sharing invariant.**  :meth:`clone` copies the *top-level*
+    dicts (C-level ``dict.copy()``: no key is re-hashed) and shares
+    every inner bucket -- an :class:`_OwnedDict` or :class:`_OwnedSet`
+    -- with its source.  A bucket is changed in place only by the table
+    whose current write token it carries as ``owner``; any other table
+    that reaches it copies it first and installs the copy in its own
+    top-level dict (:meth:`_own`).  ``clone()`` gives *both* sides a
+    fresh token, so after a clone neither side owns a bucket created
+    before it, and a bucket created or copied afterwards is reachable
+    from one side only.  The test is one identity comparison, survives
+    buckets being deleted and re-created, and resetting it is O(1).
+    """
+
+    #: The attributes :meth:`clone` copies (top level only), and the
+    #: mirror class :meth:`surrogate_view` builds.
+    _SHARED: tuple[str, ...] = ()
+    _VIEW: type = _SurrogateView
 
     def __init__(self, *, indexed: bool = True) -> None:
-        self._facts: dict[AppKey, Oid] = {}
         self._indexed = indexed
-        self._by_method: dict[Oid, dict[AppKey, Oid]] = {}
-        self._by_method_result: dict[tuple[Oid, Oid], set[AppKey]] = {}
-        self._by_subject: dict[Oid, dict[AppKey, Oid]] = {}
-        self._surrogates: ScalarSurrogateView | None = None
+        self._surrogates: _SurrogateView | None = None
         #: Mirror-first inserts not yet back-filled into the boxed
         #: structures: ``(m_sur, s_sur, r_sur)`` surrogate triples (see
         #: :meth:`int_writer`).  Every boxed read or mutation drains
@@ -224,13 +278,21 @@ class ScalarMethodTable:
         self._pending: list[tuple[int, int, int]] = []
         #: Bumped on every successful mutation (planner cache key).
         self.version = 0
+        #: Write token: buckets whose ``owner`` is this object are ours.
+        self._token = object()
+        #: Shared buckets copied before a first write (mirror excluded).
+        self.copied = 0
 
     @property
     def indexed(self) -> bool:
         """Whether secondary indexes are maintained."""
         return self._indexed
 
-    # -- mirror-first writes (columnar head emission) ------------------------
+    @property
+    def buckets_copied(self) -> int:
+        """Copy-on-write copies made by this table and its mirror."""
+        view = self._surrogates
+        return self.copied + (view.copied if view is not None else 0)
 
     def sync(self) -> None:
         """Materialise queued mirror-first inserts into the boxed dicts.
@@ -243,6 +305,125 @@ class ScalarMethodTable:
         if self._pending:
             self._drain()
 
+    def _own(self, index: dict, key, kind: type):
+        """``index[key]`` as a bucket this table may change in place:
+        created (a ``kind``) when missing, copied when shared."""
+        bucket = index.get(key)
+        if bucket is None:
+            bucket = index[key] = kind()
+        elif bucket.owner is self._token:
+            return bucket
+        else:
+            bucket = index[key] = kind(bucket)
+            self.copied += 1
+        bucket.owner = self._token
+        return bucket
+
+    def _unindex(self, index: dict, outer, key: AppKey) -> None:
+        """Drop ``key`` from the bucket ``index[outer]``, pruning a
+        bucket that would be left empty (no copy needed for that)."""
+        bucket = index[outer]
+        if len(bucket) == 1:
+            del index[outer]
+        else:
+            self._own(index, outer, type(bucket)).remove(key)
+
+    def _writer_slice(self, m_sur: int):
+        """What an ``int_writer`` closure captures: the method's mirror
+        slice, owned once here so the per-row closure never checks, and
+        a once-per-batch validity check.
+
+        A clone of this table shares the slice again, so a writer that
+        outlives one would write into both sides: ``check`` raises
+        instead.
+        """
+        view = self._surrogates
+        bucket, inverse = view.own(m_sur)
+        token = view._token
+
+        def check() -> None:
+            if view._token is not token:
+                raise RuntimeError(
+                    "int_writer used after its table was cloned; "
+                    "acquire a new writer")
+        return view, bucket, inverse, check
+
+    def surrogate_view(self, interner: OidInterner):
+        """The int-surrogate mirror of this table (built on first use).
+
+        Once built, the table's mutators keep the mirror in sync, so
+        repeated calls with the same interner are cheap.  A call with a
+        *different* interner (a table adopted by another database)
+        rebuilds the mirror from scratch.
+        """
+        view = self._surrogates
+        if view is None or view.interner is not interner:
+            # A rebuild reads the boxed facts: back-fill any pending
+            # mirror-first inserts (via the old view's interner) first.
+            if self._pending:
+                self._drain()
+            view = self._VIEW(interner, self._facts)
+            self._surrogates = view
+        return view
+
+    def rebind_mirror(self, old: OidInterner, new: OidInterner) -> None:
+        """Bind a mirror built on ``old`` to ``new``, a clone of ``old``.
+
+        A cloned interner assigns the same surrogates, so the mirror
+        stays valid; a mirror bound to any other interner is left
+        alone (and rebuilt by the next :meth:`surrogate_view` call).
+        """
+        view = self._surrogates
+        if view is not None and view.interner is old:
+            view.interner = new
+
+    def clone(self):
+        """A copy-on-write copy (same indexing mode and version).
+
+        Costs one C-level ``dict.copy()`` per top-level structure --
+        nothing is done per fact or per bucket, and no key is
+        re-hashed.  Every inner bucket stays shared until one side
+        writes to it (the class docstring has the invariant).  The
+        int-surrogate mirror, when the source has one, is carried the
+        same way, still bound to the source's interner;
+        :meth:`Database.clone` re-binds it to the cloned interner
+        (:meth:`rebind_mirror`).  The only writes to ``self`` are the
+        back-fill of pending mirror-first inserts (as for any boxed
+        read) and the token reset, so concurrent readers may clone one
+        quiescent table.
+
+        The version counter is carried over: a clone holds the same
+        facts as its source, so a ``data_version`` computed from it must
+        not collide with a version the source had when its facts were
+        different (plan caches and catalogs key on that value).
+        """
+        if self._pending:
+            self._drain()
+        copy = type(self)(indexed=self._indexed)
+        for name in self._SHARED:
+            setattr(copy, name, getattr(self, name).copy())
+        if self._surrogates is not None:
+            copy._surrogates = self._surrogates.clone()
+        copy.version = self.version
+        self._token = object()
+        return copy
+
+
+class ScalarMethodTable(_MethodTable):
+    """The stored graph of ``I_->``: partial functions per method object."""
+
+    _SHARED = ("_facts", "_by_method", "_by_method_result", "_by_subject")
+    _VIEW = ScalarSurrogateView
+
+    def __init__(self, *, indexed: bool = True) -> None:
+        super().__init__(indexed=indexed)
+        self._facts: dict[AppKey, Oid] = {}
+        self._by_method: dict[Oid, _OwnedDict] = {}
+        self._by_method_result: dict[tuple[Oid, Oid], _OwnedSet] = {}
+        self._by_subject: dict[Oid, _OwnedDict] = {}
+
+    # -- mirror-first writes (columnar head emission) ------------------------
+
     def _drain(self) -> None:
         pending = self._pending
         resolver = self._surrogates.interner.resolver()
@@ -251,9 +432,12 @@ class ScalarMethodTable:
         by_method = self._by_method
         by_method_result = self._by_method_result
         by_subject = self._by_subject
+        own = self._own
+        token = self._token
         # No duplicate or conflict checks: the writer proved each
         # triple absent against the mirror, which covers every
-        # parameterless fact of this table.
+        # parameterless fact of this table.  The ownership test is
+        # inlined: a bucket this table already owns costs no call.
         for m_sur, s_sur, r_sur in pending:
             method = resolver[m_sur]
             subject = resolver[s_sur]
@@ -262,17 +446,16 @@ class ScalarMethodTable:
             facts[key] = result
             if indexed:
                 bucket = by_method.get(method)
-                if bucket is None:
-                    bucket = by_method[method] = {}
+                if bucket is None or bucket.owner is not token:
+                    bucket = own(by_method, method, _OwnedDict)
                 bucket[key] = result
                 inv = by_method_result.get((method, result))
-                if inv is None:
-                    by_method_result[(method, result)] = {key}
-                else:
-                    inv.add(key)
+                if inv is None or inv.owner is not token:
+                    inv = own(by_method_result, (method, result), _OwnedSet)
+                inv.add(key)
                 subj = by_subject.get(subject)
-                if subj is None:
-                    subj = by_subject[subject] = {}
+                if subj is None or subj.owner is not token:
+                    subj = own(by_subject, subject, _OwnedDict)
                 subj[key] = result
         pending.clear()
 
@@ -287,10 +470,11 @@ class ScalarMethodTable:
         the dominant cost of fixpoint head emission.  Requires the
         mirror (:meth:`surrogate_view`) to exist; only parameterless
         facts flow through it.
+
+        Call ``add.check()`` once per emitted batch (see
+        :meth:`_writer_slice`).
         """
-        view = self._surrogates
-        bucket = view.apps.setdefault(m_sur, {})
-        inverse = view.inverse.setdefault(m_sur, {})
+        view, bucket, inverse, check = self._writer_slice(m_sur)
         sorted_pop = view._sorted.pop
         pending = self._pending
         resolver = view.interner.resolver()
@@ -313,6 +497,7 @@ class ScalarMethodTable:
             pending.append((m_sur, s, r))
             self.version += 1
             return True
+        add.check = check
         return add
 
     # -- mutation -----------------------------------------------------------
@@ -336,15 +521,20 @@ class ScalarMethodTable:
         self._facts[key] = result
         self.version += 1
         if self._indexed:
-            self._by_method.setdefault(method, {})[key] = result
-            self._by_method_result.setdefault((method, result), set()).add(key)
-            self._by_subject.setdefault(subject, {})[key] = result
+            own = self._own
+            own(self._by_method, method, _OwnedDict)[key] = result
+            own(self._by_method_result, (method, result), _OwnedSet).add(key)
+            own(self._by_subject, subject, _OwnedDict)[key] = result
         if self._surrogates is not None and not args:
             self._surrogates.on_put(method, subject, result)
         return True
 
     def remove(self, method: Oid, subject: Oid, args: tuple[Oid, ...]) -> bool:
-        """Delete one stored application; return False if absent."""
+        """Delete one stored application; return False if absent.
+
+        Index buckets the deletion empties are pruned, so a method or
+        subject with no facts left has no entry anywhere.
+        """
         if self._pending:
             self._drain()
         key = (method, subject, args)
@@ -353,9 +543,9 @@ class ScalarMethodTable:
             return False
         self.version += 1
         if self._indexed:
-            self._by_method[method].pop(key, None)
-            self._by_method_result[(method, result)].discard(key)
-            self._by_subject[subject].pop(key, None)
+            self._unindex(self._by_method, method, key)
+            self._unindex(self._by_method_result, (method, result), key)
+            self._unindex(self._by_subject, subject, key)
         if self._surrogates is not None and not args:
             self._surrogates.on_remove(method, subject, result)
         return True
@@ -429,7 +619,7 @@ class ScalarMethodTable:
         if self._pending:
             self._drain()
         if self._indexed:
-            return frozenset(m for m, bucket in self._by_method.items() if bucket)
+            return frozenset(self._by_method)
         return frozenset(key[0] for key in self._facts)
 
     # -- exact index cardinalities (planner estimates) -----------------------
@@ -463,9 +653,10 @@ class ScalarMethodTable:
     # The compiled executor probes the primary dict and the index dicts
     # directly, skipping the generator dispatch of :meth:`match`.  The
     # views are the *live* internal dicts -- callers must treat them as
-    # read-only.  The outer dicts are stable for the table's lifetime
-    # (mutations update them in place), so a compiled kernel may capture
-    # a view once and look buckets up per execution.
+    # read-only.  The outer dicts are stable for the table's lifetime,
+    # so a compiled kernel may capture a view once; the buckets inside
+    # are not (a first write after a clone installs a copy, an emptied
+    # bucket is pruned), so it must look them up per execution.
 
     def primary_view(self) -> dict[AppKey, Oid]:
         """The live ``(method, subject, args) -> result`` dict."""
@@ -491,35 +682,6 @@ class ScalarMethodTable:
             self._drain()
         return self._by_subject
 
-    def surrogate_view(self, interner: OidInterner) -> ScalarSurrogateView:
-        """The int-surrogate mirror of this table (built on first use).
-
-        Once built, the table's mutators keep the mirror in sync, so
-        repeated calls with the same interner are cheap.  A call with a
-        *different* interner (a table adopted by another database)
-        rebuilds the mirror from scratch.
-        """
-        view = self._surrogates
-        if view is None or view.interner is not interner:
-            # A rebuild reads the boxed facts: back-fill any pending
-            # mirror-first inserts (via the old view's interner) first.
-            if self._pending:
-                self._drain()
-            view = ScalarSurrogateView(interner, self._facts)
-            self._surrogates = view
-        return view
-
-    def rebind_mirror(self, old: OidInterner, new: OidInterner) -> None:
-        """Bind a mirror built on ``old`` to ``new``, a clone of ``old``.
-
-        A cloned interner assigns the same surrogates, so the mirror
-        stays valid; a mirror bound to any other interner is left
-        alone (and rebuilt by the next :meth:`surrogate_view` call).
-        """
-        view = self._surrogates
-        if view is not None and view.interner is old:
-            view.interner = new
-
     def mentioned_oids(self) -> Iterator[Oid]:
         """Every OID occurring in any stored fact."""
         if self._pending:
@@ -530,100 +692,73 @@ class ScalarMethodTable:
             yield from args
             yield result
 
-    def clone(self) -> "ScalarMethodTable":
-        """An independent copy (same indexing mode and version).
 
-        A structural copy: the primary dict and the index buckets are
-        duplicated by C-level ``dict``/``set`` copies, which reuse the
-        stored hashes -- no application key is re-hashed and no fact is
-        re-inserted.  (Only the *outer* keys of the three secondary
-        indexes -- one per method, per (method, result) pair, per
-        subject -- are hashed, once each.)  The int-surrogate mirror,
-        when the source has one, is carried along, still bound to the
-        source's interner; :meth:`Database.clone` re-binds it to the
-        cloned interner (:meth:`rebind_mirror`).
+class SetMethodTable(_MethodTable):
+    """The stored graph of ``I_->>``: a set of results per application.
 
-        The version counter is carried over: a clone holds the same
-        facts as its source, so a ``data_version`` computed from it must
-        not collide with a version the source had when its facts were
-        different (plan caches and catalogs key on that value).
-        """
-        if self._pending:
-            self._drain()
-        copy = ScalarMethodTable(indexed=self._indexed)
-        copy._facts = self._facts.copy()
-        copy._by_method = {
-            method: bucket.copy()
-            for method, bucket in self._by_method.items()
-        }
-        copy._by_method_result = {
-            pair: keys.copy()
-            for pair, keys in self._by_method_result.items()
-        }
-        copy._by_subject = {
-            subject: bucket.copy()
-            for subject, bucket in self._by_subject.items()
-        }
-        if self._surrogates is not None:
-            copy._surrogates = self._surrogates.clone()
-        copy.version = self.version
-        return copy
+    An application exists exactly while it has a member: retracting the
+    last one removes the key from every structure (the change log, the
+    WAL and a snapshot can only express memberships, so "defined and
+    empty" would not survive recovery).
 
+    One membership set is reachable three ways -- ``_facts[key]``,
+    ``_by_method[m][key]``, ``_by_subject[s][key]`` -- so copying it on
+    a first write re-points all three (:meth:`_own_members`).
+    """
 
-class SetMethodTable:
-    """The stored graph of ``I_->>``: a set of results per application."""
+    _SHARED = ("_facts", "_by_method", "_by_method_member", "_by_subject")
+    _VIEW = SetSurrogateView
 
     def __init__(self, *, indexed: bool = True) -> None:
-        self._facts: dict[AppKey, set[Oid]] = {}
-        self._indexed = indexed
-        self._by_method: dict[Oid, dict[AppKey, set[Oid]]] = {}
-        self._by_method_member: dict[tuple[Oid, Oid], set[AppKey]] = {}
-        self._by_subject: dict[Oid, dict[AppKey, set[Oid]]] = {}
-        self._surrogates: SetSurrogateView | None = None
-        #: Mirror-first inserts awaiting boxed back-fill (see
-        #: :meth:`ScalarMethodTable.sync` for the contract).
-        self._pending: list[tuple[int, int, int]] = []
-        #: Bumped on every successful mutation (planner cache key).
-        self.version = 0
+        super().__init__(indexed=indexed)
+        self._facts: dict[AppKey, _OwnedSet] = {}
+        self._by_method: dict[Oid, _OwnedDict] = {}
+        self._by_method_member: dict[tuple[Oid, Oid], _OwnedSet] = {}
+        self._by_subject: dict[Oid, _OwnedDict] = {}
 
-    @property
-    def indexed(self) -> bool:
-        """Whether secondary indexes are maintained."""
-        return self._indexed
+    def _own_members(self, key: AppKey,
+                     members: _OwnedSet | None) -> _OwnedSet:
+        """``key``'s membership set (``members``, as stored) writable in
+        place: created when None, copied when shared, and installed in
+        the primary dict and both indexes either way."""
+        if members is None:
+            fresh = _OwnedSet()
+        elif members.owner is self._token:
+            return members
+        else:
+            fresh = _OwnedSet(members)
+            self.copied += 1
+        fresh.owner = self._token
+        self._facts[key] = fresh
+        if self._indexed:
+            self._own(self._by_method, key[0], _OwnedDict)[key] = fresh
+            self._own(self._by_subject, key[1], _OwnedDict)[key] = fresh
+        return fresh
 
     # -- mirror-first writes (columnar head emission) ------------------------
-
-    def sync(self) -> None:
-        """Materialise queued mirror-first inserts into the boxed dicts."""
-        if self._pending:
-            self._drain()
 
     def _drain(self) -> None:
         pending = self._pending
         resolver = self._surrogates.interner.resolver()
         facts = self._facts
         indexed = self._indexed
-        by_method = self._by_method
         by_method_member = self._by_method_member
-        by_subject = self._by_subject
+        own = self._own
+        own_members = self._own_members
+        token = self._token
         for m_sur, s_sur, r_sur in pending:
             method = resolver[m_sur]
-            subject = resolver[s_sur]
             member = resolver[r_sur]
-            key = (method, subject, ())
-            bucket = facts.get(key)
-            if bucket is None:
-                bucket = facts[key] = set()
-                if indexed:
-                    by_method.setdefault(method, {})[key] = bucket
-                    by_subject.setdefault(subject, {})[key] = bucket
-            bucket.add(member)
+            key = (method, resolver[s_sur], ())
+            members = facts.get(key)
+            if members is None or members.owner is not token:
+                members = own_members(key, members)
+            members.add(member)
             if indexed:
                 inv = by_method_member.get((method, member))
-                if inv is None:
-                    by_method_member[(method, member)] = {key}
-                else:
-                    inv.add(key)
+                if inv is None or inv.owner is not token:
+                    inv = own(by_method_member, (method, member), _OwnedSet)
+                inv.add(key)
         pending.clear()
 
     def int_writer(self, method: Oid, m_sur: int):
@@ -631,11 +766,10 @@ class SetMethodTable:
 
         ``add(s_sur, r_sur) -> bool`` mirrors :meth:`add`'s semantics
         (False on a present membership) with int-only probes, queuing
-        the boxed back-fill on :attr:`_pending`.
+        the boxed back-fill on :attr:`_pending`; ``add.check`` as for
+        :meth:`ScalarMethodTable.int_writer`.
         """
-        view = self._surrogates
-        bucket = view.apps.setdefault(m_sur, {})
-        inverse = view.inverse.setdefault(m_sur, {})
+        view, bucket, inverse, check = self._writer_slice(m_sur)
         sorted_pop = view._sorted.pop
         pending = self._pending
 
@@ -656,6 +790,7 @@ class SetMethodTable:
             pending.append((m_sur, s, r))
             self.version += 1
             return True
+        add.check = check
         return add
 
     # -- mutation -----------------------------------------------------------
@@ -666,36 +801,42 @@ class SetMethodTable:
         if self._pending:
             self._drain()
         key = (method, subject, args)
-        bucket = self._facts.get(key)
-        if bucket is None:
-            bucket = set()
-            self._facts[key] = bucket
-            if self._indexed:
-                self._by_method.setdefault(method, {})[key] = bucket
-                self._by_subject.setdefault(subject, {})[key] = bucket
-        if member in bucket:
+        members = self._facts.get(key)
+        if members is not None and member in members:
             return False
-        bucket.add(member)
+        self._own_members(key, members).add(member)
         self.version += 1
         if self._indexed:
-            self._by_method_member.setdefault((method, member), set()).add(key)
+            self._own(self._by_method_member, (method, member),
+                      _OwnedSet).add(key)
         if self._surrogates is not None and not args:
             self._surrogates.on_add(method, subject, member)
         return True
 
     def discard(self, method: Oid, subject: Oid, args: tuple[Oid, ...],
                 member: Oid) -> bool:
-        """Remove one membership; return False if it was absent."""
+        """Remove one membership; return False if it was absent.
+
+        Removing the last member removes the application: its key
+        leaves the primary dict, both indexes and the mirror, and index
+        buckets left empty are pruned.
+        """
         if self._pending:
             self._drain()
         key = (method, subject, args)
-        bucket = self._facts.get(key)
-        if bucket is None or member not in bucket:
+        members = self._facts.get(key)
+        if members is None or member not in members:
             return False
-        bucket.discard(member)
+        if len(members) > 1:
+            self._own_members(key, members).remove(member)
+        else:
+            del self._facts[key]
+            if self._indexed:
+                self._unindex(self._by_method, method, key)
+                self._unindex(self._by_subject, subject, key)
         self.version += 1
         if self._indexed:
-            self._by_method_member[(method, member)].discard(key)
+            self._unindex(self._by_method_member, (method, member), key)
         if self._surrogates is not None and not args:
             self._surrogates.on_discard(method, subject, member)
         return True
@@ -714,7 +855,7 @@ class SetMethodTable:
 
     def defined(self, method: Oid, subject: Oid,
                 args: tuple[Oid, ...] = ()) -> bool:
-        """True when the application has a (possibly empty) stored set."""
+        """True when the application has at least one stored member."""
         if self._pending:
             self._drain()
         return (method, subject, args) in self._facts
@@ -781,7 +922,7 @@ class SetMethodTable:
         if self._pending:
             self._drain()
         if self._indexed:
-            return frozenset(m for m, bucket in self._by_method.items() if bucket)
+            return frozenset(self._by_method)
         return frozenset(key[0] for key in self._facts)
 
     # -- exact index cardinalities (planner estimates) -----------------------
@@ -836,22 +977,6 @@ class SetMethodTable:
             self._drain()
         return self._by_subject
 
-    def surrogate_view(self, interner: OidInterner) -> SetSurrogateView:
-        """The int-surrogate mirror of this table (built on first use)."""
-        view = self._surrogates
-        if view is None or view.interner is not interner:
-            if self._pending:
-                self._drain()
-            view = SetSurrogateView(interner, self._facts)
-            self._surrogates = view
-        return view
-
-    def rebind_mirror(self, old: OidInterner, new: OidInterner) -> None:
-        """See :meth:`ScalarMethodTable.rebind_mirror`."""
-        view = self._surrogates
-        if view is not None and view.interner is old:
-            view.interner = new
-
     def mentioned_oids(self) -> Iterator[Oid]:
         """Every OID occurring in any stored membership."""
         if self._pending:
@@ -861,40 +986,3 @@ class SetMethodTable:
             yield subject
             yield from args
             yield from bucket
-
-    def clone(self) -> "SetMethodTable":
-        """An independent copy (same indexing mode and version).
-
-        Structural, like :meth:`ScalarMethodTable.clone`, with one
-        twist: a membership bucket is *shared* between the primary
-        dict and the method/subject indexes, so each bucket is copied
-        once and the three structures are re-pointed at the copy.  The
-        (method, member) index holds key sets only and is copied
-        bucket by bucket.  The mirror and the version counter are
-        carried as for the scalar table.
-        """
-        if self._pending:
-            self._drain()
-        copy = SetMethodTable(indexed=self._indexed)
-        fresh = {id(bucket): bucket.copy()
-                 for bucket in self._facts.values()}
-        copy._facts = {key: fresh[id(bucket)]
-                       for key, bucket in self._facts.items()}
-        copy._by_method = {
-            method: {key: fresh[id(bucket)]
-                     for key, bucket in apps.items()}
-            for method, apps in self._by_method.items()
-        }
-        copy._by_subject = {
-            subject: {key: fresh[id(bucket)]
-                      for key, bucket in apps.items()}
-            for subject, apps in self._by_subject.items()
-        }
-        copy._by_method_member = {
-            pair: keys.copy()
-            for pair, keys in self._by_method_member.items()
-        }
-        if self._surrogates is not None:
-            copy._surrogates = self._surrogates.clone()
-        copy.version = self.version
-        return copy

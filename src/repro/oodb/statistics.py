@@ -191,8 +191,7 @@ class CardinalityCatalog:
         self.scalar_total = sum(c.facts for c in self.scalar.values())
         self.set_total = sum(c.facts for c in self.sets.values())
         self.set_apps_total = sum(c.apps for c in self.sets.values())
-        self.scalar_subjects = sum(
-            1 for bucket in db.scalars.by_subject_view().values() if bucket)
+        self.scalar_subjects = len(db.scalars.by_subject_view())
         self.set_subjects = len(db.sets.by_subject_view())
 
     def _count_isa(self, db: Database) -> None:
@@ -209,17 +208,22 @@ class CardinalityCatalog:
 
     # -- incremental patching (change-log replay) ---------------------------
 
-    def apply(self, entries, *, universe: int | None = None) -> None:
+    def apply(self, entries, db: Database) -> None:
         """Patch the catalog from change-log entries instead of rebuilding.
 
         ``entries`` is a sequence of ``("+"/"-", fact)`` pairs in
-        :class:`~repro.oodb.database.ChangeLog` shape.  Fact counts,
-        per-kind totals, and isa edge counts adjust exactly; the
-        *distinct* subject/result counts stay as built (maintaining them
-        exactly would need per-method value multisets), which only skews
-        the planner's per-subject/per-result averages slightly -- these
-        are estimates, and the exact index bucket sizes the planner
-        prefers are read live from the tables anyway.
+        :class:`~repro.oodb.database.ChangeLog` shape that lead up to
+        the current state of ``db``.  Fact counts, per-kind totals, and
+        isa edge counts adjust exactly, and a method whose last fact
+        was retracted loses its card, as in a rebuild.  With secondary
+        indexes the application and subject counts are read off the
+        live index sizes (a fully retracted application or subject has
+        no bucket left), so they are exact too.  The per-method
+        *distinct* subject/result counts stay as built (maintaining
+        them exactly would need per-method value multisets), which only
+        skews the planner's per-subject/per-result averages slightly --
+        these are estimates, and the exact index bucket sizes the
+        planner prefers are read live from the tables anyway.
         """
         for sign, fact in entries:
             step = 1 if sign == "+" else -1
@@ -228,31 +232,34 @@ class CardinalityCatalog:
                 self._bump(self.scalar, fact[1], step, scalar=True)
                 self.scalar_total = max(0, self.scalar_total + step)
             elif kind == "set":
-                self._bump(self.sets, fact[1], step, scalar=False)
+                self._bump(self.sets, fact[1], step, scalar=False,
+                           live_apps=db.sets.count_method_apps(fact[1]))
                 self.set_total = max(0, self.set_total + step)
             else:  # isa
                 self.isa_edges = max(0, self.isa_edges + step)
-        if universe is not None:
-            self.universe = universe
+        self.universe = len(db)
+        self.set_apps_total = sum(c.apps for c in self.sets.values())
+        if db.scalars.indexed:
+            self.scalar_subjects = len(db.scalars.by_subject_view())
+            self.set_subjects = len(db.sets.by_subject_view())
 
-    def _bump(self, table: dict, method: Oid, step: int,
-              *, scalar: bool) -> None:
+    @staticmethod
+    def _bump(table: dict, method: Oid, step: int, *, scalar: bool,
+              live_apps: int | None = None) -> None:
         from dataclasses import replace
 
         card = table.get(method)
-        if card is None:
-            if step > 0:
-                table[method] = MethodCard(facts=1, apps=1,
-                                           subjects=1, results=1)
-                if not scalar:
-                    self.set_apps_total += 1
+        facts = (card.facts if card is not None else 0) + step
+        if facts <= 0:
+            table.pop(method, None)
             return
-        facts = max(0, card.facts + step)
-        # Application counts are exact for scalar methods (one fact per
-        # application); for set methods the membership delta may or may
-        # not open/close an application, so they are left untouched --
-        # an estimate-only skew, like the distinct counts.
-        apps = facts if scalar else card.apps
+        if card is None:
+            card = MethodCard(facts=0, apps=1, subjects=1, results=1)
+        # One application per scalar fact; a set method's count is read
+        # live when there is an index to read it from (a membership
+        # delta alone does not say whether it opened or closed one).
+        apps = facts if scalar else (
+            card.apps if live_apps is None else live_apps)
         table[method] = replace(card, facts=facts, apps=apps)
 
     # -- derived averages ---------------------------------------------------

@@ -131,6 +131,10 @@ class Query:
         self.last_maintenance = None
         #: Memoised results evicted from the LRU over this Query's life.
         self.memo_evictions = 0
+        #: Copy-on-write copies made by this Query's evaluations over
+        #: its life, publication back-fills included (see
+        #: :attr:`~repro.oodb.database.Database.buckets_copied`).
+        self.buckets_copied = 0
         #: Persistent change-log lease pinning the memo low-water mark.
         self._hold = None
         #: With ``thread_safe=True`` the memo bookkeeping in
@@ -204,6 +208,7 @@ class Query:
                 result = engine.run()
                 self._materialized = result
                 self._register(result, engine, version)
+                self.buckets_copied += result.buckets_copied
             return result
         key = tuple(atoms)
         result = self._demand_dbs.get(key)
@@ -234,6 +239,7 @@ class Query:
                 self._demand_dbs[key] = result
                 self._demand_engines[key] = engine
                 self._register(result, engine, version)
+            self.buckets_copied += result.buckets_copied
             engine.stats.memo_evictions = self.memo_evictions
             self.last_demand = engine
         else:

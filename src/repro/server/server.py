@@ -569,6 +569,9 @@ class Server:
         payload = self._health()
         payload.update(self.stats.as_dict())
         payload["shed"] = self._admission.shed
+        # What the shared Query's evaluations copied out of their
+        # copy-on-write snapshots of the base (restarts with the Query).
+        payload["buckets_copied"] = self._query.buckets_copied
         payload["version"] = self._db.data_version()
         log = self._db.change_log
         payload["log_entries"] = (len(log.entries)

@@ -202,6 +202,25 @@ def test_kill_at_every_site_recovers(schedule):
                 cleanup(data_dir)
 
 
+def test_fully_retracted_application_recovers_to_the_live_state():
+    """The schedule PR 11 recorded: assert one membership and retract
+    it in the same batch, then checkpoint.  The live table used to keep
+    an empty-set key that neither the WAL nor the snapshot can express,
+    so recovery landed on a state no commit ever had."""
+    schedule = [("batch", [("+set", "color", "peter", "tim"),
+                           ("-set", "color", "peter", "tim")]),
+                ("checkpoint",)]
+    for steps in (schedule, schedule[:1]):  # via snapshot, via WAL replay
+        data_dir = fresh_dir()
+        try:
+            driver = Driver(data_dir)
+            driver.run(steps)
+            assert driver.committed[2] == frozenset()  # no empty-set key
+            driver.check()
+        finally:
+            cleanup(data_dir)
+
+
 @settings(max_examples=10, deadline=None)
 @given(schedule=schedules(max_size=4),
        site=st.sampled_from(("checkpoint.write", "checkpoint.rename",

@@ -130,6 +130,27 @@ class TestCatalogPatch:
         assert patched.scalar[city].facts == fresh.scalar[city].facts
         assert patched.isa_edges == fresh.isa_edges
 
+    def test_a_full_retract_patches_to_what_a_rebuild_counts(self, db):
+        from repro.oodb.statistics import CardinalityCatalog
+
+        def fields(catalog):
+            return {name: getattr(catalog, name)
+                    for name in catalog.__slots__}
+
+        db.begin_changes()
+        catalog = db.catalog()
+        color, peter, tim = names(db, "color", "peter", "tim")
+        db.catalog()  # the names above grew the universe
+        for member in (tim, peter):
+            db.assert_set_member(color, peter, (), member)
+        assert db.catalog() is catalog
+        assert catalog.sets[color].apps == 1  # one application, two facts
+        for member in (tim, peter):
+            db.retract_set_member(color, peter, (), member)
+        assert db.catalog() is catalog  # patched, not rebuilt
+        assert color not in catalog.sets
+        assert fields(catalog) == fields(CardinalityCatalog.build(db))
+
     def test_without_a_log_the_catalog_rebuilds(self, db):
         first = db.catalog()
         db.retract_scalar(db.obj("city"), db.obj("p2"), ())

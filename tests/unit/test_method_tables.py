@@ -106,10 +106,20 @@ class TestSetTable:
         assert n("tim") not in set_table.get(n("kids"), n("peter"))
         assert set_table.discard(n("kids"), n("peter"), (), n("tim")) is False
 
-    def test_defined_even_when_emptied(self, set_table):
+    def test_fully_retracted_application_leaves_nothing_behind(
+            self, set_table):
+        # Logs and snapshots only express memberships, so "defined and
+        # empty" must not be a state: the key goes with its last member.
         set_table.discard(n("friends"), n("p2"), (), n("tim"))
-        assert set_table.defined(n("friends"), n("p2"))
+        assert not set_table.defined(n("friends"), n("p2"))
         assert set_table.get(n("friends"), n("p2")) == frozenset()
+        assert (n("friends"), n("p2"), ()) not in dict(set_table.items())
+        assert n("friends") not in set_table.methods()
+        for view in (set_table.by_method_view(),
+                     set_table.by_method_member_view(),
+                     set_table.by_subject_view()):
+            assert all(view.values())
+            assert n("friends") not in view and n("p2") not in view
 
     def test_clone_independent(self, set_table):
         copy = set_table.clone()

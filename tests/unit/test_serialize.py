@@ -153,6 +153,21 @@ class TestByteStability:
                                           separators=(",", ":"))
         assert canonical(forward()) == canonical(backward())
 
+    def test_old_snapshots_with_empty_set_rows_still_load(self):
+        """Before fully retracted applications left nothing behind, a
+        snapshot could carry ``[m, s, args, []]``; such a row loads to
+        the same state as its absence."""
+        from repro.oodb.serialize import from_dict, to_dict
+        db = Database()
+        db.assert_set_member(n("kids"), n("tom"), (), n("tim"))
+        document = to_dict(db)
+        document["sets"].append(
+            [{"n": "color"}, {"n": "tom"}, [], []])
+        loaded = from_dict(document)
+        assert not loaded.sets.defined(n("color"), n("tom"))
+        assert dict(loaded.sets.items()) == dict(db.sets.items())
+        assert to_dict(loaded) == to_dict(db)
+
     def test_pinned_encoding_bytes(self):
         """The exact bytes are pinned: changing them breaks every
         existing snapshot's checksum, so it must bump FORMAT_VERSION."""

@@ -268,6 +268,7 @@ class TestServerBasics:
                 assert stats["served"] >= 1
                 assert stats["shed"] == 0
                 assert stats["log_entries"] == 0
+                assert stats["buckets_copied"] == server.query.buckets_copied
         run_with_server(scenario)
 
 
