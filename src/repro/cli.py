@@ -26,7 +26,9 @@ columns over the OID interner, the engine's fixpoint default),
 and ``batch_rows`` report how many batched executions ran and how many
 solution rows they produced (zero outside batched evaluation),
 ``heads-compiled``/``heads-fallback`` how many plans realise their
-heads set-at-a-time vs. row by row, ``snapshot-s`` the part of
+heads set-at-a-time vs. row by row (``batches``, ``plans``,
+``plan-hits``, ``kernels`` and ``heads-compiled`` count only the delta
+positions a semi-naive round actually seeded), ``snapshot-s`` the part of
 ``seconds`` spent before the first rule fires (clone, catalog, mirrors),
 and ``buckets-copied`` how many shared buckets of that copy-on-write
 clone the run had to copy before writing to them.

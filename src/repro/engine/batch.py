@@ -59,6 +59,7 @@ from repro.engine.budget import (
     pop_active,
     push_active,
 )
+from repro.engine.delta import DeltaIndex
 from repro.engine.matching import UNRESTRICTED, Binding, MatchPolicy
 from repro.engine.planner import Plan
 from repro.errors import EvaluationError
@@ -1083,37 +1084,6 @@ def compile_batch_plan(db: Database, plan: Plan,
 # Delta specialization (semi-naive evaluation)
 # ---------------------------------------------------------------------------
 
-class DeltaIndex:
-    """A realizer log with a lazy ``(kind, method)`` partition.
-
-    One fixpoint iteration fires every rule position against the same
-    delta; partitioning the log once lets each constant-method seed
-    read exactly its own bucket instead of re-filtering the whole log
-    per position.  Seeds accept either this or a plain entry list, so
-    direct callers keep the simple API.
-    """
-
-    __slots__ = ("entries", "_buckets")
-
-    def __init__(self, entries: list) -> None:
-        self.entries = entries
-        self._buckets: dict | None = None
-
-    def bucket(self, kind: str, method: Oid) -> list:
-        """Entries of one ``(kind, method)`` pair (all argument arities)."""
-        buckets = self._buckets
-        if buckets is None:
-            buckets = self._buckets = {}
-            for entry in self.entries:
-                key = (entry[0], entry[1])
-                found = buckets.get(key)
-                if found is None:
-                    buckets[key] = [entry]
-                else:
-                    found.append(entry)
-        return buckets.get((kind, method), ())
-
-
 class BatchDeltaPlan:
     """A delta-seeded rule body, batched: the log becomes the batch.
 
@@ -1244,16 +1214,20 @@ def _generic_delta_seed(wanted: str, ops: tuple, nargs: int,
     """The row-at-a-time seed handling every delta-atom shape."""
     from repro.engine.compile import _method_filter
 
-    runtime_ok = (None if m_op[0] == _CONST
-                  else _method_filter(policy, m_op))
+    const = m_op[0] == _CONST
+    runtime_ok = None if const else _method_filter(policy, m_op)
 
     def seed(cols, delta, _wanted=wanted, _n=nargs, _ok=runtime_ok,
-             _ops=ops, _writes=seed_writes, _nslots=nslots):
+             _ops=ops, _writes=seed_writes, _nslots=nslots,
+             _m=m_op[1] if const else None):
         regs = [None] * _nslots
         outs = [[] for _ in _writes]
         count = 0
         if isinstance(delta, DeltaIndex):
-            delta = delta.entries
+            # A constant method reads its own bucket; a variable one can
+            # match any entry of the round.
+            delta = (delta.bucket(_wanted, _m) if _m is not None
+                     else delta.entries)
         for entry in delta:
             if entry[0] != _wanted:
                 continue
@@ -1296,20 +1270,15 @@ def compile_batch_delta_plan(db: Database, atom: Atom, plan: Plan,
         si, ri = s_op[1], r_op[1]
 
         def seed(cols, delta, _wanted=wanted, _m=method, _si=si, _ri=ri):
+            if not isinstance(delta, DeltaIndex):
+                delta = DeltaIndex(delta)
             s_out: list = []
             r_out: list = []
-            if isinstance(delta, DeltaIndex):
-                for entry in delta.bucket(_wanted, _m):
-                    if entry[3]:
-                        continue
-                    s_out.append(entry[2])
-                    r_out.append(entry[4])
-            else:
-                for entry in delta:
-                    if entry[0] != _wanted or entry[1] != _m or entry[3]:
-                        continue
-                    s_out.append(entry[2])
-                    r_out.append(entry[4])
+            for entry in delta.bucket(_wanted, _m):
+                if entry[3]:
+                    continue
+                s_out.append(entry[2])
+                r_out.append(entry[4])
             cols[_si] = s_out
             cols[_ri] = r_out
             return len(s_out)

@@ -44,7 +44,6 @@ from repro.core import builtins as _builtins
 from repro.core.ast import Name, Var
 from repro.engine.batch import (
     BatchStep,
-    DeltaIndex,
     StepBuilder,
     _bake_steps,
     _compile_batch_step,
@@ -65,6 +64,7 @@ from repro.engine.compile import (
     _known,
     _term_op,
 )
+from repro.engine.delta import DeltaIndex
 from repro.engine.matching import (
     MAGIC_METHOD_PREFIX,
     UNRESTRICTED,
@@ -775,8 +775,8 @@ def compile_columnar_plan(db: Database, plan: Plan,
 class IntDeltaIndex(DeltaIndex):
     """A realizer log partition that also interns its buckets once.
 
-    Every rule position of one iteration seeds from the same delta;
-    interning each entry once here (instead of once per position) keeps
+    Every seeded rule position of one round reads the same delta;
+    interning each bucket once here (instead of once per position) keeps
     the only remaining OID hashing of the columnar fixpoint loop linear
     in the number of *new* facts.
     """
@@ -926,27 +926,16 @@ def compile_columnar_delta_plan(db: Database, atom: Atom, plan: Plan,
     elif (nargs == 0 and m_op[0] == _CONST
             and s_op[0] == _STORE and r_op[0] == _STORE):
         # The hot shape seeds int columns straight from the delta's
-        # interned bucket; a plain Oid log (or a foreign DeltaIndex)
-        # interns inline instead.
+        # interned bucket (a plain Oid log is partitioned first).
         method = m_op[1]
         si, ri = s_op[1], r_op[1]
         rep[si] = rep[ri] = True
-        intern = interner.intern
 
-        def seed(cols, delta, _wanted=wanted, _m=method, _si=si, _ri=ri,
-                 _intern=intern):
-            if isinstance(delta, IntDeltaIndex):
-                s_out, r_out = delta.int_bucket(_wanted, _m)
-            else:
-                entries = (delta.bucket(_wanted, _m)
-                           if isinstance(delta, DeltaIndex) else delta)
-                s_out = []
-                r_out = []
-                for entry in entries:
-                    if entry[0] != _wanted or entry[1] != _m or entry[3]:
-                        continue
-                    s_out.append(_intern(entry[2]))
-                    r_out.append(_intern(entry[4]))
+        def seed(cols, delta, _wanted=wanted, _m=method, _si=si, _ri=ri):
+            if not isinstance(delta, IntDeltaIndex):
+                delta = IntDeltaIndex(getattr(delta, "entries", delta),
+                                      interner)
+            s_out, r_out = delta.int_bucket(_wanted, _m)
             cols[_si] = s_out
             cols[_ri] = r_out
             return len(s_out)

@@ -9,10 +9,14 @@ fixpoint, either
 - **semi-naively** -- after the first full pass, *pure* rules (bodies of
   data atoms and comparisons only) are re-evaluated only through the
   facts newly derived in the previous iteration, one delta position at a
-  time.  Rules containing superset atoms, and rules reading ``isa``
-  while the delta contains new class memberships (the transitive closure
-  makes per-edge deltas incomplete), fall back to full evaluation for
-  that iteration.
+  time, and only at the positions whose bucket of that delta is
+  non-empty (:mod:`repro.engine.delta`; variable-method positions fire
+  every round), in rule and then position order -- so a round costs
+  what its delta can reach, and the realizer log is the one firing
+  every position would give.  Rules containing superset or negation
+  atoms, and rules reading ``isa`` while the delta holds new class
+  memberships (the transitive closure makes per-edge deltas
+  incomplete), are evaluated in full for that iteration.
 
 Body solutions are materialised before head realisation so the solver
 never iterates over indexes the realizer is mutating.
@@ -21,7 +25,7 @@ Rule bodies are evaluated through the cost-based planner
 (:mod:`repro.engine.planner`): the engine owns a per-run
 :class:`~repro.engine.planner.PlanCache` keyed on each rule body and its
 initially-bound variable set, so the greedy join-order search runs once
-per rule (and once per delta position), not once per binding or per
+per rule (and once per seeded delta position), not once per binding or per
 fixpoint iteration.  By default each plan is additionally lowered to
 its **batched** column-at-a-time form (:mod:`repro.engine.batch`,
 ``executor="batch"``): full firings push one batch through the whole
@@ -49,8 +53,19 @@ from typing import Iterable, Union
 
 from repro.core.ast import Program, Rule
 from repro.core.variables import variables_of
-from repro.engine.batch import DeltaIndex, head_emitter
+from repro.engine.batch import (
+    compile_batch_delta_plan,
+    compile_batch_plan,
+    head_emitter,
+)
+from repro.engine.columnar import (
+    IntDeltaIndex,
+    columnar_head_emitter,
+    compile_columnar_delta_plan,
+    compile_columnar_plan,
+)
 from repro.engine.compile import compile_delta_plan, compile_plan
+from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.explain import PlanReport, report_for_plan
 from repro.engine.heads import Derived, HeadRealizer
 from repro.engine.matching import Binding, MatchPolicy, match_atom_delta
@@ -69,8 +84,6 @@ from repro.flogic.atoms import (
     EnumSupersetAtom,
     IsaAtom,
     NegationAtom,
-    ScalarAtom,
-    SetMemberAtom,
     SupersetAtom,
 )
 from repro.oodb.database import Database
@@ -193,12 +206,6 @@ class Engine:
             executor = resolve_executor(executor, compiled)
         self._executor = executor if use_planner else "interpreted"
         self._compiled = use_planner and self._executor != "interpreted"
-        # Semi-naive eligibility is a static property of each rule body;
-        # classify once here instead of once per rule per iteration.
-        self._rule_traits = {
-            id(rule): (_is_pure(rule), _reads_isa(rule))
-            for rule in self._rules
-        }
         self._plan_cache = PlanCache(track_version=False)
         self._plan_records: dict[int, _RulePlanRecord] = {}
         # Delta-position records, keyed (rule identity, atom position) so
@@ -341,6 +348,13 @@ class Engine:
         budget = self._budget
         delta: list[Derived] | None = None
         iterations = 0
+        # Semi-naive eligibility and seeding are static properties of
+        # the rule bodies: classify once per stratum, not per round.
+        seeds = SeedIndex(db, rules)
+        impure = frozenset(index for index, rule in enumerate(rules)
+                           if not _is_pure(rule))
+        isa_full = impure.union(index for index, rule in enumerate(rules)
+                                if _reads_isa(rule))
         while True:
             iterations += 1
             fault_point("engine.iteration")
@@ -356,31 +370,23 @@ class Engine:
                 )
             new_log: list[Derived] = []
             realizer.log = new_log
-            isa_in_delta = delta is not None and any(
-                entry[0] == "isa" for entry in delta
-            )
-            delta_fire = delta
-            if delta is not None and self._executor == "columnar":
-                # As for the batch index below, plus each bucket is
-                # interned into surrogate columns once, not once per
-                # rule position.
-                from repro.engine.columnar import IntDeltaIndex
-
-                delta_fire = IntDeltaIndex(delta, db.interner)
-            elif delta is not None and self._executor == "batch":
-                # One lazily-partitioned view of the log serves every
-                # rule position this iteration (each constant-method
-                # seed reads only its own bucket).
-                delta_fire = DeltaIndex(delta)
-            traits = self._rule_traits
-            for rule in rules:
-                pure, reads_isa = traits[id(rule)]
-                if delta is None or not pure:
+            if delta is None:
+                for rule in rules:
                     self._fire_full(db, rule, realizer)
-                elif isa_in_delta and reads_isa:
-                    self._fire_full(db, rule, realizer)
-                else:
-                    self._fire_delta(db, rule, realizer, delta_fire)
+            else:
+                # One partition of the log serves every seeded position
+                # of the round (the columnar one also interns each
+                # bucket into surrogate columns once).
+                index = (IntDeltaIndex(delta, db.interner)
+                         if self._executor == "columnar"
+                         else DeltaIndex(delta))
+                for at, positions in seeds.plan(
+                        index, isa_full if index.has_isa else impure):
+                    if positions is None:
+                        self._fire_full(db, rules[at], realizer)
+                    else:
+                        self._fire_delta(db, rules[at], realizer, index,
+                                         positions)
             if len(db) > self._limits.max_universe:
                 raise ResourceLimitError(
                     f"universe grew past EngineLimits.max_universe = "
@@ -411,8 +417,6 @@ class Engine:
             # Facts (empty bodies) have nothing to compile: the
             # interpreted walk yields the empty binding once.
             if self._executor == "columnar" and plan.steps:
-                from repro.engine.columnar import compile_columnar_plan
-
                 cplan = compile_columnar_plan(db, plan, self._policy)
                 record.kernels = cplan.kernel_names
                 record.emit, raw = self._head_emitter(
@@ -423,8 +427,6 @@ class Engine:
                                           raw=raw, budget=self._budget)
                 self.stats.plans_compiled += 1
             elif self._executor == "batch" and plan.steps:
-                from repro.engine.batch import compile_batch_plan
-
                 batch = compile_batch_plan(db, plan, self._policy)
                 record.kernels = batch.kernel_names
                 record.execute_cols, record.head_pairs = \
@@ -463,16 +465,15 @@ class Engine:
         self._realize_all(db, rule, solutions, realizer)
 
     def _fire_delta(self, db: Database, rule: NormalizedRule,
-                    realizer: HeadRealizer, delta: list[Derived]) -> None:
+                    realizer: HeadRealizer, delta: DeltaIndex,
+                    positions: list[int]) -> None:
         solutions: list[Binding] = []
         # Batched positions are materialised as columns first and
         # realised after the position loop, preserving the invariant
         # that the solver never iterates indexes the realizer mutates.
         batches: list[tuple[_DeltaPlanRecord, list, int]] = []
-        for position, atom in enumerate(rule.body):
-            if not isinstance(atom, (ScalarAtom, SetMemberAtom)):
-                continue
-            rest = rule.body[:position] + rule.body[position + 1:]
+        for position in positions:
+            atom = rule.body[position]
             record = None
             if self._use_planner:
                 # All of the delta atom's variables are bound in every
@@ -480,15 +481,12 @@ class Engine:
                 key = (id(rule), position)
                 record = self._delta_records.get(key)
                 if record is None:
+                    rest = rule.body[:position] + rule.body[position + 1:]
                     bound = relevant_bound(rest, atom.variables())
                     plan = self._plan_cache.get(db, rest, bound,
                                                 self._run_catalog)
                     record = _DeltaPlanRecord(plan)
                     if self._executor == "columnar":
-                        from repro.engine.columnar import (
-                            compile_columnar_delta_plan,
-                        )
-
                         cplan = compile_columnar_delta_plan(
                             db, atom, plan, self._policy)
                         record.emit, raw = self._head_emitter(
@@ -500,10 +498,6 @@ class Engine:
                                 raw=raw, budget=self._budget)
                         self.stats.plans_compiled += 1
                     elif self._executor == "batch":
-                        from repro.engine.batch import (
-                            compile_batch_delta_plan,
-                        )
-
                         batch = compile_batch_delta_plan(db, atom, plan,
                                                          self._policy)
                         record.execute_cols, record.head_pairs = \
@@ -528,11 +522,11 @@ class Engine:
                 cols, nrows = record.execute_cols(delta)
                 batches.append((record, cols, nrows))
             elif record is not None and record.execute is not None:
-                solutions.extend(record.execute(delta))
+                solutions.extend(record.execute(delta.entries))
             elif record is not None:
                 counters = record.counters
                 rest_counters = record.rest_counters
-                for seed in match_atom_delta(db, atom, {}, delta,
+                for seed in match_atom_delta(db, atom, {}, delta.entries,
                                              self._policy):
                     counters[0] += 1
                     solutions.extend(
@@ -540,7 +534,8 @@ class Engine:
                                      rest_counters, compiled=False)
                     )
             else:
-                for seed in match_atom_delta(db, atom, {}, delta,
+                rest = rule.body[:position] + rule.body[position + 1:]
+                for seed in match_atom_delta(db, atom, {}, delta.entries,
                                              self._policy):
                     solutions.extend(solve(db, list(rest), seed, self._policy,
                                            use_planner=False))
@@ -567,8 +562,6 @@ class Engine:
         raw = False
         if self.support is None or not self.support.tracks(rule):
             if cplan is not None:
-                from repro.engine.columnar import columnar_head_emitter
-
                 emit = columnar_head_emitter(db, rule, cplan)
                 raw = emit is not None
             if emit is None:

@@ -35,6 +35,10 @@ instead of re-deriving the whole fixpoint from scratch:
   engine's own iteration, including the full-evaluation escape for
   ``isa`` deltas).
 
+All three passes round the way the engine does: each round partitions
+its batch once and fires only the rule positions it can seed
+(:mod:`repro.engine.delta`).
+
 Re-asserted facts are bit-identical tuples of the facts that were
 removed, so **virtual-object identity is preserved** -- a rederived
 ``boss(p1)`` is the same :class:`~repro.oodb.oid.VirtualOid` the
@@ -64,6 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core import builtins as _builtins
 from repro.core.ast import (
@@ -75,6 +80,8 @@ from repro.core.ast import (
     Var,
 )
 from repro.core.variables import variables_of
+from repro.engine.columnar import IntDeltaIndex
+from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.heads import HeadRealizer
 from repro.engine.matching import Binding, MatchPolicy, match_atom_delta
 from repro.engine.normalize import ISA_PRED, NormalizedRule, Pred, pred_matches
@@ -82,12 +89,7 @@ from repro.engine.planner import PlanCache, relevant_bound
 from repro.engine.solve import execute_plan, solve
 from repro.engine.solve import exists as solve_exists
 from repro.engine.stratify import stratify
-from repro.flogic.atoms import (
-    EnumSupersetAtom,
-    ScalarAtom,
-    SetMemberAtom,
-    SupersetAtom,
-)
+from repro.flogic.atoms import EnumSupersetAtom, SupersetAtom
 from repro.oodb.database import ChangeEntry, Database
 from repro.oodb.oid import NamedOid, Oid
 from repro.testing.faults import fault_point
@@ -534,6 +536,9 @@ class Maintainer:
             executor = "compiled" if compiled else "interpreted"
         self._executor = executor if use_planner else "interpreted"
         self._compiled = use_planner and self._executor != "interpreted"
+        # Columnar seeds read each round's buckets as interned columns.
+        self._partition = (partial(IntDeltaIndex, interner=db.interner)
+                           if self._executor == "columnar" else DeltaIndex)
         self._stats = stats
         self._strata = stratify(self._rules)
         self._stratum_of: dict[int, int] = {}
@@ -769,18 +774,18 @@ class Maintainer:
         candidate_keys: set = set()
         candidates: list = []
         budget = self._budget
+        seeds = SeedIndex(db, affected)
         frontier = list(overdeleted)
         while frontier:
             fault_point("maintain.overdelete")
             if budget is not None:
                 budget.check("maintain.overdelete")
-            batch = frontier
+            batch = self._partition(frontier)
             frontier = []
-            for rule in affected:
+            for at, positions in seeds.plan(batch):
+                rule = affected[at]
                 spec = self._specs[id(rule)]
-                for position, atom in enumerate(rule.body):
-                    if not isinstance(atom, (ScalarAtom, SetMemberAtom)):
-                        continue
+                for position in positions:
                     for binding in self._delta_solutions(rule, position,
                                                          batch):
                         # Project onto the head variables: a support is
@@ -848,22 +853,21 @@ class Maintainer:
         # removed facts of this stratum (semi-naive, realizer-logged).
         delta = rederived
         group = self._strata[level]
+        seeds = SeedIndex(db, group)
         while delta:
             fault_point("maintain.rederive")
             if budget is not None:
                 budget.check("maintain.rederive", stratum=level)
             log: list = []
             self._realizer.log = log
-            for rule in group:
-                if rule.is_fact:
-                    continue
-                for position, atom in enumerate(rule.body):
-                    if not isinstance(atom, (ScalarAtom, SetMemberAtom)):
-                        continue
+            batch = self._partition(delta)
+            for at, positions in seeds.plan(batch):
+                rule = group[at]
+                for position in positions:
                     # Materialise before realising: the realizer mutates
                     # the indexes the delta kernels iterate.
                     for binding in list(self._delta_solutions(
-                            rule, position, delta)):
+                            rule, position, batch)):
                         self._realizer.realize(rule.head, binding)
             report.rederived += len(log)
             delta = log
@@ -884,6 +888,9 @@ class Maintainer:
             rules = [rule for rule in group if id(rule) in affected_ids]
             if not rules:
                 continue
+            seeds = SeedIndex(db, rules)
+            isa_readers = frozenset(at for at, rule in enumerate(rules)
+                                    if _reads_isa(rule))
             delta = list(carry)
             while delta:
                 fault_point("maintain.insert")
@@ -891,19 +898,18 @@ class Maintainer:
                     budget.check("maintain.insert")
                 log: list = []
                 self._realizer.log = log
-                isa_in_delta = any(entry[0] == "isa" for entry in delta)
-                for rule in rules:
-                    if isa_in_delta and _reads_isa(rule):
+                batch = self._partition(delta)
+                for at, positions in seeds.plan(
+                        batch, isa_readers if batch.has_isa else frozenset()):
+                    rule = rules[at]
+                    if positions is None:
                         self._fire_full(rule, db, support)
                         continue
-                    for position, atom in enumerate(rule.body):
-                        if not isinstance(atom,
-                                          (ScalarAtom, SetMemberAtom)):
-                            continue
+                    for position in positions:
                         # Materialise before realising (the realizer
                         # mutates the indexes the kernels iterate).
                         for binding in list(self._delta_solutions(
-                                rule, position, delta)):
+                                rule, position, batch)):
                             if support is not None:
                                 support.observe(rule, binding, db)
                             self._realizer.realize(rule.head, binding)
@@ -945,7 +951,7 @@ class Maintainer:
         return False
 
     def _delta_solutions(self, rule: NormalizedRule, position: int,
-                         batch: list[Fact]):
+                         batch: DeltaIndex):
         """Solutions of a rule body seeded from ``batch`` at ``position``.
 
         Yields head-variable bindings, using the cached compiled delta
@@ -955,7 +961,7 @@ class Maintainer:
         atom = rule.body[position]
         if not self._use_planner:
             rest = rule.body[:position] + rule.body[position + 1:]
-            for seed in match_atom_delta(self._db, atom, {}, batch,
+            for seed in match_atom_delta(self._db, atom, {}, batch.entries,
                                          self._policy):
                 yield from solve(self._db, list(rest), seed, self._policy,
                                  use_planner=False)
@@ -1001,9 +1007,9 @@ class Maintainer:
                 yield {var: cols[slot][i] for var, slot in pairs}
             return
         if record.execute is not None:
-            yield from record.execute(batch)
+            yield from record.execute(batch.entries)
             return
-        for seed in match_atom_delta(self._db, atom, {}, batch,
+        for seed in match_atom_delta(self._db, atom, {}, batch.entries,
                                      self._policy):
             yield from execute_plan(self._db, record.plan, seed,
                                     self._policy, compiled=False)

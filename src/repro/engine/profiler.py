@@ -37,23 +37,25 @@ class EngineStats:
     #: Whether semi-naive iteration was used.
     seminaive: bool = True
     #: Join plans built by the cost-based planner (plan-cache misses).
+    #: Like every counter below that names delta positions, it counts
+    #: only the positions a semi-naive round actually seeded.
     plans_built: int = 0
-    #: Body evaluations that reused a cached plan.
+    #: Body evaluations (seeded delta positions too) reusing a plan.
     plan_cache_hits: int = 0
-    #: Plans lowered to slot/kernel form (full bodies + delta positions).
+    #: Plans lowered to slot/kernel form (bodies + seeded positions).
     plans_compiled: int = 0
     #: Per-step extensions (tuples) observed while executing rule plans;
     #: the per-kernel row counters summed over the run.  Comparable
     #: across the batch, compiled, and interpreted executors.
     tuples: int = 0
-    #: Batched executions performed (one per rule firing or delta
-    #: position pushed through the set-at-a-time executor).
+    #: Batched executions performed (one per rule firing or seeded
+    #: delta position pushed through the set-at-a-time executor).
     batches: int = 0
     #: Solution rows those batched executions produced.
     batch_rows: int = 0
-    #: Plans (rule bodies + delta positions) whose solution batches are
-    #: realised set-at-a-time: by a simple-head emitter or a compiled
-    #: column head program.
+    #: Plans (rule bodies + seeded delta positions) whose solution
+    #: batches are realised set-at-a-time: by a simple-head emitter or a
+    #: compiled column head program.
     heads_compiled: int = 0
     #: Plans whose batches still go row by row through
     #: ``HeadRealizer.realize`` (support-tracked rules).

@@ -250,6 +250,10 @@ class Database:
         self._universe.add(oid)
         return oid
 
+    def denotes(self, value: NameValue) -> Oid:
+        """The object a name denotes, without registering it in ``U``."""
+        return self._aliases.get(value) or NamedOid(value)
+
     def alias(self, value: NameValue, target: NameValue | Oid) -> None:
         """Make the name ``value`` denote the object behind ``target``.
 
@@ -632,9 +636,7 @@ class Database:
         """
         if self._catalog is None or not self._indexed:
             return
-        aliases = self._aliases
-        touched = {(kind, aliases.get(name) or NamedOid(name))
-                   for kind, name in predicates}
+        touched = {(kind, self.denotes(name)) for kind, name in predicates}
         self._catalog_touched = frozenset(
             touched.union(self._catalog_touched or ()))
         self._catalog_version = self.data_version()
