@@ -2,9 +2,9 @@
 fault fallback.
 
 PR 7 threads a cooperative :class:`~repro.engine.budget.QueryBudget`
-through every executor (per fixpoint iteration, per kernel step, per
+through evaluation (per fixpoint iteration, per kernel step, per
 maintenance round) and makes :meth:`Maintainer.apply` transactional.
-This bench prices those guarantees on B13/B14's fixpoint workloads:
+This bench prices those guarantees on two fixpoint workloads:
 
 - **checkpoint overhead**: a roomy budget (limits that never fire) vs.
   no budget at all, on the genealogy transitive closure and the company

@@ -18,13 +18,10 @@ per-rule join plans the engine used.  ``--magic`` answers each query
 demand-driven: the program is magic-set rewritten per query so only the
 facts the query needs are derived (``--stats`` and ``--explain`` then
 describe the demand run, including the rewritten-vs-fallback rules).
-``--executor`` picks the plan executor: ``columnar`` (int-surrogate
-columns over the OID interner, the engine's fixpoint default),
-``batch`` (boxed set-at-a-time binding columns), ``compiled``
-(tuple-at-a-time kernels, the ad-hoc query default), or
-``interpreted`` (the dict-binding walk); ``--stats`` rows ``batches``
-and ``batch_rows`` report how many batched executions ran and how many
-solution rows they produced (zero outside batched evaluation),
+Rule bodies run on the columnar executor and queries on compiled
+tuple-at-a-time kernels (see docs/performance.md "How a plan runs");
+``--stats`` rows ``batches`` and ``batch_rows`` report how many
+columnar executions ran and how many solution rows they produced,
 ``heads-compiled``/``heads-fallback`` how many plans realise their
 heads set-at-a-time vs. row by row (``batches``, ``plans``,
 ``plan-hits``, ``kernels`` and ``heads-compiled`` count only the delta
@@ -132,14 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="answer each --query demand-driven (magic-set "
                              "rewriting) instead of materialising the full "
                              "fixpoint first")
-    parser.add_argument("--executor",
-                        choices=["columnar", "batch", "compiled",
-                                 "interpreted"],
-                        help="plan executor: columnar (int-surrogate "
-                             "columns, the engine default), batch "
-                             "(boxed set-at-a-time columns), compiled "
-                             "(tuple-at-a-time kernels, the query default), "
-                             "or interpreted (dict-binding walk)")
     _add_budget_arguments(parser)
     return parser
 
@@ -181,11 +170,6 @@ def build_explain_parser() -> argparse.ArgumentParser:
                         help="demand-driven: magic-set rewrite --program for "
                              "this query and explain over the demanded "
                              "result (prints the demand section)")
-    parser.add_argument("--executor",
-                        choices=["columnar", "batch", "compiled",
-                                 "interpreted"],
-                        help="executor whose kernels the plan report names "
-                             "(and runs, unless --no-analyze)")
     _add_budget_arguments(parser)
     return parser
 
@@ -206,10 +190,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=7407,
                         help="TCP port (0 binds an ephemeral port and "
                              "prints it)")
-    parser.add_argument("--executor",
-                        choices=["columnar", "batch", "compiled",
-                                 "interpreted"],
-                        help="pin the shared query's plan executor")
     parser.add_argument("--no-magic", action="store_true",
                         help="materialise the full fixpoint per query "
                              "instead of demand-driven evaluation")
@@ -340,9 +320,7 @@ def run(argv: Sequence[str] | None = None, *, out=None) -> int:
         if engine is not None and args.explain:
             print(engine.explain(), file=out)
         for text in args.query:
-            _print_rows(Query(db, executor=args.executor,
-                              budget=budget).all(text),
-                        text, out)
+            _print_rows(Query(db, budget=budget).all(text), text, out)
         if args.dump is not None:
             args.dump.write_text(serialize.dumps(db, indent=2))
             print(f"dumped database to {args.dump}", file=out)
@@ -365,7 +343,7 @@ def _run_magic(args, out, budget=None) -> int:
     limits = EngineLimits(max_iterations=args.max_iterations)
     query = Query(db, program=program, magic=True,
                   seminaive=not args.naive, limits=limits,
-                  executor=args.executor, budget=budget)
+                  budget=budget)
     for text in args.query:
         _print_rows(query.all(text), text, out)
         engine = query.last_demand
@@ -388,14 +366,13 @@ def _run_explain(argv: Sequence[str], out) -> int:
         db = _load_database(args)
         if args.magic:
             program = parse_program(args.program.read_text())
-            query = Query(db, program=program, magic=True,
-                          executor=args.executor, budget=budget)
+            query = Query(db, program=program, magic=True, budget=budget)
         elif args.program is not None:
             program = parse_program(args.program.read_text())
             query = Query(Engine(db, program, budget=budget).run(),
-                          executor=args.executor, budget=budget)
+                          budget=budget)
         else:
-            query = Query(db, executor=args.executor, budget=budget)
+            query = Query(db, budget=budget)
         report = query.explain(args.query, analyze=not args.no_analyze)
         print(report.render(), file=out)
     except BudgetExceededError as error:
@@ -444,7 +421,7 @@ def _run_serve(argv: Sequence[str], out) -> int:
         max_timeout_ms=args.max_timeout_ms,
         default_max_derived=args.max_derived,
         drain_ms=args.drain_ms,
-        executor=args.executor, magic=not args.no_magic,
+        magic=not args.no_magic,
         data_dir=args.data_dir, fsync=args.fsync,
         checkpoint_bytes=args.checkpoint_bytes,
         checkpoint_interval_ms=args.checkpoint_interval_ms,
@@ -556,7 +533,7 @@ def _evaluate(args, db: Database, budget=None):
     program = parse_program(args.program.read_text())
     limits = EngineLimits(max_iterations=args.max_iterations)
     engine = Engine(db, program, seminaive=not args.naive, limits=limits,
-                    executor=args.executor, budget=budget)
+                    budget=budget)
     return engine.run(), engine
 
 

@@ -7,14 +7,18 @@ applied"; this package supplies them:
   database under a partial binding (with index selection);
 - :mod:`repro.engine.planner` -- cost-based join planning: static atom
   orders from cardinality statistics, with a keyed plan cache;
-- :mod:`repro.engine.solve` -- backtracking conjunction solver executing
-  planned orders (with the fixed-penalty dynamic order as a baseline);
+- :mod:`repro.engine.solve` -- the ad-hoc conjunction solver: planned
+  orders run as compiled kernels, or through the interpreted matcher
+  (the test oracle);
 - :mod:`repro.engine.compile` -- compiled plan execution: slot-based
-  bindings and per-step kernels specialized at plan-build time;
-- :mod:`repro.engine.batch` -- set-at-a-time execution of the same
-  plans: batches of bindings as columns, bulk probes and scans per
-  step, batched delta seeding and head emission (the fixpoint engine's
-  default executor);
+  bindings and per-step kernels specialized at plan-build time (how
+  ``Query`` answers run, tuple at a time);
+- :mod:`repro.engine.columnar` -- set-at-a-time execution over
+  int-surrogate columns: the fixpoint and maintenance executor, with
+  delta seeding and int-native head emission;
+- :mod:`repro.engine.batch` -- the boxed column kernels columnar plans
+  fall back to per slot, chunked existence checks, and the boxed
+  simple-head emitter;
 - :mod:`repro.engine.explain` -- the EXPLAIN surface: structured plan
   reports with estimated vs. actual rows and access paths;
 - :mod:`repro.engine.normalize` -- rule normalisation: head scalarity
@@ -41,18 +45,7 @@ applied"; this package supplies them:
 """
 
 from repro.engine.budget import QueryBudget
-from repro.engine.batch import (
-    BatchDeltaPlan,
-    BatchPlan,
-    compile_batch_delta_plan,
-    compile_batch_plan,
-)
-from repro.engine.compile import (
-    CompiledDeltaPlan,
-    CompiledPlan,
-    compile_delta_plan,
-    compile_plan,
-)
+from repro.engine.compile import CompiledPlan, compile_plan
 from repro.engine.explain import PlanReport, StepView, explain_conjunction
 from repro.engine.fixpoint import Engine, EngineLimits
 from repro.engine.incremental import (
@@ -73,9 +66,6 @@ from repro.engine.solve import solve
 from repro.engine.stratify import full_evaluation_closure, stratify
 
 __all__ = [
-    "BatchDeltaPlan",
-    "BatchPlan",
-    "CompiledDeltaPlan",
     "CompiledPlan",
     "DemandEngine",
     "DemandReport",
@@ -95,9 +85,6 @@ __all__ = [
     "SupportIndex",
     "adornment",
     "build_plan",
-    "compile_batch_delta_plan",
-    "compile_batch_plan",
-    "compile_delta_plan",
     "compile_plan",
     "explain_conjunction",
     "full_evaluation_closure",

@@ -1,13 +1,13 @@
-"""Set-at-a-time batched plan execution: columns of bindings.
+"""Boxed column kernels: the per-slot fallback steps of columnar plans.
 
-The compiled executor (:mod:`repro.engine.compile`) removed per-tuple
-``isinstance`` dispatch and dict copies, but it still *drives* the join
-tuple-at-a-time: every candidate row resumes a chain of generator
-frames, one per plan step.  At fixpoint scale that interpreter dispatch
--- not data access -- dominates.  This module executes the same static
-plans **set-at-a-time**: a batch of bindings is a list of *columns*
-(one parallel value list per variable slot), and each step maps a whole
-batch to the next with bulk dict probes and single-pass loops:
+The columnar executor (:mod:`repro.engine.columnar`) runs static plans
+**set-at-a-time**: a batch of bindings is a list of *columns* (one
+parallel value list per variable slot), and each step maps a whole
+batch to the next with bulk dict probes and single-pass loops.  Its
+hot kernels read int-surrogate columns; this module supplies the
+**boxed** step kernels it falls back to, per slot, wherever a step has
+no int form or reads a boxed column (``isa``, comparisons, builtins,
+``@``-parameters, unindexed tables, anything downstream of those):
 
 - **probe** steps (``scalar get``, ``set iter``, index probes) loop
   once over the incoming batch, probing the live table views per row --
@@ -17,28 +17,29 @@ batch to the next with bulk dict probes and single-pass loops:
   degenerates to a plain bulk scan);
 - **filter** steps (comparisons, ``isa check``, ``set contains``) run
   as a single selection pass over the columns;
-- steps with no batched form (negation, superset atoms, dynamic method
-  dispatch, ``@``-parameters) fall back to a row-at-a-time loop over
-  the corresponding compiled kernel, preserving its exact semantics.
+- steps with no column form at all (negation, superset atoms, dynamic
+  method dispatch, ``@``-parameters) loop the corresponding compiled
+  tuple kernel (:mod:`repro.engine.compile`) row-at-a-time
+  (:func:`_rowwise`), preserving its exact semantics.
 
-Surviving rows are *compacted*: each step keeps only the columns later
-steps (or the projection) still need, so dead variables cost nothing.
-Row counts per step equal the tuple-at-a-time executor's per-step
-extension counters exactly -- batching changes the execution schedule
-(breadth-first instead of depth-first), never the set of solutions, so
-EXPLAIN actuals and ``EngineStats.tuples`` stay comparable across
-executors.
+EXPLAIN names these steps ``batch ...`` (``batch row ...`` for the
+rowwise loop).  Surviving rows are *compacted*: each step keeps only
+the columns later steps (or the projection) still need
+(:func:`_bake_steps`), so dead variables cost nothing.  Row counts per
+step equal the tuple-at-a-time per-step extension counters exactly --
+batching changes the execution schedule (breadth-first instead of
+depth-first), never the set of solutions.
 
-:class:`BatchDeltaPlan` gives semi-naive evaluation its batched form:
-the whole delta log becomes the *initial batch* in one pass, and
-:func:`head_emitter` closes the loop on the output side -- simple rule
-heads are asserted straight from the solution columns, skipping the
-per-binding dict build and head-spine walk entirely.
+:func:`exists_over` drives baked steps depth-first in small chunks for
+goal-directed existence checks, and :func:`head_emitter` closes the
+loop on the output side: simple rule heads are asserted straight from
+boxed solution columns, skipping the per-binding dict build and
+head-spine walk entirely.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core import builtins as _builtins
 from repro.core.ast import Molecule, Name, ScalarFilter, Var
@@ -46,8 +47,6 @@ from repro.core.entailment import compare_oids
 from repro.engine.compile import (
     _CONST,
     _STORE,
-    _apply_row,
-    _assign_slots,
     _atom_variables,
     _compile_step,
     _known,
@@ -59,10 +58,7 @@ from repro.engine.budget import (
     pop_active,
     push_active,
 )
-from repro.engine.delta import DeltaIndex
-from repro.engine.matching import UNRESTRICTED, Binding, MatchPolicy
-from repro.engine.planner import Plan
-from repro.errors import EvaluationError
+from repro.engine.matching import MatchPolicy
 from repro.testing.faults import fault_point
 from repro.flogic.atoms import (
     Atom,
@@ -114,8 +110,8 @@ def _rowwise(nslots: int, reads: tuple, writes: tuple, kern) -> StepBuilder:
     bridging, dynamic dispatch) while the surrounding join stays
     batched; only this step pays the per-row generator cost.
 
-    The loop is also a budget checkpoint: the batched executors check
-    their budget once per *step*, but a row-at-a-time fallback can do an
+    The loop is also a budget checkpoint: columnar plans check their
+    budget once per *step*, but a row-at-a-time fallback can do an
     entire batch worth of work inside one step, so a timeout or
     ``cancel()`` would otherwise go unnoticed until the whole batch
     finished.  The activated budget (:func:`~repro.engine.budget.active_budget`)
@@ -185,21 +181,25 @@ def activated(execute, budget):
 #: per-chunk slicing overhead stays negligible when every row dies.
 _EXISTS_CHUNK = 64
 
+
 def exists_over(steps: Sequence[BatchStep], cols: list, nrows: int,
                 stats=None, budget=None) -> bool:
     """True as soon as any row survives every step, depth-first.
 
     A plain batched execution materialises the *whole* batch at every
-    step even though ``ask()`` needs a single witness.  This driver
+    step even though a goal-directed check (the maintainer's support
+    and rederivation re-checks) needs a single witness.  This driver
     instead recurses depth-first over chunks of at most
     :data:`_EXISTS_CHUNK` rows, so the first surviving terminal row
     abandons all remaining work.  Steps are pure against a database
     that is frozen during body evaluation, so skipping rows cannot
     change the verdict.  ``stats.batch_rows`` (when given) accrues only
-    the rows actually pushed through a step; ``budget`` (a
-    :class:`~repro.engine.budget.QueryBudget`) is checked once per step
-    executed (and every 256 rows inside rowwise fallback steps, which
-    pick the activated budget up mid-batch).
+    the rows actually pushed through a step.  Every step executed is a
+    ``columnar.step`` fault point and, with a ``budget`` (a
+    :class:`~repro.engine.budget.QueryBudget`), a ``columnar.step``
+    checkpoint -- the same site the column executor reports -- and
+    rowwise fallback steps pick the activated budget up mid-batch
+    every 256 rows.
     """
     if budget is None:
         return _exists_from(steps, 0, cols, nrows, stats, None)
@@ -218,8 +218,9 @@ def _exists_from(steps, k: int, cols: list, nrows: int, stats,
             return nrows > 0
         if nrows > _EXISTS_CHUNK:
             break
+        fault_point("columnar.step")
         if budget is not None:
-            budget.check("batch.step")
+            budget.check("columnar.step")
         nrows = steps[k](cols, nrows)
         if stats is not None:
             stats.batch_rows += nrows
@@ -861,7 +862,7 @@ def _compile_batch_step(db: Database, atom: Atom, bound: set[Var],
 
 
 # ---------------------------------------------------------------------------
-# Batched plans
+# Step baking
 # ---------------------------------------------------------------------------
 
 def _bake_steps(builders, reads, writes, written,
@@ -887,420 +888,6 @@ def _bake_steps(builders, reads, writes, written,
         steps.append(builder(carry))
         written |= set(step_writes)
     return tuple(steps)
-
-
-class BatchPlan:
-    """A plan lowered to column-at-a-time steps, ready to execute.
-
-    ``kernel_names`` names the batched kernel of each step (surfaced in
-    EXPLAIN's ``kernel`` column).  :meth:`executor` yields solution
-    dicts like :class:`~repro.engine.compile.CompiledPlan.executor`;
-    :meth:`column_executor` exposes the raw solution columns for
-    callers that consume batches wholesale (the engine's batched head
-    realisation).  Per-step counters accumulate the rows *leaving* each
-    step -- the same quantity the tuple-at-a-time executors count.
-    """
-
-    __slots__ = ("plan", "slots", "nslots", "kernel_names", "_builders",
-                 "_reads", "_writes", "_entry", "_out", "_plain", "_exists")
-
-    def __init__(self, plan: Plan, slots: dict[Var, int],
-                 builders: tuple[StepBuilder, ...],
-                 kernel_names: tuple[str, ...],
-                 reads: tuple[tuple, ...], writes: tuple[tuple, ...]) -> None:
-        self.plan = plan
-        self.slots = slots
-        self.nslots = len(slots)
-        self.kernel_names = kernel_names
-        self._builders = builders
-        self._reads = reads
-        self._writes = writes
-        self._entry = tuple((var, slots[var]) for var in plan.bound_in
-                            if var in slots)
-        self._out = tuple(slots.items())
-        self._plain = None
-        self._exists = None
-
-    def _build_steps(self, out_slots: set[int]) -> tuple[BatchStep, ...]:
-        return _bake_steps(self._builders, self._reads, self._writes,
-                           (slot for _, slot in self._entry), out_slots)
-
-    def _out_pairs(self, project: Sequence[Var] | None) -> tuple:
-        out = self._out
-        if project is not None:
-            wanted = set(project)
-            out = tuple(pair for pair in out if pair[0] in wanted)
-        return out
-
-    def _seed(self, binding: Binding | None) -> list:
-        """The one-row column file for an entry binding (or none)."""
-        cols: list = [None] * self.nslots
-        entry = self._entry
-        if binding:
-            for var, slot in entry:
-                value = binding.get(var)
-                if value is None:
-                    raise EvaluationError(
-                        f"plan was compiled with {var} bound, but "
-                        f"the seed binding does not bind it"
-                    )
-                cols[slot] = [value]
-            if len(binding) > len(entry):
-                slot_of = self.slots
-                bound_in = self.plan.bound_in
-                for var in binding:
-                    if var in slot_of and var not in bound_in:
-                        raise EvaluationError(
-                            f"plan was compiled for bound variables "
-                            f"{set(bound_in)!r}, but the seed binding "
-                            f"also binds {var}"
-                        )
-        elif entry:
-            raise EvaluationError(
-                f"plan was compiled for bound variables "
-                f"{set(self.plan.bound_in)!r}, but no seed binding was given"
-            )
-        return cols
-
-    def column_executor(self, counters: list[int] | None = None,
-                        project: Sequence[Var] | None = None,
-                        budget=None):
-        """``(execute, out_pairs)``: raw column access for batch callers.
-
-        ``execute(binding)`` returns ``(cols, nrows)``; ``out_pairs``
-        maps each (projected) variable to its column slot.  ``budget``
-        (a :class:`~repro.engine.budget.QueryBudget`) is checked once
-        per kernel step -- the cooperative cancellation granularity of
-        batched execution.
-        """
-        out = self._out_pairs(project)
-        steps = self._build_steps({slot for _, slot in out})
-        check = budget.check if budget is not None else None
-        if counters is None:
-            def execute(binding: Binding | None = None):
-                cols = self._seed(binding)
-                nrows = 1
-                for step in steps:
-                    fault_point("batch.step")
-                    if check is not None:
-                        check("batch.step")
-                    nrows = step(cols, nrows)
-                    if not nrows:
-                        break
-                return cols, nrows
-        else:
-            def execute(binding: Binding | None = None):
-                cols = self._seed(binding)
-                nrows = 1
-                for index, step in enumerate(steps):
-                    fault_point("batch.step")
-                    if check is not None:
-                        check("batch.step")
-                    nrows = step(cols, nrows)
-                    counters[index] += nrows
-                    if not nrows:
-                        break
-                return cols, nrows
-        return activated(execute, budget), out
-
-    def executor(self, counters: list[int] | None = None,
-                 project: Sequence[Var] | None = None,
-                 budget=None
-                 ) -> Callable[[Binding | None], Iterator[Binding]]:
-        """A dict-yielding entry point (CompiledPlan.executor parity)."""
-        run, out = self.column_executor(counters, project, budget)
-
-        def execute(binding: Binding | None = None) -> Iterator[Binding]:
-            cols, nrows = run(binding)
-            base = dict(binding) if binding else None
-            for i in range(nrows):
-                row = dict(base) if base else {}
-                for var, slot in out:
-                    row[var] = cols[slot][i]
-                yield row
-        return execute
-
-    def execute(self, binding: Binding | None = None,
-                counters: list[int] | None = None,
-                budget=None) -> Iterator[Binding]:
-        """Yield every solution extending ``binding`` (dict form)."""
-        if counters is None and budget is None:
-            if self._plain is None:
-                self._plain = self.executor()
-            return self._plain(binding)
-        return self.executor(counters, budget=budget)(binding)
-
-    def exists(self, binding: Binding | None = None, stats=None,
-               budget=None) -> bool:
-        """True when at least one solution extends ``binding``.
-
-        Short-circuits: rows are pushed through the steps in chunks and
-        the first surviving terminal row returns immediately, so a
-        satisfiable ``ask()`` no longer materialises the full batch.
-        """
-        steps = self._exists
-        if steps is None:
-            steps = self._exists = self._build_steps(set())
-        if stats is not None:
-            stats.batches += 1
-        return exists_over(steps, self._seed(binding), 1, stats, budget)
-
-
-def compile_batch_plan(db: Database, plan: Plan,
-                       policy: MatchPolicy = UNRESTRICTED) -> BatchPlan:
-    """Lower ``plan`` to batched steps; memoised per (database, policy).
-
-    Shares the plan's ``compiled_cache`` with the tuple-at-a-time
-    compiler under a distinct key, so both lowerings of one plan can
-    coexist.
-    """
-    key = ("batch", db, policy.max_method_depth)
-    cached = plan.compiled_cache.get(key)
-    if cached is not None:
-        return cached
-    atoms = [step.atom for step in plan.steps]
-    slots = _assign_slots(atoms, plan.bound_in)
-    nslots = len(slots)
-    bound: set[Var] = set(plan.bound_in)
-    builders: list[StepBuilder] = []
-    names: list[str] = []
-    reads: list[tuple] = []
-    writes: list[tuple] = []
-    for atom in atoms:
-        name, builder, step_reads, step_writes = _compile_batch_step(
-            db, atom, bound, slots, policy, nslots)
-        builders.append(builder)
-        names.append(name)
-        reads.append(step_reads)
-        writes.append(step_writes)
-        bound.update(_atom_variables(atom))
-    compiled = BatchPlan(plan, slots, tuple(builders), tuple(names),
-                         tuple(reads), tuple(writes))
-    plan.compiled_cache[key] = compiled
-    return compiled
-
-
-# ---------------------------------------------------------------------------
-# Delta specialization (semi-naive evaluation)
-# ---------------------------------------------------------------------------
-
-class BatchDeltaPlan:
-    """A delta-seeded rule body, batched: the log becomes the batch.
-
-    The seed pass turns the whole realizer log into the initial columns
-    in one loop (no per-seed re-entry into the join), then the
-    rest-of-body steps run exactly like :class:`BatchPlan`.  Counters
-    are ``[seeds, step rows...]``, matching the engine's delta records.
-    """
-
-    __slots__ = ("slots", "nslots", "kernel_names", "_seed", "_builders",
-                 "_reads", "_writes", "_out", "_plain")
-
-    def __init__(self, slots: dict[Var, int], seed, seed_writes: tuple,
-                 builders: tuple[StepBuilder, ...],
-                 kernel_names: tuple[str, ...],
-                 reads: tuple[tuple, ...], writes: tuple[tuple, ...]) -> None:
-        self.slots = slots
-        self.nslots = len(slots)
-        self.kernel_names = kernel_names
-        self._seed = (seed, seed_writes)
-        self._builders = builders
-        self._reads = reads
-        self._writes = writes
-        self._out = tuple(slots.items())
-        self._plain = None
-
-    def _build_steps(self, out_slots: set[int]) -> tuple[BatchStep, ...]:
-        return _bake_steps(self._builders, self._reads, self._writes,
-                           self._seed[1], out_slots)
-
-    def column_executor(self, counters: list[int] | None = None,
-                        project: Sequence[Var] | None = None,
-                        budget=None):
-        """``(execute, out_pairs)`` with ``execute(delta) -> (cols, nrows)``."""
-        out = self._out
-        if project is not None:
-            wanted = set(project)
-            out = tuple(pair for pair in out if pair[0] in wanted)
-        steps = self._build_steps({slot for _, slot in out})
-        seed, _ = self._seed
-        nslots = self.nslots
-        check = budget.check if budget is not None else None
-        if counters is None:
-            def execute(delta):
-                cols: list = [None] * nslots
-                nrows = seed(cols, delta)
-                for step in steps:
-                    if not nrows:
-                        break
-                    fault_point("batch.step")
-                    if check is not None:
-                        check("batch.step")
-                    nrows = step(cols, nrows)
-                return cols, nrows
-        else:
-            def execute(delta):
-                cols: list = [None] * nslots
-                nrows = seed(cols, delta)
-                counters[0] += nrows
-                for index, step in enumerate(steps):
-                    if not nrows:
-                        break
-                    fault_point("batch.step")
-                    if check is not None:
-                        check("batch.step")
-                    nrows = step(cols, nrows)
-                    counters[index + 1] += nrows
-                return cols, nrows
-        return activated(execute, budget), out
-
-    def executor(self, counters: list[int] | None = None,
-                 project: Sequence[Var] | None = None,
-                 budget=None):
-        """A dict-yielding entry point taking the delta log."""
-        run, out = self.column_executor(counters, project, budget)
-
-        def execute(delta) -> Iterator[Binding]:
-            cols, nrows = run(delta)
-            for i in range(nrows):
-                yield {var: cols[slot][i] for var, slot in out}
-        return execute
-
-    def execute(self, delta, counters: list[int] | None = None
-                ) -> Iterator[Binding]:
-        if counters is None:
-            if self._plain is None:
-                self._plain = self.executor()
-            return self._plain(delta)
-        return self.executor(counters)(delta)
-
-
-def _delta_shape(db: Database, atom: Atom, plan: Plan):
-    """Shared seed-shape analysis for the batched delta compilers.
-
-    Returns ``(wanted, rest_atoms, slots, nslots, ops, nargs,
-    seed_writes)`` -- everything both the boxed and the int-surrogate
-    delta compilers need to build a seed and chain the rest of the body.
-    """
-    if isinstance(atom, ScalarAtom):
-        wanted = "scalar"
-        pattern = (atom.method, atom.subject, atom.args, atom.result)
-    elif isinstance(atom, SetMemberAtom):
-        wanted = "set"
-        pattern = (atom.method, atom.subject, atom.args, atom.member)
-    else:  # pragma: no cover - the engine only delta-seeds data atoms
-        raise TypeError(f"cannot delta-seed {atom!r}")
-    method_t, subject_t, args_t, result_t = pattern
-
-    rest_atoms = [step.atom for step in plan.steps]
-    slots = _assign_slots([atom, *rest_atoms], ())
-    nslots = len(slots)
-    seen: set[Var] = set()
-    empty: set[Var] = set()
-    ops = (
-        _term_op(method_t, db, slots, empty, seen),
-        _term_op(subject_t, db, slots, empty, seen),
-        *(_term_op(a, db, slots, empty, seen) for a in args_t),
-        _term_op(result_t, db, slots, empty, seen),
-    )
-    nargs = len(args_t)
-    seed_writes = tuple(slots[v] for v in atom.variables())
-    return wanted, rest_atoms, slots, nslots, ops, nargs, seed_writes
-
-
-def _generic_delta_seed(wanted: str, ops: tuple, nargs: int,
-                        seed_writes: tuple, nslots: int,
-                        policy: MatchPolicy, m_op):
-    """The row-at-a-time seed handling every delta-atom shape."""
-    from repro.engine.compile import _method_filter
-
-    const = m_op[0] == _CONST
-    runtime_ok = None if const else _method_filter(policy, m_op)
-
-    def seed(cols, delta, _wanted=wanted, _n=nargs, _ok=runtime_ok,
-             _ops=ops, _writes=seed_writes, _nslots=nslots,
-             _m=m_op[1] if const else None):
-        regs = [None] * _nslots
-        outs = [[] for _ in _writes]
-        count = 0
-        if isinstance(delta, DeltaIndex):
-            # A constant method reads its own bucket; a variable one can
-            # match any entry of the round.
-            delta = (delta.bucket(_wanted, _m) if _m is not None
-                     else delta.entries)
-        for entry in delta:
-            if entry[0] != _wanted:
-                continue
-            fargs = entry[3]
-            if len(fargs) != _n:
-                continue
-            if _ok is not None and not _ok(entry[1]):
-                continue
-            if _apply_row(_ops, (entry[1], entry[2], *fargs, entry[4]),
-                          regs):
-                count += 1
-                for out, slot in zip(outs, _writes):
-                    out.append(regs[slot])
-        for out, slot in zip(outs, _writes):
-            cols[slot] = out
-        return count
-    return seed
-
-
-def compile_batch_delta_plan(db: Database, atom: Atom, plan: Plan,
-                             policy: MatchPolicy = UNRESTRICTED
-                             ) -> BatchDeltaPlan:
-    """Compile ``atom`` as a batched delta seed chained into ``plan``.
-
-    As for :func:`repro.engine.compile.compile_delta_plan`, ``plan``
-    must have been built with the atom's variables initially bound.
-    """
-    wanted, rest_atoms, slots, nslots, ops, nargs, seed_writes = \
-        _delta_shape(db, atom, plan)
-    m_op, s_op, r_op = ops[0], ops[1], ops[-1]
-
-    if m_op[0] == _CONST and not policy.method_ok(m_op[1]):
-        def seed(cols, delta):
-            return 0
-    elif (nargs == 0 and m_op[0] == _CONST
-            and s_op[0] == _STORE and r_op[0] == _STORE):
-        # The common shape: one pass over this method's bucket (or the
-        # whole log, for unindexed callers), two output columns.
-        method = m_op[1]
-        si, ri = s_op[1], r_op[1]
-
-        def seed(cols, delta, _wanted=wanted, _m=method, _si=si, _ri=ri):
-            if not isinstance(delta, DeltaIndex):
-                delta = DeltaIndex(delta)
-            s_out: list = []
-            r_out: list = []
-            for entry in delta.bucket(_wanted, _m):
-                if entry[3]:
-                    continue
-                s_out.append(entry[2])
-                r_out.append(entry[4])
-            cols[_si] = s_out
-            cols[_ri] = r_out
-            return len(s_out)
-    else:
-        seed = _generic_delta_seed(wanted, ops, nargs, seed_writes, nslots,
-                                   policy, m_op)
-
-    bound: set[Var] = set(atom.variables())
-    builders: list[StepBuilder] = []
-    names: list[str] = [f"batch delta-{wanted} seed"]
-    reads: list[tuple] = []
-    writes: list[tuple] = []
-    for rest_atom in rest_atoms:
-        name, builder, step_reads, step_writes = _compile_batch_step(
-            db, rest_atom, bound, slots, policy, nslots)
-        builders.append(builder)
-        names.append(name)
-        reads.append(step_reads)
-        writes.append(step_writes)
-        bound.update(_atom_variables(rest_atom))
-    return BatchDeltaPlan(slots, seed, seed_writes, tuple(builders),
-                          tuple(names), tuple(reads), tuple(writes))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from repro.errors import (
     EvaluationTimeout,
 )
 
-#: Budget of the batched execution currently running on this thread /
-#: task, or None.  The batched executors' *steps* are baked closures
+#: Budget of the columnar execution currently running on this thread /
+#: task, or None.  Columnar plans' *steps* are baked closures
 #: shared across calls (and memoised for the existence path), so a
 #: per-call budget cannot be captured inside them; instead the executor
 #: entry points activate the budget here and the row-at-a-time fallback

@@ -1,12 +1,15 @@
-"""Int-surrogate columnar execution: dense OIDs in integer columns.
+"""Int-surrogate columnar execution: the fixpoint and maintenance executor.
 
-The batched executor (:mod:`repro.engine.batch`) made plan execution
-set-at-a-time, but its columns still hold *boxed* OIDs: every join
-probe recomputes a structural hash over a frozen dataclass (and for
-virtual objects, recursively over its spine), and every head emission
-pays that hash again just to discover the fact is a duplicate.  This
-module lowers the same plans onto **integer columns**: each OID is
-interned once into a dense surrogate (:class:`~repro.oodb.oid.OidInterner`)
+Every rule body a fixpoint run (:class:`~repro.engine.fixpoint.Engine`)
+or an incremental maintenance pass
+(:class:`~repro.engine.incremental.Maintainer`) evaluates runs here,
+**set-at-a-time**: a batch of bindings is a list of columns, and each
+plan step maps a whole batch to the next.  Boxed OID columns would make
+every join probe recompute a structural hash over a frozen dataclass
+(and for virtual objects, recursively over its spine), and every head
+emission pay that hash again just to discover the fact is a duplicate.
+So plans are lowered onto **integer columns**: each OID is interned
+once into a dense surrogate (:class:`~repro.oodb.oid.OidInterner`)
 and the hot kernels become machine-int dictionary probes, merge joins
 over sorted ``array('q')`` surrogate buckets, and int-set membership
 tests:
@@ -20,6 +23,8 @@ tests:
 - **magic guards** (demand sets from the magic rewrite) filter whole
   columns against the demand bucket in one semi-join pass
   (``int semi-join (magic)``);
+- **delta seeds** turn a semi-naive round's interned bucket straight
+  into the initial columns (``int delta-set seed``);
 - **head emission** deduplicates in int space against the mirror
   before touching the boxed table, so re-derived facts never resolve a
   surrogate or hash an OID.
@@ -28,17 +33,18 @@ Representation is chosen **per slot at plan-compile time**: a slot is
 an int column exactly when its writer is an int kernel (or the entry
 seed, which interns its one row).  Atoms with no int form -- builtins,
 ``isa``, comparisons, negation, superset bridges, parameterised or
-dynamic methods, unindexed tables -- reuse the boxed batch kernels
-unchanged; a boxed step reading an int slot dereferences that column
-in place first (a list index per row, no hashing), and the slot stays
-boxed from then on.  Solutions leave the executor as OIDs: output
-columns are dereferenced at the boundary, so callers (and per-step row
-counters) cannot tell the representations apart.
+dynamic methods, unindexed tables -- fall back to the boxed column
+kernels of :mod:`repro.engine.batch` (``batch ...`` in EXPLAIN); a
+boxed step reading an int slot dereferences that column in place first
+(a list index per row, no hashing), and the slot stays boxed from then
+on.  Solutions leave the executor as OIDs: output columns are
+dereferenced at the boundary, so callers (and per-step row counters)
+cannot tell the representations apart.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from repro.core import builtins as _builtins
 from repro.core.ast import Name, Var
@@ -47,21 +53,20 @@ from repro.engine.batch import (
     StepBuilder,
     _bake_steps,
     _compile_batch_step,
-    _delta_shape,
     _filter_const,
-    _generic_delta_seed,
     _step_io,
     _take,
     activated,
     exists_over,
-    head_emitter,
 )
 from repro.engine.compile import (
     _CONST,
     _STORE,
+    _apply_row,
     _assign_slots,
     _atom_variables,
     _known,
+    _method_filter,
     _term_op,
 )
 from repro.engine.delta import DeltaIndex
@@ -571,18 +576,19 @@ def _compile_columnar_step(db: Database, atom: Atom, bound: set[Var],
 class ColumnarPlan:
     """A plan lowered to int-surrogate columns, ready to execute.
 
-    Interface-compatible with :class:`~repro.engine.batch.BatchPlan`:
-    same counters (rows leaving each step), same solution sets, same
-    seed validation.  ``reps`` records each slot's final representation
-    (True = int surrogates); output columns are dereferenced to OIDs at
-    the boundary unless the caller asks for ``raw`` columns (the
-    engine's int-native head emitter does, to deduplicate in int
-    space).
+    Per-step counters (rows leaving each step) and seed validation mean
+    what they mean for :class:`~repro.engine.compile.CompiledPlan`.
+    ``reps`` records each slot's final representation (True = int
+    surrogates); output columns are dereferenced to OIDs at the
+    boundary unless the caller asks for ``raw`` columns (the engine's
+    int-native head emitter does, to deduplicate in int space).
+    :meth:`column_executor` serves the engine's full rule firings,
+    :meth:`exists` the maintainer's goal-directed checks.
     """
 
     __slots__ = ("plan", "slots", "nslots", "kernel_names", "reps",
                  "interner", "_builders", "_reads", "_writes", "_entry",
-                 "_out", "_plain", "_exists")
+                 "_out", "_exists")
 
     def __init__(self, plan: Plan, slots: dict[Var, int],
                  builders: tuple[StepBuilder, ...],
@@ -601,7 +607,6 @@ class ColumnarPlan:
         self._entry = tuple((var, slots[var]) for var in plan.bound_in
                             if var in slots)
         self._out = tuple(slots.items())
-        self._plain = None
         self._exists = None
 
     def _build_steps(self, out_slots: set[int]) -> tuple[BatchStep, ...]:
@@ -691,39 +696,13 @@ class ColumnarPlan:
             return cols, nrows
         return activated(execute, budget), out
 
-    def executor(self, counters: list[int] | None = None,
-                 project: Sequence[Var] | None = None,
-                 budget=None
-                 ) -> Callable[[Binding | None], Iterator[Binding]]:
-        """A dict-yielding entry point (CompiledPlan.executor parity)."""
-        run, out = self.column_executor(counters, project, budget=budget)
-
-        def execute(binding: Binding | None = None) -> Iterator[Binding]:
-            cols, nrows = run(binding)
-            base = dict(binding) if binding else None
-            for i in range(nrows):
-                row = dict(base) if base else {}
-                for var, slot in out:
-                    row[var] = cols[slot][i]
-                yield row
-        return execute
-
-    def execute(self, binding: Binding | None = None,
-                counters: list[int] | None = None,
-                budget=None) -> Iterator[Binding]:
-        """Yield every solution extending ``binding`` (dict form)."""
-        if counters is None and budget is None:
-            if self._plain is None:
-                self._plain = self.executor()
-            return self._plain(binding)
-        return self.executor(counters, budget=budget)(binding)
-
     def exists(self, binding: Binding | None = None, stats=None,
                budget=None) -> bool:
         """True when at least one solution extends ``binding``.
 
-        Chunked and short-circuiting, like
-        :meth:`~repro.engine.batch.BatchPlan.exists`.
+        Chunked and short-circuiting (:func:`repro.engine.batch.exists_over`):
+        rows are pushed through the steps in small chunks and the first
+        surviving terminal row returns immediately.
         """
         steps = self._exists
         if steps is None:
@@ -814,13 +793,15 @@ class IntDeltaIndex(DeltaIndex):
 class ColumnarDeltaPlan:
     """A delta-seeded rule body over int columns.
 
-    Counters are ``[seeds, step rows...]``, matching
-    :class:`~repro.engine.batch.BatchDeltaPlan` exactly.
+    The seed pass turns a whole round's delta into the initial columns
+    in one loop (no per-seed re-entry into the join), then the
+    rest-of-body steps run exactly like :class:`ColumnarPlan`'s.
+    Counters are ``[seeds, step rows...]``, matching the engine's delta
+    records.
     """
 
     __slots__ = ("slots", "nslots", "kernel_names", "reps", "interner",
-                 "_seed", "_builders", "_reads", "_writes", "_out",
-                 "_plain")
+                 "_seed", "_builders", "_reads", "_writes", "_out")
 
     def __init__(self, slots: dict[Var, int], seed, seed_writes: tuple,
                  builders: tuple[StepBuilder, ...],
@@ -837,7 +818,6 @@ class ColumnarDeltaPlan:
         self._reads = reads
         self._writes = writes
         self._out = tuple(slots.items())
-        self._plain = None
 
     def _build_steps(self, out_slots: set[int]) -> tuple[BatchStep, ...]:
         return _bake_steps(self._builders, self._reads, self._writes,
@@ -888,34 +868,76 @@ class ColumnarDeltaPlan:
             return cols, nrows
         return activated(execute, budget), out
 
-    def executor(self, counters: list[int] | None = None,
-                 project: Sequence[Var] | None = None,
-                 budget=None):
-        """A dict-yielding entry point taking the delta log."""
-        run, out = self.column_executor(counters, project, budget=budget)
 
-        def execute(delta) -> Iterator[Binding]:
-            cols, nrows = run(delta)
-            for i in range(nrows):
-                yield {var: cols[slot][i] for var, slot in out}
-        return execute
+def _generic_delta_seed(wanted: str, ops: tuple, nargs: int,
+                        seed_writes: tuple, nslots: int,
+                        policy: MatchPolicy, m_op):
+    """The boxed row-at-a-time seed handling every delta-atom shape."""
+    const = m_op[0] == _CONST
+    runtime_ok = None if const else _method_filter(policy, m_op)
 
-    def execute(self, delta, counters: list[int] | None = None
-                ) -> Iterator[Binding]:
-        if counters is None:
-            if self._plain is None:
-                self._plain = self.executor()
-            return self._plain(delta)
-        return self.executor(counters)(delta)
+    def seed(cols, delta, _wanted=wanted, _n=nargs, _ok=runtime_ok,
+             _ops=ops, _writes=seed_writes, _nslots=nslots,
+             _m=m_op[1] if const else None):
+        regs = [None] * _nslots
+        outs = [[] for _ in _writes]
+        count = 0
+        if isinstance(delta, DeltaIndex):
+            # A constant method reads its own bucket; a variable one can
+            # match any entry of the round.
+            delta = (delta.bucket(_wanted, _m) if _m is not None
+                     else delta.entries)
+        for entry in delta:
+            if entry[0] != _wanted:
+                continue
+            fargs = entry[3]
+            if len(fargs) != _n:
+                continue
+            if _ok is not None and not _ok(entry[1]):
+                continue
+            if _apply_row(_ops, (entry[1], entry[2], *fargs, entry[4]),
+                          regs):
+                count += 1
+                for out, slot in zip(outs, _writes):
+                    out.append(regs[slot])
+        for out, slot in zip(outs, _writes):
+            cols[slot] = out
+        return count
+    return seed
 
 
 def compile_columnar_delta_plan(db: Database, atom: Atom, plan: Plan,
                                 policy: MatchPolicy = UNRESTRICTED
                                 ) -> ColumnarDeltaPlan:
-    """Compile ``atom`` as an int-column delta seed chained into ``plan``."""
+    """Compile ``atom`` as an int-column delta seed chained into ``plan``.
+
+    ``plan`` must have been built with the atom's variables as its
+    initially-bound set (the engine guarantees this: every seed binds
+    all of the delta atom's variables).
+    """
+    if isinstance(atom, ScalarAtom):
+        wanted = "scalar"
+        pattern = (atom.method, atom.subject, atom.args, atom.result)
+    elif isinstance(atom, SetMemberAtom):
+        wanted = "set"
+        pattern = (atom.method, atom.subject, atom.args, atom.member)
+    else:  # pragma: no cover - the engine only delta-seeds data atoms
+        raise TypeError(f"cannot delta-seed {atom!r}")
+    method_t, subject_t, args_t, result_t = pattern
     interner = db.interner
-    wanted, rest_atoms, slots, nslots, ops, nargs, seed_writes = \
-        _delta_shape(db, atom, plan)
+    rest_atoms = [step.atom for step in plan.steps]
+    slots = _assign_slots([atom, *rest_atoms], ())
+    nslots = len(slots)
+    seen: set[Var] = set()
+    empty: set[Var] = set()
+    ops = (
+        _term_op(method_t, db, slots, empty, seen),
+        _term_op(subject_t, db, slots, empty, seen),
+        *(_term_op(a, db, slots, empty, seen) for a in args_t),
+        _term_op(result_t, db, slots, empty, seen),
+    )
+    nargs = len(args_t)
+    seed_writes = tuple(slots[v] for v in atom.variables())
     m_op, s_op, r_op = ops[0], ops[1], ops[-1]
     rep = [False] * nslots
 
@@ -1067,5 +1089,4 @@ __all__ = [
     "columnar_head_emitter",
     "compile_columnar_delta_plan",
     "compile_columnar_plan",
-    "head_emitter",
 ]

@@ -31,15 +31,15 @@ Name constants are resolved against the database **at compile time**
 (exactly once), so a compiled plan is tied to the database it was
 compiled for; plan caches already key on the data version, and the
 compiled form is memoised per ``(database, match policy)`` on the plan
-itself.  :class:`CompiledDeltaPlan` gives semi-naive delta firing its
-own specialization: the delta position becomes a seed kernel scanning
-the realizer log directly into registers, chained into the compiled
-rest-of-body plan.
+itself.
 
-This module is also the substrate of the **batched** executor
-(:mod:`repro.engine.batch`): the term-op lowering (``_term_op`` /
+:class:`CompiledPlan` is how *ad-hoc* conjunctions run (``Query``
+answers, the maintainer's full firings): solutions stream lazily, one
+register file at a time.  This module is also the substrate of the
+set-at-a-time executors (:mod:`repro.engine.batch`,
+:mod:`repro.engine.columnar`): the term-op lowering (``_term_op`` /
 ``_apply_row``), slot assignment, and per-atom kernel dispatch
-(``_compile_step``) are shared, and atoms without a batched form run
+(``_compile_step``) are shared, and atoms without a column form run
 their compiled tuple kernel row-at-a-time inside a batch -- so every
 semantic detail (magic-predicate hiding, method-depth policy, bridge
 semantics) lives here exactly once.
@@ -649,15 +649,15 @@ def _negation_kernel(db: Database, atom: NegationAtom, bound: set[Var],
                      policy: MatchPolicy) -> tuple[str, Kernel]:
     """Negation as failure: scoped dict, inner existence on the
     constant-cost heuristic order (mirrors the interpreted matcher)."""
-    from repro.engine.solve import solve
+    from repro.engine.solve import _solve_dynamic
 
     pairs = tuple((var, slots[var]) for var in atom.inner_variables()
                   if var in bound)
-    inner = atom.inner
+    inner = list(atom.inner)
 
     def kern(regs, _db=db, _inner=inner, _pairs=pairs, _policy=policy):
         scoped = {var: regs[slot] for var, slot in _pairs}
-        for _ in solve(_db, _inner, scoped, _policy, use_planner=False):
+        for _ in _solve_dynamic(_db, _inner, scoped, _policy):
             return
         yield None
     return "negation (interp)", kern
@@ -906,142 +906,3 @@ def compile_plan(db: Database, plan: Plan,
     compiled = CompiledPlan(plan, slots, tuple(kernels), tuple(names))
     plan.compiled_cache[key] = compiled
     return compiled
-
-
-# ---------------------------------------------------------------------------
-# Delta specialization (semi-naive evaluation)
-# ---------------------------------------------------------------------------
-
-class CompiledDeltaPlan:
-    """A delta-seeded rule body: log-scan seed kernel + compiled rest.
-
-    The seed kernel unifies realizer log entries (``("scalar", m, s,
-    args, r)`` / ``("set", m, s, args, r)``) directly into registers --
-    no per-seed dict is ever built -- and chains into the rest-of-body
-    kernels compiled against the same slot file.  The delta log itself
-    travels in a reserved register, so concurrent executions of one
-    compiled delta plan are independent (like CompiledPlan, all state is
-    per call).
-    """
-
-    __slots__ = ("nslots", "kernel_names", "_kernels", "_out", "_plain")
-
-    def __init__(self, nslots: int, out: tuple, kernels: tuple,
-                 kernel_names: tuple[str, ...]) -> None:
-        #: Register count *including* the reserved delta slot (the last).
-        self.nslots = nslots
-        self._out = out
-        self._kernels = kernels
-        self.kernel_names = kernel_names
-        self._plain = None
-
-    def executor(self, counters: list[int] | None = None,
-                 project: Sequence[Var] | None = None):
-        """An entry point taking the delta log; see CompiledPlan.executor."""
-        run = _compose(self._kernels, counters)
-        nslots = self.nslots
-        out = self._out
-        if project is not None:
-            wanted = set(project)
-            out = tuple(pair for pair in out if pair[0] in wanted)
-
-        def execute(delta) -> Iterator[Binding]:
-            regs = [None] * nslots
-            regs[-1] = delta
-            for _ in run(regs):
-                yield {var: regs[slot] for var, slot in out}
-        return execute
-
-    def execute(self, delta, counters: list[int] | None = None
-                ) -> Iterator[Binding]:
-        if counters is None:
-            if self._plain is None:
-                self._plain = self.executor()
-            return self._plain(delta)
-        return self.executor(counters)(delta)
-
-
-def compile_delta_plan(db: Database, atom: Atom, plan: Plan,
-                       policy: MatchPolicy = UNRESTRICTED
-                       ) -> CompiledDeltaPlan:
-    """Compile ``atom`` as a delta seed chained into ``plan``'s body.
-
-    ``plan`` must have been built with the atom's variables as its
-    initially-bound set (the engine guarantees this: every seed binds
-    all of the delta atom's variables).
-    """
-    if isinstance(atom, ScalarAtom):
-        wanted = "scalar"
-        pattern = (atom.method, atom.subject, atom.args, atom.result)
-    elif isinstance(atom, SetMemberAtom):
-        wanted = "set"
-        pattern = (atom.method, atom.subject, atom.args, atom.member)
-    else:  # pragma: no cover - the engine only delta-seeds data atoms
-        raise TypeError(f"cannot delta-seed {atom!r}")
-    method_t, subject_t, args_t, result_t = pattern
-
-    rest_atoms = [step.atom for step in plan.steps]
-    slots = _assign_slots([atom, *rest_atoms], ())
-    seen: set[Var] = set()
-    empty: set[Var] = set()
-    ops = (
-        _term_op(method_t, db, slots, empty, seen),
-        _term_op(subject_t, db, slots, empty, seen),
-        *(_term_op(a, db, slots, empty, seen) for a in args_t),
-        _term_op(result_t, db, slots, empty, seen),
-    )
-    nargs = len(args_t)
-    method_ok = policy.method_ok
-
-    # The delta log travels in the last register (per-call state, so
-    # concurrent executions of one compiled delta plan are independent).
-    m_op, s_op, r_op = ops[0], ops[1], ops[-1]
-    if (m_op[0] == _CONST and not method_ok(m_op[1])):
-        # Entries matching this method are over the depth bound; none
-        # can seed the rule.
-        def seed(regs):
-            return iter(())
-    elif (nargs == 0 and m_op[0] == _CONST
-            and s_op[0] == _STORE and r_op[0] == _STORE):
-        # The common shape -- constant method, two distinct variables,
-        # no @-parameters: straight-line writes, and the method-depth
-        # check is settled at compile time (only entries equal to the
-        # constant survive the filter).
-        method = m_op[1]
-        si, ri = s_op[1], r_op[1]
-
-        def seed(regs, _wanted=wanted, _m=method, _si=si, _ri=ri):
-            for entry in regs[-1]:
-                if entry[0] != _wanted or entry[1] != _m or entry[3]:
-                    continue
-                regs[_si] = entry[2]
-                regs[_ri] = entry[4]
-                yield None
-    else:
-        runtime_ok = (None if m_op[0] == _CONST
-                      else _method_filter(policy, m_op))
-
-        def seed(regs, _wanted=wanted, _n=nargs, _ok=runtime_ok, _ops=ops):
-            for entry in regs[-1]:
-                if entry[0] != _wanted:
-                    continue
-                fargs = entry[3]
-                if len(fargs) != _n:
-                    continue
-                if _ok is not None and not _ok(entry[1]):
-                    continue
-                if _apply_row(_ops, (entry[1], entry[2], *fargs, entry[4]),
-                              regs):
-                    yield None
-
-    bound: set[Var] = set(atom.variables())
-    kernels: list[Kernel] = [seed]
-    names: list[str] = [f"delta-{wanted} seed"]
-    for step in plan.steps:
-        name, kernel = _compile_step(db, step.atom, bound, slots, policy)
-        kernels.append(kernel)
-        names.append(name)
-        bound.update(_atom_variables(step.atom))
-    out = tuple(slots.items())
-    return CompiledDeltaPlan(len(slots) + 1, out, tuple(kernels),
-                             tuple(names))

@@ -8,6 +8,15 @@ rows and access path (index vs. scan), optionally augmented with the
 :func:`repro.core.pretty.render_table`; they back
 ``Query.explain()``, ``Engine.explain()``, and the ``explain`` CLI
 subcommand.
+
+The ``kernel`` column names what each step runs.  Ad-hoc conjunctions
+(``Query.explain``, the ``explain`` subcommand) show compiled
+tuple-at-a-time kernels (``scalar mr-probe``, ``set iter``, ...).
+Rule plans of a fixpoint run (``Engine.explain``, ``--explain``) show
+columnar kernels: ``int ...`` for steps served from the int-surrogate
+mirrors, ``batch ...`` for a boxed fallback step inside the same
+columnar plan, and ``batch row ...`` for a step that loops a compiled
+tuple kernel row by row (negation, superset bridges).
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.pretty import render_table
+from repro.engine.compile import compile_plan
 from repro.engine.matching import UNRESTRICTED, Binding, MatchPolicy
 from repro.engine.planner import Plan, PlanCache, build_plan, relevant_bound
 from repro.engine.solve import execute_plan
@@ -32,8 +42,9 @@ class StepView:
     access: str
     est_rows: float
     actual_rows: int | None  #: None when the plan was not executed
-    #: Compiled kernel chosen for this step; None when the plan ran (or
-    #: would run) through the interpreted executor.
+    #: Kernel chosen for this step (``int ...`` / ``batch ...`` in a
+    #: columnar rule plan, the compiled tuple kernel in an ad-hoc one);
+    #: None when the plan ran through the interpreted matcher.
     kernel: str | None = None
     #: Boundness adornment (``bf``, ``magic``, ...) from a demand-driven
     #: rewrite; None outside demand runs.
@@ -172,23 +183,15 @@ def explain_conjunction(db: Database, atoms: Iterable[Atom],
                         policy: MatchPolicy = UNRESTRICTED,
                         *, cache: PlanCache | None = None,
                         analyze: bool = True,
-                        compiled: bool = True,
-                        executor: str | None = None,
                         title: str = "") -> PlanReport:
-    """Plan a conjunction and (by default) execute it to observe rows.
+    """Plan an ad-hoc conjunction and (by default) run it to observe rows.
 
-    The report names the kernel the selected executor would run for
-    every step -- the compiled tuple-at-a-time form by default, the
-    batched column form under ``executor="batch"``, the int-surrogate
-    column form under ``executor="columnar"`` (``int ...`` labels for
-    slots served from the surrogate mirrors, ``batch ...`` for boxed
-    fallback steps) -- and the ``analyze`` run executes that same form,
-    so what you see is what runs.  In batched mode the per-step
-    ``rows`` column reports the batch sizes leaving each step (the
-    same quantity the tuple executors count per extension).
+    The report names the compiled tuple-at-a-time kernel of every step
+    -- the form ``Query`` answers run in -- and the ``analyze`` run
+    executes that same form, so what you see is what runs.  (Rule
+    bodies inside a fixpoint run on the columnar executor instead; see
+    :meth:`repro.engine.fixpoint.Engine.plan_reports`.)
     """
-    from repro.engine.solve import resolve_executor
-
     atoms_t = tuple(atoms)
     initial = dict(binding or {})
     bound = relevant_bound(atoms_t, initial)
@@ -196,26 +199,12 @@ def explain_conjunction(db: Database, atoms: Iterable[Atom],
         plan = cache.get(db, atoms_t, bound)
     else:
         plan = build_plan(db, atoms_t, bound)
-    mode = resolve_executor(executor, compiled)
-    kernels = None
-    if mode == "columnar":
-        from repro.engine.columnar import compile_columnar_plan
-
-        kernels = compile_columnar_plan(db, plan, policy).kernel_names
-    elif mode == "batch":
-        from repro.engine.batch import compile_batch_plan
-
-        kernels = compile_batch_plan(db, plan, policy).kernel_names
-    elif mode == "compiled":
-        from repro.engine.compile import compile_plan
-
-        kernels = compile_plan(db, plan, policy).kernel_names
+    kernels = compile_plan(db, plan, policy).kernel_names
     if not analyze:
         return report_for_plan(plan, title=title, kernels=kernels)
     counters = [0] * len(plan.steps)
     bindings = sum(
-        1 for _ in execute_plan(db, plan, initial, policy, counters,
-                                compiled=compiled, executor=executor)
+        1 for _ in execute_plan(db, plan, initial, policy, counters)
     )
     return report_for_plan(plan, title=title, counters=counters,
                            bindings=bindings, kernels=kernels)

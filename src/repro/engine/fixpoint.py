@@ -26,18 +26,18 @@ Rule bodies are evaluated through the cost-based planner
 :class:`~repro.engine.planner.PlanCache` keyed on each rule body and its
 initially-bound variable set, so the greedy join-order search runs once
 per rule (and once per seeded delta position), not once per binding or per
-fixpoint iteration.  By default each plan is additionally lowered to
-its **batched** column-at-a-time form (:mod:`repro.engine.batch`,
-``executor="batch"``): full firings push one batch through the whole
-body, semi-naive rounds turn the realizer log into the initial batch in
-a single pass, and rule heads are asserted straight from the solution
-columns (simple heads by a precompiled emitter, all others by the
-realizer's compiled column program).  ``executor="compiled"`` keeps the
-tuple-at-a-time slot/kernel form of :mod:`repro.engine.compile` (the
-B13 baseline), and ``executor="interpreted"`` (equivalently
-``compiled=False``) the dict-binding walk (B10's baseline).  The plans
-chosen for full evaluations are captured with their observed row counts
-and kernel names; :meth:`Engine.explain` renders them.
+fixpoint iteration.  Each plan is then lowered to the **columnar**
+executor (:mod:`repro.engine.columnar`): full firings push one batch of
+int-surrogate columns through the whole body, semi-naive rounds turn
+each seeded bucket of the delta into the initial batch in a single
+pass, and rule heads are asserted straight from the solution columns
+(the int-native emitter for the single-filter hot shape, the boxed
+simple-head emitter or the realizer's compiled column program for the
+rest; support-tracked rules go row by row).  ``interpreted=True`` runs
+the same plans through the interpreted matcher instead -- the reference
+oracle the test suites compare the columnar fixpoint against.  The
+plans chosen for full evaluations are captured with their observed row
+counts and kernel names; :meth:`Engine.explain` renders them.
 
 Safeguards (the paper is silent on termination, so the engine is not):
 ``max_iterations`` per stratum, ``max_universe`` size, and
@@ -53,18 +53,13 @@ from typing import Iterable, Union
 
 from repro.core.ast import Program, Rule
 from repro.core.variables import variables_of
-from repro.engine.batch import (
-    compile_batch_delta_plan,
-    compile_batch_plan,
-    head_emitter,
-)
+from repro.engine.batch import head_emitter
 from repro.engine.columnar import (
     IntDeltaIndex,
     columnar_head_emitter,
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
-from repro.engine.compile import compile_delta_plan, compile_plan
 from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.explain import PlanReport, report_for_plan
 from repro.engine.heads import Derived, HeadRealizer
@@ -76,7 +71,7 @@ from repro.engine.normalize import (
 )
 from repro.engine.planner import Plan, PlanCache, relevant_bound
 from repro.engine.profiler import EngineStats
-from repro.engine.solve import execute_plan, solve
+from repro.engine.solve import execute_plan
 from repro.engine.stratify import stratify
 from repro.errors import BudgetExceededError, ResourceLimitError
 from repro.testing.faults import fault_point
@@ -107,16 +102,14 @@ class EngineLimits:
 class _RulePlanRecord:
     """Captured plan and observed rows for one rule's full evaluations.
 
-    In compiled mode the record owns the rule's execution entry point
-    (slot registers projected onto the head variables) and the kernel
-    names for EXPLAIN; in batched mode it owns the column executor
-    (``execute_cols``), the head variable -> column mapping, and -- for
-    simple heads -- the batched head emitter.
+    A columnar record owns the rule's column executor
+    (``execute_cols``), the head variable -> column mapping, and the
+    head emitter; an interpreted one (or a fact's empty body) has none
+    and walks ``plan`` through the matcher.
     """
 
     __slots__ = ("rule", "plan", "counters", "bindings", "firings",
-                 "execute", "kernels", "execute_cols", "head_pairs",
-                 "emit")
+                 "kernels", "execute_cols", "head_pairs", "emit")
 
     def __init__(self, rule: NormalizedRule, plan: Plan) -> None:
         self.rule = rule
@@ -124,7 +117,6 @@ class _RulePlanRecord:
         self.counters = [0] * len(plan.steps)
         self.bindings = 0
         self.firings = 0
-        self.execute = None
         self.kernels: tuple[str, ...] | None = None
         self.execute_cols = None
         self.head_pairs: tuple = ()
@@ -134,21 +126,19 @@ class _RulePlanRecord:
 class _DeltaPlanRecord:
     """One rule's delta position: its rest-of-body plan and counters.
 
-    ``counters`` is seed + per-step rows, filled by the compiled and
-    batched chains; the interpreted executor cannot share it (its
-    counters exclude the seed position), so interpreted runs fill
-    ``counters[0]`` plus the separate ``rest_counters`` -- exactly one
-    of the two stays zero.
+    ``counters`` is seed + per-step rows, filled by the columnar chain;
+    the interpreted walk cannot share it (its plan counters exclude the
+    seed position), so interpreted runs fill ``counters[0]`` plus the
+    separate ``rest_counters`` -- exactly one of the two stays zero.
     """
 
-    __slots__ = ("plan", "counters", "rest_counters", "execute",
-                 "execute_cols", "head_pairs", "emit")
+    __slots__ = ("plan", "counters", "rest_counters", "execute_cols",
+                 "head_pairs", "emit")
 
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
         self.counters = [0] * (len(plan.steps) + 1)
         self.rest_counters = [0] * len(plan.steps)
-        self.execute = None
         self.execute_cols = None
         self.head_pairs: tuple = ()
         self.emit = None
@@ -163,19 +153,19 @@ class Engine:
 
     The input database's facts are never mutated: :meth:`run` clones it
     and returns the materialised result.  What the clone carries -- the
-    cardinality catalog and, for the columnar executor, the int mirrors
+    cardinality catalog and the int mirrors the columnar kernels read
     -- is built on the input when missing, so repeated runs over an
     unchanged input pay for it once.  After a run, :attr:`stats` holds
     the :class:`~repro.engine.profiler.EngineStats` of the evaluation.
+    ``interpreted=True`` evaluates through the interpreted matcher (the
+    test oracle) instead of the columnar executor.
     """
 
     def __init__(self, db: Database,
                  program: Union[Program, Iterable[Rule]],
                  *, seminaive: bool = True,
                  limits: EngineLimits | None = None,
-                 use_planner: bool = True,
-                 compiled: bool = True,
-                 executor: str | None = None,
+                 interpreted: bool = False,
                  record_support: bool = False,
                  budget=None) -> None:
         self._db = db
@@ -187,25 +177,7 @@ class Engine:
         self._seminaive = seminaive
         self._limits = limits or EngineLimits()
         self._policy = MatchPolicy(self._limits.max_method_depth)
-        self._use_planner = use_planner
-        # Kernel execution (batched or tuple-at-a-time) rides on the
-        # planner's static plans; the pre-planner dynamic order has
-        # nothing to compile.  The fixpoint defaults to the columnar
-        # executor (int-surrogate columns; see
-        # :mod:`repro.engine.columnar`) -- evaluation is set-semantics,
-        # so neither the batch schedule nor the surrogate encoding can
-        # change the result -- with ``executor="batch"`` as the boxed
-        # column baseline and ``executor="compiled"`` /
-        # ``compiled=False`` as the tuple-at-a-time and interpreted
-        # baselines.
-        if executor is None:
-            executor = "columnar" if compiled else "interpreted"
-        else:
-            from repro.engine.solve import resolve_executor
-
-            executor = resolve_executor(executor, compiled)
-        self._executor = executor if use_planner else "interpreted"
-        self._compiled = use_planner and self._executor != "interpreted"
+        self._interpreted = interpreted
         self._plan_cache = PlanCache(track_version=False)
         self._plan_records: dict[int, _RulePlanRecord] = {}
         # Delta-position records, keyed (rule identity, atom position) so
@@ -256,7 +228,7 @@ class Engine:
         # cardinality catalog, and the int mirrors the columnar kernels
         # and head emitters read (maintained in place from then on).
         source.catalog()
-        if self._executor == "columnar":
+        if not self._interpreted:
             source.scalars.surrogate_view(source.interner)
             source.sets.surrogate_view(source.interner)
         work = source.clone()
@@ -377,9 +349,8 @@ class Engine:
                 # One partition of the log serves every seeded position
                 # of the round (the columnar one also interns each
                 # bucket into surrogate columns once).
-                index = (IntDeltaIndex(delta, db.interner)
-                         if self._executor == "columnar"
-                         else DeltaIndex(delta))
+                index = (DeltaIndex(delta) if self._interpreted
+                         else IntDeltaIndex(delta, db.interner))
                 for at, positions in seeds.plan(
                         index, isa_full if index.has_isa else impure):
                     if positions is None:
@@ -404,11 +375,6 @@ class Engine:
 
     def _fire_full(self, db: Database, rule: NormalizedRule,
                    realizer: HeadRealizer) -> None:
-        if not self._use_planner:
-            solutions = list(solve(db, rule.body, {}, self._policy,
-                                   use_planner=False))
-            self._realize_all(db, rule, solutions, realizer)
-            return
         record = self._plan_records.get(id(rule))
         if record is None:
             plan = self._plan_cache.get(db, rule.body, frozenset(),
@@ -416,36 +382,18 @@ class Engine:
             record = _RulePlanRecord(rule, plan)
             # Facts (empty bodies) have nothing to compile: the
             # interpreted walk yields the empty binding once.
-            if self._executor == "columnar" and plan.steps:
+            if not self._interpreted and plan.steps:
                 cplan = compile_columnar_plan(db, plan, self._policy)
                 record.kernels = cplan.kernel_names
-                record.emit, raw = self._head_emitter(
-                    db, rule, realizer, cplan.slots, cplan)
+                record.emit, raw = self._head_emitter(db, rule, realizer,
+                                                      cplan)
                 record.execute_cols, record.head_pairs = \
                     cplan.column_executor(record.counters,
                                           project=variables_of(rule.head),
                                           raw=raw, budget=self._budget)
                 self.stats.plans_compiled += 1
-            elif self._executor == "batch" and plan.steps:
-                batch = compile_batch_plan(db, plan, self._policy)
-                record.kernels = batch.kernel_names
-                record.execute_cols, record.head_pairs = \
-                    batch.column_executor(record.counters,
-                                          project=variables_of(rule.head),
-                                          budget=self._budget)
-                record.emit, _ = self._head_emitter(
-                    db, rule, realizer, batch.slots)
-                self.stats.plans_compiled += 1
-            elif self._compiled and plan.steps:
-                compiled = compile_plan(db, plan, self._policy)
-                record.kernels = compiled.kernel_names
-                record.execute = compiled.executor(
-                    record.counters, project=variables_of(rule.head),
-                    budget=self._budget)
-                self.stats.plans_compiled += 1
             self._plan_records[id(rule)] = record
         else:
-            plan = record.plan
             self._plan_cache.hits += 1
         if record.execute_cols is not None:
             cols, nrows = record.execute_cols({})
@@ -453,13 +401,8 @@ class Engine:
             record.firings += 1
             self._realize_columns(db, rule, record, cols, nrows, realizer)
             return
-        if record.execute is not None:
-            solutions = list(record.execute({}))
-        else:
-            solutions = list(
-                execute_plan(db, plan, {}, self._policy, record.counters,
-                             compiled=False)
-            )
+        solutions = list(execute_plan(db, record.plan, {}, self._policy,
+                                      record.counters, interpreted=True))
         record.bindings += len(solutions)
         record.firings += 1
         self._realize_all(db, rule, solutions, realizer)
@@ -468,105 +411,76 @@ class Engine:
                     realizer: HeadRealizer, delta: DeltaIndex,
                     positions: list[int]) -> None:
         solutions: list[Binding] = []
-        # Batched positions are materialised as columns first and
-        # realised after the position loop, preserving the invariant
-        # that the solver never iterates indexes the realizer mutates.
+        # Column batches are materialised first and realised after the
+        # position loop, preserving the invariant that the solver never
+        # iterates indexes the realizer mutates.
         batches: list[tuple[_DeltaPlanRecord, list, int]] = []
         for position in positions:
             atom = rule.body[position]
-            record = None
-            if self._use_planner:
-                # All of the delta atom's variables are bound in every
-                # seed, so one plan covers every seed of this position.
-                key = (id(rule), position)
-                record = self._delta_records.get(key)
-                if record is None:
-                    rest = rule.body[:position] + rule.body[position + 1:]
-                    bound = relevant_bound(rest, atom.variables())
-                    plan = self._plan_cache.get(db, rest, bound,
-                                                self._run_catalog)
-                    record = _DeltaPlanRecord(plan)
-                    if self._executor == "columnar":
-                        cplan = compile_columnar_delta_plan(
-                            db, atom, plan, self._policy)
-                        record.emit, raw = self._head_emitter(
-                            db, rule, realizer, cplan.slots, cplan)
-                        record.execute_cols, record.head_pairs = \
-                            cplan.column_executor(
-                                record.counters,
-                                project=variables_of(rule.head),
-                                raw=raw, budget=self._budget)
-                        self.stats.plans_compiled += 1
-                    elif self._executor == "batch":
-                        batch = compile_batch_delta_plan(db, atom, plan,
-                                                         self._policy)
-                        record.execute_cols, record.head_pairs = \
-                            batch.column_executor(
-                                record.counters,
-                                project=variables_of(rule.head),
-                                budget=self._budget)
-                        record.emit, _ = self._head_emitter(
-                            db, rule, realizer, batch.slots)
-                        self.stats.plans_compiled += 1
-                    elif self._compiled:
-                        compiled = compile_delta_plan(db, atom, plan,
-                                                      self._policy)
-                        record.execute = compiled.executor(
+            # All of the delta atom's variables are bound in every seed,
+            # so one plan covers every seed of this position.
+            key = (id(rule), position)
+            record = self._delta_records.get(key)
+            if record is None:
+                rest = rule.body[:position] + rule.body[position + 1:]
+                bound = relevant_bound(rest, atom.variables())
+                plan = self._plan_cache.get(db, rest, bound,
+                                            self._run_catalog)
+                record = _DeltaPlanRecord(plan)
+                if not self._interpreted:
+                    cplan = compile_columnar_delta_plan(db, atom, plan,
+                                                        self._policy)
+                    record.emit, raw = self._head_emitter(db, rule, realizer,
+                                                          cplan)
+                    record.execute_cols, record.head_pairs = \
+                        cplan.column_executor(
                             record.counters,
-                            project=variables_of(rule.head))
-                        self.stats.plans_compiled += 1
-                    self._delta_records[key] = record
-                else:
-                    self._plan_cache.hits += 1
-            if record is not None and record.execute_cols is not None:
+                            project=variables_of(rule.head),
+                            raw=raw, budget=self._budget)
+                    self.stats.plans_compiled += 1
+                self._delta_records[key] = record
+            else:
+                self._plan_cache.hits += 1
+            if record.execute_cols is not None:
                 cols, nrows = record.execute_cols(delta)
                 batches.append((record, cols, nrows))
-            elif record is not None and record.execute is not None:
-                solutions.extend(record.execute(delta.entries))
-            elif record is not None:
-                counters = record.counters
-                rest_counters = record.rest_counters
-                for seed in match_atom_delta(db, atom, {}, delta.entries,
-                                             self._policy):
-                    counters[0] += 1
-                    solutions.extend(
-                        execute_plan(db, record.plan, seed, self._policy,
-                                     rest_counters, compiled=False)
-                    )
-            else:
-                rest = rule.body[:position] + rule.body[position + 1:]
-                for seed in match_atom_delta(db, atom, {}, delta.entries,
-                                             self._policy):
-                    solutions.extend(solve(db, list(rest), seed, self._policy,
-                                           use_planner=False))
+                continue
+            counters = record.counters
+            rest_counters = record.rest_counters
+            for seed in match_atom_delta(db, atom, {}, delta.entries,
+                                         self._policy):
+                counters[0] += 1
+                solutions.extend(
+                    execute_plan(db, record.plan, seed, self._policy,
+                                 rest_counters, interpreted=True)
+                )
         if solutions:
             self._realize_all(db, rule, solutions, realizer)
         for record, cols, nrows in batches:
             self._realize_columns(db, rule, record, cols, nrows, realizer)
 
     def _head_emitter(self, db: Database, rule: NormalizedRule,
-                      realizer: HeadRealizer, slots: dict, cplan=None):
-        """``(emit, raw)``: how one plan's solution batches are realised.
+                      realizer: HeadRealizer, cplan):
+        """``(emit, raw)``: how one columnar plan's batches are realised.
 
         ``emit(cols, nrows, log)`` is the first that applies of: the
-        int-native emitter (columnar plans, the single-filter hot
-        shape; it alone consumes ``raw`` surrogate columns, skipping
-        the deref at the plan boundary), the boxed simple-head emitter,
-        the realizer's compiled column program (every other head:
-        virtual-creating paths, computed methods, built-in filters).
-        Support recording observes per binding, so tracked rules get no
-        emitter and fall back to per-row realisation -- as does a head
-        with a variable the plan does not bind.
+        int-native emitter (the single-filter hot shape; it alone
+        consumes ``raw`` surrogate columns, skipping the deref at the
+        plan boundary), the boxed simple-head emitter, the realizer's
+        compiled column program (every other head: virtual-creating
+        paths, computed methods, built-in filters).  Support recording
+        observes per binding, so tracked rules get no emitter and fall
+        back to per-row realisation -- as does a head with a variable
+        the plan does not bind.
         """
         emit = None
         raw = False
         if self.support is None or not self.support.tracks(rule):
-            if cplan is not None:
-                emit = columnar_head_emitter(db, rule, cplan)
-                raw = emit is not None
+            emit = columnar_head_emitter(db, rule, cplan)
+            raw = emit is not None
             if emit is None:
-                emit = (head_emitter(db, rule, slots)
-                        or realizer.compile_columns(rule.head, slots))
+                emit = (head_emitter(db, rule, cplan.slots)
+                        or realizer.compile_columns(rule.head, cplan.slots))
         if emit is None:
             self.stats.heads_fallback += 1
         else:
@@ -632,9 +546,8 @@ class Engine:
 
         return Maintainer(
             result, base, self._rules, policy=self._policy,
-            support=self.support, compiled=self._compiled,
-            executor=self._executor,
-            use_planner=self._use_planner, stats=self.stats,
+            support=self.support, interpreted=self._interpreted,
+            stats=self.stats,
             max_virtual_depth=self._limits.max_virtual_depth,
             budget=self._budget,
         )

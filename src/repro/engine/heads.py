@@ -26,8 +26,8 @@ Two entry points share one set of primitives: :meth:`HeadRealizer.realize`
 walks the spine for one binding (tuple-at-a-time evaluation,
 support-tracked rules, incremental maintenance -- and the reference the
 other is tested against), and :meth:`HeadRealizer.compile_columns`
-lowers the spine once into a flat program that the batched executors
-run over whole solution columns.
+lowers the spine once into a flat program that the columnar executor
+runs over whole solution columns.
 """
 
 from __future__ import annotations

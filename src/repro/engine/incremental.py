@@ -22,12 +22,12 @@ instead of re-deriving the whole fixpoint from scratch:
 - **DRed** (recursive support).  Predicates with recursive or untracked
   definitions use the classic delete-and-rederive construction:
   an *overdelete* closure -- seeded from the deleted base facts and
-  computed with the **existing compiled delta kernels**
-  (:func:`~repro.engine.compile.compile_delta_plan`) against the
-  pristine view -- removes every fact whose derivation may have used a
-  deleted fact, then a *rederive* pass re-asserts each removed fact
-  that is still derivable (goal-directed, head unified against the
-  fact) and propagates semi-naively within the stratum.
+  computed with the engine's own **columnar delta plans**
+  (:func:`~repro.engine.columnar.compile_columnar_delta_plan`) against
+  the pristine view -- removes every fact whose derivation may have
+  used a deleted fact, then a *rederive* pass re-asserts each removed
+  fact that is still derivable (goal-directed, head unified against
+  the fact) and propagates semi-naively within the stratum.
 
 - **Insertion** is the easy monotone direction: new base facts are
   replayed into the view and the rules fire semi-naively with the
@@ -37,7 +37,11 @@ instead of re-deriving the whole fixpoint from scratch:
 
 All three passes round the way the engine does: each round partitions
 its batch once and fires only the rule positions it can seed
-(:mod:`repro.engine.delta`).
+(:mod:`repro.engine.delta`).  Seeded positions and goal-directed
+existence checks run on the columnar executor, full firings (impure
+rules, isa readers in isa rounds) through the compiled ad-hoc solver
+(:func:`~repro.engine.solve.solve`); a maintainer built for an
+``interpreted=True`` engine runs all three on the interpreted matcher.
 
 Re-asserted facts are bit-identical tuples of the facts that were
 removed, so **virtual-object identity is preserved** -- a rederived
@@ -80,14 +84,17 @@ from repro.core.ast import (
     Var,
 )
 from repro.core.variables import variables_of
-from repro.engine.columnar import IntDeltaIndex
+from repro.engine.columnar import (
+    IntDeltaIndex,
+    compile_columnar_delta_plan,
+    compile_columnar_plan,
+)
 from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.heads import HeadRealizer
 from repro.engine.matching import Binding, MatchPolicy, match_atom_delta
 from repro.engine.normalize import ISA_PRED, NormalizedRule, Pred, pred_matches
 from repro.engine.planner import PlanCache, relevant_bound
 from repro.engine.solve import execute_plan, solve
-from repro.engine.solve import exists as solve_exists
 from repro.engine.stratify import stratify
 from repro.flogic.atoms import EnumSupersetAtom, SupersetAtom
 from repro.oodb.database import ChangeEntry, Database
@@ -484,15 +491,11 @@ def net_changes(changes) -> tuple[list[Fact], list[Fact]]:
 class _DeltaExec:
     """Cached delta machinery for one (rule, body position)."""
 
-    __slots__ = ("atom", "rest", "plan", "execute", "execute_cols",
-                 "head_pairs")
+    __slots__ = ("plan", "execute_cols", "head_pairs")
 
-    def __init__(self, atom, rest, plan, execute) -> None:
-        self.atom = atom
-        self.rest = rest
+    def __init__(self, plan) -> None:
         self.plan = plan
-        self.execute = execute  #: compiled executor or None (interpreted)
-        self.execute_cols = None  #: batched column executor, if batched
+        self.execute_cols = None  #: columnar executor (None: interpreted)
         self.head_pairs: tuple = ()
 
 
@@ -501,7 +504,7 @@ class Maintainer:
 
     Owned by the engine that produced the result
     (:meth:`repro.engine.fixpoint.Engine.maintainer`); one maintainer
-    per memoised result.  Plans, compiled delta kernels, and the
+    per memoised result.  Plans, columnar delta kernels, and the
     support index persist across :meth:`apply` calls, so a steady
     stream of single-fact updates pays planning and kernel lowering
     once.  The result database gets its own change log so its
@@ -513,8 +516,7 @@ class Maintainer:
                  rules: list[NormalizedRule], *,
                  policy: MatchPolicy,
                  support: SupportIndex | None = None,
-                 compiled: bool = True, use_planner: bool = True,
-                 executor: str | None = None,
+                 interpreted: bool = False,
                  stats=None, max_virtual_depth: int = 32,
                  budget=None) -> None:
         self._db = db
@@ -523,22 +525,15 @@ class Maintainer:
         self._policy = policy
         self._support = support
         #: Cooperative :class:`~repro.engine.budget.QueryBudget` (or
-        #: None): checked once per maintenance round.  Expiry raises
-        #: mid-apply and rides the same rollback as any other failure.
+        #: None): checked once per maintenance round, per kernel step,
+        #: and every 256 rows of a full firing.  Expiry raises mid-apply
+        #: and rides the same rollback as any other failure.
         self._budget = budget
-        self._use_planner = use_planner
-        # The delta passes reuse the engine's batched kernels when the
-        # owning engine ran batched (columnar or boxed); goal-directed
-        # existence checks (``_body_solvable``) then short-circuit
-        # inside the plan in small chunks -- they want the first
-        # surviving row, not all of them.
-        if executor is None:
-            executor = "compiled" if compiled else "interpreted"
-        self._executor = executor if use_planner else "interpreted"
-        self._compiled = use_planner and self._executor != "interpreted"
+        #: Run every pass on the interpreted matcher (the test oracle).
+        self._interpreted = interpreted
         # Columnar seeds read each round's buckets as interned columns.
-        self._partition = (partial(IntDeltaIndex, interner=db.interner)
-                           if self._executor == "columnar" else DeltaIndex)
+        self._partition = (DeltaIndex if interpreted
+                           else partial(IntDeltaIndex, interner=db.interner))
         self._stats = stats
         self._strata = stratify(self._rules)
         self._stratum_of: dict[int, int] = {}
@@ -793,9 +788,9 @@ class Maintainer:
                         # aliveness re-check must be existential over
                         # the whole body -- seeding the full (dead)
                         # body valuation would wrongly kill facts whose
-                        # other valuations survive.  (The compiled
-                        # executors already project; the interpreted
-                        # path yields full bindings.)
+                        # other valuations survive.  (The columnar
+                        # plans already project; the interpreted path
+                        # yields full bindings.)
                         head_binding = {v: binding[v]
                                         for v in spec.head_vars}
                         facts = spec.facts(db, head_binding)
@@ -921,8 +916,8 @@ class Maintainer:
                    support: SupportIndex | None) -> None:
         solutions = solve(db, rule.body, {}, self._policy,
                           cache=self._plan_cache,
-                          use_planner=self._use_planner,
-                          compiled=self._compiled)
+                          interpreted=self._interpreted,
+                          budget=self._budget)
         for binding in list(solutions):
             if support is not None:
                 support.observe(rule, binding, db)
@@ -932,70 +927,43 @@ class Maintainer:
 
     def _body_solvable(self, rule: NormalizedRule,
                        binding: Binding) -> bool:
-        """One goal-directed existence check of a rule body."""
-        if not self._use_planner:
-            for _ in solve(self._db, rule.body, binding, self._policy,
-                           use_planner=False):
-                return True
-            return False
+        """One goal-directed existence check of a rule body.
+
+        Columnar plans short-circuit inside the plan in small chunks
+        (:meth:`~repro.engine.columnar.ColumnarPlan.exists`): the check
+        wants the first surviving row, not all of them.
+        """
         bound = relevant_bound(rule.body, binding)
         plan = self._plan_cache.get(self._db, rule.body, bound)
-        if self._executor in ("columnar", "batch"):
-            return solve_exists(self._db, rule.body, binding, self._policy,
-                                plan=plan, executor=self._executor,
-                                stats=self._stats, budget=self._budget)
-        for _ in execute_plan(self._db, plan, binding, self._policy,
-                              compiled=self._compiled,
-                              budget=self._budget):
-            return True
-        return False
+        if self._interpreted:
+            for _ in execute_plan(self._db, plan, binding, self._policy,
+                                  interpreted=True, budget=self._budget):
+                return True
+            return False
+        return compile_columnar_plan(self._db, plan, self._policy).exists(
+            binding, self._stats, self._budget)
 
     def _delta_solutions(self, rule: NormalizedRule, position: int,
                          batch: DeltaIndex):
         """Solutions of a rule body seeded from ``batch`` at ``position``.
 
-        Yields head-variable bindings, using the cached compiled delta
-        kernel for the position (the engine's own semi-naive machinery)
-        or the interpreted seed walk when compilation is off.
+        Yields head-variable bindings through the cached columnar delta
+        plan for the position (the engine's own semi-naive machinery),
+        or full body bindings from the interpreted seed walk.
         """
         atom = rule.body[position]
-        if not self._use_planner:
-            rest = rule.body[:position] + rule.body[position + 1:]
-            for seed in match_atom_delta(self._db, atom, {}, batch.entries,
-                                         self._policy):
-                yield from solve(self._db, list(rest), seed, self._policy,
-                                 use_planner=False)
-            return
         key = (id(rule), position)
         record = self._delta_execs.get(key)
         if record is None:
             rest = rule.body[:position] + rule.body[position + 1:]
             bound = relevant_bound(rest, atom.variables())
-            plan = self._plan_cache.get(self._db, rest, bound)
-            execute = None
-            record = _DeltaExec(atom, rest, plan, execute)
-            if self._executor == "columnar":
-                from repro.engine.columnar import compile_columnar_delta_plan
-
+            record = _DeltaExec(self._plan_cache.get(self._db, rest, bound))
+            if not self._interpreted:
                 record.execute_cols, record.head_pairs = \
                     compile_columnar_delta_plan(
-                        self._db, atom, plan, self._policy
+                        self._db, atom, record.plan, self._policy
                     ).column_executor(None, project=variables_of(rule.head),
                                       budget=self._budget)
-            elif self._executor == "batch":
-                from repro.engine.batch import compile_batch_delta_plan
-
-                record.execute_cols, record.head_pairs = \
-                    compile_batch_delta_plan(
-                        self._db, atom, plan, self._policy
-                    ).column_executor(None, project=variables_of(rule.head),
-                                      budget=self._budget)
-            elif self._compiled:
-                from repro.engine.compile import compile_delta_plan
-
-                record.execute = compile_delta_plan(
-                    self._db, atom, plan, self._policy
-                ).executor(None, project=variables_of(rule.head))
             self._delta_execs[key] = record
         if record.execute_cols is not None:
             cols, nrows = record.execute_cols(batch)
@@ -1006,13 +974,10 @@ class Maintainer:
             for i in range(nrows):
                 yield {var: cols[slot][i] for var, slot in pairs}
             return
-        if record.execute is not None:
-            yield from record.execute(batch.entries)
-            return
         for seed in match_atom_delta(self._db, atom, {}, batch.entries,
                                      self._policy):
             yield from execute_plan(self._db, record.plan, seed,
-                                    self._policy, compiled=False)
+                                    self._policy, interpreted=True)
 
 
 def _reads_any(rule: NormalizedRule, preds: set[Pred]) -> bool:

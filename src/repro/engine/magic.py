@@ -19,7 +19,7 @@ user's namespace -- the lexer cannot produce it):
 - two bound positions -> ``v_subject[magic$... ->> {v_result}]``.
 
 Because magic facts are plain set facts, the rewritten program runs
-through the *existing* semi-naive, planner-driven, compiled pipeline:
+through the *existing* semi-naive, planner-driven, columnar pipeline:
 magic guards get cardinality estimates, slots, and kernels like any
 other atom, and the planner's statistics (magic sets are tiny) schedule
 them first of their own accord.
@@ -771,7 +771,8 @@ class DemandEngine:
     :func:`rewrite_for_query` so only demanded facts are derived;
     ``magic=False`` evaluates the full fixpoint (the baseline the B11
     benchmark measures against).  Everything else -- semi-naive deltas,
-    the cost-based planner, compiled kernels -- is the ordinary
+    the cost-based planner, columnar kernels (or, with
+    ``interpreted=True``, the interpreted oracle) -- is the ordinary
     :class:`~repro.engine.fixpoint.Engine` machinery.
     """
 
@@ -780,8 +781,7 @@ class DemandEngine:
                                 Iterable[NormalizedRule]],
                  query: QueryLike, *, magic: bool = True,
                  seminaive: bool = True, limits=None,
-                 use_planner: bool = True, compiled: bool = True,
-                 executor: str | None = None,
+                 interpreted: bool = False,
                  record_support: bool = False,
                  budget=None) -> None:
         from repro.engine.fixpoint import Engine
@@ -797,8 +797,7 @@ class DemandEngine:
         else:
             run_rules = rules
         self._engine = Engine(db, run_rules, seminaive=seminaive,
-                              limits=limits, use_planner=use_planner,
-                              compiled=compiled, executor=executor,
+                              limits=limits, interpreted=interpreted,
                               record_support=record_support,
                               budget=budget)
         self.result: Database | None = None

@@ -428,11 +428,11 @@ def _match_negation(db: Database, atom: NegationAtom, binding: Binding,
     plan each time would cost more than the (typically tiny) inner
     conjunction itself.
     """
-    from repro.engine.solve import solve
+    from repro.engine.solve import _solve_dynamic
 
     scoped = {var: obj for var, obj in binding.items()
               if var in atom.inner_variables()}
-    for _ in solve(db, atom.inner, scoped, policy, use_planner=False):
+    for _ in _solve_dynamic(db, list(atom.inner), scoped, policy):
         return
     yield binding
 

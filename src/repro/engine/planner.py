@@ -240,7 +240,7 @@ def _scalar_estimate(db: Database, catalog: CardinalityCatalog,
             rows = min(rows, 1.0)
         if indexed:
             # A variable result bound by an earlier step arrives as a
-            # whole column: the batched executors serve this shape as a
+            # whole column: the columnar executor serves this shape as a
             # merge join over the sorted inverse bucket rather than a
             # per-row probe.
             access = ("method+result index" if isinstance(atom.result, Name)
@@ -414,8 +414,8 @@ def build_plan(db: Database, atoms: Sequence[Atom],
     Repeatedly schedules the cheapest remaining atom under the abstract
     binding (the set of bound variables), then marks the variables that
     atom binds.  Cost ties break towards the atom expected to yield
-    *fewer rows*: the batched executor's dominant cost is the width of
-    the intermediate binding batch (and the tuple executors equally
+    *fewer rows*: the columnar executor's dominant cost is the width of
+    the intermediate binding batch (and the compiled tuple kernels equally
     prefer narrow intermediate results), so among equally cheap steps
     the more selective one goes first.  Raises
     :class:`~repro.errors.EvaluationError` when only blocked negations

@@ -42,16 +42,19 @@ class EngineStats:
     plans_built: int = 0
     #: Body evaluations (seeded delta positions too) reusing a plan.
     plan_cache_hits: int = 0
-    #: Plans lowered to slot/kernel form (bodies + seeded positions).
+    #: Plans lowered to columnar kernels (bodies + seeded positions);
+    #: 0 for an ``interpreted=True`` run.
     plans_compiled: int = 0
     #: Per-step extensions (tuples) observed while executing rule plans;
-    #: the per-kernel row counters summed over the run.  Comparable
-    #: across the batch, compiled, and interpreted executors.
+    #: the per-kernel row counters summed over the run.  Defined the
+    #: same way for the columnar executor and the interpreted oracle.
     tuples: int = 0
-    #: Batched executions performed (one per rule firing or seeded
-    #: delta position pushed through the set-at-a-time executor).
+    #: Columnar executions performed: one per rule firing or seeded
+    #: delta position, plus one per maintenance delta position and
+    #: goal-directed existence check (0 for an interpreted run).
     batches: int = 0
-    #: Solution rows those batched executions produced.
+    #: Solution rows those columnar executions produced (for an
+    #: existence check, the rows it pushed before stopping).
     batch_rows: int = 0
     #: Plans (rule bodies + seeded delta positions) whose solution
     #: batches are realised set-at-a-time: by a simple-head emitter or a

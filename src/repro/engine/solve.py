@@ -10,18 +10,22 @@ atom's boundness pattern -- the only planning input -- evolves
 identically along every branch of the search: a matched data atom binds
 all of its variables.
 
-Plans execute in their **compiled** form by default: variables become
-integer slots, bindings a fixed-size register list, and each step a
-kernel closure specialized at compile time (see
-:mod:`repro.engine.compile`).  ``executor="batch"`` runs the same plan
-set-at-a-time instead -- whole batches of bindings flow through
-column-oriented kernels (:mod:`repro.engine.batch`), which the fixpoint
-engine uses by default; ``compiled=False`` (equivalently
-``executor="interpreted"``) keeps the interpreted dict-binding walk
-(B10's baseline); and the pre-planner behaviour (dynamic greedy
-ordering with fixed penalty constants) is kept as :func:`solve`'s
-``use_planner=False`` mode (B9's baseline).  This is the evaluator
-behind both rule bodies and the public query API.
+This is the solver for *ad-hoc* conjunctions -- ``Query`` answers and
+the maintainer's full rule firings -- and it runs every plan in its
+**compiled** tuple-at-a-time form (:mod:`repro.engine.compile`):
+variables become integer slots, bindings a fixed-size register list,
+and each step a kernel closure specialized at compile time.  Answers
+stream lazily, so an ``ask()`` stops at its first solution.  Rule
+bodies inside a fixpoint run set-at-a-time instead, on the columnar
+executor (:mod:`repro.engine.columnar`).
+
+``interpreted=True`` walks the same plan through the interpreted
+matcher (:func:`~repro.engine.matching.match_atom`) with dict
+bindings: the reference oracle the test suites hold every production
+path to.  The fixed-penalty dynamic order (:func:`_solve_dynamic`) is
+kept only as the inner solver of negation, which is re-entered once per
+candidate binding -- building a statistics plan each time would cost
+more than the (typically tiny) inner conjunction itself.
 """
 
 from __future__ import annotations
@@ -71,59 +75,23 @@ def atom_cost(db: Database, atom: Atom, binding: Binding) -> float:
 # Planned execution
 # ---------------------------------------------------------------------------
 
-#: Valid ``executor=`` values for planned execution.
-EXECUTORS = ("columnar", "batch", "compiled", "interpreted")
-
-
-def resolve_executor(executor: str | None, compiled: bool) -> str:
-    """Map the (executor, legacy compiled flag) pair onto one executor.
-
-    ``executor=None`` preserves the pre-batch API: ``compiled=True``
-    selects the tuple-at-a-time compiled kernels, ``compiled=False`` the
-    interpreted dict-binding walk.
-    """
-    if executor is None:
-        return "compiled" if compiled else "interpreted"
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    return executor
-
-
 def solve(db: Database, atoms: Iterable[Atom],
           binding: Binding | None = None,
           policy: MatchPolicy = UNRESTRICTED,
           *, cache: PlanCache | None = None,
           plan: Plan | None = None,
-          use_planner: bool = True,
-          compiled: bool = True,
-          executor: str | None = None,
+          interpreted: bool = False,
           budget=None) -> Iterator[Binding]:
     """Yield every binding satisfying all ``atoms`` (extends ``binding``).
 
     ``cache`` memoises plans across calls (the engine and the query API
     each own one); ``plan`` short-circuits planning entirely;
-    ``executor`` selects how the plan runs -- ``"batch"`` (set-at-a-time
-    columns), ``"compiled"`` (tuple-at-a-time kernels), or
-    ``"interpreted"`` (the dict-binding walk, B10's baseline); the
-    legacy ``compiled=False`` flag is shorthand for
-    ``executor="interpreted"``; ``use_planner=False`` falls back to
-    the dynamic greedy order with fixed penalty constants (B9's
-    baseline); and ``budget`` (a
-    :class:`~repro.engine.budget.QueryBudget`) inserts cooperative
-    checkpoints into the execution (per kernel step under the batched
-    executors, periodic per-row otherwise).
+    ``interpreted=True`` runs the plan through the interpreted matcher
+    (the test oracle) instead of its compiled kernels; and ``budget``
+    (a :class:`~repro.engine.budget.QueryBudget`) inserts cooperative
+    checkpoints -- once on entry, then every 256 solutions.
     """
     initial = dict(binding or {})
-    if not use_planner:
-        if budget is not None:
-            budget.start()
-            yield from _checked_rows(
-                _solve_dynamic(db, list(atoms), initial, policy), budget)
-            return
-        yield from _solve_dynamic(db, list(atoms), initial, policy)
-        return
     if plan is None:
         atoms_t = tuple(atoms)
         bound = relevant_bound(atoms_t, initial)
@@ -131,45 +99,26 @@ def solve(db: Database, atoms: Iterable[Atom],
             plan = cache.get(db, atoms_t, bound)
         else:
             plan = build_plan(db, atoms_t, bound)
-    yield from execute_plan(db, plan, initial, policy, compiled=compiled,
-                            executor=executor, budget=budget)
+    yield from execute_plan(db, plan, initial, policy,
+                            interpreted=interpreted, budget=budget)
 
 
 def execute_plan(db: Database, plan: Plan,
                  binding: Binding | None = None,
                  policy: MatchPolicy = UNRESTRICTED,
                  counters: list[int] | None = None,
-                 *, compiled: bool = True,
-                 executor: str | None = None,
+                 *, interpreted: bool = False,
                  budget=None) -> Iterator[Binding]:
     """Run a static plan; ``counters[i]`` accumulates step i's actual rows.
 
-    ``executor="compiled"`` (the default, via the legacy ``compiled``
-    flag) lowers the plan once to its slot/kernel form
+    The plan is lowered once to its slot/kernel form
     (:func:`repro.engine.compile.compile_plan`, memoised on the plan)
-    and executes it without per-tuple dispatch or dict copies;
-    ``executor="batch"`` lowers it to column-at-a-time steps instead
-    (:func:`repro.engine.batch.compile_batch_plan`) and pushes whole
-    binding batches through each step; ``executor="interpreted"`` keeps
-    the dict-binding walk.  Per-step counters are comparable across all
-    three executors.  ``budget`` adds cooperative checkpoints (per step
-    batched, periodic per-row otherwise); without one every executor
-    path is unchanged.
+    and executed without per-tuple dispatch or dict copies;
+    ``interpreted=True`` keeps the dict-binding walk instead.  Per-step
+    counters mean the same under both.  ``budget`` adds cooperative
+    checkpoints; without one both paths are unchanged.
     """
-    mode = resolve_executor(executor, compiled)
-    if mode == "columnar":
-        from repro.engine.columnar import compile_columnar_plan
-
-        yield from compile_columnar_plan(db, plan, policy).execute(
-            binding, counters, budget=budget)
-        return
-    if mode == "batch":
-        from repro.engine.batch import compile_batch_plan
-
-        yield from compile_batch_plan(db, plan, policy).execute(
-            binding, counters, budget=budget)
-        return
-    if mode == "compiled":
+    if not interpreted:
         from repro.engine.compile import compile_plan
 
         yield from compile_plan(db, plan, policy).execute(binding, counters,
@@ -225,47 +174,20 @@ def exists(db: Database, atoms: Iterable[Atom],
            policy: MatchPolicy = UNRESTRICTED,
            *, cache: PlanCache | None = None,
            plan: Plan | None = None,
-           compiled: bool = True,
-           executor: str | None = None,
-           stats=None, budget=None) -> bool:
+           interpreted: bool = False,
+           budget=None) -> bool:
     """True iff the conjunction has at least one solution.
 
-    Under the batched executors this short-circuits *inside* the plan:
-    rows flow through the steps in small chunks and the first surviving
-    terminal row returns immediately (see
-    :meth:`repro.engine.batch.BatchPlan.exists`), so an ``ask()`` over
-    a large batch no longer materialises every intermediate row.  The
-    tuple-at-a-time executors already stop at their first solution.
-    ``stats`` (an :class:`~repro.engine.profiler.EngineStats`) accrues
-    ``batches``/``batch_rows`` for the rows actually pushed.
+    Solutions stream tuple-at-a-time, so this stops at the first one.
     """
-    mode = resolve_executor(executor, compiled)
-    if mode in ("columnar", "batch"):
-        initial = dict(binding or {})
-        if plan is None:
-            atoms_t = tuple(atoms)
-            bound = relevant_bound(atoms_t, initial)
-            if cache is not None:
-                plan = cache.get(db, atoms_t, bound)
-            else:
-                plan = build_plan(db, atoms_t, bound)
-        if mode == "columnar":
-            from repro.engine.columnar import compile_columnar_plan
-
-            return compile_columnar_plan(db, plan, policy).exists(
-                initial, stats, budget)
-        from repro.engine.batch import compile_batch_plan
-
-        return compile_batch_plan(db, plan, policy).exists(initial, stats,
-                                                           budget)
     for _ in solve(db, atoms, binding, policy, cache=cache, plan=plan,
-                   compiled=compiled, executor=executor, budget=budget):
+                   interpreted=interpreted, budget=budget):
         return True
     return False
 
 
 # ---------------------------------------------------------------------------
-# Legacy dynamic ordering (fixed penalty constants, benchmark baseline)
+# Dynamic ordering (fixed penalty constants): the negation inner solver
 # ---------------------------------------------------------------------------
 
 #: Cost added per unbound position; bound methods/subjects are the most
@@ -274,7 +196,7 @@ _UNBOUND_PENALTY = 10.0
 
 
 def heuristic_atom_cost(db: Database, atom: Atom, binding: Binding) -> float:
-    """The pre-planner cost heuristic: boundness counting, no statistics."""
+    """The constant-cost heuristic: boundness counting, no statistics."""
     if isinstance(atom, ComparisonAtom):
         unbound = sum(1 for v in atom.variables() if v not in binding)
         # A ready comparison is a free filter; an unready one must wait.
@@ -349,6 +271,7 @@ def _heuristic_negation_cost(atoms: Sequence[Atom], index: int,
 
 def _solve_dynamic(db: Database, atoms: list[Atom], binding: Binding,
                    policy: MatchPolicy) -> Iterator[Binding]:
+    """Solve ``atoms`` picking the cheapest atom at every node."""
     if not atoms:
         yield binding
         return

@@ -48,10 +48,12 @@ QueryInput = Union[str, Reference, Comparison, Sequence[Literal]]
 class Query:
     """Evaluates conjunctive PathLog queries over one database.
 
-    ``compiled=True`` (the default) executes each cached plan through
-    its compiled slot/kernel form (:mod:`repro.engine.compile`);
-    ``compiled=False`` keeps the interpreted dict-binding executor (the
-    B10 baseline).
+    Each conjunction runs its cached plan in the compiled slot/kernel
+    form (:mod:`repro.engine.compile`), tuple at a time, so answers
+    stream lazily and ``ask()`` stops at the first solution; program
+    evaluation underneath runs on the engine's columnar executor.
+    ``interpreted=True`` runs both layers on the interpreted matcher --
+    the reference oracle the test suites compare against.
 
     With ``program=...`` the query runs *over rules*: each query first
     evaluates the program, then answers against the materialised result.
@@ -80,27 +82,20 @@ class Query:
     #: clone, so the cache is a small LRU rather than unbounded.
     _MAX_DEMAND_ENTRIES = 16
 
-    def __init__(self, db: Database, *, compiled: bool = True,
+    def __init__(self, db: Database, *, interpreted: bool = False,
                  program=None, magic: bool = True,
                  seminaive: bool = True, limits=None,
                  incremental: bool = True,
-                 executor: str | None = None,
                  memo_entries: int | None = None,
                  budget=None, thread_safe: bool = False) -> None:
         self._db = db
         self._plans = PlanCache()
-        self._compiled = compiled
+        self._interpreted = interpreted
         #: Cooperative :class:`~repro.engine.budget.QueryBudget` (or
         #: None), shared by every layer a query touches: program
         #: evaluation, incremental maintenance, and the ad-hoc
         #: conjunction solve.  The deadline anchors on first use.
         self._budget = budget
-        #: None defers to the per-layer defaults: ad-hoc conjunction
-        #: solving stays tuple-at-a-time (answers stream lazily -- an
-        #: ``ask()`` stops at the first solution), while program
-        #: evaluation uses the engine's batched default.  An explicit
-        #: value pins both layers.
-        self._executor = executor
         self._program = program
         self._magic = magic
         self._seminaive = seminaive
@@ -200,8 +195,7 @@ class Query:
 
                 engine = Engine(
                     self._db, self._program, seminaive=self._seminaive,
-                    limits=self._limits, compiled=self._compiled,
-                    executor=self._executor,
+                    limits=self._limits, interpreted=self._interpreted,
                     record_support=self._record_support(),
                     budget=budget,
                 )
@@ -227,7 +221,7 @@ class Query:
             engine = DemandEngine(
                 self._db, self._program, key, magic=True,
                 seminaive=self._seminaive, limits=self._limits,
-                compiled=self._compiled, executor=self._executor,
+                interpreted=self._interpreted,
                 record_support=self._record_support(),
                 budget=budget,
             )
@@ -468,8 +462,7 @@ class Query:
         db = self._db_for(atoms, budget)
         seen: set[tuple] = set()
         for binding in solve(db, atoms, {}, cache=self._cache_for(db),
-                             compiled=self._compiled,
-                             executor=self._executor,
+                             interpreted=self._interpreted,
                              budget=budget):
             row = {name: binding[Var(name)] for name in wanted}
             key = tuple(row[name] for name in wanted)
@@ -490,12 +483,7 @@ class Query:
     def ask(self, query: QueryInput, *, budget=None) -> bool:
         """True iff the query has at least one solution.
 
-        Under the batched executors the check short-circuits *inside*
-        the plan (:func:`repro.engine.solve.exists`): rows flow through
-        the kernels in small chunks and the first surviving terminal
-        row answers, instead of materialising every intermediate batch.
-        The tuple-at-a-time executors already stop at their first
-        solution.
+        Answers stream tuple-at-a-time, so this stops at the first one.
         """
         if budget is None:
             budget = self._budget
@@ -503,8 +491,7 @@ class Query:
         atoms = flatten_conjunction(literals)
         db = self._db_for(atoms, budget)
         return solve_exists(db, atoms, {}, cache=self._cache_for(db),
-                            compiled=self._compiled,
-                            executor=self._executor,
+                            interpreted=self._interpreted,
                             budget=budget)
 
     def objects(self, ref: Union[str, Reference],
@@ -532,8 +519,7 @@ class Query:
         found: set[Oid] = set()
         for binding in solve(db, flattened.atoms, {},
                              cache=self._cache_for(db),
-                             compiled=self._compiled,
-                             executor=self._executor,
+                             interpreted=self._interpreted,
                              budget=budget):
             if isinstance(flattened.term, Var):
                 found.add(binding[flattened.term])
@@ -556,7 +542,9 @@ class Query:
         their estimated rows and access path; with ``analyze=True`` (the
         default) the plan is also executed and each step's *actual* row
         count recorded.  The plan comes from the same cache the other
-        query methods use, so what you see is what runs.  The report's
+        query methods use, so what you see is what runs (the kernel
+        column names the compiled form; an ``interpreted=True`` query
+        walks the same plan through the matcher).  The report's
         ``bindings`` counts raw solver bindings; :meth:`all` may return
         fewer rows after projection and deduplication.
 
@@ -577,9 +565,7 @@ class Query:
         try:
             report = explain_conjunction(db, atoms, {},
                                          cache=self._cache_for(db),
-                                         analyze=analyze, title=title,
-                                         compiled=self._compiled,
-                                         executor=self._executor)
+                                         analyze=analyze, title=title)
         except BudgetExceededError:
             # A budget expiry is a real failure, not a planning
             # rejection to render: let it reach the caller.

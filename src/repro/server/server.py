@@ -103,8 +103,6 @@ class ServerConfig:
     drain_ms: float = 5_000.0
     #: Largest accepted/emitted frame, bytes.
     max_frame: int = protocol.MAX_FRAME
-    #: Executor pinned onto the shared Query (None: per-layer defaults).
-    executor: str | None = None
     #: Demand-driven program evaluation (magic sets) on the shared Query.
     magic: bool = True
     #: Whether a ``shutdown`` request over the wire is honoured.
@@ -260,7 +258,6 @@ class Server:
             self._hub = ReplicationHub(self._db)
         self._query = Query(self._db, program=self._program,
                             magic=self.config.magic,
-                            executor=self.config.executor,
                             thread_safe=True)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
@@ -325,7 +322,6 @@ class Server:
             self._db.begin_changes()
             self._query = Query(db, program=self._program,
                                 magic=self.config.magic,
-                                executor=self.config.executor,
                                 thread_safe=True)
 
     async def serve_forever(self) -> None:

@@ -2,8 +2,8 @@
 
 The engine plants named :func:`fault_point` markers at the places where
 a partial failure would be most damaging -- head emission, the
-batch/columnar kernel step loops, each maintenance phase, change-log
-replay.  With no plan installed (the production state) a marker is a
+columnar kernel step loops (existence checks included), each
+maintenance phase, change-log replay.  With no plan installed (the production state) a marker is a
 near-no-op: one module-global load and a ``None`` test.  Tests install
 a :class:`FaultPlan` through one of the context managers and every
 marker reports to it; the plan decides, deterministically, whether to
@@ -139,8 +139,8 @@ def observe() -> Iterator[FaultPlan]:
 SITES = frozenset({
     # engine fixpoint
     "engine.iteration", "engine.emit", "heads.replay",
-    # batched executors
-    "batch.step", "columnar.step",
+    # columnar executor (kernel steps and chunked existence checks)
+    "columnar.step",
     # incremental maintenance phases
     "maintain.apply", "maintain.counting", "maintain.dred",
     "maintain.insert", "maintain.overdelete", "maintain.rederive",

@@ -58,3 +58,19 @@ def test_fixpoint_is_a_model(name):
     for rule in program:
         assert rule_holds(out, rule, max_assignments=2_000_000), \
             f"rule not entailed after fixpoint: {rule}"
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_fixpoint_equals_the_interpreted_oracle(name):
+    """The columnar fixpoint is the one the interpreted matcher reaches."""
+    program = parse_program(PROGRAMS[name])
+    columnar = Engine(Database(), program)
+    oracle = Engine(Database(), program, interpreted=True)
+    left, right = columnar.run(), oracle.run()
+    assert set(left.scalars.items()) == set(right.scalars.items())
+    assert ({key: frozenset(m) for key, m in left.sets.items()}
+            == {key: frozenset(m) for key, m in right.sets.items()})
+    assert (set(left.hierarchy.declared_edges())
+            == set(right.hierarchy.declared_edges()))
+    assert (columnar.stats.derived_total, columnar.stats.virtuals_created) \
+        == (oracle.stats.derived_total, oracle.stats.virtuals_created)

@@ -5,7 +5,8 @@ A semi-naive round fires only the rule positions its delta can seed
 the left-, right- and doubly-recursive formulations of one transitive
 closure (Liu et al.), variable-method atoms (positions every round
 fires), isa-reading rules that receive isa deltas, negation and
-superset strata, virtual-object heads -- must, under every executor:
+superset strata, virtual-object heads -- must, on the columnar
+executor and on the interpreted oracle alike:
 
 - produce exactly the realizer log, round count and ``firings`` /
   ``derived`` / ``tuples`` of a round that fires every position (the
@@ -31,13 +32,16 @@ from hypothesis import strategies as st
 from repro.engine import Engine
 from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.profiler import EngineStats
-from repro.engine.solve import EXECUTORS, solve
+from repro.engine.solve import solve
 from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_program, parse_query
 from repro.query import Query
 from tests.property.strategies import databases, deep_databases
 
 pytestmark = pytest.mark.property
+
+#: The columnar executor, then the interpreted oracle.
+MODES = (False, True)
 
 #: One transitive closure of ``kids``, three ways.
 CLOSURES = {
@@ -169,12 +173,14 @@ def _mutate(db, op):
 @settings(max_examples=60, deadline=None)
 def test_rounds_fire_what_every_position_would(db, rules):
     program = parse_program("\n".join(rules))
-    for executor in EXECUTORS:
-        _, driven, driven_log = _run(Engine(db, program, executor=executor))
+    for interpreted in MODES:
+        _, driven, driven_log = _run(Engine(db, program,
+                                            interpreted=interpreted))
         with mock.patch.object(SeedIndex, "plan", _every_position):
-            _, full, full_log = _run(Engine(db, program, executor=executor))
-        assert driven_log == full_log, executor
-        assert _counters(driven) == _counters(full), executor
+            _, full, full_log = _run(Engine(db, program,
+                                            interpreted=interpreted))
+        assert driven_log == full_log, interpreted
+        assert _counters(driven) == _counters(full), interpreted
         assert driven.batches <= full.batches
         assert driven.plans_built <= full.plans_built
 
@@ -184,10 +190,10 @@ def test_rounds_fire_what_every_position_would(db, rules):
 def test_fixpoint_and_log_match_naive_iteration(db, rules):
     program = parse_program("\n".join(rules))
     results = []
-    for executor in EXECUTORS:
+    for interpreted in MODES:
         for seminaive in (True, False):
             result, stats, log = _run(Engine(
-                db, program, seminaive=seminaive, executor=executor))
+                db, program, seminaive=seminaive, interpreted=interpreted))
             assert len(set(log)) == len(log) == stats.derived_total
             results.append((_facts(result), set(log)))
     assert all(result == results[0] for result in results[1:])
@@ -200,8 +206,8 @@ def test_objects_identity_matches_naive_iteration(db, rules, reference):
     program = parse_program("\n".join(rules))
     denotations = [
         Query(db, program=program, seminaive=seminaive,
-              executor=executor).objects(reference)
-        for executor in EXECUTORS for seminaive in (True, False)
+              interpreted=interpreted).objects(reference)
+        for interpreted in MODES for seminaive in (True, False)
     ]
     assert all(result == denotations[0] for result in denotations[1:])
 
@@ -212,13 +218,14 @@ def test_objects_identity_matches_naive_iteration(db, rules, reference):
 def test_magic_rewritten_rounds(db, rules, query):
     program = parse_program("\n".join(rules))
     expected = _answers(Engine(db, program).run(), query)
-    for executor in EXECUTORS:
+    for interpreted in MODES:
         runs = []
         for seminaive, plan in ((True, _seeded_plan),
                                 (True, _every_position),
                                 (False, _seeded_plan)):
             engine = Engine.for_query(db, program, query,
-                                      seminaive=seminaive, executor=executor)
+                                      seminaive=seminaive,
+                                      interpreted=interpreted)
             with mock.patch.object(SeedIndex, "plan", plan):
                 runs.append(_run(engine))
         (driven, stats, log), (_, full, full_log), (naive, _, naive_log) = runs
@@ -234,14 +241,14 @@ def test_closure_shape_does_not_change_the_closure(db, rules):
     program = parse_program("\n".join(rules + list(
         rule for shape in CLOSURES.values() for rule in shape
         if rule not in rules)))
-    for executor in EXECUTORS:
-        result = Engine(db, program, executor=executor).run()
+    for interpreted in MODES:
+        result = Engine(db, program, interpreted=interpreted).run()
         left, right, double = (
             {(subject, member)
              for (method, subject, _), members in result.sets.items()
              if method == result.obj(name) for member in members}
             for name in ("tcl", "tcr", "tcd"))
-        assert left == right == double, executor
+        assert left == right == double, interpreted
 
 
 @given(db=databases(), rules=programs(), magic=st.booleans(),
@@ -251,7 +258,7 @@ def test_maintenance_cycles_match_scratch(db, rules, magic, ops):
     db.begin_changes()
     program = parse_program("\n".join(rules))
     queries = [Query(db, program=program, incremental=True, magic=magic,
-                     executor=executor) for executor in EXECUTORS]
+                     interpreted=interpreted) for interpreted in MODES]
     for op in [None, *ops]:
         if op is not None:
             _mutate(db, op)

@@ -47,7 +47,7 @@ MAINTAIN_SITES = (
 )
 
 ALL_SITES = MAINTAIN_SITES + (
-    "engine.iteration", "engine.emit", "batch.step", "columnar.step",
+    "engine.iteration", "engine.emit", "columnar.step",
 )
 
 
@@ -101,13 +101,12 @@ def snapshot(db):
 
 
 @given(steps=mutations(), query=st.sampled_from(QUERIES),
-       executor=st.sampled_from(("batch", "columnar")),
        magic=st.booleans(),
        seed=st.integers(0, 2 ** 16),
        rate=st.sampled_from((0.01, 0.05, 0.2)))
 @settings(max_examples=200, deadline=None)
 def test_faulted_cycles_never_corrupt_answers(
-        steps, query, executor, magic, seed, rate):
+        steps, query, magic, seed, rate):
     """The workhorse: query/mutate/query cycles under random faults.
 
     After every mutation the memoised query runs once inside a random
@@ -118,8 +117,7 @@ def test_faulted_cycles_never_corrupt_answers(
     db = seeded_db()
     log = db.begin_changes()
     program = parse_program(RULES)
-    maintained = Query(db, program=program, magic=magic,
-                       executor=executor)
+    maintained = Query(db, program=program, magic=magic)
     answer_keys(maintained, query)  # materialise + memoise, unfaulted
     for op in steps:
         apply_mutation(db, op)
@@ -131,7 +129,7 @@ def test_faulted_cycles_never_corrupt_answers(
         assert log.in_sync(db.data_version(), log.cursor())
         retry = answer_keys(maintained, query)
         scratch = Query(db, program=program, magic=magic,
-                        executor=executor, incremental=False)
+                        incremental=False)
         assert retry == answer_keys(scratch, query)
 
 

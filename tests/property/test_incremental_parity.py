@@ -107,7 +107,7 @@ def test_maintained_answers_equal_scratch_after_every_mutation(
     db.begin_changes()
     program = parse_program(RULES)
     maintained = Query(db, program=program, magic=False)
-    interpreted = Query(db, program=program, magic=False, compiled=False)
+    interpreted = Query(db, program=program, magic=False, interpreted=True)
     demand = Query(db, program=program, magic=True)
     try:
         answer_keys(maintained, query)

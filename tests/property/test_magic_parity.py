@@ -3,7 +3,7 @@
 Random small programs over random databases, queried through the
 ``Query(db, program=...)`` front door: ``magic=True`` (demand-driven),
 ``magic=False`` (materialise the full fixpoint), and the interpreted
-executor (``compiled=False``) must return identical answer sets for
+oracle (``interpreted=True``) must return identical answer sets for
 every query.  This pins the tentpole invariant of the magic-set
 rewrite: guarding rules with demand atoms restricts *work*, never
 *answers* -- including when parts of the program fall back to full
@@ -71,9 +71,9 @@ def test_magic_full_and_interpreted_answers_identical(db, rules, query):
     program = parse_program("\n".join(rules))
     magic = _answers(db, program, query, magic=True)
     full = _answers(db, program, query, magic=False)
-    interpreted = _answers(db, program, query, magic=True, compiled=False)
+    interpreted = _answers(db, program, query, magic=True, interpreted=True)
     full_interpreted = _answers(db, program, query, magic=False,
-                                compiled=False)
+                                interpreted=True)
     assert magic == full == interpreted == full_interpreted
 
 

@@ -1,18 +1,25 @@
-"""Batched-executor tests: column kernels, delta seeds, head emitters."""
+"""Boxed column kernels: the per-slot fallback steps of columnar plans.
+
+Every plan here is lowered by ``compile_columnar_plan``; the queries
+are shaped so the steps under test read boxed columns (after an isa
+step, a builtin, a bridge), which is where a columnar plan runs the
+boxed ``batch ...`` kernels of :mod:`repro.engine.batch`.
+"""
 
 import pytest
 
 from repro.core.ast import Var
 from repro.engine import Engine
-from repro.engine.batch import (
-    compile_batch_delta_plan,
-    compile_batch_plan,
-    head_emitter,
+from repro.engine.batch import head_emitter
+from repro.engine.columnar import (
+    compile_columnar_delta_plan,
+    compile_columnar_plan,
 )
-from repro.engine.compile import compile_delta_plan, compile_plan
+from repro.engine.compile import compile_plan
+from repro.engine.matching import UNRESTRICTED, match_atom_delta
 from repro.engine.normalize import normalize_program
 from repro.engine.planner import build_plan, relevant_bound
-from repro.engine.solve import execute_plan, resolve_executor, solve
+from repro.engine.solve import execute_plan, solve
 from repro.errors import EvaluationError, ScalarConflictError
 from repro.flogic.atoms import SetMemberAtom
 from repro.flogic.flatten import flatten_conjunction
@@ -48,7 +55,14 @@ def atoms_for(text):
 def batched(db, text, bound=()):
     atoms = atoms_for(text)
     plan = build_plan(db, atoms, bound)
-    return compile_batch_plan(db, plan), plan, atoms
+    return compile_columnar_plan(db, plan), plan, atoms
+
+
+def rows(compiled, binding=None, counters=None, project=None):
+    """A columnar plan's solutions as dicts (OID-valued)."""
+    execute, out = compiled.column_executor(counters, project)
+    cols, nrows = execute(binding)
+    return [{var: cols[slot][i] for var, slot in out} for i in range(nrows)]
 
 
 def answer_set(bindings):
@@ -57,15 +71,22 @@ def answer_set(bindings):
 
 class TestKernelSelection:
     def test_probe_and_filter_kernels(self, db):
-        compiled, _, _ = batched(db, "Y[color -> blue], X[vehicles ->> {Y}]")
-        assert compiled.kernel_names == ("batch scalar mr-probe",
+        # The isa step boxes Y, so the member probe reads a boxed column.
+        compiled, _, _ = batched(
+            db, "Y : automobile, Y[color -> blue], X[vehicles ->> {Y}]")
+        assert compiled.kernel_names == ("int scalar mr-probe",
+                                         "batch isa check",
                                          "batch set mm-probe")
+        compiled, _, _ = batched(db, "C : automobile, Y[color -> C]")
+        assert compiled.kernel_names == ("batch isa members",
+                                         "batch scalar mr-probe")
 
     def test_subject_navigation_kernels(self, db):
-        atoms = atoms_for("X[vehicles ->> {V}], V[color -> C]")
-        plan = build_plan(db, atoms, {Var("X")})
-        compiled = compile_batch_plan(db, plan)
-        assert compiled.kernel_names == ("batch set iter", "batch scalar get")
+        compiled, _, _ = batched(
+            db, "X : employee, X[vehicles ->> {V}], V[color -> C]")
+        assert compiled.kernel_names == ("batch isa members",
+                                         "batch set iter",
+                                         "batch scalar get")
 
     def test_isa_and_compare_kernels(self, db):
         compiled, _, _ = batched(db, "X : employee, X.age >= 35")
@@ -86,9 +107,10 @@ class TestKernelSelection:
 
     def test_memoised_per_database_and_policy(self, db):
         _, plan, _ = batched(db, "X[vehicles ->> {V}]")
-        assert compile_batch_plan(db, plan) is compile_batch_plan(db, plan)
+        assert (compile_columnar_plan(db, plan)
+                is compile_columnar_plan(db, plan))
         # The tuple-at-a-time lowering coexists under its own cache key.
-        assert compile_plan(db, plan) is not compile_batch_plan(db, plan)
+        assert compile_plan(db, plan) is not compile_columnar_plan(db, plan)
 
 
 class TestExecutionParity:
@@ -104,87 +126,85 @@ class TestExecutionParity:
         "X : employee, not X[age -> 30]",    # negation bridge
         "X[M ->> {V}]",                      # unbound method enumeration
         "Y[cylinders -> 6]",                 # single probe
+        "C : automobile, Y[color -> C]",     # boxed inverse probe
     ]
 
     def test_same_answers_as_other_executors(self, db):
         for text in self.QUERIES:
-            atoms = atoms_for(text)
-            batch = answer_set(solve(db, atoms, executor="batch"))
-            tuple_ = answer_set(solve(db, atoms, executor="compiled"))
-            interp = answer_set(solve(db, atoms, compiled=False))
+            compiled, _, atoms = batched(db, text)
+            batch = answer_set(rows(compiled))
+            tuple_ = answer_set(solve(db, atoms))
+            interp = answer_set(solve(db, atoms, interpreted=True))
             assert batch == tuple_ == interp, text
 
     def test_counters_match_tuple_executor(self, db):
         for text in self.QUERIES:
-            atoms = atoms_for(text)
-            plan = build_plan(db, atoms, ())
+            compiled, plan, _ = batched(db, text)
             batch_counters = [0] * len(plan.steps)
             tuple_counters = [0] * len(plan.steps)
-            list(execute_plan(db, plan, {}, counters=batch_counters,
-                              executor="batch"))
-            list(execute_plan(db, plan, {}, counters=tuple_counters,
-                              executor="compiled"))
+            rows(compiled, counters=batch_counters)
+            list(execute_plan(db, plan, {}, counters=tuple_counters))
             assert batch_counters == tuple_counters, text
 
     def test_seed_binding_extends_rows(self, db):
         atoms = atoms_for("X[vehicles ->> {V}], V[color -> C]")
         bound = relevant_bound(atoms, {Var("X")})
         plan = build_plan(db, atoms, bound)
-        compiled = compile_batch_plan(db, plan)
-        rows = list(compiled.execute({Var("X"): n("p1")}))
-        assert all(row[Var("X")] == n("p1") for row in rows)
-        assert {row[Var("V")] for row in rows} == {n("car0"), n("car1")}
+        out = rows(compile_columnar_plan(db, plan), {Var("X"): n("p1")})
+        assert all(row[Var("X")] == n("p1") for row in out)
+        assert {row[Var("V")] for row in out} == {n("car0"), n("car1")}
 
     def test_missing_seed_variable_raises(self, db):
-        _, plan, _ = batched(db, "X[age -> A]", bound={Var("X")})
-        compiled = compile_batch_plan(db, plan)
+        compiled, _, _ = batched(db, "X[age -> A]", bound={Var("X")})
         with pytest.raises(EvaluationError, match="seed binding"):
-            list(compiled.execute({}))
+            rows(compiled, {})
         with pytest.raises(EvaluationError, match="no seed binding"):
-            list(compiled.execute(None))
+            rows(compiled, None)
 
     def test_extra_seed_variable_raises(self, db):
-        _, plan, _ = batched(db, "X[age -> A]", bound={Var("X")})
-        compiled = compile_batch_plan(db, plan)
+        compiled, _, _ = batched(db, "X[age -> A]", bound={Var("X")})
         with pytest.raises(EvaluationError, match="also binds"):
-            list(compiled.execute({Var("X"): n("p1"), Var("A"): n(30)}))
+            rows(compiled, {Var("X"): n("p1"), Var("A"): n(30)})
 
     def test_projection_restricts_output(self, db):
         compiled, _, _ = batched(db, "X[vehicles ->> {V}], V[color -> C]")
-        rows = list(compiled.executor(project=(Var("X"),))(None))
-        assert rows and all(set(row) == {Var("X")} for row in rows)
-
-    def test_resolve_executor_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("vectorized", True)
+        out = rows(compiled, project=(Var("X"),))
+        assert out and all(set(row) == {Var("X")} for row in out)
 
 
 class TestDeltaPlans:
     def test_delta_columns_match_tuple_delta(self, db):
+        """The columnar delta plan equals the interpreted seed walk."""
         atom = SetMemberAtom(Name("vehicles"), Var("X"), (), Var("V"))
         rest = atoms_for("V[color -> C]")
         bound = relevant_bound(rest, atom.variables())
         plan = build_plan(db, rest, bound)
-        batch = compile_batch_delta_plan(db, atom, plan)
-        tuple_ = compile_delta_plan(db, atom, plan)
+        batch = compile_columnar_delta_plan(db, atom, plan)
         delta = [
             ("set", n("vehicles"), n("p1"), (), n("car0")),
             ("scalar", n("age"), n("p1"), (), n(30)),  # wrong kind
             ("set", n("vehicles"), n("p2"), (), n("car2")),
         ]
-        assert (answer_set(batch.execute(delta))
-                == answer_set(tuple_.execute(delta)))
         batch_counters = [0] * (len(plan.steps) + 1)
-        tuple_counters = [0] * (len(plan.steps) + 1)
-        list(batch.executor(batch_counters)(delta))
-        list(tuple_.executor(tuple_counters)(delta))
-        assert batch_counters == tuple_counters == [2, 2]
+        execute, out = batch.column_executor(batch_counters)
+        cols, nrows = execute(delta)
+        got = {frozenset((var, cols[slot][i]) for var, slot in out)
+               for i in range(nrows)}
+        seeds, rest_counters = 0, [0] * len(plan.steps)
+        want = set()
+        for seed in match_atom_delta(db, atom, {}, delta, UNRESTRICTED):
+            seeds += 1
+            want |= answer_set(execute_plan(db, plan, seed,
+                                            counters=rest_counters,
+                                            interpreted=True))
+        assert got == want
+        assert batch_counters == [seeds, *rest_counters] == [2, 2]
 
     def test_whole_log_becomes_one_batch(self, db):
         atom = SetMemberAtom(Name("vehicles"), Var("X"), (), Var("V"))
         rest = atoms_for("V[color -> C]")
         plan = build_plan(db, rest, relevant_bound(rest, atom.variables()))
-        batch = compile_batch_delta_plan(db, atom, plan)
+        batch = compile_columnar_delta_plan(db, atom, plan)
         execute, out = batch.column_executor()
         delta = [("set", n("vehicles"), n("p1"), (), n("car0")),
                  ("set", n("vehicles"), n("p1"), (), n("car1"))]
@@ -268,36 +288,30 @@ class TestEngineIntegration:
             db.add_object(f"n{i}", scalars={"next": f"n{i + 1}"})
         return db
 
-    def _sets(self, db):
-        return {(key, frozenset(bucket)) for key, bucket in db.sets.items()}
-
     def test_columnar_is_the_engine_default(self, chain_db):
         engine = Engine(chain_db, parse_program(self.PROGRAM))
         engine.run()
-        assert engine._executor == "columnar"
+        assert engine.stats.plans_compiled > 0
         assert engine.stats.batches > 0
         assert engine.stats.batch_rows > 0
-
-    def test_fixpoint_and_tuple_counters_match_compiled(self, chain_db):
-        program = parse_program(self.PROGRAM)
-        batch = Engine(chain_db, program, executor="batch")
-        via_batch = batch.run()
-        tuple_ = Engine(chain_db, program, executor="compiled")
-        via_tuple = tuple_.run()
-        assert self._sets(via_batch) == self._sets(via_tuple)
-        assert batch.stats.tuples == tuple_.stats.tuples
-        assert batch.stats.firings == tuple_.stats.firings
-        assert batch.stats.derived_total == tuple_.stats.derived_total
-        assert tuple_.stats.batches == 0
+        oracle = Engine(chain_db, parse_program(self.PROGRAM),
+                        interpreted=True)
+        oracle.run()
+        assert oracle.stats.plans_compiled == oracle.stats.batches == 0
 
     def test_explain_names_batch_kernels(self, chain_db):
-        engine = Engine(chain_db, parse_program(self.PROGRAM),
-                        executor="batch")
+        # ``Y : hub`` has no int form: its step keeps the boxed kernel
+        # inside the rule's columnar plan.
+        engine = Engine(chain_db, parse_program(self.PROGRAM + """
+            n2 : hub.
+            X[hub_reach ->> {Y}] <- X[reach ->> {Y}], Y : hub.
+        """))
         engine.run()
-        report = engine.plan_reports()[0]
-        assert report.compiled
-        assert all(step.kernel.startswith("batch")
-                   for step in report.steps)
+        kernels = [step.kernel for report in engine.plan_reports()
+                   for step in report.steps]
+        assert all(kernels)
+        assert "batch isa check" in kernels
+        assert any(kernel.startswith("int ") for kernel in kernels)
 
     def test_support_recording_still_observes_per_binding(self, chain_db):
         chain_db.begin_changes()

@@ -22,7 +22,9 @@ from repro.lang.parser import parse_program
 from repro.oodb.database import Database
 from repro.query.query import Query
 
-EXECUTORS = ["columnar", "batch", "compiled", "interpreted"]
+#: The production path, then the interpreted oracle.
+MODES = [pytest.param(False, id="columnar"),
+         pytest.param(True, id="interpreted")]
 
 DESC = """
     peter[kids ->> {tim, mary}].
@@ -123,12 +125,12 @@ class TestQueryBudget:
 
 
 class TestEngineBudget:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_max_derived_stops_fixpoint(self, executor):
+    @pytest.mark.parametrize("interpreted", MODES)
+    def test_max_derived_stops_fixpoint(self, interpreted):
         db = Database()
         before = db.data_version()
         budget = QueryBudget(max_derived=2)
-        engine = Engine(db, parse_program(DESC), executor=executor,
+        engine = Engine(db, parse_program(DESC), interpreted=interpreted,
                         budget=budget)
         with pytest.raises(BudgetExceededError) as info:
             engine.run()
@@ -142,12 +144,12 @@ class TestEngineBudget:
         assert len(db) == 0
         assert db.data_version() == before
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_timeout_stops_fixpoint(self, executor):
+    @pytest.mark.parametrize("interpreted", MODES)
+    def test_timeout_stops_fixpoint(self, interpreted):
         budget = QueryBudget(timeout_ms=500,
                              clock=stepping_clock(step=1.0))
         engine = Engine(Database(), parse_program(DESC),
-                        executor=executor, budget=budget)
+                        interpreted=interpreted, budget=budget)
         with pytest.raises(EvaluationTimeout):
             engine.run()
 
@@ -198,6 +200,31 @@ class TestQueryBudgetThreading:
         db.assert_isa(db.obj("p1"), db.obj("employee"))
         query = Query(db, budget=QueryBudget(timeout_ms=None))
         assert query.ask("p1 : employee")
+
+    @pytest.mark.parametrize("interpreted, site", [
+        pytest.param(False, "compiled.run", id="compiled"),
+        pytest.param(True, "solve.rows", id="interpreted")])
+    def test_adhoc_answers_stop_at_a_row_checkpoint(self, interpreted,
+                                                    site):
+        # Both solvers check on entry, then every 256 answers: a cancel
+        # after the entry check is noticed at row 256, not at the end.
+        class CancelAfterEntry(QueryBudget):
+            def check(self, where, **kw):
+                super().check(where, **kw)
+                if where == site:
+                    self.cancel()
+
+        db = Database()
+        for i in range(600):
+            db.assert_isa(db.obj(f"i{i}"), db.obj("item"))
+        query = Query(db, interpreted=interpreted)
+        rows = query.solutions("X : item", budget=CancelAfterEntry())
+        taken = 0
+        with pytest.raises(EvaluationCancelled) as info:
+            for _ in rows:
+                taken += 1
+        assert info.value.site == site
+        assert taken == 255
 
 
 class TestMaintainerBudget:
@@ -259,6 +286,91 @@ class TestMaintainerBudget:
         assert query.last_maintenance.applied
 
 
+def _state(db):
+    return (dict(db.scalars.items()),
+            {key: frozenset(members) for key, members in db.sets.items()},
+            set(db.hierarchy.declared_edges()))
+
+
+class TestMaintainerCheckpointSites:
+    """Where a maintenance pass notices an expiry, by the site it names."""
+
+    #: Tracked, non-recursive: deleting a kid re-checks the parent's
+    #: support with one goal-directed existence check.
+    COUNTING = "X[parent -> yes] <- X[kids ->> {Y}]."
+
+    def _counting_apply(self, budget=None):
+        db = Database()
+        log = db.begin_changes()
+        for kid in ("tim", "mary"):
+            db.assert_set_member(db.obj("kids"), db.obj("peter"), (),
+                                 db.obj(kid))
+        engine = Engine(db, parse_program(self.COUNTING),
+                        record_support=True, budget=budget)
+        result = engine.run()
+        cursor = log.cursor()
+        db.retract_set_member(db.obj("kids"), db.obj("peter"), (),
+                              db.obj("tim"))
+        return engine.maintainer(result, db), log.since(cursor), result
+
+    def test_expiry_inside_an_existence_check_reports_columnar_step(self):
+        class CancelAfterCounting(QueryBudget):
+            # The counting checkpoint passes, then the budget is gone:
+            # the next checkpoint is the existence check's first step.
+            def check(self, site, **kw):
+                super().check(site, **kw)
+                if site == "maintain.counting":
+                    self.cancel()
+
+        maintainer, changes, result = self._counting_apply(
+            CancelAfterCounting())
+        before = _state(result)
+        with pytest.raises(EvaluationCancelled) as info:
+            maintainer.apply(changes)
+        assert info.value.site == "columnar.step"
+        assert _state(result) == before
+
+    def test_existence_checks_are_columnar_step_fault_points(self):
+        from repro.testing.faults import observe
+
+        # The one-atom body leaves the delta plans no step to run, so
+        # every columnar.step hit here is the support re-check.
+        maintainer, changes, result = self._counting_apply()
+        with observe() as plan:
+            report = maintainer.apply(changes)
+        assert report.kept_by_support == 1
+        assert plan.counts.get("columnar.step", 0) >= 1
+        assert "batch.step" not in plan.counts
+
+    def test_expiry_mid_full_firing_stops_at_compiled_run(self):
+        # An isa insertion fires the isa-reading rule in full through
+        # the compiled solver; 300 rows cross its 256-row checkpoint.
+        clock = ManualClock()
+
+        class ExpiresMidFiring(QueryBudget):
+            def check(self, site, **kw):
+                super().check(site, **kw)
+                if site == "compiled.run":
+                    clock.now = 10.0  # time runs out inside the firing
+
+        db = Database()
+        log = db.begin_changes()
+        for i in range(300):
+            db.add_object(f"i{i}", scalars={"flag": "on"})
+        engine = Engine(db, parse_program(
+            "X[seen ->> {Y}] <- X : watcher, Y[flag -> on]."),
+            budget=ExpiresMidFiring(timeout_ms=500, clock=clock))
+        result = engine.run()
+        cursor = log.cursor()
+        db.assert_isa(db.obj("w1"), db.obj("watcher"))
+        maintainer = engine.maintainer(result, db)
+        before = _state(result)
+        with pytest.raises(EvaluationTimeout) as info:
+            maintainer.apply(log.since(cursor))
+        assert info.value.site == "compiled.run"
+        assert _state(result) == before
+
+
 class TestRowwiseCheckpoints:
     """Row-at-a-time fallback steps (negation, superset, dynamic
     dispatch) consult the *activated* budget every
@@ -272,12 +384,29 @@ class TestRowwiseCheckpoints:
             db.add_object(f"i{i}", classes=["item"], scalars=scalars)
         return db
 
-    def _fallback_atoms(self):
+    def _run_fallback(self, entry, budget):
+        """Rows the negation fallback lets through, under ``budget``.
+
+        ``columnar`` runs the conjunction's columnar plan directly;
+        ``engine`` fires it as a rule body inside a fixpoint run.
+        """
+        db = self._fallback_db(600)
+        if entry == "engine":
+            engine = Engine(db, parse_program(
+                "X[unflagged -> 1] <- X : item, not X[flag -> on]."),
+                budget=budget)
+            engine.run()
+            return engine.stats.derived_total
+        from repro.engine.columnar import compile_columnar_plan
+        from repro.engine.planner import build_plan
         from repro.flogic.flatten import flatten_conjunction
         from repro.lang.parser import parse_query
 
-        return flatten_conjunction(parse_query(
+        atoms = flatten_conjunction(parse_query(
             "X : item, not X[flag -> on]"))
+        execute, _ = compile_columnar_plan(
+            db, build_plan(db, atoms)).column_executor(budget=budget)
+        return execute()[1]
 
     def test_detection_latency_is_one_row_interval(self):
         # Drive the fallback step directly: the kernel's clock advances
@@ -317,10 +446,8 @@ class TestRowwiseCheckpoints:
         assert step([list(range(1000))], 1000) == 1000
         assert len(rows) == 1000
 
-    @pytest.mark.parametrize("executor", ["batch", "columnar"])
-    def test_negation_fallback_hits_rowwise_checkpoints(self, executor):
-        from repro.engine.solve import solve
-
+    @pytest.mark.parametrize("entry", ["columnar", "engine"])
+    def test_negation_fallback_hits_rowwise_checkpoints(self, entry):
         recorded = []
 
         class Recording(QueryBudget):
@@ -328,27 +455,20 @@ class TestRowwiseCheckpoints:
                 recorded.append(site)
                 super().check(site, **kw)
 
-        db = self._fallback_db(600)
-        answers = list(solve(db, self._fallback_atoms(),
-                             executor=executor, budget=Recording()))
-        assert len(answers) == 300
+        assert self._run_fallback(entry, Recording()) == 300
         assert recorded.count("batch.rowwise") >= 2  # rows 256 and 512
 
-    @pytest.mark.parametrize("executor", ["batch", "columnar"])
-    def test_cancel_noticed_mid_batch(self, executor):
+    @pytest.mark.parametrize("entry", ["columnar", "engine"])
+    def test_cancel_noticed_mid_batch(self, entry):
         # cancel() only flips a flag; the raise happens at the next
         # checkpoint.  With 600 rows in the negation fallback that is
         # row 256 of the batch, not the end of it.
-        from repro.engine.solve import solve
-
         class CancelAtRowwise(QueryBudget):
             def check(self, site, **kw):
                 if site == "batch.rowwise":
                     self.cancel()
                 super().check(site, **kw)
 
-        db = self._fallback_db(600)
         with pytest.raises(EvaluationCancelled) as info:
-            list(solve(db, self._fallback_atoms(),
-                       executor=executor, budget=CancelAtRowwise()))
+            self._run_fallback(entry, CancelAtRowwise())
         assert info.value.site == "batch.rowwise"

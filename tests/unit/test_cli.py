@@ -57,29 +57,6 @@ class TestEvaluation:
                          "--query", "X[senior -> yes]")
         assert code == 0
 
-    def test_executor_flag_answers_and_stats(self, program_file):
-        expected = invoke(program_file, "--query", "X[senior -> yes]")[1]
-        for executor in ("columnar", "batch", "compiled", "interpreted"):
-            code, output = invoke(program_file, "--executor", executor,
-                                  "--query", "X[senior -> yes]")
-            assert code == 0
-            assert output == expected
-        code, output = invoke(program_file, "--executor", "batch",
-                              "--stats")
-        assert code == 0
-        assert "stats batches:" in output
-        code, output = invoke(program_file, "--executor", "interpreted",
-                              "--stats")
-        assert code == 0
-        assert "stats batches: 0" in output
-
-    def test_executor_flag_on_explain_subcommand(self, program_file):
-        code, output = invoke("explain", "X[senior -> yes]",
-                              "--program", program_file,
-                              "--executor", "batch")
-        assert code == 0
-        assert "batch" in output
-
 
 class TestSnapshots:
     def test_dump_and_reload(self, program_file, tmp_path):
@@ -116,13 +93,15 @@ plan: X : employee..vehicles[color -> red]
 estimated 0.8 rows; 1 bindings
 """
 
-#: The same plan under ``--executor columnar``: int-mirror-served steps
+#: The same conjunction as a rule body, from the engine's ``--explain``:
+#: rule bodies run on the columnar executor, so int-mirror-served steps
 #: carry ``int ...`` kernel labels (including the merge-join access
 #: path of step 2), while the isa step -- which has no surrogate
 #: mirror -- keeps its boxed ``batch ...`` fallback kernel.  Pinned as
 #: a rendering snapshot.
-COLUMNAR_EXPLAIN_SNAPSHOT = """\
-plan: X : employee..vehicles[color -> red]
+RED_OWNER_RULE = "X[redOwner -> yes] <- X : employee..vehicles[color -> red]."
+
+COLUMNAR_EXPLAIN_SNAPSHOT = f"plan: {RED_OWNER_RULE}\n" + """\
 #  atom                   access path                  kernel                 est.rows  rows
 -  ---------------------  ---------------------------  ---------------------  --------  ----
 1  _V1[color -> red]      method+result index          int scalar mr-probe           1     1
@@ -146,11 +125,15 @@ class TestExplain:
         assert code == 0
         assert output == EXPLAIN_SNAPSHOT
 
-    def test_explain_columnar_snapshot(self, explain_program):
-        code, output = invoke("explain",
-                              "X : employee..vehicles[color -> red]",
-                              "--program", explain_program,
-                              "--executor", "columnar")
+    def test_explain_columnar_snapshot(self, explain_program, tmp_path):
+        # The facts come from a snapshot, so the rule is planned against
+        # their statistics (facts in the program would be derived by
+        # the run itself, after planning).
+        snapshot = tmp_path / "db.json"
+        assert invoke(explain_program, "--dump", snapshot)[0] == 0
+        rule = tmp_path / "rule.plog"
+        rule.write_text(RED_OWNER_RULE)
+        code, output = invoke(rule, "--db", snapshot, "--explain")
         assert code == 0
         assert output == COLUMNAR_EXPLAIN_SNAPSHOT
 
@@ -165,8 +148,8 @@ class TestExplain:
             X[reach ->> {Y}] <- X[next -> Y].
             X[reach ->> {Z}] <- X[reach ->> {Y}], Y[next -> Z].
         """)
-        code, output = invoke(path, "--magic", "--executor", "columnar",
-                              "--explain", "--query", "n0[reach ->> {Y}]")
+        code, output = invoke(path, "--magic", "--explain",
+                              "--query", "n0[reach ->> {Y}]")
         assert code == 0
         assert "magic" in output
         assert "int set iter" in output
@@ -393,6 +376,7 @@ class TestServe:
         from repro.cli import build_serve_parser
 
         args = build_serve_parser().parse_args(["p.plog"])
+        assert not hasattr(args, "executor")
         assert args.port == 7407
         assert args.max_inflight == 8
         assert args.max_queue == 32

@@ -5,31 +5,31 @@ surrogates.  These tests pin the per-slot kernel selection (int kernel
 vs. boxed batch fallback), execution parity with the tuple-at-a-time
 kernels, the mirror-first head emitter (facts land in the surrogate
 mirror and back-fill the boxed table lazily), the surrogate-carrying
-delta log, and the chunked ``exists`` short-circuit behind ``ask()``.
+delta log, and the chunked ``exists`` short-circuit behind the
+maintainer's goal-directed checks.
 """
 
 import pytest
 
 from repro.core.ast import Name, Var
 from repro.engine import Engine
-from repro.engine.batch import compile_batch_plan
 from repro.engine.columnar import (
     IntDeltaIndex,
     columnar_head_emitter,
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
+from repro.engine.compile import compile_plan
 from repro.engine.normalize import normalize_program
 from repro.engine.planner import build_plan, relevant_bound
 from repro.engine.profiler import EngineStats
-from repro.engine.solve import execute_plan, exists, solve
+from repro.engine.solve import execute_plan, solve
 from repro.errors import ScalarConflictError
 from repro.flogic.atoms import SetMemberAtom
 from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_program, parse_query
 from repro.oodb.database import Database
 from repro.oodb.oid import NamedOid
-from repro.query import Query
 
 
 def n(value):
@@ -58,6 +58,20 @@ def columnar(db, text, bound=()):
     atoms = atoms_for(text)
     plan = build_plan(db, atoms, bound)
     return compile_columnar_plan(db, plan), plan
+
+
+def rows(compiled, binding=None, counters=None):
+    """A columnar plan's solutions as dicts (OID-valued)."""
+    execute, out = compiled.column_executor(counters)
+    cols, nrows = execute(binding)
+    return [{var: cols[slot][i] for var, slot in out} for i in range(nrows)]
+
+
+def delta_rows(compiled, delta):
+    """A columnar delta plan's solutions as dicts (OID-valued)."""
+    execute, out = compiled.column_executor()
+    cols, nrows = execute(delta)
+    return [{var: cols[slot][i] for var, slot in out} for i in range(nrows)]
 
 
 def answer_set(bindings):
@@ -104,12 +118,11 @@ class TestKernelSelection:
         compiled, _ = columnar(plain, "X[kids ->> {V}], V[age -> A]")
         assert all(name.startswith("batch") for name in compiled.kernel_names)
 
-    def test_memoised_separately_from_batch_lowering(self, db):
+    def test_memoised_separately_from_tuple_lowering(self, db):
         _, plan = columnar(db, "X[vehicles ->> {V}]")
         assert (compile_columnar_plan(db, plan)
                 is compile_columnar_plan(db, plan))
-        assert (compile_batch_plan(db, plan)
-                is not compile_columnar_plan(db, plan))
+        assert compile_plan(db, plan) is not compile_columnar_plan(db, plan)
 
 
 class TestExecutionParity:
@@ -131,21 +144,18 @@ class TestExecutionParity:
 
     def test_same_answers_as_other_executors(self, db):
         for text in self.QUERIES:
-            atoms = atoms_for(text)
-            col = answer_set(solve(db, atoms, executor="columnar"))
-            tuple_ = answer_set(solve(db, atoms, executor="compiled"))
+            compiled, _ = columnar(db, text)
+            col = answer_set(rows(compiled))
+            tuple_ = answer_set(solve(db, atoms_for(text)))
             assert col == tuple_, text
 
     def test_counters_match_tuple_executor(self, db):
         for text in self.QUERIES:
-            atoms = atoms_for(text)
-            plan = build_plan(db, atoms, ())
+            compiled, plan = columnar(db, text)
             col_counters = [0] * len(plan.steps)
             tuple_counters = [0] * len(plan.steps)
-            list(execute_plan(db, plan, {}, counters=col_counters,
-                              executor="columnar"))
-            list(execute_plan(db, plan, {}, counters=tuple_counters,
-                              executor="compiled"))
+            rows(compiled, counters=col_counters)
+            list(execute_plan(db, plan, {}, counters=tuple_counters))
             assert col_counters == tuple_counters, text
 
     def test_seed_binding_is_interned_and_resolved(self, db):
@@ -153,10 +163,10 @@ class TestExecutionParity:
         bound = relevant_bound(atoms, {Var("X")})
         plan = build_plan(db, atoms, bound)
         compiled = compile_columnar_plan(db, plan)
-        rows = list(compiled.execute({Var("X"): n("p1")}))
-        assert all(row[Var("X")] == n("p1") for row in rows)
-        assert {row[Var("V")] for row in rows} == {n("car0"), n("car1")}
-        assert all(isinstance(row[Var("C")], NamedOid) for row in rows)
+        out = rows(compiled, {Var("X"): n("p1")})
+        assert all(row[Var("X")] == n("p1") for row in out)
+        assert {row[Var("V")] for row in out} == {n("car0"), n("car1")}
+        assert all(isinstance(row[Var("C")], NamedOid) for row in out)
 
 
 class TestExistsShortCircuit:
@@ -170,33 +180,26 @@ class TestExistsShortCircuit:
     def test_exists_stops_at_first_surviving_row(self, long_chain):
         atoms = atoms_for("X[next -> Y], Y[next -> Z]")
         plan = build_plan(long_chain, atoms, ())
-        for executor in ("columnar", "batch"):
-            stats = EngineStats()
-            assert exists(long_chain, atoms, plan=plan, executor=executor,
-                          stats=stats)
-            short = stats.batch_rows
-            counters = [0] * len(plan.steps)
-            list(execute_plan(long_chain, plan, {}, counters=counters,
-                              executor=executor))
-            full = sum(counters)
-            # A full execution pushes ~1200 rows through the two steps.
-            # The chunked exists cannot avoid the opening scan, but
-            # after it only chunk-sized slices flow: batch_rows stops
-            # growing once the first surviving row reaches the end.
-            assert full > 1000
-            assert short < full, executor
-            assert short <= counters[0] + 2 * 64, executor
+        compiled = compile_columnar_plan(long_chain, plan)
+        stats = EngineStats()
+        assert compiled.exists({}, stats)
+        short = stats.batch_rows
+        counters = [0] * len(plan.steps)
+        rows(compiled, counters=counters)
+        full = sum(counters)
+        # A full execution pushes ~1200 rows through the two steps.
+        # The chunked exists cannot avoid the opening scan, but after
+        # it only chunk-sized slices flow: batch_rows stops growing
+        # once the first surviving row reaches the end.
+        assert full > 1000
+        assert short < full
+        assert short <= counters[0] + 2 * 64
 
     def test_unsatisfiable_exists_still_scans_everything(self, long_chain):
         atoms = atoms_for("X[next -> Y], Y[missing -> Z]")
-        stats = EngineStats()
-        assert not exists(long_chain, atoms, executor="columnar",
-                          stats=stats)
-
-    def test_query_ask_uses_plan_level_exists(self, long_chain):
-        query = Query(long_chain, executor="columnar")
-        assert query.ask("X[next -> Y], Y[next -> Z]")
-        assert not query.ask("X[next -> Y], Y[missing -> Z]")
+        plan = build_plan(long_chain, atoms, ())
+        assert not compile_columnar_plan(long_chain, plan).exists(
+            {}, EngineStats())
 
 
 class TestHeadEmitter:
@@ -320,24 +323,8 @@ class TestEngineIntegration:
             db.add_object(f"n{i}", scalars={"next": f"n{i + 1}"})
         return db
 
-    def _sets(self, db):
-        return {(key, frozenset(bucket)) for key, bucket in db.sets.items()}
-
-    def test_fixpoint_matches_batch_and_compiled(self, chain_db):
-        program = parse_program(self.PROGRAM)
-        engines = {executor: Engine(chain_db, program, executor=executor)
-                   for executor in ("columnar", "batch", "compiled")}
-        results = {executor: self._sets(engine.run())
-                   for executor, engine in engines.items()}
-        assert results["columnar"] == results["batch"] == results["compiled"]
-        col, batch = engines["columnar"], engines["batch"]
-        assert col.stats.tuples == batch.stats.tuples
-        assert col.stats.firings == batch.stats.firings
-        assert col.stats.derived_total == batch.stats.derived_total
-
     def test_explain_names_int_kernels(self, chain_db):
-        engine = Engine(chain_db, parse_program(self.PROGRAM),
-                        executor="columnar")
+        engine = Engine(chain_db, parse_program(self.PROGRAM))
         engine.run()
         kernels = [step.kernel for report in engine.plan_reports()
                    for step in report.steps]
@@ -355,6 +342,6 @@ class TestEngineIntegration:
         delta = IntDeltaIndex(
             [("set", n("reach"), n("n0"), (), n("n1"), x, y)],
             chain_db.interner)
-        rows = answer_set(delta_plan.execute(delta))
-        assert rows == {frozenset({(Var("X"), n("n0")), (Var("Y"), n("n1")),
+        got = answer_set(delta_rows(delta_plan, delta))
+        assert got == {frozenset({(Var("X"), n("n0")), (Var("Y"), n("n1")),
                                    (Var("Z"), n("n2"))})}

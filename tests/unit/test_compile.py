@@ -1,16 +1,17 @@
-"""Plan-compiler tests: kernel selection, slot execution, delta seeds."""
+"""Plan-compiler tests: kernel selection, slot execution, delta seeds.
+
+The delta-seed tests run the engine's columnar delta plans: their seed
+pass lowers the delta atom with this module's term ops.
+"""
 
 import pytest
 
 from repro.core.ast import Name, Var
-from repro.engine.compile import (
-    CompiledPlan,
-    compile_delta_plan,
-    compile_plan,
-)
+from repro.engine.columnar import compile_columnar_delta_plan
+from repro.engine.compile import compile_plan
 from repro.engine.matching import UNRESTRICTED, MatchPolicy, match_atom_delta
 from repro.engine.planner import build_plan, relevant_bound
-from repro.engine.solve import execute_plan, solve
+from repro.engine.solve import _solve_dynamic, execute_plan
 from repro.errors import EvaluationError
 from repro.flogic.atoms import ScalarAtom, SetMemberAtom
 from repro.flogic.flatten import flatten_conjunction
@@ -49,6 +50,13 @@ def compiled_answers(db, text, bound=()):
 
 def answer_set(bindings):
     return {frozenset(b.items()) for b in bindings}
+
+
+def delta_rows(compiled, delta, counters=None):
+    """A columnar delta plan's solutions as dicts (OID-valued)."""
+    execute, out = compiled.column_executor(counters)
+    cols, nrows = execute(delta)
+    return [{var: cols[slot][i] for var, slot in out} for i in range(nrows)]
 
 
 class TestKernelSelection:
@@ -104,7 +112,7 @@ class TestExecutionParity:
         atoms = atoms_for(text)
         plan = build_plan(db, atoms)
         got = answer_set(compile_plan(db, plan).execute())
-        want = answer_set(solve(db, atoms, use_planner=False))
+        want = answer_set(_solve_dynamic(db, list(atoms), {}, UNRESTRICTED))
         assert got == want
 
     def test_seed_binding_is_respected(self, db):
@@ -163,7 +171,7 @@ class TestExecutionParity:
         interp_counts = [0] * len(plan.steps)
         got = answer_set(execute_plan(db, plan, counters=compiled_counts))
         want = answer_set(execute_plan(db, plan, counters=interp_counts,
-                                       compiled=False))
+                                       interpreted=True))
         assert got == want
         assert compiled_counts == interp_counts
 
@@ -222,19 +230,20 @@ class TestDeltaPlans:
         rest = atoms_for("V[color -> C]")
         bound = relevant_bound(rest, atom.variables())
         plan = build_plan(db, rest, bound)
-        compiled = compile_delta_plan(db, atom, plan)
+        compiled = compile_columnar_delta_plan(db, atom, plan)
         delta = [
             ("set", n("vehicles"), n("p1"), (), n("car2")),
             ("set", n("other"), n("p1"), (), n("car0")),
             ("scalar", n("vehicles"), n("p1"), (), n("car0")),
             ("isa", n("p1"), n("employee")),
         ]
-        got = answer_set(compiled.execute(delta))
+        got = answer_set(delta_rows(compiled, delta))
         want = set()
         for seed in match_atom_delta(db, atom, {}, delta, UNRESTRICTED):
-            want |= answer_set(execute_plan(db, plan, seed, compiled=False))
+            want |= answer_set(execute_plan(db, plan, seed,
+                                            interpreted=True))
         assert got == want
-        assert compiled.kernel_names[0] == "delta-set seed"
+        assert compiled.kernel_names[0] == "int delta-set seed"
 
     def test_delta_seed_respects_method_depth_policy(self, db):
         from repro.oodb.oid import VirtualOid
@@ -242,46 +251,46 @@ class TestDeltaPlans:
         deep = VirtualOid(n("tc"), VirtualOid(n("tc"), n("kids")))
         atom = ScalarAtom(Var("M"), Var("X"), (), Var("Y"))
         plan = build_plan(db, (), ())
-        shallow = compile_delta_plan(db, atom, plan, MatchPolicy(1))
+        shallow = compile_columnar_delta_plan(db, atom, plan, MatchPolicy(1))
         delta = [("scalar", deep, n("p1"), (), n("p2")),
                  ("scalar", n("age"), n("p1"), (), n(50))]
-        got = answer_set(shallow.execute(delta))
+        got = answer_set(delta_rows(shallow, delta))
         want = answer_set(
             match_atom_delta(db, atom, {}, delta, MatchPolicy(1)))
         assert got == want
         assert len(got) == 1  # the deep virtual method is filtered out
 
     def test_concurrent_delta_executions_are_independent(self, db):
-        # The delta log travels in a per-call register, so two live
-        # generators from one compiled delta plan must not interfere.
+        # Every execution builds its own column file, so two
+        # executions of one compiled delta plan must not interfere.
         atom = SetMemberAtom(Name("vehicles"), Var("X"), (), Var("V"))
         rest = atoms_for("V[color -> C]")
         bound = relevant_bound(rest, atom.variables())
         plan = build_plan(db, rest, bound)
-        compiled = compile_delta_plan(db, atom, plan)
-        delta1 = [("set", n("vehicles"), n("p1"), (), n("car0"))]
-        delta2 = [("set", n("vehicles"), n("p2"), (), n("car2"))]
-        gen1 = compiled.execute(delta1)
-        gen2 = compiled.execute(delta2)
-        first = next(gen1)  # must still seed from delta1
-        assert first[Var("X")] == n("p1")
-        assert next(gen2)[Var("X")] == n("p2")
+        execute, out = compile_columnar_delta_plan(
+            db, atom, plan).column_executor()
+        x = dict(out)[Var("X")]
+        cols1, _ = execute([("set", n("vehicles"), n("p1"), (), n("car0"))])
+        cols2, _ = execute([("set", n("vehicles"), n("p2"), (), n("car2"))])
+        assert cols1[x] == [n("p1")]  # not overwritten by the second run
+        assert cols2[x] == [n("p2")]
 
     def test_delta_counters_count_seeds_and_steps(self, db):
         atom = SetMemberAtom(Name("vehicles"), Var("X"), (), Var("V"))
         rest = atoms_for("V[color -> C]")
         bound = relevant_bound(rest, atom.variables())
         plan = build_plan(db, rest, bound)
-        compiled = compile_delta_plan(db, atom, plan)
+        compiled = compile_columnar_delta_plan(db, atom, plan)
         counters = [0] * (len(plan.steps) + 1)
         delta = [("set", n("vehicles"), n("p1"), (), n("car0"))]
-        list(compiled.executor(counters)(delta))
+        delta_rows(compiled, delta, counters)
         assert counters[0] == 1  # one seed matched
         assert counters[1] == 1  # car0 has a color
 
 
 class TestEngineIntegration:
     def test_engine_compiled_and_interpreted_agree(self):
+        """The engine's compiled (columnar) plans against the oracle."""
         from repro.engine import Engine
         from repro.lang.parser import parse_program
 
@@ -292,17 +301,19 @@ class TestEngineIntegration:
             X[reach ->> {Y}] <- X[next -> Y].
             X[reach ->> {Z}] <- X[reach ->> {Y}], Y[next -> Z].
         """)
-        compiled = Engine(db, program, compiled=True)
+        compiled = Engine(db, program)
         via_compiled = compiled.run()
-        interpreted = Engine(db, program, compiled=False)
+        interpreted = Engine(db, program, interpreted=True)
         via_interpreted = interpreted.run()
         assert ({(k, frozenset(v)) for k, v in via_compiled.sets.items()}
                 == {(k, frozenset(v)) for k, v in via_interpreted.sets.items()})
         assert compiled.stats.plans_compiled > 0
         assert compiled.stats.tuples > 0
-        # Both executors count seed and per-step rows, so the tuple
-        # stat is comparable across modes.
+        # Both count seed and per-step rows, so the tuple stat is
+        # comparable across the two.
         assert compiled.stats.tuples == interpreted.stats.tuples
+        assert compiled.stats.firings == interpreted.stats.firings
+        assert compiled.stats.derived_total == interpreted.stats.derived_total
 
     def test_engine_explain_names_kernels(self, db):
         from repro.engine import Engine

@@ -14,7 +14,6 @@ import pytest
 from repro.core.ast import Name, Var
 from repro.datasets import CompanyConfig, build_company
 from repro.engine import Engine
-from repro.engine.batch import compile_batch_delta_plan
 from repro.engine.columnar import compile_columnar_delta_plan
 from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.normalize import normalize_program
@@ -29,10 +28,6 @@ from repro.query import Query
 
 def n(value):
     return NamedOid(value)
-
-
-def answer_set(bindings):
-    return {frozenset(b.items()) for b in bindings}
 
 
 class TestDeltaIndex:
@@ -108,19 +103,24 @@ class TestGenericSeedReadsItsBucket:
         ("set", n("decoy"), n("other"), (), n("car1")),    # other bucket
     ]
 
-    @pytest.mark.parametrize("compile_delta", [compile_batch_delta_plan,
-                                               compile_columnar_delta_plan])
-    def test_same_rows_from_its_own_bucket_only(self, db, compile_delta):
+    def test_same_rows_from_its_own_bucket_only(self, db):
         atom = SetMemberAtom(Name("wants"), Name("demand"), (), Var("X"))
         rest = flatten_conjunction(parse_query("X[color -> C]"))
         plan = build_plan(db, rest, relevant_bound(rest, atom.variables()))
-        delta_plan = compile_delta(db, atom, plan)
+        delta_plan = compile_columnar_delta_plan(db, atom, plan)
         assert delta_plan.kernel_names[0] == "batch delta-set seed"
+        execute, out = delta_plan.column_executor()
+
+        def rows(delta):
+            cols, nrows = execute(delta)
+            return {frozenset((var, cols[slot][i]) for var, slot in out)
+                    for i in range(nrows)}
+
         expected = {frozenset({(Var("X"), n("car0")), (Var("C"), n("red"))})}
-        assert answer_set(delta_plan.execute(list(self.ENTRIES))) == expected
+        assert rows(list(self.ENTRIES)) == expected
         index = DeltaIndex(list(self.ENTRIES))
         index.entries = _Unreadable()
-        assert answer_set(delta_plan.execute(index)) == expected
+        assert rows(index) == expected
 
 
 class _Unreadable:
@@ -165,11 +165,13 @@ class TestRoundCost:
             db.add_object(f"p{index}", scalars={"mentor": f"p{index - 1}"})
         return db
 
-    @pytest.mark.parametrize("executor", ["columnar", "batch"])
-    def test_batches_follow_rounds_not_positions(self, company, executor):
+    @pytest.mark.parametrize("interpreted", [
+        pytest.param(False, id="columnar"),
+        pytest.param(True, id="interpreted")])
+    def test_batches_follow_rounds_not_positions(self, company, interpreted):
         engine = Engine.for_query(company, parse_program(self.RULES),
                                   "p200[commandChain ->> {Y}]",
-                                  executor=executor)
+                                  interpreted=interpreted)
         engine.run()
         stats = engine.stats
         iterations = sum(stats.iterations)

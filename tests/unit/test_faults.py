@@ -191,10 +191,9 @@ class TestRollbackChanges:
         for name in ("peter", "tim", "mary", "tom", "zoe"):
             oid = db.obj(name)
             assert db.interner.resolve(db.interner.intern(oid)) == oid
-        col = Engine(db, parse_program(DESC_RULES),
-                     executor="columnar").run()
+        col = Engine(db, parse_program(DESC_RULES)).run()
         interp = Engine(db, parse_program(DESC_RULES),
-                        executor="interpreted").run()
+                        interpreted=True).run()
         assert set_state(col) == set_state(interp)
 
 

@@ -231,9 +231,9 @@ class TestMaintainer:
         assert report.applied
         assert result.scalars.get(*fact[1:4]) is None
 
-    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("interpreted", [False, True])
     def test_counting_recheck_is_existential_over_head_bindings(
-            self, db, compiled):
+            self, db, interpreted):
         # Regression: the interpreted delta path yields *full* body
         # bindings; re-checking a support with the dead valuation
         # seeded (instead of just the head binding) wrongly deleted
@@ -244,7 +244,7 @@ class TestMaintainer:
         engine = Engine(
             db, parse_program(
                 "X[hasRed -> 1] <- X[cars ->> {C}], C[color -> red]."),
-            record_support=True, compiled=compiled)
+            record_support=True, interpreted=interpreted)
         result = engine.run()
         maintainer = engine.maintainer(result, db)
         db.retract_scalar(db.obj("color"), db.obj("car1"), ())

@@ -1,9 +1,10 @@
-"""EngineLimits failure paths, uniformly across all four executors.
+"""EngineLimits failure paths, on the columnar executor and the oracle.
 
-Every limit must fail the same way no matter which executor runs the
-plan: a typed :class:`ResourceLimitError` whose message names the
-``EngineLimits`` field to raise, and an input database left exactly as
-it was (the engine evaluates against a pre-clone snapshot).
+Every limit must fail the same way whether the columnar executor or the
+interpreted matcher runs the plans: a typed :class:`ResourceLimitError`
+whose message names the ``EngineLimits`` field to raise, and an input
+database left exactly as it was (the engine evaluates against a
+pre-clone snapshot).
 """
 
 import pytest
@@ -13,7 +14,9 @@ from repro.errors import PathLogError, ResourceLimitError
 from repro.lang.parser import parse_program
 from repro.oodb.database import Database
 
-EXECUTORS = ["columnar", "batch", "compiled", "interpreted"]
+#: The production path, then the interpreted oracle.
+MODES = [pytest.param(False, id="columnar"),
+         pytest.param(True, id="interpreted")]
 
 #: A 12-deep chain: the desc fixpoint needs ~12 semi-naive iterations.
 CHAIN = "\n".join(
@@ -30,11 +33,11 @@ RUNAWAY = """
 """
 
 
-def evaluate(text, *, limits, executor):
+def evaluate(text, *, limits, interpreted):
     db = Database()
     before = db.data_version()
     engine = Engine(db, parse_program(text), limits=limits,
-                    executor=executor)
+                    interpreted=interpreted)
     try:
         engine.run()
     finally:
@@ -44,37 +47,37 @@ def evaluate(text, *, limits, executor):
 
 
 class TestMaxIterations:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_typed_error_names_the_limit(self, executor):
+    @pytest.mark.parametrize("interpreted", MODES)
+    def test_typed_error_names_the_limit(self, interpreted):
         limits = EngineLimits(max_iterations=3)
         with pytest.raises(ResourceLimitError) as info:
-            evaluate(CHAIN, limits=limits, executor=executor)
+            evaluate(CHAIN, limits=limits, interpreted=interpreted)
         assert "max_iterations" in str(info.value)
         assert "3" in str(info.value)
         assert isinstance(info.value, PathLogError)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_roomy_limit_passes(self, executor):
+    @pytest.mark.parametrize("interpreted", MODES)
+    def test_roomy_limit_passes(self, interpreted):
         evaluate(CHAIN, limits=EngineLimits(max_iterations=100),
-                 executor=executor)
+                 interpreted=interpreted)
 
 
 class TestMaxUniverse:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_typed_error_names_the_limit(self, executor):
+    @pytest.mark.parametrize("interpreted", MODES)
+    def test_typed_error_names_the_limit(self, interpreted):
         limits = EngineLimits(max_universe=10, max_virtual_depth=10_000)
         with pytest.raises(ResourceLimitError) as info:
-            evaluate(RUNAWAY, limits=limits, executor=executor)
+            evaluate(RUNAWAY, limits=limits, interpreted=interpreted)
         assert "max_universe" in str(info.value)
         assert "10" in str(info.value)
 
 
 class TestMaxVirtualDepth:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_typed_error_names_the_limit(self, executor):
+    @pytest.mark.parametrize("interpreted", MODES)
+    def test_typed_error_names_the_limit(self, interpreted):
         limits = EngineLimits(max_virtual_depth=5)
         with pytest.raises(ResourceLimitError) as info:
-            evaluate(RUNAWAY, limits=limits, executor=executor)
+            evaluate(RUNAWAY, limits=limits, interpreted=interpreted)
         assert "max_virtual_depth" in str(info.value)
         # The historical wording stays greppable.
         assert "nesting" in str(info.value)

@@ -291,7 +291,7 @@ class TestMagicInvisibility:
         program = parse_program(self.LEAK_PROGRAM)
         query = "p1[busy -> B], X[M ->> {S}]"
         full = answers(Engine(leak_db, program).run(), query)
-        engine = DemandEngine(leak_db, program, query, compiled=False)
+        engine = DemandEngine(leak_db, program, query, interpreted=True)
         assert answers(engine.run(), query) == full
 
     def test_guards_still_match_their_magic_facts_unindexed(self):

@@ -117,8 +117,9 @@ class TestPlanOrder:
         # Many free source variables once made the power-law superset
         # cost exceed UNREADY/MUST_WAIT, producing a bogus "unsafe
         # negation" error; the cost is capped below both sentinels.
+        from repro.engine.matching import UNRESTRICTED
         from repro.engine.planner import MUST_WAIT, UNREADY
-        from repro.engine.solve import exists, solve
+        from repro.engine.solve import _solve_dynamic, exists
 
         for extra in range(800):
             db.add_object(f"pad{extra}")
@@ -127,7 +128,8 @@ class TestPlanOrder:
         assert all(s.cost < UNREADY < MUST_WAIT for s in plan.steps)
         # Full enumeration is |U|^4; parity on the first solution only.
         assert exists(db, atoms)
-        assert next(solve(db, atoms, use_planner=False), None) is not None
+        assert next(_solve_dynamic(db, list(atoms), {}, UNRESTRICTED),
+                    None) is not None
 
     def test_unsafe_negation_raises_at_plan_time(self, db):
         atoms = atoms_for("not X[color -> red], not X[color -> blue]")
@@ -135,15 +137,16 @@ class TestPlanOrder:
             build_plan(db, atoms)
 
     def test_static_safety_is_data_independent(self, db):
-        # Deliberate divergence from the legacy dynamic order: a
-        # structurally unsafe conjunction is rejected at plan time even
-        # though its positive part matches nothing (the legacy order
-        # stopped at the empty data atom and returned no answers).
-        from repro.engine.solve import solve
+        # Deliberate divergence from the dynamic order: a structurally
+        # unsafe conjunction is rejected at plan time even though its
+        # positive part matches nothing (the dynamic order stops at the
+        # empty data atom and returns no answers).
+        from repro.engine.matching import UNRESTRICTED
+        from repro.engine.solve import _solve_dynamic
 
         atoms = atoms_for("Y[nosuchmethod -> z], "
                           "not X[color -> red], not X[color -> blue]")
-        assert list(solve(db, atoms, use_planner=False)) == []
+        assert list(_solve_dynamic(db, list(atoms), {}, UNRESTRICTED)) == []
         with pytest.raises(EvaluationError, match="unsafe negation"):
             build_plan(db, atoms)
 
