@@ -27,8 +27,11 @@ heads set-at-a-time vs. row by row (``batches``, ``plans``,
 ``plan-hits``, ``kernels`` and ``heads-compiled`` count only the delta
 positions a semi-naive round actually seeded), ``snapshot-s`` the part of
 ``seconds`` spent before the first rule fires (clone, catalog, mirrors),
-and ``buckets-copied`` how many shared buckets of that copy-on-write
-clone the run had to copy before writing to them.
+``buckets-copied`` how many shared buckets of that copy-on-write
+clone the run had to copy before writing to them, and ``gc-passes`` the
+cyclic collector's passes per generation (``gen0/gen1/gen2``) while the
+run ran -- a process-wide count, so other threads' work lands in it too
+(docs/performance.md, "What a derived fact allocates").
 ``--timeout-ms`` and ``--max-derived`` attach a cooperative
 :class:`~repro.engine.budget.QueryBudget` to the whole invocation
 (evaluation, maintenance, and query answering share one deadline); on

@@ -23,11 +23,13 @@ tests:
 - **magic guards** (demand sets from the magic rewrite) filter whole
   columns against the demand bucket in one semi-join pass
   (``int semi-join (magic)``);
-- **delta seeds** turn a semi-naive round's interned bucket straight
-  into the initial columns (``int delta-set seed``);
-- **head emission** deduplicates in int space against the mirror
-  before touching the boxed table, so re-derived facts never resolve a
-  surrogate or hash an OID.
+- **delta seeds** turn a semi-naive round's bucket straight into the
+  initial columns (``int delta-set seed``) -- for facts the int-native
+  emitter derived, the very columns it wrote;
+- **head emission** writes a whole batch through the table's batch
+  writer, deduplicating in int space against the mirror before touching
+  the boxed table, so re-derived facts never resolve a surrogate or
+  hash an OID, and new ones reach the next round as int columns.
 
 Representation is chosen **per slot at plan-compile time**: a slot is
 an int column exactly when its writer is an int kernel (or the entry
@@ -44,6 +46,7 @@ cannot tell the representations apart.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from repro.core import builtins as _builtins
@@ -584,9 +587,14 @@ class ColumnarPlan:
     int-native head emitter does, to deduplicate in int space).
     :meth:`column_executor` serves the engine's full rule firings,
     :meth:`exists` the maintainer's goal-directed checks.
+
+    It keeps the plan's ``bound_in``, not the plan: the plan caches this
+    object (``compiled_cache``, keyed by the database), so a back
+    reference would make a cycle that keeps every result database a run
+    compiled against alive until a full collector pass.
     """
 
-    __slots__ = ("plan", "slots", "nslots", "kernel_names", "reps",
+    __slots__ = ("bound_in", "slots", "nslots", "kernel_names", "reps",
                  "interner", "_builders", "_reads", "_writes", "_entry",
                  "_out", "_exists")
 
@@ -595,7 +603,7 @@ class ColumnarPlan:
                  kernel_names: tuple[str, ...],
                  reads: tuple[tuple, ...], writes: tuple[tuple, ...],
                  reps: tuple[bool, ...], interner: OidInterner) -> None:
-        self.plan = plan
+        self.bound_in = plan.bound_in
         self.slots = slots
         self.nslots = len(slots)
         self.kernel_names = kernel_names
@@ -636,7 +644,7 @@ class ColumnarPlan:
                 cols[slot] = [intern(value)]
             if len(binding) > len(entry):
                 slot_of = self.slots
-                bound_in = self.plan.bound_in
+                bound_in = self.bound_in
                 for var in binding:
                     if var in slot_of and var not in bound_in:
                         raise EvaluationError(
@@ -647,7 +655,7 @@ class ColumnarPlan:
         elif entry:
             raise EvaluationError(
                 f"plan was compiled for bound variables "
-                f"{set(self.plan.bound_in)!r}, but no seed binding was given"
+                f"{set(self.bound_in)!r}, but no seed binding was given"
             )
         return cols
 
@@ -751,45 +759,6 @@ def compile_columnar_plan(db: Database, plan: Plan,
 # Delta specialization (semi-naive evaluation)
 # ---------------------------------------------------------------------------
 
-class IntDeltaIndex(DeltaIndex):
-    """A realizer log partition that also interns its buckets once.
-
-    Every seeded rule position of one round reads the same delta;
-    interning each bucket once here (instead of once per position) keeps
-    the only remaining OID hashing of the columnar fixpoint loop linear
-    in the number of *new* facts.
-    """
-
-    __slots__ = ("interner", "_int_buckets")
-
-    def __init__(self, entries: list, interner: OidInterner) -> None:
-        super().__init__(entries)
-        self.interner = interner
-        self._int_buckets: dict = {}
-
-    def int_bucket(self, kind: str, method: Oid) -> tuple[list, list]:
-        """``(subjects, results)`` surrogate columns of one bucket."""
-        key = (kind, method)
-        found = self._int_buckets.get(key)
-        if found is None:
-            intern = self.interner.intern
-            s_out: list[int] = []
-            r_out: list[int] = []
-            for entry in self.bucket(kind, method):
-                if entry[3]:
-                    continue
-                if len(entry) == 7:
-                    # The columnar head emitter stamps the surrogates
-                    # onto its log entries; no re-interning needed.
-                    s_out.append(entry[5])
-                    r_out.append(entry[6])
-                else:
-                    s_out.append(intern(entry[2]))
-                    r_out.append(intern(entry[4]))
-            found = self._int_buckets[key] = (s_out, r_out)
-        return found
-
-
 class ColumnarDeltaPlan:
     """A delta-seeded rule body over int columns.
 
@@ -886,7 +855,7 @@ def _generic_delta_seed(wanted: str, ops: tuple, nargs: int,
             # A constant method reads its own bucket; a variable one can
             # match any entry of the round.
             delta = (delta.bucket(_wanted, _m) if _m is not None
-                     else delta.entries)
+                     else delta.boxed())
         for entry in delta:
             if entry[0] != _wanted:
                 continue
@@ -948,15 +917,14 @@ def compile_columnar_delta_plan(db: Database, atom: Atom, plan: Plan,
     elif (nargs == 0 and m_op[0] == _CONST
             and s_op[0] == _STORE and r_op[0] == _STORE):
         # The hot shape seeds int columns straight from the delta's
-        # interned bucket (a plain Oid log is partitioned first).
+        # bucket (a plain Oid log is partitioned first).
         method = m_op[1]
         si, ri = s_op[1], r_op[1]
         rep[si] = rep[ri] = True
 
         def seed(cols, delta, _wanted=wanted, _m=method, _si=si, _ri=ri):
-            if not isinstance(delta, IntDeltaIndex):
-                delta = IntDeltaIndex(getattr(delta, "entries", delta),
-                                      interner)
+            if not isinstance(delta, DeltaIndex):
+                delta = DeltaIndex(delta, interner)
             s_out, r_out = delta.int_bucket(_wanted, _m)
             cols[_si] = s_out
             cols[_ri] = r_out
@@ -994,17 +962,17 @@ def columnar_head_emitter(db: Database, rule, cplan):
 
     Serves the same hot shape as :func:`repro.engine.batch.head_emitter`
     (one scalar/set filter, no ``@``-parameters, no change log), but
-    consumes *raw* solution columns and writes **mirror-first**:
-    duplicate derivations are detected with int probes against the
-    table's surrogate mirror, new facts land in the mirror and a
-    pending queue (``MethodTable.int_writer``), and the boxed
-    facts/index dicts are back-filled lazily on the next boxed read --
-    so a fixpoint iteration never hashes an OID per emitted row, and a
-    duplicate row never even resolves one.  Log entries carry the
-    surrogate pair at positions 5-6 (consumed by
-    :meth:`IntDeltaIndex.int_bucket`); every reader indexes
-    positionally, so the longer tuples are transparent elsewhere.
-    Asserted facts are identical to the boxed emitter's.
+    consumes *raw* solution columns and writes **mirror-first**, a
+    whole batch per call: the table's batch writer
+    (``MethodTable.int_writer``) deduplicates with int probes against
+    the surrogate mirror, and the boxed facts/index dicts are
+    back-filled lazily, one queued chunk per batch, on the next boxed
+    read.  The writer's new columns go to the round as they are
+    (:meth:`~repro.engine.delta.DeltaIndex.append_columns`), so a
+    derived fact costs no container of its own -- no log tuple, no
+    back-fill triple -- and a duplicate row never resolves an OID.
+    Asserted facts are identical to the boxed emitter's; the round
+    boxes them only for a reader that asks.
     """
     from repro.engine.incremental import simple_head
 
@@ -1024,68 +992,48 @@ def columnar_head_emitter(db: Database, rule, cplan):
         return None
 
     interner = cplan.interner
-    resolver = interner.resolver()
     slot_of = cplan.slots
     reps = cplan.reps
 
     def component(term):
-        """``(slot, is_int, const_sur, const_oid)`` for one head term."""
+        """``(slot, is_int, const_sur)`` for one head term."""
         if isinstance(term, Name):
-            oid = db.lookup_name(term.value)
-            return None, False, interner.intern(oid), oid
+            return None, False, interner.intern(db.lookup_name(term.value))
         slot = slot_of.get(term)
         if slot is None:
-            return (), False, 0, None  # unmapped variable: cannot emit
-        return slot, reps[slot], 0, None
+            return (), False, 0  # unmapped variable: cannot emit
+        return slot, reps[slot], 0
 
-    s_part = component(subject_t)
-    r_part = component(result_t)
-    if s_part[0] == () or r_part[0] == ():
+    s_slot, s_int, s_sur = component(subject_t)
+    r_slot, r_int, r_sur = component(result_t)
+    if s_slot == () or r_slot == ():
         return None
 
     m_sur = interner.intern(method)
-    if kind == "scalar":
-        db.scalars.surrogate_view(interner)
-        writer = db.scalars.int_writer(method, m_sur)
-    else:
-        db.sets.surrogate_view(interner)
-        writer = db.sets.int_writer(method, m_sur)
-    check_writer = writer.check
-    s_slot, s_int, s_sur, s_oid = s_part
-    r_slot, r_int, r_sur, r_oid = r_part
+    table = db.scalars if kind == "scalar" else db.sets
+    table.surrogate_view(interner)
+    write = table.int_writer(method, m_sur)
     intern = interner.intern
 
-    def emit(cols: list, nrows: int, log: list) -> None:
+    def emit(cols: list, nrows: int, log) -> None:
         # As for the boxed emitter's hot shape: no universe
         # registration needed -- every column value originates from a
         # registered fact, and the head constants were registered when
-        # this emitter resolved them.
-        check_writer()
-        scol = cols[s_slot] if s_slot is not None else None
-        rcol = cols[r_slot] if r_slot is not None else None
-        append = log.append
-        for i in range(nrows):
-            if scol is None:
-                s = s_sur
-            elif s_int:
-                s = scol[i]
-            else:
-                s = intern(scol[i])
-            if rcol is None:
-                r = r_sur
-            elif r_int:
-                r = rcol[i]
-            else:
-                r = intern(rcol[i])
-            if writer(s, r):
-                append((kind, method, resolver[s], (), resolver[r], s, r))
+        # this emitter resolved them.  A boxed column is interned on
+        # the fly; a constant is repeated.
+        new_s, new_r = write(
+            repeat(s_sur, nrows) if s_slot is None
+            else cols[s_slot] if s_int else map(intern, cols[s_slot]),
+            repeat(r_sur, nrows) if r_slot is None
+            else cols[r_slot] if r_int else map(intern, cols[r_slot]))
+        if new_s:
+            log.append_columns(kind, method, new_s, new_r)
     return emit
 
 
 __all__ = [
     "ColumnarDeltaPlan",
     "ColumnarPlan",
-    "IntDeltaIndex",
     "columnar_head_emitter",
     "compile_columnar_delta_plan",
     "compile_columnar_plan",

@@ -33,11 +33,23 @@ each seeded bucket of the delta into the initial batch in a single
 pass, and rule heads are asserted straight from the solution columns
 (the int-native emitter for the single-filter hot shape, the boxed
 simple-head emitter or the realizer's compiled column program for the
-rest; support-tracked rules go row by row).  ``interpreted=True`` runs
-the same plans through the interpreted matcher instead -- the reference
-oracle the test suites compare the columnar fixpoint against.  The
-plans chosen for full evaluations are captured with their observed row
-counts and kernel names; :meth:`Engine.explain` renders them.
+rest; support-tracked rules go row by row).
+
+Every head path of a round writes into one round object, a
+:class:`~repro.engine.delta.DeltaIndex`, which the next round reads as
+its delta: the boxed paths append realizer-log entries, the int-native
+emitter hands over the new surrogate columns its table's batch writer
+returned.  Those columns are also what the next round's hot seeds read,
+so a fact derived on the int-native path allocates no container of its
+own -- no log entry, no back-fill triple, nothing for the cyclic
+collector to walk; entries are boxed only for a reader that asks
+(generic and variable-method seeds, the interpreted oracle).
+
+``interpreted=True`` runs the same plans through the interpreted
+matcher instead -- the reference oracle the test suites compare the
+columnar fixpoint against.  The plans chosen for full evaluations are
+captured with their observed row counts and kernel names;
+:meth:`Engine.explain` renders them.
 
 Safeguards (the paper is silent on termination, so the engine is not):
 ``max_iterations`` per stratum, ``max_universe`` size, and
@@ -55,14 +67,13 @@ from repro.core.ast import Program, Rule
 from repro.core.variables import variables_of
 from repro.engine.batch import head_emitter
 from repro.engine.columnar import (
-    IntDeltaIndex,
     columnar_head_emitter,
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
 from repro.engine.delta import DeltaIndex, SeedIndex
 from repro.engine.explain import PlanReport, report_for_plan
-from repro.engine.heads import Derived, HeadRealizer
+from repro.engine.heads import HeadRealizer
 from repro.engine.matching import Binding, MatchPolicy, match_atom_delta
 from repro.engine.normalize import (
     COMPUTED,
@@ -70,7 +81,7 @@ from repro.engine.normalize import (
     normalize_program,
 )
 from repro.engine.planner import Plan, PlanCache, relevant_bound
-from repro.engine.profiler import EngineStats
+from repro.engine.profiler import EngineStats, gc_collections
 from repro.engine.solve import execute_plan
 from repro.engine.stratify import stratify
 from repro.errors import BudgetExceededError, ResourceLimitError
@@ -218,6 +229,7 @@ class Engine:
         the half-built clone is simply discarded.
         """
         started = time.perf_counter()
+        collections = gc_collections()
         budget = self._budget
         if budget is not None:
             budget.begin_run()
@@ -260,6 +272,8 @@ class Engine:
             raise
         finally:
             self.stats.elapsed_s = time.perf_counter() - started
+            self.stats.gc_passes = tuple(
+                now - then for now, then in zip(gc_collections(), collections))
             self.stats.buckets_copied = work.buckets_copied
             self.stats.virtuals_created = realizer.virtuals_created
             self.stats.plans_built = self._plan_cache.misses
@@ -318,7 +332,8 @@ class Engine:
     def _eval_stratum(self, db: Database, rules: list[NormalizedRule],
                       realizer: HeadRealizer, level: int = 0) -> None:
         budget = self._budget
-        delta: list[Derived] | None = None
+        interner = db.interner
+        delta: DeltaIndex | None = None
         iterations = 0
         # Semi-naive eligibility and seeding are static properties of
         # the rule bodies: classify once per stratum, not per round.
@@ -340,23 +355,18 @@ class Engine:
                     f"EngineLimits.max_iterations if the program is "
                     f"genuinely that deep"
                 )
-            new_log: list[Derived] = []
-            realizer.log = new_log
+            new = DeltaIndex(interner=interner)
+            realizer.log = new
             if delta is None:
                 for rule in rules:
                     self._fire_full(db, rule, realizer)
             else:
-                # One partition of the log serves every seeded position
-                # of the round (the columnar one also interns each
-                # bucket into surrogate columns once).
-                index = (DeltaIndex(delta) if self._interpreted
-                         else IntDeltaIndex(delta, db.interner))
                 for at, positions in seeds.plan(
-                        index, isa_full if index.has_isa else impure):
+                        delta, isa_full if delta.has_isa else impure):
                     if positions is None:
                         self._fire_full(db, rules[at], realizer)
                     else:
-                        self._fire_delta(db, rules[at], realizer, index,
+                        self._fire_delta(db, rules[at], realizer, delta,
                                          positions)
             if len(db) > self._limits.max_universe:
                 raise ResourceLimitError(
@@ -364,13 +374,13 @@ class Engine:
                     f"{self._limits.max_universe} objects; the program "
                     f"likely creates virtual objects without bound"
                 )
-            self.stats.count_derived(new_log)
+            self.stats.count_derived(new)
             if budget is not None:
-                budget.charge(len(new_log), "engine.iteration",
+                budget.charge(len(new), "engine.iteration",
                               stratum=level, iteration=iterations)
-            if not new_log:
+            if not new:
                 break
-            delta = new_log if self._seminaive else None
+            delta = new if self._seminaive else None
         self.stats.iterations.append(iterations)
 
     def _fire_full(self, db: Database, rule: NormalizedRule,
@@ -447,7 +457,7 @@ class Engine:
                 continue
             counters = record.counters
             rest_counters = record.rest_counters
-            for seed in match_atom_delta(db, atom, {}, delta.entries,
+            for seed in match_atom_delta(db, atom, {}, delta.boxed(),
                                          self._policy):
                 counters[0] += 1
                 solutions.extend(

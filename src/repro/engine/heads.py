@@ -20,7 +20,9 @@ the head entailed:
 
 Every *newly* asserted primitive is appended to the realizer's ``log``
 (kind-tagged tuples), which drives the engine's semi-naive deltas and
-its fixpoint detection.
+its fixpoint detection; in the engine the log is the round's
+:class:`~repro.engine.delta.DeltaIndex`, shared with the int-native
+emitter.
 
 Two entry points share one set of primitives: :meth:`HeadRealizer.realize`
 walks the spine for one binding (tuple-at-a-time evaluation,
@@ -65,8 +67,10 @@ class HeadRealizer:
     def __init__(self, db: Database, *, max_virtual_depth: int = 32) -> None:
         self._db = db
         self._max_virtual_depth = max_virtual_depth
-        #: Newly asserted primitives; the engine swaps this list per
-        #: iteration to collect deltas.
+        #: Newly asserted primitives: anything with ``append`` and
+        #: ``len``.  The engine swaps in a fresh
+        #: :class:`~repro.engine.delta.DeltaIndex` per round, the
+        #: maintainer a list per pass.
         self.log: list[Derived] = []
         #: Total number of virtual objects this realizer created.
         self.virtuals_created = 0

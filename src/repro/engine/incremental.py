@@ -85,7 +85,6 @@ from repro.core.ast import (
 )
 from repro.core.variables import variables_of
 from repro.engine.columnar import (
-    IntDeltaIndex,
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
@@ -532,8 +531,7 @@ class Maintainer:
         #: Run every pass on the interpreted matcher (the test oracle).
         self._interpreted = interpreted
         # Columnar seeds read each round's buckets as interned columns.
-        self._partition = (DeltaIndex if interpreted
-                           else partial(IntDeltaIndex, interner=db.interner))
+        self._partition = partial(DeltaIndex, interner=db.interner)
         self._stats = stats
         self._strata = stratify(self._rules)
         self._stratum_of: dict[int, int] = {}
@@ -974,7 +972,7 @@ class Maintainer:
             for i in range(nrows):
                 yield {var: cols[slot][i] for var, slot in pairs}
             return
-        for seed in match_atom_delta(self._db, atom, {}, batch.entries,
+        for seed in match_atom_delta(self._db, atom, {}, batch.boxed(),
                                      self._policy):
             yield from execute_plan(self._db, record.plan, seed,
                                     self._policy, interpreted=True)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+
+
+def gc_collections() -> list[int]:
+    """Cyclic-collector passes so far, per generation (process-wide)."""
+    return [generation["collections"] for generation in gc.get_stats()]
 
 
 @dataclass
@@ -34,6 +40,12 @@ class EngineStats:
     #: inserts are lazy; the copies they make after the run returns
     #: show in ``Database.buckets_copied`` of the result instead.
     buckets_copied: int = 0
+    #: Cyclic-collector passes per generation (0, 1, 2) that ran while
+    #: ``run()`` did, from ``gc.get_stats()`` at entry and exit.  The
+    #: collector is process-wide: passes triggered by other threads'
+    #: allocations in that window count too, and a pass triggered by
+    #: the run also scans objects that are not the run's.
+    gc_passes: tuple[int, int, int] = (0, 0, 0)
     #: Whether semi-naive iteration was used.
     seminaive: bool = True
     #: Join plans built by the cost-based planner (plan-cache misses).
@@ -91,16 +103,13 @@ class EngineStats:
         """All newly derived primitives."""
         return self.derived_scalar + self.derived_set + self.derived_isa
 
-    def count_derived(self, entries) -> None:
-        """Tally a batch of realizer log entries."""
-        for entry in entries:
-            kind = entry[0]
-            if kind == "scalar":
-                self.derived_scalar += 1
-            elif kind == "set":
-                self.derived_set += 1
-            else:
-                self.derived_isa += 1
+    def count_derived(self, delta) -> None:
+        """Tally one round's new facts
+        (a :class:`~repro.engine.delta.DeltaIndex`) without boxing them."""
+        counts = delta.counts()
+        self.derived_scalar += counts["scalar"]
+        self.derived_set += counts["set"]
+        self.derived_isa += counts["isa"]
 
     def as_row(self) -> dict[str, object]:
         """Dict form for tabular bench output."""
@@ -130,5 +139,6 @@ class EngineStats:
             "stopped-at": self.stopped_at or "-",
             "snapshot-s": round(self.snapshot_s, 4),
             "buckets-copied": self.buckets_copied,
+            "gc-passes": "/".join(map(str, self.gc_passes)),
             "seconds": round(self.elapsed_s, 4),
         }

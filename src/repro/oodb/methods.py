@@ -25,6 +25,12 @@ Clones are copy-on-write: ``clone()`` copies the top-level dicts and
 shares every inner bucket until one side writes to it
 (:class:`_MethodTable` states the invariant; docs/performance.md, "What
 a clone costs", has the who-copies-when table).
+
+Fixpoint head emission writes *mirror-first*, a whole batch at a time
+(:meth:`_MethodTable.int_writer`): new facts land in the int-surrogate
+mirror, and the boxed dicts are back-filled from one queued chunk per
+batch on the next boxed read (docs/performance.md, "What a derived
+fact allocates").
 """
 
 from __future__ import annotations
@@ -69,9 +75,10 @@ class _SurrogateView:
     the boxed kernels.
 
     The mirror is maintained *incrementally* by the owning table's
-    mutators (including the engine's direct ``put``/``add`` fast path),
-    so kernels may capture :attr:`apps`/:attr:`inverse` once per plan
-    and trust them across fixpoint iterations.
+    mutators (and written first by the engine's batch writers,
+    :meth:`_MethodTable.int_writer`), so kernels may capture
+    :attr:`apps`/:attr:`inverse` once per plan and trust them across
+    fixpoint iterations.
 
     Copy-on-write: a :meth:`clone` shares every method's *slice* --
     ``apps[m]``, ``inverse[m]`` and the sets and lists inside them --
@@ -247,6 +254,23 @@ class SetSurrogateView(_SurrogateView):
         self._unrecord(m, s, r, inverse)
 
 
+def _pending_rows(pending: list[tuple[int, ...]]):
+    """Every queued back-fill row as an ``(m_sur, s_sur, r_sur)`` triple."""
+    for chunk in pending:
+        if len(chunk) == 3:
+            yield chunk  # a one-row batch: the chunk is its row
+        else:
+            m_sur = chunk[0]
+            half = len(chunk) // 2
+            for s_sur, r_sur in zip(chunk[1:half + 1], chunk[half + 1:]):
+                yield m_sur, s_sur, r_sur
+
+
+def _stale_writer() -> RuntimeError:
+    return RuntimeError("int_writer used after its table was cloned; "
+                        "acquire a new writer")
+
+
 class _MethodTable:
     """What the scalar and the set table share: copy-on-write clones.
 
@@ -272,10 +296,13 @@ class _MethodTable:
         self._indexed = indexed
         self._surrogates: _SurrogateView | None = None
         #: Mirror-first inserts not yet back-filled into the boxed
-        #: structures: ``(m_sur, s_sur, r_sur)`` surrogate triples (see
-        #: :meth:`int_writer`).  Every boxed read or mutation drains
-        #: this first, so the deferral is unobservable.
-        self._pending: list[tuple[int, int, int]] = []
+        #: structures: one chunk per written batch (see
+        #: :meth:`int_writer`), the flat int tuple ``(m_sur, *subjects,
+        #: *results)`` -- for a one-row batch the ``(m, s, r)`` triple
+        #: itself, one object the collector untracks on sight however
+        #: long it waits.  Every boxed read or mutation drains this
+        #: first, so the deferral is unobservable.
+        self._pending: list[tuple[int, ...]] = []
         #: Bumped on every successful mutation (planner cache key).
         self.version = 0
         #: Write token: buckets whose ``owner`` is this object are ours.
@@ -328,25 +355,42 @@ class _MethodTable:
         else:
             self._own(index, outer, type(bucket)).remove(key)
 
-    def _writer_slice(self, m_sur: int):
-        """What an ``int_writer`` closure captures: the method's mirror
-        slice, owned once here so the per-row closure never checks, and
-        a once-per-batch validity check.
+    def int_writer(self, method: Oid, m_sur: int):
+        """A mirror-first batch writer for one method's head emission.
 
-        A clone of this table shares the slice again, so a writer that
-        outlives one would write into both sides: ``check`` raises
-        instead.
+        The returned ``write(s_col, r_col) -> (new_s, new_r)`` inserts
+        the surrogate pairs ``zip(s_col, r_col)`` into the mirror and
+        returns the new ones as two lists, in input order.  Per row it
+        means what :meth:`ScalarMethodTable.put` and
+        :meth:`SetMethodTable.add` mean -- a pair already present, in
+        the table or earlier in the batch, is skipped; a scalar pair
+        contradicting a stored result raises the same
+        :class:`~repro.errors.ScalarConflictError` -- but it probes
+        machine ints only.  Once per batch that wrote rows it drops the
+        method's cached sorted order, bumps :attr:`version` by the
+        number of new facts, and queues the boxed back-fill on
+        :attr:`_pending` as one chunk -- also when a conflict stops the
+        batch part-way, so mirror and boxed dicts keep describing one
+        set of facts.  Requires the mirror (:meth:`surrogate_view`);
+        only parameterless facts flow through it.  The input columns
+        are only read; the returned lists are the caller's to share,
+        not to change.
+
+        The method's mirror slice is owned once, here.  A clone of this
+        table shares the slice again, so a writer that outlived one
+        would write into both sides: it raises ``RuntimeError`` instead
+        (checked once per batch).
         """
         view = self._surrogates
         bucket, inverse = view.own(m_sur)
-        token = view._token
+        return self._batch_writer(view, view._token, m_sur, bucket, inverse)
 
-        def check() -> None:
-            if view._token is not token:
-                raise RuntimeError(
-                    "int_writer used after its table was cloned; "
-                    "acquire a new writer")
-        return view, bucket, inverse, check
+    def _queue(self, view: _SurrogateView, m_sur: int, new_s: list[int],
+               new_r: list[int]) -> None:
+        """What a batch writer does once per batch that wrote rows."""
+        view._sorted.pop(m_sur, None)
+        self._pending.append((m_sur, *new_s, *new_r))
+        self.version += len(new_s)
 
     def surrogate_view(self, interner: OidInterner):
         """The int-surrogate mirror of this table (built on first use).
@@ -438,7 +482,7 @@ class ScalarMethodTable(_MethodTable):
         # triple absent against the mirror, which covers every
         # parameterless fact of this table.  The ownership test is
         # inlined: a bucket this table already owns costs no call.
-        for m_sur, s_sur, r_sur in pending:
+        for m_sur, s_sur, r_sur in _pending_rows(pending):
             method = resolver[m_sur]
             subject = resolver[s_sur]
             result = resolver[r_sur]
@@ -459,46 +503,39 @@ class ScalarMethodTable(_MethodTable):
                 subj[key] = result
         pending.clear()
 
-    def int_writer(self, method: Oid, m_sur: int):
-        """A mirror-first insert closure for one method's head emission.
+    def _batch_writer(self, view, token, m_sur, bucket, inverse):
+        """:meth:`int_writer`'s closure: a pair is a :meth:`put`."""
+        get = bucket.get
+        queue = self._queue
 
-        The returned ``add(s_sur, r_sur) -> bool`` deduplicates against
-        the surrogate mirror (machine-int probes), raises
-        :class:`~repro.errors.ScalarConflictError` exactly as
-        :meth:`put` does, and queues the boxed back-fill on
-        :attr:`_pending` instead of paying AppKey hashing per row --
-        the dominant cost of fixpoint head emission.  Requires the
-        mirror (:meth:`surrogate_view`) to exist; only parameterless
-        facts flow through it.
-
-        Call ``add.check()`` once per emitted batch (see
-        :meth:`_writer_slice`).
-        """
-        view, bucket, inverse, check = self._writer_slice(m_sur)
-        sorted_pop = view._sorted.pop
-        pending = self._pending
-        resolver = view.interner.resolver()
-
-        def add(s: int, r: int, _get=bucket.get) -> bool:
-            stored = _get(s)
-            if stored is not None:
-                if stored == r:
-                    return False
-                raise ScalarConflictError(
-                    resolver[m_sur], resolver[s], (),
-                    resolver[stored], resolver[r])
-            bucket[s] = r
-            found = inverse.get(r)
-            if found is None:
-                inverse[r] = [s]
-            else:
-                found.append(s)
-            sorted_pop(m_sur, None)
-            pending.append((m_sur, s, r))
-            self.version += 1
-            return True
-        add.check = check
-        return add
+        def write(s_col, r_col) -> tuple[list[int], list[int]]:
+            if view._token is not token:
+                raise _stale_writer()
+            new_s: list[int] = []
+            new_r: list[int] = []
+            try:
+                for s, r in zip(s_col, r_col):
+                    stored = get(s)
+                    if stored is not None:
+                        if stored == r:
+                            continue
+                        resolver = view.interner.resolver()
+                        raise ScalarConflictError(
+                            resolver[m_sur], resolver[s], (),
+                            resolver[stored], resolver[r])
+                    bucket[s] = r
+                    found = inverse.get(r)
+                    if found is None:
+                        inverse[r] = [s]
+                    else:
+                        found.append(s)
+                    new_s.append(s)
+                    new_r.append(r)
+            finally:
+                if new_s:
+                    queue(view, m_sur, new_s, new_r)
+            return new_s, new_r
+        return write
 
     # -- mutation -----------------------------------------------------------
 
@@ -746,7 +783,7 @@ class SetMethodTable(_MethodTable):
         own = self._own
         own_members = self._own_members
         token = self._token
-        for m_sur, s_sur, r_sur in pending:
+        for m_sur, s_sur, r_sur in _pending_rows(pending):
             method = resolver[m_sur]
             member = resolver[r_sur]
             key = (method, resolver[s_sur], ())
@@ -761,37 +798,35 @@ class SetMethodTable(_MethodTable):
                 inv.add(key)
         pending.clear()
 
-    def int_writer(self, method: Oid, m_sur: int):
-        """A mirror-first membership-insert closure for head emission.
+    def _batch_writer(self, view, token, m_sur, bucket, inverse):
+        """:meth:`int_writer`'s closure: a pair is an :meth:`add`."""
+        get = bucket.get
+        queue = self._queue
 
-        ``add(s_sur, r_sur) -> bool`` mirrors :meth:`add`'s semantics
-        (False on a present membership) with int-only probes, queuing
-        the boxed back-fill on :attr:`_pending`; ``add.check`` as for
-        :meth:`ScalarMethodTable.int_writer`.
-        """
-        view, bucket, inverse, check = self._writer_slice(m_sur)
-        sorted_pop = view._sorted.pop
-        pending = self._pending
-
-        def add(s: int, r: int, _get=bucket.get) -> bool:
-            members = _get(s)
-            if members is None:
-                bucket[s] = {r}
-            elif r in members:
-                return False
-            else:
-                members.add(r)
-            found = inverse.get(r)
-            if found is None:
-                inverse[r] = [s]
-            else:
-                found.append(s)
-            sorted_pop(m_sur, None)
-            pending.append((m_sur, s, r))
-            self.version += 1
-            return True
-        add.check = check
-        return add
+        def write(s_col, r_col) -> tuple[list[int], list[int]]:
+            if view._token is not token:
+                raise _stale_writer()
+            new_s: list[int] = []
+            new_r: list[int] = []
+            for s, r in zip(s_col, r_col):
+                members = get(s)
+                if members is None:
+                    bucket[s] = {r}
+                elif r in members:
+                    continue
+                else:
+                    members.add(r)
+                found = inverse.get(r)
+                if found is None:
+                    inverse[r] = [s]
+                else:
+                    found.append(s)
+                new_s.append(s)
+                new_r.append(r)
+            if new_s:
+                queue(view, m_sur, new_s, new_r)
+            return new_s, new_r
+        return write
 
     # -- mutation -----------------------------------------------------------
 

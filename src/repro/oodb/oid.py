@@ -43,9 +43,27 @@ class Oid:
 
 @dataclass(frozen=True, slots=True)
 class NamedOid(Oid):
-    """The storage identity behind a name (or value)."""
+    """The storage identity behind a name (or value).
+
+    The hash is computed once, at construction (the same value the
+    generated ``__hash__`` gives), as for :class:`VirtualOid`: boxed
+    tables and the interner probe dicts keyed on named objects far more
+    often than they make them.
+    """
 
     value: NameValue
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes are salted per
+        # process, so a pickled ``_hash`` would be wrong elsewhere.
+        return (NamedOid, (self.value,))
 
     def display(self) -> str:
         from repro.core.pretty import name_to_text

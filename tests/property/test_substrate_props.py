@@ -223,9 +223,9 @@ def _mirror_first(db, kind, method_name, subject_name, value_name):
     table = db.scalars if kind == "scalar" else db.sets
     method = db.obj(method_name)
     write = table.int_writer(method, db.intern(method))
-    write.check()
     try:
-        write(db.intern(db.obj(subject_name)), db.intern(db.obj(value_name)))
+        write([db.intern(db.obj(subject_name))],
+              [db.intern(db.obj(value_name))])
     except PathLogError:
         pass  # a scalar conflict: the fact of the matter stays
 

@@ -18,6 +18,7 @@ import pytest
 from repro import Database, Engine, Query, parse_program
 from repro.datasets import CompanyConfig, build_company
 from repro.engine.columnar import compile_columnar_plan
+from repro.engine.delta import DeltaIndex
 from repro.engine.planner import build_plan
 from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_query
@@ -285,16 +286,14 @@ class TestStaleWriter:
         db.sets.surrogate_view(db.interner)
         desc = db.obj("desc")
         write = db.sets.int_writer(desc, db.intern(desc))
-        write.check()
-        assert write(db.intern(n("p0")), db.intern(n("p1")))
+        assert write([db.intern(n("p0"))], [db.intern(n("p1"))])[0]
         clone = db.clone()
         # The slice the closure captured is shared with the clone now:
         # one more row would show up on both sides.
         with pytest.raises(RuntimeError, match="cloned"):
-            write.check()
+            write([db.intern(n("p0"))], [db.intern(n("p2"))])
         fresh = db.sets.int_writer(desc, db.intern(desc))
-        fresh.check()
-        assert fresh(db.intern(n("p0")), db.intern(n("p2")))
+        assert fresh([db.intern(n("p0"))], [db.intern(n("p2"))])[0]
         assert clone.sets.get(desc, n("p0")) == {n("p1")}
         assert db.sets.get(desc, n("p0")) == {n("p1"), n("p2")}
 
@@ -308,12 +307,12 @@ class TestStaleWriter:
         emit = columnar_head_emitter(db, rule, plan)
         execute, _ = plan.column_executor(raw=True)
         cols, nrows = execute()
-        log = []
+        log = DeltaIndex(interner=db.interner)
         emit(cols, nrows, log)
         assert len(log) == 5
         db.clone()
         with pytest.raises(RuntimeError, match="cloned"):
-            emit(cols, nrows, [])
+            emit(cols, nrows, DeltaIndex(interner=db.interner))
 
 
 class TestConcurrentClones:

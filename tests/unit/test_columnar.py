@@ -4,9 +4,9 @@ The columnar executor runs plan steps over *int columns* of dense OID
 surrogates.  These tests pin the per-slot kernel selection (int kernel
 vs. boxed batch fallback), execution parity with the tuple-at-a-time
 kernels, the mirror-first head emitter (facts land in the surrogate
-mirror and back-fill the boxed table lazily), the surrogate-carrying
-delta log, and the chunked ``exists`` short-circuit behind the
-maintainer's goal-directed checks.
+mirror and back-fill the boxed table lazily), the tables' batch writer
+behind it, delta plans seeded from int batches, and the chunked
+``exists`` short-circuit behind the maintainer's goal-directed checks.
 """
 
 import pytest
@@ -14,12 +14,12 @@ import pytest
 from repro.core.ast import Name, Var
 from repro.engine import Engine
 from repro.engine.columnar import (
-    IntDeltaIndex,
     columnar_head_emitter,
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
 from repro.engine.compile import compile_plan
+from repro.engine.delta import DeltaIndex
 from repro.engine.normalize import normalize_program
 from repro.engine.planner import build_plan, relevant_bound
 from repro.engine.profiler import EngineStats
@@ -218,20 +218,22 @@ class TestHeadEmitter:
         cols = [None] * cplan.nslots
         p1, car0 = db.intern(n("p1")), db.intern(n("car0"))
         cols[x_slot], cols[v_slot] = [p1], [car0]
-        log = []
+        log = DeltaIndex(interner=db.interner)
         emit(cols, 1, log)
-        # The log entry carries the surrogate pair at positions 5-6.
-        assert log == [("set", n("reach"), n("p1"), (), n("car0"),
-                        p1, car0)]
+        # The round keeps the new surrogate columns, and boxes them for
+        # a reader that asks.
+        assert len(log) == 1
+        assert log.int_bucket("set", n("reach")) == ([p1], [car0])
+        assert log.boxed() == [("set", n("reach"), n("p1"), (), n("car0"))]
         reach = db.intern(n("reach"))
         view = db.sets.surrogate_view(db.interner)
         assert view.apps[reach][p1] == {car0}
         # The boxed table back-fills on first read and agrees.
         assert db.sets.get(n("reach"), n("p1")) == frozenset({n("car0")})
-        # Re-emitting is a pure int-space dedup: no new log entries.
-        log2 = []
+        # Re-emitting is a pure int-space dedup: nothing new.
+        log2 = DeltaIndex(interner=db.interner)
         emit(cols, 1, log2)
-        assert log2 == []
+        assert len(log2) == 0 and log2.boxed() == []
 
     def test_scalar_conflicts_raise_from_the_mirror(self, db):
         rule, cplan = self.rule_and_cplan(
@@ -243,7 +245,7 @@ class TestHeadEmitter:
         cols[x_slot] = [db.intern(n("p1"))]
         cols[v_slot] = [db.intern(n(99))]
         with pytest.raises(ScalarConflictError):
-            emit(cols, 1, [])
+            emit(cols, 1, DeltaIndex(interner=db.interner))
 
     def test_virtual_creating_head_has_no_emitter(self, db):
         rule, cplan = self.rule_and_cplan(
@@ -263,9 +265,10 @@ class TestDeferredDrain:
         marked = db.intern(db.obj("marked"))
         write = db.sets.int_writer(n("marked"), marked)
         p1, car0 = db.intern(n("p1")), db.intern(n("car0"))
-        assert write(p1, car0)
-        assert not write(p1, car0)  # int-space duplicate
-        assert db.sets._pending
+        assert write([p1], [car0]) == ([p1], [car0])
+        assert write([p1], [car0]) == ([], [])  # int-space duplicate
+        # One flat chunk per batch: a one-row batch queues (m, s, r).
+        assert db.sets._pending == [(marked, p1, car0)]
         # Any boxed entry point drains first; the fact is visible.
         assert db.sets.get(n("marked"), n("p1")) == frozenset({n("car0")})
         assert not db.sets._pending
@@ -275,39 +278,114 @@ class TestDeferredDrain:
         rank = db.intern(db.obj("rank"))
         write = db.scalars.int_writer(n("rank"), rank)
         p1 = db.intern(n("p1"))
-        assert write(p1, db.intern(n(1)))
-        assert not write(p1, db.intern(n(1)))  # same result: no-op
+        one, two = db.intern(n(1)), db.intern(n(2))
+        assert write([p1], [one]) == ([p1], [one])
+        assert write([p1], [one]) == ([], [])  # same result: no-op
         with pytest.raises(ScalarConflictError):
-            write(p1, db.intern(n(2)))
+            write([p1], [two])
         assert db.scalars.get(n("rank"), n("p1"), ()) == n(1)
 
     def test_clone_drains_pending_writes(self, db):
         db.sets.surrogate_view(db.interner)
         marked = db.intern(db.obj("marked"))
         write = db.sets.int_writer(n("marked"), marked)
-        write(db.intern(n("p2")), db.intern(n("car2")))
+        write([db.intern(n("p2"))], [db.intern(n("car2"))])
         copy = db.clone()
         assert copy.sets.get(n("marked"), n("p2")) == frozenset({n("car2")})
 
 
-class TestIntDeltaIndex:
-    def test_carried_surrogates_skip_reinterning(self, db):
-        reach = n("reach")
-        p1 = db.intern(n("p1"))
-        car0 = db.intern(n("car0"))
-        entries = [
-            ("set", reach, n("p1"), (), n("car0"), p1, car0),  # stamped
-            ("set", reach, n("p2"), (), n("car2")),            # boxed
-            ("scalar", n("age"), n("p1"), (), n(30)),          # wrong kind
-            ("isa", n("p1"), n("flagged")),                    # wrong kind
-        ]
-        index = IntDeltaIndex(entries, db.interner)
-        subjects, results = index.int_bucket("set", reach)
-        assert subjects == [p1, db.intern(n("p2"))]
-        assert results == [car0, db.intern(n("car2"))]
-        # Memoised: the same bucket object serves every rule position.
-        assert index.int_bucket("set", reach) is index.int_bucket(
-            "set", reach)
+class TestBatchWriter:
+    """``int_writer`` writes whole columns: one batch, one back-fill
+    chunk, one version bump -- and per row what ``put``/``add`` mean."""
+
+    @staticmethod
+    def writer(db, kind, name):
+        table = db.scalars if kind == "scalar" else db.sets
+        table.surrogate_view(db.interner)
+        method = db.obj(name)
+        return table, table.int_writer(method, db.intern(method))
+
+    def test_duplicates_within_one_batch_are_written_once(self, db):
+        s = [db.intern(n(name)) for name in ("p1", "p2", "p1", "p1")]
+        r = [db.intern(n(name)) for name in ("car0", "car2", "car0", "car1")]
+        sets, write = self.writer(db, "set", "owns")
+        version = sets.version
+        assert write(s, r) == ([s[0], s[1], s[3]], [r[0], r[1], r[3]])
+        assert sets.version == version + 3
+        assert len(sets._pending) == 1
+        scalars, write = self.writer(db, "scalar", "rank")
+        version = scalars.version
+        one = db.intern(n(1))
+        assert write(s[:3], [one] * 3) == ([s[0], s[1]], [one, one])
+        assert scalars.version == version + 2
+        assert db.sets.get(n("owns"), n("p1")) == {n("car0"), n("car1")}
+        assert db.scalars.get(n("rank"), n("p1")) == n(1)
+        assert len(db.sets) == len(list(db.sets.match()))
+
+    def test_a_conflict_inside_a_batch_raises_what_put_raises(self, db):
+        scalars, write = self.writer(db, "scalar", "age")
+        car0, p1, car1 = (db.intern(n(name)) for name in ("car0", "p1",
+                                                           "car1"))
+        with pytest.raises(ScalarConflictError) as batch:
+            write([car0, p1, car1],
+                  [db.intern(n(7)), db.intern(n(99)), db.intern(n(8))])
+        with pytest.raises(ScalarConflictError) as boxed:
+            scalars.put(n("age"), n("p1"), (), n(99))
+        fields = ("method", "subject", "args", "existing", "new")
+        assert ([getattr(batch.value, f) for f in fields]
+                == [getattr(boxed.value, f) for f in fields])
+        assert str(batch.value) == str(boxed.value)
+        # Rows before the conflict stay written, in mirror and boxed
+        # table alike; rows after it were never looked at.
+        assert scalars.get(n("age"), n("car0")) == n(7)
+        assert scalars.get(n("age"), n("car1")) is None
+        age = db.intern(n("age"))
+        assert car1 not in scalars.surrogate_view(db.interner).apps[age]
+
+    def test_a_writer_used_after_a_clone_still_raises(self, db):
+        sets, write = self.writer(db, "set", "owns")
+        p1, car0 = db.intern(n("p1")), db.intern(n("car0"))
+        db.clone()
+        with pytest.raises(RuntimeError, match="cloned"):
+            write([p1], [car0])
+        with pytest.raises(RuntimeError, match="cloned"):
+            write([], [])  # checked once per batch, rows or not
+        assert not sets._pending
+
+    @pytest.mark.parametrize("kind", ["scalar", "set"])
+    def test_drained_chunks_equal_per_row_inserts(self, kind):
+        def build():
+            fresh = Database()
+            for i in range(6):
+                fresh.add_object(f"o{i}", scalars={"w": i},
+                                 sets={"e": [f"o{(i + 1) % 6}"]})
+            return fresh
+
+        # Fifteen rows over six subjects: repeats within and across
+        # batches, onto a method with base facts (sets) or without
+        # (scalars, one result per subject).
+        name = "e" if kind == "set" else "tag"
+        rows = [(f"o{i % 6}", i % 4 if kind == "set" else i % 6 % 3)
+                for i in range(15)]
+        batches = [rows[:4], rows[4:9], rows[9:]]
+        chunked, per_row = build(), build()
+        table, write = self.writer(chunked, kind, name)
+        wrote = [write([chunked.intern(n(s)) for s, _ in batch],
+                       [chunked.intern(n(v)) for _, v in batch])[0]
+                 for batch in batches]
+        # One back-fill chunk per batch that wrote anything.
+        assert len(table._pending) == sum(map(bool, wrote)) >= 2
+        other = per_row.scalars if kind == "scalar" else per_row.sets
+        insert = other.put if kind == "scalar" else other.add
+        for s, v in rows:
+            insert(per_row.obj(name), n(s), (), n(v))
+        table.sync()
+        assert table.version == other.version
+        indexes = ("_facts", "_by_method", "_by_subject",
+                   "_by_method_result" if kind == "scalar"
+                   else "_by_method_member")
+        for index in indexes:
+            assert getattr(table, index) == getattr(other, index), index
 
 
 class TestEngineIntegration:
@@ -331,7 +409,7 @@ class TestEngineIntegration:
         assert kernels
         assert any(kernel.startswith("int ") for kernel in kernels)
 
-    def test_delta_plan_consumes_stamped_log_entries(self, chain_db):
+    def test_delta_plan_consumes_int_batches(self, chain_db):
         atom = SetMemberAtom(Name("reach"), Var("X"), (), Var("Y"))
         rest = atoms_for("Y[next -> Z]")
         bound = relevant_bound(rest, atom.variables())
@@ -339,9 +417,8 @@ class TestEngineIntegration:
         delta_plan = compile_columnar_delta_plan(chain_db, atom, plan)
         x = chain_db.intern(n("n0"))
         y = chain_db.intern(n("n1"))
-        delta = IntDeltaIndex(
-            [("set", n("reach"), n("n0"), (), n("n1"), x, y)],
-            chain_db.interner)
+        delta = DeltaIndex(interner=chain_db.interner)
+        delta.append_columns("set", n("reach"), [x], [y])
         got = answer_set(delta_rows(delta_plan, delta))
         assert got == {frozenset({(Var("X"), n("n0")), (Var("Y"), n("n1")),
                                    (Var("Z"), n("n2"))})}

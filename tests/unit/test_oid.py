@@ -1,4 +1,10 @@
-"""OID tests: display, nesting depth, deterministic ordering."""
+"""OID tests: display, nesting depth, hashing, deterministic ordering."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +21,29 @@ class TestNamedOid:
         assert NamedOid("a") == NamedOid("a")
         assert NamedOid("a") != NamedOid("b")
         assert NamedOid(4) != NamedOid("4")
+
+    def test_hash_is_cached_and_unchanged(self):
+        # The value the generated dataclass hash gave, computed once.
+        for value in ("a", 30, "New York"):
+            oid = NamedOid(value)
+            assert hash(oid) == oid._hash == hash((value,))
+        assert repr(NamedOid("a")) == "NamedOid(value='a')"
+        assert NamedOid("a") == NamedOid("a")  # the cache is not compared
+
+    def test_copies_and_pickles_rebuild_the_hash(self):
+        oid = NamedOid("mary")
+        for twin in (copy.copy(oid), copy.deepcopy(oid),
+                     pickle.loads(pickle.dumps(oid))):
+            assert twin == oid and hash(twin) == hash(oid)
+        # Another process salts string hashes differently: the
+        # unpickled object must hash as that process's own would.
+        script = ("import pickle, sys; o = pickle.load(sys.stdin.buffer); "
+                  "print(hash(o) == hash(('mary',)) == o._hash)")
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        done = subprocess.run([sys.executable, "-c", script],
+                              input=pickle.dumps(oid), env=env,
+                              capture_output=True, check=True)
+        assert done.stdout.strip() == b"True"
 
 
 class TestVirtualOid:
