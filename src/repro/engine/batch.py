@@ -32,9 +32,9 @@ depth-first), never the set of solutions.
 
 :func:`exists_over` drives baked steps depth-first in small chunks for
 goal-directed existence checks, and :func:`head_emitter` closes the
-loop on the output side: simple rule heads are asserted straight from
-boxed solution columns, skipping the per-binding dict build and
-head-spine walk entirely.
+loop on the output side: simple rule heads the int batch writer
+declines are asserted straight from boxed solution columns, skipping
+the per-binding dict build and head-spine walk entirely.
 """
 
 from __future__ import annotations
@@ -905,9 +905,16 @@ def head_emitter(db: Database, rule, slot_of: dict[Var, int]):
     asserted facts and log entries are bit-identical to what
     :class:`~repro.engine.heads.HeadRealizer` produces (assertions go
     through the same database API, so scalar-conflict and hierarchy
-    errors behave identically).  Heads that create virtual objects,
-    carry computed methods, or re-state a built-in identity return
-    None; the engine falls back to per-row realisation.
+    errors behave identically).
+
+    The engine asks the int batch writer
+    (:func:`repro.engine.columnar.columnar_head_emitter`) first, so
+    this boxed emitter serves the simple heads that writer declines:
+    isa filters, ``@``-arguments, a method written twice, an open
+    change log.  Heads over a path (virtual objects the int writer
+    declines), computed methods and a re-stated built-in identity
+    return None; the engine then runs the realizer's compiled column
+    program.
     """
     from repro.engine.incremental import simple_head
 
@@ -951,36 +958,6 @@ def head_emitter(db: Database, rule, slot_of: dict[Var, int]):
                    else db.assert_set_member)
             method = db.lookup_name(method_t.value)
             compiled.append((kind, add, parts, arg_parts, method))
-
-    if (len(compiled) == 1 and compiled[0][0] != "isa"
-            and not compiled[0][3] and db.change_log is None):
-        # The hot shape: one scalar/set filter, no @-parameters, and no
-        # change log to notify.  Universe registration happens wholesale
-        # per column, and the facts go straight into the method table
-        # (the same mutation ``Database.assert_*`` performs, minus the
-        # per-row registration and log bookkeeping that are hoisted or
-        # provably unneeded here).  Scalar conflicts still raise from
-        # the table itself.
-        kind, _, ((s_slot, s_const), (r_slot, r_const)), _, method = \
-            compiled[0]
-        table_add = (db.scalars.put if kind == "scalar" else db.sets.add)
-
-        def emit(cols: list, nrows: int, log: list) -> None:
-            # No universe registration: every solution-column value
-            # originates from a stored fact, a delta entry, or the
-            # hierarchy -- all registered when they were asserted --
-            # and the head's constants were registered when this
-            # emitter resolved them.  (``Database.assert_*`` would
-            # re-register redundantly; the tables are mutated the same
-            # way it mutates them.)
-            scol = cols[s_slot] if s_slot is not None else None
-            rcol = cols[r_slot] if r_slot is not None else None
-            for i in range(nrows):
-                subject = scol[i] if scol is not None else s_const
-                result = rcol[i] if rcol is not None else r_const
-                if table_add(method, subject, (), result):
-                    log.append((kind, method, subject, (), result))
-        return emit
 
     def emit(cols: list, nrows: int, log: list) -> None:
         for i in range(nrows):

@@ -23,18 +23,24 @@ tests:
 - **magic guards** (demand sets from the magic rewrite) filter whole
   columns against the demand bucket in one semi-join pass
   (``int semi-join (magic)``);
+- **isa checks** of a bound int column against a constant class are a
+  semi-join against the surrogates of the class's members
+  (``int isa check``), rebuilt when the hierarchy moves;
 - **delta seeds** turn a semi-naive round's bucket straight into the
   initial columns (``int delta-set seed``) -- for facts the int-native
   emitter derived, the very columns it wrote;
-- **head emission** writes a whole batch through the table's batch
-  writer, deduplicating in int space against the mirror before touching
-  the boxed table, so re-derived facts never resolve a surrogate or
-  hash an OID, and new ones reach the next round as int columns.
+- **head emission** writes a whole batch through the tables' batch
+  writers, deduplicating in int space against the mirror before
+  touching the boxed table, so re-derived facts never resolve a
+  surrogate or hash an OID, and new ones reach the next round as int
+  columns; a head path's virtual objects are defined with int probes
+  too.
 
 Representation is chosen **per slot at plan-compile time**: a slot is
 an int column exactly when its writer is an int kernel (or the entry
 seed, which interns its one row).  Atoms with no int form -- builtins,
-``isa``, comparisons, negation, superset bridges, parameterised or
+isa steps that enumerate members or classes or test a built-in value
+class, comparisons, negation, superset bridges, parameterised or
 dynamic methods, unindexed tables -- fall back to the boxed column
 kernels of :mod:`repro.engine.batch` (``batch ...`` in EXPLAIN); a
 boxed step reading an int slot dereferences that column in place first
@@ -50,7 +56,15 @@ from itertools import repeat
 from typing import Sequence
 
 from repro.core import builtins as _builtins
-from repro.core.ast import Name, Var
+from repro.core.ast import (
+    Molecule,
+    Name,
+    Paren,
+    Path,
+    ScalarFilter,
+    SetEnumFilter,
+    Var,
+)
 from repro.engine.batch import (
     BatchStep,
     StepBuilder,
@@ -81,7 +95,7 @@ from repro.engine.matching import (
 )
 from repro.engine.planner import Plan
 from repro.errors import EvaluationError
-from repro.flogic.atoms import Atom, ScalarAtom, SetMemberAtom
+from repro.flogic.atoms import Atom, IsaAtom, ScalarAtom, SetMemberAtom
 from repro.testing.faults import fault_point
 from repro.oodb.database import Database
 from repro.oodb.oid import NamedOid, Oid, OidInterner
@@ -492,6 +506,67 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
     return None
 
 
+def _class_extent(db: Database, cls: Oid, interner: OidInterner):
+    """``extent()``: the surrogates of ``cls``'s members, kept current.
+
+    Built from ``db.hierarchy.members(cls)`` through
+    :meth:`~repro.oodb.oid.OidInterner.known`, so nothing is interned:
+    a member without a surrogate cannot sit in an int column yet.  It is
+    remembered, and looked up again once the interner has grown.  The
+    set is rebuilt when the hierarchy's ``version`` moves (isa heads
+    add edges between rounds).
+    """
+    hierarchy = version = capacity = None
+    members: set[int] = set()
+    missing: list[Oid] = []
+
+    def extent() -> set[int]:
+        nonlocal hierarchy, version, capacity, members, missing
+        if db.hierarchy is not hierarchy or hierarchy.version != version:
+            hierarchy = db.hierarchy
+            version = hierarchy.version
+            members, missing = interner.known(hierarchy.members(cls))
+            capacity = interner.capacity
+        elif missing and interner.capacity != capacity:
+            found, missing = interner.known(missing)
+            members |= found
+            capacity = interner.capacity
+        return members
+    return extent
+
+
+def _int_isa(db: Database, atom: IsaAtom, bound: set[Var],
+             slots: dict[Var, int], rep: list[bool],
+             interner: OidInterner):
+    """``X : c`` over an int column as a semi-join, or None.
+
+    Serves a bound variable in an int slot against a constant class
+    other than the built-in value classes (``integer`` and ``string``
+    are checkable, not enumerable); enumerating members or classes and
+    variable classes stay on the boxed kernels.
+    """
+    if (not isinstance(atom.obj, Var) or atom.obj not in bound
+            or not isinstance(atom.cls, Name)):
+        return None
+    oi = slots[atom.obj]
+    if not rep[oi]:
+        return None
+    cls = db.lookup_name(atom.cls.value)
+    if cls in (_builtins.INTEGER_CLASS, _builtins.STRING_CLASS):
+        return None
+    extent = _class_extent(db, cls, interner)
+
+    def builder(carry: tuple) -> BatchStep:
+        def step(cols: list, nrows: int, _extent=extent, _oi=oi) -> int:
+            members = _extent()
+            col = cols[_oi]
+            idx = [i for i in range(nrows) if col[i] in members]
+            _take(cols, carry, idx)
+            return len(idx)
+        return step
+    return "int isa check", builder, ()
+
+
 # ---------------------------------------------------------------------------
 # Step dispatch with per-slot representation tracking
 # ---------------------------------------------------------------------------
@@ -554,6 +629,8 @@ def _compile_columnar_step(db: Database, atom: Atom, bound: set[Var],
                                   interner)
     elif isinstance(atom, SetMemberAtom):
         specialized = _int_set(db, atom, bound, slots, policy, rep, interner)
+    elif isinstance(atom, IsaAtom):
+        specialized = _int_isa(db, atom, bound, slots, rep, interner)
     if specialized is not None:
         reads, writes = _step_io(atom, bound, slots)
         name, builder, int_writes = specialized
@@ -957,77 +1034,171 @@ def compile_columnar_delta_plan(db: Database, atom: Atom, plan: Plan,
 # Int-native head realisation
 # ---------------------------------------------------------------------------
 
-def columnar_head_emitter(db: Database, rule, cplan):
+def _int_head(db: Database, head):
+    """``(base, path methods, filters)`` of an int-writable head, or None.
+
+    The head is a molecule whose base is a name or variable under zero
+    or more parameterless scalar path steps with stored constant
+    methods (``X.p[...]``), and whose filters are stored scalar and set
+    filters without ``@``-arguments over names and variables.  Every
+    step writes a method of its own -- path and filter methods pairwise
+    distinct -- so running the head step by step over a batch writes
+    each method's facts in the order row-by-row realisation would, and
+    raises exactly when it would (with ``p(o1) = o2``, the rows
+    ``(o1, o3)`` and ``(o2, o4)`` under ``X.p[p -> Y]`` conflict in one
+    order and not in the other).  Methods are name values; ``filters``
+    holds one ``(kind, method, term)`` per written column.
+    """
+    if not isinstance(head, Molecule):
+        return None
+    filters = []
+    for filt in head.filters:
+        if isinstance(filt, ScalarFilter):
+            kind, terms = "scalar", (filt.result,)
+        elif isinstance(filt, SetEnumFilter):
+            kind, terms = "set", filt.elements
+        else:
+            return None  # isa filters
+        if filt.args or not isinstance(filt.method, Name):
+            return None
+        if any(not isinstance(term, (Name, Var)) for term in terms):
+            return None
+        filters += [(kind, filt.method.value, term) for term in terms]
+    paths = []
+    base = head.base
+    while not isinstance(base, (Name, Var)):
+        if isinstance(base, Paren):
+            base = base.inner
+            continue
+        if (not isinstance(base, Path) or base.args or base.set_valued
+                or not isinstance(base.method, Name)):
+            return None
+        paths.append(base.method.value)
+        base = base.base
+    paths.reverse()
+    methods = [db.denotes(value)
+               for value in paths + [value for _, value, _ in filters]]
+    if (len(set(methods)) != len(methods)
+            or any(map(_builtins.is_builtin_scalar, methods))):
+        return None
+    return base, paths, filters
+
+
+def columnar_head_emitter(db: Database, rule, cplan, realizer=None):
     """An int-deduplicating head realizer for ``rule``, or None.
 
-    Serves the same hot shape as :func:`repro.engine.batch.head_emitter`
-    (one scalar/set filter, no ``@``-parameters, no change log), but
-    consumes *raw* solution columns and writes **mirror-first**, a
-    whole batch per call: the table's batch writer
-    (``MethodTable.int_writer``) deduplicates with int probes against
-    the surrogate mirror, and the boxed facts/index dicts are
-    back-filled lazily, one queued chunk per batch, on the next boxed
-    read.  The writer's new columns go to the round as they are
+    Consumes *raw* solution columns and writes **mirror-first**, a
+    whole batch per call, for the heads :func:`_int_head` accepts:
+    molecules of stored scalar and set filters (no ``@``-parameters, no
+    isa filters), over a base that may carry scalar path steps (the
+    paper's virtual-object views, ``X.address[street -> S; city ->
+    C]``), when no change log is open.  The head runs step by step over
+    the batch:
+
+    - a **path step** is define-or-reference with int probes against
+      the method's mirror slice: a stored result is referenced, a
+      missing one becomes the virtual object
+      (:meth:`~repro.engine.heads.HeadRealizer.new_virtual`: identity,
+      the ``max_virtual_depth`` limit and the ``virtuals_created``
+      count), registered in the universe and interned -- once per
+      subject, however often the batch repeats it -- and the new
+      defining facts are written like a filter's;
+    - a **filter** writes its whole column through the table's batch
+      writer (``MethodTable.int_writer``), which deduplicates with int
+      probes against the surrogate mirror and raises the same
+      :class:`~repro.errors.ScalarConflictError` ``put`` would; the
+      boxed facts/index dicts are back-filled lazily, one queued chunk
+      per batch, on the next boxed read.
+
+    Each writer's new columns go to the round as they are
     (:meth:`~repro.engine.delta.DeltaIndex.append_columns`), so a
     derived fact costs no container of its own -- no log tuple, no
     back-fill triple -- and a duplicate row never resolves an OID.
-    Asserted facts are identical to the boxed emitter's; the round
-    boxes them only for a reader that asks.
+    Facts, virtual objects and each ``(kind, method)`` bucket's order
+    are those of row-by-row realisation; the round boxes them only for
+    a reader that asks.  Path heads need the run's ``realizer``; without
+    one they get None.
     """
-    from repro.engine.incremental import simple_head
-
     if db.change_log is not None:
         return None
-    spec = simple_head(rule)
-    if spec is None or len(spec.templates) != 1:
+    shape = _int_head(db, rule.head)
+    if shape is None:
         return None
-    template = spec.templates[0]
-    if template[0] == "isa":
-        return None
-    kind, method_t, subject_t, args_t, result_t = template
-    if args_t:
-        return None
-    method = db.lookup_name(method_t.value)
-    if _builtins.is_builtin_scalar(method):
+    base_t, path_methods, filter_specs = shape
+    if path_methods and realizer is None:
         return None
 
     interner = cplan.interner
     slot_of = cplan.slots
     reps = cplan.reps
-
-    def component(term):
-        """``(slot, is_int, const_sur)`` for one head term."""
-        if isinstance(term, Name):
-            return None, False, interner.intern(db.lookup_name(term.value))
-        slot = slot_of.get(term)
-        if slot is None:
-            return (), False, 0  # unmapped variable: cannot emit
-        return slot, reps[slot], 0
-
-    s_slot, s_int, s_sur = component(subject_t)
-    r_slot, r_int, r_sur = component(result_t)
-    if s_slot == () or r_slot == ():
-        return None
-
-    m_sur = interner.intern(method)
-    table = db.scalars if kind == "scalar" else db.sets
-    table.surrogate_view(interner)
-    write = table.int_writer(method, m_sur)
     intern = interner.intern
 
+    def reader(term):
+        """``read(cols, nrows)``: one head term as a surrogate column
+        (a boxed column is interned on the fly, a constant repeated),
+        or None for a variable the plan does not bind."""
+        if isinstance(term, Name):
+            sur = intern(db.lookup_name(term.value))
+            return lambda cols, nrows: repeat(sur, nrows)
+        slot = slot_of.get(term)
+        if slot is None:
+            return None
+        if reps[slot]:
+            return lambda cols, nrows: cols[slot]
+        return lambda cols, nrows: map(intern, cols[slot])
+
+    read_base = reader(base_t)
+    readers = [reader(term) for _, _, term in filter_specs]
+    if read_base is None or None in readers:
+        return None
+
+    def writer(table, value):
+        # The head's constants are registered here, once: no column
+        # value needs registering -- each originates from a registered
+        # fact -- except the virtual objects a path step creates.
+        method = db.lookup_name(value)
+        m_sur = intern(method)
+        table.surrogate_view(interner)
+        return method, m_sur, table.int_writer(method, m_sur)
+
+    paths = [writer(db.scalars, value) for value in path_methods]
+    filters = []
+    for (kind, value, _), read in zip(filter_specs, readers):
+        method, _, write = writer(
+            db.scalars if kind == "scalar" else db.sets, value)
+        filters.append((kind, method, write, read))
+    # A subject column read by more than one step is materialised.
+    shared = bool(paths) or len(filters) > 1
+
+    if paths:
+        apps = db.scalars.surrogate_view(interner).apps
+        resolver = interner.resolver()
+        register = db.register
+        new_virtual = realizer.new_virtual
+
+        def define_or_reference(method, m_sur, write, subjects, log) -> list:
+            get = apps[m_sur].get
+            fresh = [s for s in dict.fromkeys(subjects) if get(s) is None]
+            if fresh:
+                virtuals = [new_virtual(method, resolver[s], ())
+                            for s in fresh]
+                for virtual in virtuals:
+                    register(virtual)
+                new_s, new_v = write(fresh, list(map(intern, virtuals)))
+                log.append_columns("scalar", method, new_s, new_v)
+            return list(map(get, subjects))
+
     def emit(cols: list, nrows: int, log) -> None:
-        # As for the boxed emitter's hot shape: no universe
-        # registration needed -- every column value originates from a
-        # registered fact, and the head constants were registered when
-        # this emitter resolved them.  A boxed column is interned on
-        # the fly; a constant is repeated.
-        new_s, new_r = write(
-            repeat(s_sur, nrows) if s_slot is None
-            else cols[s_slot] if s_int else map(intern, cols[s_slot]),
-            repeat(r_sur, nrows) if r_slot is None
-            else cols[r_slot] if r_int else map(intern, cols[r_slot]))
-        if new_s:
-            log.append_columns(kind, method, new_s, new_r)
+        subjects = read_base(cols, nrows)
+        if shared and not isinstance(subjects, list):
+            subjects = list(subjects)
+        for method, m_sur, write in paths:
+            subjects = define_or_reference(method, m_sur, write, subjects,
+                                           log)
+        for kind, method, write, read in filters:
+            new_s, new_r = write(subjects, read(cols, nrows))
+            if new_s:
+                log.append_columns(kind, method, new_s, new_r)
     return emit
 
 

@@ -776,15 +776,20 @@ class CompiledPlan:
     ``kernel_names`` names the kernel chosen for each step (surfaced in
     EXPLAIN output).  :meth:`executor` builds a reusable execution entry
     point; :meth:`execute` is the one-shot convenience.
+
+    It keeps the plan's ``bound_in``, not the plan: the plan caches this
+    object (``compiled_cache``, keyed by the database), so a back
+    reference would make a cycle that keeps the database alive until a
+    full collector pass.
     """
 
-    __slots__ = ("plan", "nslots", "slots", "kernel_names", "_kernels",
+    __slots__ = ("bound_in", "nslots", "slots", "kernel_names", "_kernels",
                  "_entry", "_out", "_plain")
 
     def __init__(self, plan: Plan, slots: dict[Var, int],
                  kernels: tuple[Kernel, ...],
                  kernel_names: tuple[str, ...]) -> None:
-        self.plan = plan
+        self.bound_in = plan.bound_in
         self.slots = slots
         self.nslots = len(slots)
         self._kernels = kernels
@@ -820,7 +825,7 @@ class CompiledPlan:
             wanted = set(project)
             out = tuple(pair for pair in out if pair[0] in wanted)
         slot_of = self.slots
-        bound_in = self.plan.bound_in
+        bound_in = self.bound_in
 
         def execute(binding: Binding | None = None) -> Iterator[Binding]:
             regs = [None] * nslots

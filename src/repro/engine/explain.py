@@ -16,7 +16,9 @@ Rule plans of a fixpoint run (``Engine.explain``, ``--explain``) show
 columnar kernels: ``int ...`` for steps served from the int-surrogate
 mirrors, ``batch ...`` for a boxed fallback step inside the same
 columnar plan, and ``batch row ...`` for a step that loops a compiled
-tuple kernel row by row (negation, superset bridges).
+tuple kernel row by row (negation, superset bridges).  Rule plans also
+name their head rung (``head: int writer`` and so on): how the plan's
+solutions become facts.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ class PlanReport:
     #: overdelete / rederive / insert passes did, or the recorded
     #: reason the memoised result had to be re-derived in full.
     maintenance: object | None = None
+    #: How a rule plan's solutions become facts -- its head rung:
+    #: ``int writer``, ``boxed emitter``, ``column program`` or
+    #: ``per-row realize`` (see ``Engine._head_emitter``); None for an
+    #: ad-hoc conjunction, which has no head.
+    head: str | None = None
 
     @property
     def analyzed(self) -> bool:
@@ -134,6 +141,8 @@ class PlanReport:
         if self.analyzed:
             tail += f"; {self.bindings} bindings"
         lines.append(tail)
+        if self.head is not None:
+            lines.append(f"head: {self.head}")
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -152,8 +161,8 @@ def report_for_plan(plan: Plan, *, title: str = "",
                     counters: list[int] | None = None,
                     bindings: int | None = None,
                     kernels: Iterable[str] | None = None,
-                    adornments: Mapping[Atom, str] | None = None
-                    ) -> PlanReport:
+                    adornments: Mapping[Atom, str] | None = None,
+                    head: str | None = None) -> PlanReport:
     """Wrap a planner plan (and optional observed counts) as a report.
 
     ``adornments`` maps body atoms to their demand-rewrite adornment
@@ -175,7 +184,7 @@ def report_for_plan(plan: Plan, *, title: str = "",
         for index, step in enumerate(plan.steps)
     )
     return PlanReport(title=title, steps=steps, est_rows=plan.est_rows,
-                      bindings=bindings)
+                      bindings=bindings, head=head)
 
 
 def explain_conjunction(db: Database, atoms: Iterable[Atom],

@@ -31,14 +31,15 @@ executor (:mod:`repro.engine.columnar`): full firings push one batch of
 int-surrogate columns through the whole body, semi-naive rounds turn
 each seeded bucket of the delta into the initial batch in a single
 pass, and rule heads are asserted straight from the solution columns
-(the int-native emitter for the single-filter hot shape, the boxed
-simple-head emitter or the realizer's compiled column program for the
-rest; support-tracked rules go row by row).
+(the int batch writer for stored filters, also over the virtual objects
+of scalar path steps; the boxed simple-head emitter or the realizer's
+compiled column program for the rest; support-tracked rules go row by
+row -- ``Engine._head_emitter`` names the rungs, EXPLAIN shows them).
 
 Every head path of a round writes into one round object, a
 :class:`~repro.engine.delta.DeltaIndex`, which the next round reads as
 its delta: the boxed paths append realizer-log entries, the int-native
-emitter hands over the new surrogate columns its table's batch writer
+emitter hands over the new surrogate columns its tables' batch writers
 returned.  Those columns are also what the next round's hot seeds read,
 so a fact derived on the int-native path allocates no container of its
 own -- no log entry, no back-fill triple, nothing for the cyclic
@@ -120,7 +121,7 @@ class _RulePlanRecord:
     """
 
     __slots__ = ("rule", "plan", "counters", "bindings", "firings",
-                 "kernels", "execute_cols", "head_pairs", "emit")
+                 "kernels", "execute_cols", "head_pairs", "emit", "head")
 
     def __init__(self, rule: NormalizedRule, plan: Plan) -> None:
         self.rule = rule
@@ -132,6 +133,8 @@ class _RulePlanRecord:
         self.execute_cols = None
         self.head_pairs: tuple = ()
         self.emit = None
+        #: The head rung EXPLAIN names (see ``Engine._head_emitter``).
+        self.head = "per-row realize"
 
 
 class _DeltaPlanRecord:
@@ -314,7 +317,7 @@ class Engine:
             report_for_plan(record.plan, title=str(record.rule),
                             counters=record.counters,
                             bindings=record.bindings,
-                            kernels=record.kernels,
+                            kernels=record.kernels, head=record.head,
                             adornments=adornments.get(id(record.rule)))
             for record in self._plan_records.values()
             if record.plan.steps  # facts have no join order to explain
@@ -395,8 +398,8 @@ class Engine:
             if not self._interpreted and plan.steps:
                 cplan = compile_columnar_plan(db, plan, self._policy)
                 record.kernels = cplan.kernel_names
-                record.emit, raw = self._head_emitter(db, rule, realizer,
-                                                      cplan)
+                record.emit, raw, record.head = self._head_emitter(
+                    db, rule, realizer, cplan)
                 record.execute_cols, record.head_pairs = \
                     cplan.column_executor(record.counters,
                                           project=variables_of(rule.head),
@@ -440,8 +443,8 @@ class Engine:
                 if not self._interpreted:
                     cplan = compile_columnar_delta_plan(db, atom, plan,
                                                         self._policy)
-                    record.emit, raw = self._head_emitter(db, rule, realizer,
-                                                          cplan)
+                    record.emit, raw, _ = self._head_emitter(
+                        db, rule, realizer, cplan)
                     record.execute_cols, record.head_pairs = \
                         cplan.column_executor(
                             record.counters,
@@ -471,31 +474,44 @@ class Engine:
 
     def _head_emitter(self, db: Database, rule: NormalizedRule,
                       realizer: HeadRealizer, cplan):
-        """``(emit, raw)``: how one columnar plan's batches are realised.
+        """``(emit, raw, rung)``: how one columnar plan's batches are
+        realised, and the name EXPLAIN gives that head rung.
 
-        ``emit(cols, nrows, log)`` is the first that applies of: the
-        int-native emitter (the single-filter hot shape; it alone
-        consumes ``raw`` surrogate columns, skipping the deref at the
-        plan boundary), the boxed simple-head emitter, the realizer's
-        compiled column program (every other head: virtual-creating
-        paths, computed methods, built-in filters).  Support recording
-        observes per binding, so tracked rules get no emitter and fall
-        back to per-row realisation -- as does a head with a variable
-        the plan does not bind.
+        ``emit(cols, nrows, log)`` is the first that applies of:
+
+        - ``int writer`` -- the int-native emitter
+          (:func:`~repro.engine.columnar.columnar_head_emitter`): stored
+          scalar and set filters, also over scalar path steps that
+          create virtual objects; it alone consumes ``raw`` surrogate
+          columns, skipping the deref at the plan boundary;
+        - ``boxed emitter`` -- the simple-head emitter
+          (:func:`~repro.engine.batch.head_emitter`) for the other
+          simple heads: isa filters, ``@``-arguments, a method written
+          twice, an open change log;
+        - ``column program`` -- the realizer's compiled column program
+          for every other head: virtual objects outside the int
+          writer's shape, computed methods, built-in filters.
+
+        Support recording observes per binding, so tracked rules get no
+        emitter and fall back to ``per-row realize`` -- as does a head
+        with a variable the plan does not bind.
         """
         emit = None
-        raw = False
         if self.support is None or not self.support.tracks(rule):
-            emit = columnar_head_emitter(db, rule, cplan)
-            raw = emit is not None
+            emit = columnar_head_emitter(db, rule, cplan, realizer)
+            rung = "int writer"
             if emit is None:
-                emit = (head_emitter(db, rule, cplan.slots)
-                        or realizer.compile_columns(rule.head, cplan.slots))
+                emit = head_emitter(db, rule, cplan.slots)
+                rung = "boxed emitter"
+            if emit is None:
+                emit = realizer.compile_columns(rule.head, cplan.slots)
+                rung = "column program"
         if emit is None:
+            rung = "per-row realize"
             self.stats.heads_fallback += 1
         else:
             self.stats.heads_compiled += 1
-        return emit, raw
+        return emit, rung == "int writer", rung
 
     def _realize_columns(self, db: Database, rule: NormalizedRule,
                          record, cols: list, nrows: int,

@@ -29,7 +29,12 @@ walks the spine for one binding (tuple-at-a-time evaluation,
 support-tracked rules, incremental maintenance -- and the reference the
 other is tested against), and :meth:`HeadRealizer.compile_columns`
 lowers the spine once into a flat program that the columnar executor
-runs over whole solution columns.
+runs over whole solution columns.  The engine's int batch writer
+(:func:`repro.engine.columnar.columnar_head_emitter`) comes first for
+the heads it can write in int space -- the paper's views among them --
+and makes its virtual objects through :meth:`HeadRealizer.new_virtual`,
+so identity, the ``max_virtual_depth`` limit and
+:attr:`HeadRealizer.virtuals_created` are the same on every rung.
 """
 
 from __future__ import annotations
@@ -183,6 +188,22 @@ class HeadRealizer:
         existing = self._db.scalars.get(method, subject, args)
         if existing is not None:
             return existing
+        virtual = self.new_virtual(method, subject, args)
+        self._db.assert_scalar(method, subject, args, virtual)
+        self.log.append(("scalar", method, subject, args, virtual))
+        return virtual
+
+    def new_virtual(self, method: Oid, subject: Oid,
+                    args: tuple[Oid, ...]) -> VirtualOid:
+        """The virtual object ``method(subject, args)``, counted.
+
+        Raises :class:`~repro.errors.ResourceLimitError` past
+        ``max_virtual_depth``.  The caller stores the defining fact;
+        the spine walk and the int-native emitter
+        (:func:`repro.engine.columnar.columnar_head_emitter`) both come
+        here, so identity, the limit and :attr:`virtuals_created` mean
+        the same on every head rung.
+        """
         virtual = VirtualOid(method, subject, args)
         if virtual.depth() > self._max_virtual_depth:
             raise ResourceLimitError(
@@ -192,8 +213,6 @@ class HeadRealizer:
                 f"likely creates objects without bound -- see DESIGN.md "
                 f"on termination"
             )
-        self._db.assert_scalar(method, subject, args, virtual)
-        self.log.append(("scalar", method, subject, args, virtual))
         self.virtuals_created += 1
         return virtual
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 #: Python values usable as names.
 NameValue = Union[str, int]
@@ -177,6 +177,18 @@ class OidInterner:
     def surrogate(self, oid: Oid) -> int | None:
         """The surrogate for ``oid`` if it is interned, else ``None``."""
         return self._surrogate.get(oid)
+
+    def known(self, oids: Iterable[Oid]) -> tuple[set[int], list[Oid]]:
+        """``(surrogates, rest)``: the surrogates of the interned
+        ``oids`` and the OIDs that have none.  Interns nothing."""
+        oids = tuple(oids)
+        surrogates = list(map(self._surrogate.get, oids))
+        found = set(surrogates)
+        if None not in found:
+            return found, []
+        found.discard(None)
+        return found, [oid for oid, surrogate in zip(oids, surrogates)
+                       if surrogate is None]
 
     def resolve(self, surrogate: int) -> Oid:
         """The OID behind ``surrogate`` (``None`` for retired slots)."""

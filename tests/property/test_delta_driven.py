@@ -5,16 +5,18 @@ A semi-naive round fires only the rule positions its delta can seed
 the left-, right- and doubly-recursive formulations of one transitive
 closure (Liu et al.), variable-method atoms (positions every round
 fires), isa-reading rules that receive isa deltas, negation and
-superset strata, virtual-object heads, a two-element head writing
-boxed entries into a bucket the int-native emitter also writes -- must,
-on the columnar executor and on the interpreted oracle alike:
+superset strata, virtual-object heads (on the int batch writer, some
+over the recursive relation, one behind an isa check on a class the
+same stratum derives), a two-element head writing boxed entries into a
+bucket the int-native emitter also writes -- must, on the columnar
+executor and on the interpreted oracle alike:
 
 - produce exactly the realizer log, round count and ``firings`` /
   ``derived`` / ``tuples`` of a round that fires every position (the
   seed index handed a delta holding every bucket it knows);
-- reach the fixpoint, derivation log (as a set) and ``objects()``
-  denotations of naive iteration (``seminaive=False``), plain and
-  magic-rewritten;
+- reach the fixpoint, derivation log (as a set), virtual-object count
+  and ``objects()`` denotations of naive iteration
+  (``seminaive=False``), plain and magic-rewritten;
 - keep incremental maintenance (insert and delete cycles, isa changes
   included) equal to a scratch re-derivation.
 
@@ -61,7 +63,8 @@ CLOSURES = {
 #: Rules riding along: variable methods (``any``, ``val``), isa derived
 #: and read in one stratum (``c9``/``d6``), deep isa chains (``d7``),
 #: negation and superset strata over the closures (``lone``, ``wide``),
-#: virtual objects (``v5``) and a join through them (``via``), and a
+#: virtual objects (``v5``) and a join through them (``via``), views
+#: over the closure and over a derived class (``v6``, ``v8``), and a
 #: two-element head (boxed entries) into the ``tcl`` bucket.
 EXTRAS = (
     "X[tcl ->> {Y, W}] <- X[kids ->> {Y}], Y[kids ->> {W}].",
@@ -75,6 +78,8 @@ EXTRAS = (
     "X[wide ->> {Y}] <- X[kids ->> {W}], Y : c2, X[tcr ->> Y..kids].",
     "X.v5[tag -> 1] <- X[color -> red].",
     "X[via ->> {Z}] <- X[tcl ->> {Y}], Y.v5[tag -> Z].",
+    "X.v6[of -> X; near ->> {Y}] <- X[tcl ->> {Y}].",
+    "X.v8[seen ->> {Y}] <- X : c9[kids ->> {Y}].",
 )
 
 QUERIES = (
@@ -91,7 +96,8 @@ QUERIES = (
     "X[wide ->> {Y}]",
 )
 
-REFERENCES = ("X.v5", "X[tcl ->> {Y}].v5", "X[via ->> {Z}]")
+REFERENCES = ("X.v5", "X[tcl ->> {Y}].v5", "X[via ->> {Z}]", "X.v6",
+              "X.v8")
 
 #: Maintenance cycles insert and delete, half and half, exactly the
 #: facts the pool's rules read: closure edges, bosses, colours, classes.
@@ -222,7 +228,8 @@ def test_fixpoint_and_log_match_naive_iteration(db, rules):
             result, stats, log = _run(Engine(
                 db, program, seminaive=seminaive, interpreted=interpreted))
             assert len(set(log)) == len(log) == stats.derived_total
-            results.append((_facts(result), set(log)))
+            results.append((_facts(result), set(log),
+                            stats.virtuals_created))
     assert all(result == results[0] for result in results[1:])
 
 

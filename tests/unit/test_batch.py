@@ -71,12 +71,13 @@ def answer_set(bindings):
 
 class TestKernelSelection:
     def test_probe_and_filter_kernels(self, db):
-        # The isa step boxes Y, so the member probe reads a boxed column.
+        # The isa check on the int column Y is a semi-join against the
+        # class's member surrogates, so Y stays int for the member join.
         compiled, _, _ = batched(
             db, "Y : automobile, Y[color -> blue], X[vehicles ->> {Y}]")
         assert compiled.kernel_names == ("int scalar mr-probe",
-                                         "batch isa check",
-                                         "batch set mm-probe")
+                                         "int isa check",
+                                         "int set mm merge-join")
         compiled, _, _ = batched(db, "C : automobile, Y[color -> C]")
         assert compiled.kernel_names == ("batch isa members",
                                          "batch scalar mr-probe")
@@ -300,16 +301,20 @@ class TestEngineIntegration:
         assert oracle.stats.plans_compiled == oracle.stats.batches == 0
 
     def test_explain_names_batch_kernels(self, chain_db):
-        # ``Y : hub`` has no int form: its step keeps the boxed kernel
-        # inside the rule's columnar plan.
+        # ``Y : hub`` reads an int column: a semi-join against the
+        # class's member surrogates.  ``Y : integer`` has no int form
+        # (built-in value classes are checkable, not enumerable): its
+        # step keeps the boxed kernel inside the rule's columnar plan.
         engine = Engine(chain_db, parse_program(self.PROGRAM + """
             n2 : hub.
             X[hub_reach ->> {Y}] <- X[reach ->> {Y}], Y : hub.
+            X[num_reach ->> {Y}] <- X[reach ->> {Y}], Y : integer.
         """))
         engine.run()
         kernels = [step.kernel for report in engine.plan_reports()
                    for step in report.steps]
         assert all(kernels)
+        assert "int isa check" in kernels
         assert "batch isa check" in kernels
         assert any(kernel.startswith("int ") for kernel in kernels)
 

@@ -96,9 +96,9 @@ estimated 0.8 rows; 1 bindings
 #: The same conjunction as a rule body, from the engine's ``--explain``:
 #: rule bodies run on the columnar executor, so int-mirror-served steps
 #: carry ``int ...`` kernel labels (including the merge-join access
-#: path of step 2), while the isa step -- which has no surrogate
-#: mirror -- keeps its boxed ``batch ...`` fallback kernel.  Pinned as
-#: a rendering snapshot.
+#: path of step 2), and the isa step on the int column is a semi-join
+#: against the class's member surrogates.  The last line names the
+#: head rung: the int batch writer.  Pinned as a rendering snapshot.
 RED_OWNER_RULE = "X[redOwner -> yes] <- X : employee..vehicles[color -> red]."
 
 COLUMNAR_EXPLAIN_SNAPSHOT = f"plan: {RED_OWNER_RULE}\n" + """\
@@ -106,8 +106,9 @@ COLUMNAR_EXPLAIN_SNAPSHOT = f"plan: {RED_OWNER_RULE}\n" + """\
 -  ---------------------  ---------------------------  ---------------------  --------  ----
 1  _V1[color -> red]      method+result index          int scalar mr-probe           1     1
 2  X[vehicles ->> {_V1}]  method+member index (merge)  int set mm merge-join       1.5     1
-3  X : employee           isa check                    batch isa check             0.5     1
+3  X : employee           isa check                    int isa check               0.5     1
 estimated 0.8 rows; 1 bindings
+head: int writer
 """
 
 

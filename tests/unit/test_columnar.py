@@ -4,9 +4,10 @@ The columnar executor runs plan steps over *int columns* of dense OID
 surrogates.  These tests pin the per-slot kernel selection (int kernel
 vs. boxed batch fallback), execution parity with the tuple-at-a-time
 kernels, the mirror-first head emitter (facts land in the surrogate
-mirror and back-fill the boxed table lazily), the tables' batch writer
-behind it, delta plans seeded from int batches, and the chunked
-``exists`` short-circuit behind the maintainer's goal-directed checks.
+mirror and back-fill the boxed table lazily; virtual-object path heads
+included), the tables' batch writer behind it, the int isa check,
+delta plans seeded from int batches, and the chunked ``exists``
+short-circuit behind the maintainer's goal-directed checks.
 """
 
 import pytest
@@ -20,16 +21,17 @@ from repro.engine.columnar import (
 )
 from repro.engine.compile import compile_plan
 from repro.engine.delta import DeltaIndex
+from repro.engine.heads import HeadRealizer
 from repro.engine.normalize import normalize_program
-from repro.engine.planner import build_plan, relevant_bound
+from repro.engine.planner import Plan, PlanStep, build_plan, relevant_bound
 from repro.engine.profiler import EngineStats
 from repro.engine.solve import execute_plan, solve
-from repro.errors import ScalarConflictError
+from repro.errors import ResourceLimitError, ScalarConflictError
 from repro.flogic.atoms import SetMemberAtom
 from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_program, parse_query
 from repro.oodb.database import Database
-from repro.oodb.oid import NamedOid
+from repro.oodb.oid import NamedOid, VirtualOid
 
 
 def n(value):
@@ -106,8 +108,9 @@ class TestKernelSelection:
         assert "int semi-join (magic)" in compiled.kernel_names
 
     def test_non_oid_shapes_fall_back_to_boxed_kernels(self, db):
-        # isa steps and comparisons have no surrogate mirror; their
-        # slots stay boxed and downstream reads deref transparently.
+        # Enumerating a class's members and comparisons have no int
+        # form; their slots stay boxed and downstream reads deref
+        # transparently.
         compiled, _ = columnar(db, "X : employee, X.age >= 35")
         assert compiled.kernel_names[0] == "batch isa members"
         assert "batch compare" in compiled.kernel_names
@@ -248,9 +251,71 @@ class TestHeadEmitter:
             emit(cols, 1, DeltaIndex(interner=db.interner))
 
     def test_virtual_creating_head_has_no_emitter(self, db):
+        # Without the run's realizer there is no virtual identity to
+        # share (nor a depth limit or a counter to keep).
         rule, cplan = self.rule_and_cplan(
             db, "X.boss[city -> C] <- X[age -> C].")
         assert columnar_head_emitter(db, rule, cplan) is None
+
+    def emit_rows(self, db, emit, cplan, columns):
+        cols = [None] * cplan.nslots
+        for var, values in columns.items():
+            cols[cplan.slots[Var(var)]] = [db.intern(n(v)) for v in values]
+        log = DeltaIndex(interner=db.interner)
+        emit(cols, len(next(iter(columns.values()))), log)
+        return log
+
+    def test_path_head_defines_one_virtual_per_subject(self, db):
+        rule, cplan = self.rule_and_cplan(
+            db, "X.boss[city -> C; seen ->> {C}] <- X[age -> C].")
+        realizer = HeadRealizer(db)
+        emit = columnar_head_emitter(db, rule, cplan, realizer)
+        assert emit is not None
+        # p1 twice in one batch: one virtual object, defined once.
+        log = self.emit_rows(db, emit, cplan, {"X": ["p1", "p2", "p1"],
+                                               "C": [30, 40, 30]})
+        boss = n("boss")
+        v1, v2 = VirtualOid(boss, n("p1")), VirtualOid(boss, n("p2"))
+        assert realizer.virtuals_created == 2
+        assert v1 in db and v2 in db  # registered in the universe
+        assert log.bucket("scalar", boss) == [
+            ("scalar", boss, n("p1"), (), v1),
+            ("scalar", boss, n("p2"), (), v2)]
+        assert log.bucket("scalar", n("city")) == [
+            ("scalar", n("city"), v1, (), n(30)),
+            ("scalar", n("city"), v2, (), n(40))]
+        assert db.scalars.get(n("city"), v2) == n(40)
+        assert db.sets.get(n("seen"), v1) == frozenset({n(30)})
+        # A defined path is referenced: nothing new, no new object.
+        again = self.emit_rows(db, emit, cplan, {"X": ["p2"], "C": [40]})
+        assert len(again) == 0 and realizer.virtuals_created == 2
+
+    def test_path_head_references_stored_results(self, db):
+        db.assert_scalar(n("boss"), n("p1"), (), n("p2"))
+        rule, cplan = self.rule_and_cplan(
+            db, "X.boss[city -> C] <- X[age -> C].")
+        realizer = HeadRealizer(db)
+        emit = columnar_head_emitter(db, rule, cplan, realizer)
+        self.emit_rows(db, emit, cplan, {"X": ["p1"], "C": [30]})
+        assert realizer.virtuals_created == 0
+        assert db.scalars.get(n("city"), n("p2")) == n(30)
+
+    def test_path_head_keeps_the_depth_limit(self, db):
+        rule, cplan = self.rule_and_cplan(
+            db, "X.boss.boss2[city -> C] <- X[age -> C].")
+        emit = columnar_head_emitter(db, rule, cplan,
+                                     HeadRealizer(db, max_virtual_depth=1))
+        with pytest.raises(ResourceLimitError, match="max_virtual_depth"):
+            self.emit_rows(db, emit, cplan, {"X": ["p1"], "C": [30]})
+
+    def test_a_method_written_twice_is_not_int_written(self, db):
+        for text in ("X.boss[boss -> C] <- X[age -> C].",
+                     "X.boss.boss[city -> C] <- X[age -> C].",
+                     "X[m ->> {C, X}] <- X[age -> C].",
+                     "X.boss[city -> C; city -> X] <- X[age -> C]."):
+            rule, cplan = self.rule_and_cplan(db, text)
+            assert columnar_head_emitter(db, rule, cplan,
+                                         HeadRealizer(db)) is None, text
 
     def test_open_change_log_disables_the_emitter(self, db):
         db.begin_changes()
@@ -422,3 +487,81 @@ class TestEngineIntegration:
         got = answer_set(delta_rows(delta_plan, delta))
         assert got == {frozenset({(Var("X"), n("n0")), (Var("Y"), n("n1")),
                                    (Var("Z"), n("n2"))})}
+
+
+class TestIntIsaCheck:
+    """``X : c`` on an int column: a semi-join against the surrogates
+    of the class's members, refreshed when the hierarchy moves."""
+
+    def ordered(self, db, text):
+        """The conjunction compiled in its written order (the planner
+        would enumerate a small class's members first)."""
+        steps = tuple(PlanStep(atom, 1.0, 1.0, "written order")
+                      for atom in atoms_for(text))
+        return compile_columnar_plan(db, Plan(steps, frozenset()))
+
+    def test_constant_class_on_an_int_column(self, db):
+        compiled = self.ordered(db, "X[age -> A], X : employee")
+        assert compiled.kernel_names == ("int scalar m-scan",
+                                         "int isa check")
+        got = answer_set(rows(compiled))
+        assert got == answer_set(solve(db, atoms_for(
+            "X[age -> A], X : employee"), interpreted=True))
+        assert len(got) == 2
+
+    def test_reflexive_hierarchy_counts_the_class_itself(self):
+        for reflexive in (False, True):
+            db = Database(reflexive_isa=reflexive)
+            db.subclass("car", "vehicle")
+            db.add_object("c1", classes=["car"], scalars={"tag": 1})
+            db.add_object("car", scalars={"tag": 2})
+            text = "X[tag -> T], X : car"
+            compiled = self.ordered(db, text)
+            assert compiled.kernel_names[-1] == "int isa check"
+            got = {b[Var("X")] for b in rows(compiled)}
+            assert got == ({n("c1"), n("car")} if reflexive else {n("c1")})
+            assert got == {b[Var("X")] for b in solve(
+                db, atoms_for(text), interpreted=True)}
+
+    def test_builtin_value_classes_stay_boxed(self, db):
+        for cls, found in (("integer", 2), ("string", 0)):
+            compiled = self.ordered(db, f"X[age -> A], A : {cls}")
+            assert compiled.kernel_names == ("int scalar m-scan",
+                                             "batch isa check"), cls
+            assert len(rows(compiled)) == found
+
+    def test_members_added_later_are_seen(self, db):
+        compiled = self.ordered(db, "X[age -> A], X : manager")
+        assert rows(compiled) == []
+        db.assert_isa(n("p2"), n("manager"))  # the hierarchy moves
+        assert [b[Var("X")] for b in rows(compiled)] == [n("p2")]
+
+    def test_a_member_never_interned_is_not_interned(self, db):
+        db.assert_isa(n("ghost"), n("employee"))
+        compiled = self.ordered(db, "X[age -> A], X : employee")
+        assert len(rows(compiled)) == 2
+        assert db.interner.surrogate(n("ghost")) is None
+        # Once it has a surrogate it can sit in a column: the next run
+        # looks the remembered member up again.
+        db.assert_scalar(n("age"), n("ghost"), (), n(50))
+        assert {b[Var("X")] for b in rows(compiled)} == {
+            n("p1"), n("p2"), n("ghost")}
+
+    def test_an_isa_head_refreshes_the_extent_between_rounds(self):
+        db = Database()
+        for i in range(5):
+            db.add_object(f"n{i}", scalars={"next": f"n{i + 1}"})
+        db.assert_isa(n("n5"), n("big"))
+        for i in range(20):  # a large extent: the planner scans next
+            db.assert_isa(n(f"d{i}"), n("big"))
+        program = parse_program("X : big <- X[next -> Y], Y : big.")
+        engine = Engine(db, program)
+        result = engine.run()
+        report, = engine.plan_reports()
+        assert [step.kernel for step in report.steps] == [
+            "int scalar m-scan", "int isa check"]
+        assert report.head == "boxed emitter"
+        # One more member per round: every round re-reads the hierarchy.
+        assert result.members(n("big")) >= {n(f"n{i}") for i in range(6)}
+        assert result.members(n("big")) == Engine(
+            db, program, interpreted=True).run().members(n("big"))

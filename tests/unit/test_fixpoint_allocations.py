@@ -19,7 +19,7 @@ import weakref
 
 import pytest
 
-from repro import Engine
+from repro import Engine, Query
 from repro.datasets.genealogy import chain_family, desc_rules
 
 
@@ -62,3 +62,16 @@ def test_a_dropped_result_is_freed_without_the_collector(collector_off):
     result = weakref.ref(engine.run())
     del engine  # its plans cache kernels compiled against the result
     assert result() is None
+
+
+def test_a_dropped_query_database_is_freed_without_the_collector(
+        collector_off):
+    # An ad-hoc query caches its plan, and the plan its compiled form
+    # keyed by the database: a compiled form pointing back at the plan
+    # would keep the database alive until a full collector pass.
+    db, _ = chain_family(40)
+    query = Query(db)
+    assert len(query.all("X[kids ->> {Y}]")) == 39
+    freed = weakref.ref(db)
+    del db, query
+    assert freed() is None

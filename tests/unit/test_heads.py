@@ -140,3 +140,15 @@ class TestVirtualObjects:
         realizer = HeadRealizer(db)
         obj, _ = realizer.realize(parse_reference("p1.review@(1994)"), {})
         assert obj == VirtualOid(n("review"), n("p1"), (n(1994),))
+
+    def test_new_virtual_is_the_shared_identity_and_limit(self, db):
+        # The int batch writer creates virtual objects through the same
+        # call: identity, the depth limit and the counter are shared.
+        realizer = HeadRealizer(db, max_virtual_depth=1)
+        made = realizer.new_virtual(n("boss"), n("p1"), ())
+        walked, _ = HeadRealizer(db).realize(parse_reference("p1.boss"), {})
+        assert made == walked == VirtualOid(n("boss"), n("p1"))
+        assert realizer.virtuals_created == 1
+        with pytest.raises(ResourceLimitError, match="max_virtual_depth"):
+            realizer.new_virtual(n("boss"), made, ())
+        assert realizer.virtuals_created == 1
