@@ -18,8 +18,8 @@ per-rule join plans the engine used.  ``--magic`` answers each query
 demand-driven: the program is magic-set rewritten per query so only the
 facts the query needs are derived (``--stats`` and ``--explain`` then
 describe the demand run, including the rewritten-vs-fallback rules).
-Rule bodies run on the columnar executor and queries on compiled
-tuple-at-a-time kernels (see docs/performance.md "How a plan runs");
+Rule bodies and queries both run on the columnar executor (see
+docs/performance.md "How a plan runs");
 ``--stats`` rows ``batches`` and ``batch_rows`` report how many
 columnar executions ran and how many solution rows they produced,
 ``heads-compiled``/``heads-fallback`` how many plans realise their
@@ -39,7 +39,7 @@ expiry the process prints one ``error:`` line and exits with code 2
 (see docs/robustness.md).
 The ``explain`` subcommand prints the plan of one query -- ordered
 atoms, estimated (and, unless ``--no-analyze`` is given, actual) rows,
-and the access path per atom; with ``--magic`` it also prints the
+and the access path and columnar kernel per atom; with ``--magic`` it also prints the
 demand section, and it accepts the same budget flags.  The subcommand
 is recognised by its first-argument position; a program file literally
 named ``explain`` must be written as ``./explain``.

@@ -8,17 +8,15 @@ applied"; this package supplies them:
 - :mod:`repro.engine.planner` -- cost-based join planning: static atom
   orders from cardinality statistics, with a keyed plan cache;
 - :mod:`repro.engine.solve` -- the ad-hoc conjunction solver: planned
-  orders run as compiled kernels, or through the interpreted matcher
+  orders run as columnar plans, or through the interpreted matcher
   (the test oracle);
-- :mod:`repro.engine.compile` -- compiled plan execution: slot-based
-  bindings and per-step kernels specialized at plan-build time (how
-  ``Query`` answers run, tuple at a time);
 - :mod:`repro.engine.columnar` -- set-at-a-time execution over
-  int-surrogate columns: the fixpoint and maintenance executor, with
-  delta seeding and int-native head emission;
+  int-surrogate columns: the one executor of fixpoints, maintenance
+  and ad-hoc answers, with delta seeding and int-native head emission;
 - :mod:`repro.engine.batch` -- the boxed column kernels columnar plans
-  fall back to per slot, chunked existence checks, and the boxed
-  simple-head emitter;
+  fall back to per slot (row-at-a-time matcher steps included), the
+  depth-first chunk loop behind lazy answers and existence checks,
+  and the boxed simple-head emitter;
 - :mod:`repro.engine.explain` -- the EXPLAIN surface: structured plan
   reports with estimated vs. actual rows and access paths;
 - :mod:`repro.engine.normalize` -- rule normalisation: head scalarity
@@ -45,7 +43,6 @@ applied"; this package supplies them:
 """
 
 from repro.engine.budget import QueryBudget
-from repro.engine.compile import CompiledPlan, compile_plan
 from repro.engine.explain import PlanReport, StepView, explain_conjunction
 from repro.engine.fixpoint import Engine, EngineLimits
 from repro.engine.incremental import (
@@ -66,7 +63,6 @@ from repro.engine.solve import solve
 from repro.engine.stratify import full_evaluation_closure, stratify
 
 __all__ = [
-    "CompiledPlan",
     "DemandEngine",
     "DemandReport",
     "Engine",
@@ -85,7 +81,6 @@ __all__ = [
     "SupportIndex",
     "adornment",
     "build_plan",
-    "compile_plan",
     "explain_conjunction",
     "full_evaluation_closure",
     "normalize_program",

@@ -17,24 +17,27 @@ no int form or reads a boxed column (``isa``, comparisons, builtins,
   degenerates to a plain bulk scan);
 - **filter** steps (comparisons, ``isa check``, ``set contains``) run
   as a single selection pass over the columns;
-- steps with no column form at all (negation, superset atoms, dynamic
-  method dispatch, ``@``-parameters) loop the corresponding compiled
-  tuple kernel (:mod:`repro.engine.compile`) row-at-a-time
-  (:func:`_rowwise`), preserving its exact semantics.
+- steps with no column form at all (negation, superset atoms,
+  variable methods, ``@``-parameters, scans of unindexed tables,
+  repeated variables) re-enter the interpreted matcher once per row
+  (:func:`_rowwise`), so they keep its exact semantics.
 
 EXPLAIN names these steps ``batch ...`` (``batch row ...`` for the
 rowwise loop).  Surviving rows are *compacted*: each step keeps only
 the columns later steps (or the projection) still need
 (:func:`_bake_steps`), so dead variables cost nothing.  Row counts per
-step equal the tuple-at-a-time per-step extension counters exactly --
-batching changes the execution schedule (breadth-first instead of
-depth-first), never the set of solutions.
+step equal the interpreted matcher's per-step extension counters
+exactly -- batching changes the execution schedule (breadth-first
+instead of depth-first), never the set of solutions.
 
-:func:`exists_over` drives baked steps depth-first in small chunks for
-goal-directed existence checks, and :func:`head_emitter` closes the
+:func:`chunks` drives baked steps depth-first in small chunks -- the
+lazy answer stream of ad-hoc conjunctions and the goal-directed
+existence checks both read it -- and :func:`head_emitter` closes the
 loop on the output side: simple rule heads the int batch writer
 declines are asserted straight from boxed solution columns, skipping
-the per-binding dict build and head-spine walk entirely.
+the per-binding dict build and head-spine walk entirely.  The term-op
+lowering (``_term_op``) and slot assignment the int kernels share live
+here too.
 """
 
 from __future__ import annotations
@@ -44,29 +47,24 @@ from typing import Callable, Sequence
 from repro.core import builtins as _builtins
 from repro.core.ast import Molecule, Name, ScalarFilter, Var
 from repro.core.entailment import compare_oids
-from repro.engine.compile import (
-    _CONST,
-    _STORE,
-    _atom_variables,
-    _compile_step,
-    _known,
-    _term_op,
-)
 from repro.engine.budget import (
     ROWWISE_CHECK_INTERVAL,
     active_budget,
     pop_active,
     push_active,
 )
-from repro.engine.matching import MatchPolicy
+from repro.engine.matching import MatchPolicy, match_atom
 from repro.testing.faults import fault_point
 from repro.flogic.atoms import (
     Atom,
     ComparisonAtom,
+    EnumSupersetAtom,
     IsaAtom,
     NegationAtom,
     ScalarAtom,
     SetMemberAtom,
+    SupersetAtom,
+    Term,
 )
 from repro.oodb.database import Database
 from repro.oodb.oid import NamedOid, Oid
@@ -80,6 +78,60 @@ BatchStep = Callable[[list, int], int]
 StepBuilder = Callable[[tuple], BatchStep]
 
 
+# ---------------------------------------------------------------------------
+# Term operations and slots (shared with the int kernels)
+# ---------------------------------------------------------------------------
+
+# Term operations compiled per atom position: check a constant, check an
+# already-written slot, or write a slot (its unique writer step).
+_CONST, _LOAD, _STORE = 0, 1, 2
+
+
+def _term_op(term: Term, db: Database, slots: dict[Var, int],
+             bound: set[Var], seen: set[Var]) -> tuple[int, object]:
+    """Lower one term position to a (kind, payload) op."""
+    if isinstance(term, Name):
+        return (_CONST, db.lookup_name(term.value))
+    if term in bound or term in seen:
+        return (_LOAD, slots[term])
+    seen.add(term)
+    return (_STORE, slots[term])
+
+
+def _known(term: Term, bound: set[Var]) -> bool:
+    """Whether the term denotes *before* the atom runs (matcher parity).
+
+    Branch selection must use pre-atom boundness, never the within-atom
+    ops: a repeated variable's second occurrence compiles to a slot
+    check, but the matcher still treats it as unbound when choosing the
+    access path (``X[color -> X]`` scans; it does not probe the result
+    index with a stale column).
+    """
+    return isinstance(term, Name) or term in bound
+
+
+def _atom_variables(atom: Atom) -> tuple[Var, ...]:
+    """Every variable the atom can bind (source variables included)."""
+    variables = list(atom.variables())
+    if isinstance(atom, (SupersetAtom, EnumSupersetAtom)):
+        for var in atom.source_variables():
+            if var not in variables:
+                variables.append(var)
+    return tuple(variables)
+
+
+def _assign_slots(atoms: Sequence[Atom],
+                  bound_in: Sequence[Var]) -> dict[Var, int]:
+    """One integer slot per variable, entry-bound variables first."""
+    slots: dict[Var, int] = {}
+    for var in bound_in:
+        slots.setdefault(var, len(slots))
+    for atom in atoms:
+        for var in _atom_variables(atom):
+            slots.setdefault(var, len(slots))
+    return slots
+
+
 def _take(cols: list, carry: tuple, idx: list) -> None:
     """Compact the carried columns down to the selected row indices."""
     for slot in carry:
@@ -89,58 +141,101 @@ def _take(cols: list, carry: tuple, idx: list) -> None:
 
 def _step_io(atom: Atom, bound: set[Var],
              slots: dict[Var, int]) -> tuple[tuple, tuple]:
-    """(read slots, written slots) of one step -- drives compaction."""
+    """``(reads, writes)`` of one step as ``(var, slot)`` pairs.
+
+    The slots drive compaction; the variables name a row-at-a-time
+    step's binding.  A negation reads its bound inner variables and
+    writes nothing.
+    """
     if isinstance(atom, NegationAtom):
-        reads = tuple(slots[v] for v in atom.inner_variables() if v in bound)
+        reads = tuple((v, slots[v]) for v in atom.inner_variables()
+                      if v in bound)
         return reads, ()
     variables = _atom_variables(atom)
-    reads = tuple(slots[v] for v in variables if v in bound)
-    writes = tuple(slots[v] for v in variables if v not in bound)
+    reads = tuple((v, slots[v]) for v in variables if v in bound)
+    writes = tuple((v, slots[v]) for v in variables if v not in bound)
     return reads, writes
 
 
 # ---------------------------------------------------------------------------
-# The generic row-at-a-time fallback (wraps a compiled tuple kernel)
+# The generic row-at-a-time fallback (re-enters the matcher)
 # ---------------------------------------------------------------------------
 
-def _rowwise(nslots: int, reads: tuple, writes: tuple, kern) -> StepBuilder:
-    """Drive a compiled tuple kernel once per batch row.
+#: Output rows per block: the chunk loop's slice size, and the most
+#: rows a row-at-a-time step produces before handing a block on.  Small
+#: enough that a satisfiable ``exists`` touches a sliver of a batch; big
+#: enough that per-chunk slicing stays negligible when every row dies.
+_EXISTS_CHUNK = 64
 
-    Keeps the kernel's exact semantics (negation re-entry, superset
-    bridging, dynamic dispatch) while the surrounding join stays
-    batched; only this step pays the per-row generator cost.
 
-    The loop is also a budget checkpoint: columnar plans check their
-    budget once per *step*, but a row-at-a-time fallback can do an
-    entire batch worth of work inside one step, so a timeout or
-    ``cancel()`` would otherwise go unnoticed until the whole batch
-    finished.  The activated budget (:func:`~repro.engine.budget.active_budget`)
-    is consulted every :data:`~repro.engine.budget.ROWWISE_CHECK_INTERVAL`
-    rows, pinning detection latency to one row interval.
+def _rowwise(reads: tuple, writes: tuple, extend) -> StepBuilder:
+    """Run ``extend`` once per batch row, in output blocks.
+
+    ``reads`` and ``writes`` are ``(var, slot)`` pairs; ``extend`` maps
+    a dict binding of the read variables to its extensions (the
+    interpreted matcher for one atom), so the step keeps the matcher's
+    exact semantics -- negation, superset, dynamic dispatch -- while
+    the surrounding join stays batched.  The loop is written once, as a
+    generator over blocks of at most :data:`_EXISTS_CHUNK` output rows:
+    the eager step drains it, and the chunk loop (:func:`chunks`)
+    takes the blocks one at a time through ``step.blocks``, so a row
+    that expands to ``|U|^k`` rows (a superset over free source
+    variables) costs an existence check one block, not the whole
+    expansion.
+
+    The loop is also a budget checkpoint: a row-at-a-time step can do
+    a whole batch worth of work inside one step, so the budget is
+    consulted every :data:`~repro.engine.budget.ROWWISE_CHECK_INTERVAL`
+    input rows -- the eager step's activated one
+    (:func:`~repro.engine.budget.active_budget`), the chunk loop's
+    own otherwise.
     """
     mask = ROWWISE_CHECK_INTERVAL - 1
+
+    def matches(cols: list, nrows: int, check):
+        """``(row indices, written columns)`` blocks."""
+        read_cols = [(var, cols[slot]) for var, slot in reads]
+        idx: list[int] = []
+        outs: list[list] = [[] for _ in writes]
+        for i in range(nrows):
+            if check is not None and i and not (i & mask):
+                check("batch.rowwise")
+            for extended in extend({var: col[i] for var, col in read_cols}):
+                idx.append(i)
+                for out, (var, _) in zip(outs, writes):
+                    out.append(extended[var])
+                if len(idx) == _EXISTS_CHUNK:
+                    yield idx, outs
+                    idx = []
+                    outs = [[] for _ in writes]
+        if idx:
+            yield idx, outs
 
     def builder(carry: tuple) -> BatchStep:
         def step(cols: list, nrows: int) -> int:
             budget = active_budget() if nrows > mask else None
             check = budget.check if budget is not None else None
-            regs = [None] * nslots
             idx: list[int] = []
-            outs = [[] for _ in writes]
-            read_cols = [(slot, cols[slot]) for slot in reads]
-            for i in range(nrows):
-                if check is not None and i and not (i & mask):
-                    check("batch.rowwise")
-                for slot, col in read_cols:
-                    regs[slot] = col[i]
-                for _ in kern(regs):
-                    idx.append(i)
-                    for out, slot in zip(outs, writes):
-                        out.append(regs[slot])
+            outs: list[list] = [[] for _ in writes]
+            for block_idx, block_outs in matches(cols, nrows, check):
+                idx += block_idx
+                for out, block_out in zip(outs, block_outs):
+                    out += block_out
             _take(cols, carry, idx)
-            for out, slot in zip(outs, writes):
+            for out, (_, slot) in zip(outs, writes):
                 cols[slot] = out
             return len(idx)
+
+        def blocks(cols: list, nrows: int, budget):
+            check = budget.check if budget is not None else None
+            for idx, outs in matches(cols, nrows, check):
+                block = cols[:]
+                _take(block, carry, idx)
+                for out, (_, slot) in zip(outs, writes):
+                    block[slot] = out
+                yield block, len(idx)
+
+        step.blocks = blocks
         return step
     return builder
 
@@ -172,68 +267,69 @@ def activated(execute, budget):
 
 
 # ---------------------------------------------------------------------------
-# Short-circuiting existence over baked steps
+# The depth-first chunk loop
 # ---------------------------------------------------------------------------
 
-#: Rows pushed through the remaining steps at a time once an existence
-#: check sees a batch bigger than this.  Small enough that a satisfiable
-#: ``ask()`` touches a sliver of the batch; big enough that the
-#: per-chunk slicing overhead stays negligible when every row dies.
-_EXISTS_CHUNK = 64
-
-
-def exists_over(steps: Sequence[BatchStep], cols: list, nrows: int,
-                stats=None, budget=None) -> bool:
-    """True as soon as any row survives every step, depth-first.
+def chunks(steps: Sequence[BatchStep], cols: list, nrows: int, *,
+           budget=None, counters: list[int] | None = None, stats=None,
+           k: int = 0):
+    """Yield the surviving ``(cols, nrows)`` chunks of baked steps, lazily.
 
     A plain batched execution materialises the *whole* batch at every
-    step even though a goal-directed check (the maintainer's support
-    and rederivation re-checks) needs a single witness.  This driver
-    instead recurses depth-first over chunks of at most
-    :data:`_EXISTS_CHUNK` rows, so the first surviving terminal row
+    step; this loop instead recurses depth-first over chunks of at
+    most :data:`_EXISTS_CHUNK` rows, so a consumer that stops early
+    (an existence check wants one witness, ``ask()`` one answer)
     abandons all remaining work.  Steps are pure against a database
-    that is frozen during body evaluation, so skipping rows cannot
-    change the verdict.  ``stats.batch_rows`` (when given) accrues only
-    the rows actually pushed through a step.  Every step executed is a
-    ``columnar.step`` fault point and, with a ``budget`` (a
-    :class:`~repro.engine.budget.QueryBudget`), a ``columnar.step``
-    checkpoint -- the same site the column executor reports -- and
-    rowwise fallback steps pick the activated budget up mid-batch
-    every 256 rows.
+    that is frozen while the conjunction runs, so skipping rows cannot
+    change what the rows taken are.  Row-at-a-time steps hand over
+    their output in blocks of the same size (``step.blocks``).  ``k``
+    is the step the batch enters at (the recursion's own argument).
+
+    ``counters[k]`` accrues the rows step ``k`` produced -- once the
+    stream is drained, exactly the full execution's per-step counts --
+    and ``stats.batch_rows`` (when given) their sum.  Every step
+    executed is a ``columnar.step`` fault point and, with a ``budget``
+    (a :class:`~repro.engine.budget.QueryBudget`), a ``columnar.step``
+    checkpoint; the budget is checked again before each chunk or block
+    goes on, and row-at-a-time steps check it every 256 input rows.
     """
-    if budget is None:
-        return _exists_from(steps, 0, cols, nrows, stats, None)
-    token = push_active(budget)
-    try:
-        return _exists_from(steps, 0, cols, nrows, stats, budget)
-    finally:
-        pop_active(token)
-
-
-def _exists_from(steps, k: int, cols: list, nrows: int, stats,
-                 budget) -> bool:
     nsteps = len(steps)
-    while True:
+    while nrows <= _EXISTS_CHUNK:
         if k == nsteps:
-            return nrows > 0
-        if nrows > _EXISTS_CHUNK:
-            break
+            yield cols, nrows
+            return
+        step = steps[k]
         fault_point("columnar.step")
         if budget is not None:
             budget.check("columnar.step")
-        nrows = steps[k](cols, nrows)
+        blocks = getattr(step, "blocks", None)
+        if blocks is not None:
+            for block, block_rows in blocks(cols, nrows, budget):
+                if counters is not None:
+                    counters[k] += block_rows
+                if stats is not None:
+                    stats.batch_rows += block_rows
+                yield from chunks(steps, block, block_rows, budget=budget,
+                                  counters=counters, stats=stats, k=k + 1)
+                if budget is not None:
+                    budget.check("columnar.step")
+            return
+        nrows = step(cols, nrows)
+        if counters is not None:
+            counters[k] += nrows
         if stats is not None:
             stats.batch_rows += nrows
         if not nrows:
-            return False
+            return
         k += 1
     for start in range(0, nrows, _EXISTS_CHUNK):
+        if budget is not None:
+            budget.check("columnar.step")
         stop = min(start + _EXISTS_CHUNK, nrows)
         chunk = [col[start:stop] if type(col) is list else col
                  for col in cols]
-        if _exists_from(steps, k, chunk, stop - start, stats, budget):
-            return True
-    return False
+        yield from chunks(steps, chunk, stop - start, budget=budget,
+                          counters=counters, stats=stats, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +901,7 @@ def _batch_isa(db: Database, atom: IsaAtom, bound: set[Var],
 def _batch_compare(db: Database, atom: ComparisonAtom, bound: set[Var],
                    slots: dict[Var, int]):
     if not (_known(atom.left, bound) and _known(atom.right, bound)):
-        return None  # the compiled "compare unready" kernel raises
+        return None  # the matcher raises for the first row it sees
     seen: set[Var] = set()
     l_op = _term_op(atom.left, db, slots, bound, seen)
     r_op = _term_op(atom.right, db, slots, bound, seen)
@@ -838,11 +934,31 @@ def _batch_compare(db: Database, atom: ComparisonAtom, bound: set[Var],
 # Step dispatch
 # ---------------------------------------------------------------------------
 
+def _rowwise_label(atom: Atom, bound: set[Var]) -> str:
+    """EXPLAIN's name for an atom the matcher runs row by row."""
+    if isinstance(atom, NegationAtom):
+        return "negation"
+    if isinstance(atom, (SupersetAtom, EnumSupersetAtom)):
+        return "superset"
+    if isinstance(atom, ComparisonAtom):
+        return "compare unready"
+    if isinstance(atom, IsaAtom):
+        return "isa scan"
+    kind = "scalar" if isinstance(atom, ScalarAtom) else "set"
+    if isinstance(atom.method, Name):
+        if (kind == "scalar" and _builtins.is_builtin_scalar(
+                NamedOid(atom.method.value))):
+            return "self universe"
+        return f"{kind} @-args" if atom.args else f"{kind} scan"
+    return f"{kind} dynamic" if atom.method in bound else f"{kind} any-method"
+
+
 def _compile_batch_step(db: Database, atom: Atom, bound: set[Var],
-                        slots: dict[Var, int], policy: MatchPolicy,
-                        nslots: int):
+                        slots: dict[Var, int], policy: MatchPolicy):
     """(kernel name, step builder, read slots, written slots) for one atom."""
     reads, writes = _step_io(atom, bound, slots)
+    read_slots = tuple(slot for _, slot in reads)
+    write_slots = tuple(slot for _, slot in writes)
     specialized = None
     if isinstance(atom, ScalarAtom):
         specialized = _batch_scalar(db, atom, bound, slots, policy)
@@ -854,11 +970,13 @@ def _compile_batch_step(db: Database, atom: Atom, bound: set[Var],
         specialized = _batch_compare(db, atom, bound, slots)
     if specialized is not None:
         name, builder = specialized
-        return name, builder, reads, writes
-    # No batched form: loop the compiled tuple kernel over the rows.
-    name, kern = _compile_step(db, atom, bound, slots, policy)
-    return f"batch row {name}", _rowwise(nslots, reads, writes, kern), \
-        reads, writes
+        return name, builder, read_slots, write_slots
+
+    # No column form: the matcher extends each row's binding.
+    def extend(binding, _db=db, _atom=atom, _policy=policy):
+        return match_atom(_db, _atom, binding, _policy)
+    return (f"batch row {_rowwise_label(atom, bound)}",
+            _rowwise(reads, writes, extend), read_slots, write_slots)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ _ACTIVE: ContextVar["QueryBudget | None"] = ContextVar(
     "repro_active_budget", default=None)
 
 #: Rows a row-at-a-time fallback kernel processes between budget
-#: checkpoints (matches the compiled executor's per-256-row cadence).
+#: checkpoints (the interpreted walk's per-256-row cadence).
 ROWWISE_CHECK_INTERVAL = 256
 
 

@@ -1,10 +1,14 @@
-"""Int-surrogate columnar execution: the fixpoint and maintenance executor.
+"""Int-surrogate columnar execution: the one executor of every plan.
 
 Every rule body a fixpoint run (:class:`~repro.engine.fixpoint.Engine`)
 or an incremental maintenance pass
 (:class:`~repro.engine.incremental.Maintainer`) evaluates runs here,
-**set-at-a-time**: a batch of bindings is a list of columns, and each
-plan step maps a whole batch to the next.  Boxed OID columns would make
+and so does every ad-hoc conjunction (``Query`` answers,
+:func:`~repro.engine.solve.solve`), **set-at-a-time**: a batch of
+bindings is a list of columns, and each plan step maps a whole batch
+to the next.  Ad-hoc answers stream lazily through a depth-first chunk
+loop (:meth:`ColumnarPlan.rows`), so an ``ask()`` stops at its first
+surviving chunk.  Boxed OID columns would make
 every join probe recompute a structural hash over a frozen dataclass
 (and for virtual objects, recursively over its spine), and every head
 emission pay that hash again just to discover the fact is a duplicate.
@@ -53,7 +57,7 @@ cannot tell the representations apart.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core import builtins as _builtins
 from repro.core.ast import (
@@ -66,25 +70,22 @@ from repro.core.ast import (
     Var,
 )
 from repro.engine.batch import (
+    _CONST,
+    _LOAD,
+    _STORE,
     BatchStep,
     StepBuilder,
+    _assign_slots,
+    _atom_variables,
     _bake_steps,
     _compile_batch_step,
     _filter_const,
+    _known,
     _step_io,
     _take,
-    activated,
-    exists_over,
-)
-from repro.engine.compile import (
-    _CONST,
-    _STORE,
-    _apply_row,
-    _assign_slots,
-    _atom_variables,
-    _known,
-    _method_filter,
     _term_op,
+    activated,
+    chunks,
 )
 from repro.engine.delta import DeltaIndex
 from repro.engine.matching import (
@@ -92,6 +93,7 @@ from repro.engine.matching import (
     UNRESTRICTED,
     Binding,
     MatchPolicy,
+    method_visible,
 )
 from repro.engine.planner import Plan
 from repro.errors import EvaluationError
@@ -515,22 +517,31 @@ def _class_extent(db: Database, cls: Oid, interner: OidInterner):
     remembered, and looked up again once the interner has grown.  The
     set is rebuilt when the hierarchy's ``version`` moves (isa heads
     add edges between rounds).
+
+    Server reader threads share cached plans, so several may call one
+    ``extent()`` at once.  The memo is one tuple, replaced whole and
+    never mutated: a reader sees either the old state or the new one,
+    never a new version paired with the old members.
     """
-    hierarchy = version = capacity = None
-    members: set[int] = set()
-    missing: list[Oid] = []
+    memo = None  # (hierarchy, version, capacity, members, missing)
 
     def extent() -> set[int]:
-        nonlocal hierarchy, version, capacity, members, missing
-        if db.hierarchy is not hierarchy or hierarchy.version != version:
-            hierarchy = db.hierarchy
+        nonlocal memo
+        state = memo
+        hierarchy = db.hierarchy
+        if (state is None or state[0] is not hierarchy
+                or state[1] != hierarchy.version):
             version = hierarchy.version
+            capacity = interner.capacity
             members, missing = interner.known(hierarchy.members(cls))
+            memo = (hierarchy, version, capacity, members, missing)
+            return members
+        members, missing = state[3], state[4]
+        if missing and interner.capacity != state[2]:
             capacity = interner.capacity
-        elif missing and interner.capacity != capacity:
             found, missing = interner.known(missing)
-            members |= found
-            capacity = interner.capacity
+            members = members | found
+            memo = (hierarchy, state[1], capacity, members, missing)
         return members
     return extent
 
@@ -571,53 +582,48 @@ def _int_isa(db: Database, atom: IsaAtom, bound: set[Var],
 # Step dispatch with per-slot representation tracking
 # ---------------------------------------------------------------------------
 
-def _sync_tables(builder: StepBuilder, db: Database) -> StepBuilder:
-    """Drain mirror-first pending inserts before a boxed step runs.
+def _boxed(builder: StepBuilder, db: Database, deref: tuple,
+           resolver: list) -> StepBuilder:
+    """Prepare a boxed fallback step's input before it runs.
 
-    Boxed kernels capture the tables' live dicts at compile time; the
-    drain back-fills those same dicts in place, so one sync per step
-    execution keeps every captured view coherent with the int mirrors
-    the head emitters write first (see ``MethodTable.int_writer``).
+    Two things happen per execution.  Mirror-first pending inserts are
+    drained: boxed kernels capture the tables' live dicts at compile
+    time and the drain back-fills those same dicts in place (see
+    ``MethodTable.int_writer``).  Then int read columns are resolved to
+    OIDs in place -- the slot is boxed for every later step, which is
+    exactly what the compile-time representation map records; a deref
+    is a list index per row, no hashing.  A row-at-a-time step's
+    ``blocks`` entry (:func:`repro.engine.batch.chunks`) gets the same
+    preparation.
     """
     scalars, sets = db.scalars, db.sets
 
+    def prepare(cols: list) -> None:
+        scalars.sync()
+        sets.sync()
+        for slot in deref:
+            cols[slot] = [resolver[v] for v in cols[slot]]
+
     def wrapped(carry: tuple) -> BatchStep:
         step = builder(carry)
 
-        def run(cols: list, nrows: int,
-                _sc=scalars, _st=sets, _step=step) -> int:
-            _sc.sync()
-            _st.sync()
-            return _step(cols, nrows)
-        return run
-    return wrapped
+        def run(cols: list, nrows: int) -> int:
+            prepare(cols)
+            return step(cols, nrows)
 
-
-def _deref_reads(builder: StepBuilder, deref: tuple,
-                 resolver: list) -> StepBuilder:
-    """Resolve int read columns to OIDs before running a boxed step.
-
-    The conversion happens in place -- the slot is boxed for every
-    later step, which is exactly what the compile-time representation
-    map records.  A deref is a list index per row: no hashing.
-    """
-    def wrapped(carry: tuple) -> BatchStep:
-        step = builder(carry)
-
-        def run(cols: list, nrows: int,
-                _deref=deref, _res=resolver, _step=step) -> int:
-            for slot in _deref:
-                col = cols[slot]
-                cols[slot] = [_res[v] for v in col]
-            return _step(cols, nrows)
+        blocks = getattr(step, "blocks", None)
+        if blocks is not None:
+            def run_blocks(cols: list, nrows: int, budget):
+                prepare(cols)
+                return blocks(cols, nrows, budget)
+            run.blocks = run_blocks
         return run
     return wrapped
 
 
 def _compile_columnar_step(db: Database, atom: Atom, bound: set[Var],
                            slots: dict[Var, int], policy: MatchPolicy,
-                           nslots: int, rep: list[bool],
-                           interner: OidInterner):
+                           rep: list[bool], interner: OidInterner):
     """One step with representation selection; mutates ``rep``.
 
     Tries the int kernel first; atoms it cannot serve fall back to the
@@ -636,17 +642,15 @@ def _compile_columnar_step(db: Database, atom: Atom, bound: set[Var],
         name, builder, int_writes = specialized
         for slot in int_writes:
             rep[slot] = True
-        return name, builder, reads, writes
+        return (name, builder, tuple(slot for _, slot in reads),
+                tuple(slot for _, slot in writes))
     name, builder, reads, writes = _compile_batch_step(
-        db, atom, bound, slots, policy, nslots)
+        db, atom, bound, slots, policy)
     deref = tuple(slot for slot in reads if rep[slot])
-    if deref:
-        builder = _deref_reads(builder, deref, interner.resolver())
-        for slot in deref:
-            rep[slot] = False
-    for slot in writes:
+    for slot in deref + writes:
         rep[slot] = False
-    return name, _sync_tables(builder, db), reads, writes
+    return (name, _boxed(builder, db, deref, interner.resolver()), reads,
+            writes)
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +660,18 @@ def _compile_columnar_step(db: Database, atom: Atom, bound: set[Var],
 class ColumnarPlan:
     """A plan lowered to int-surrogate columns, ready to execute.
 
-    Per-step counters (rows leaving each step) and seed validation mean
-    what they mean for :class:`~repro.engine.compile.CompiledPlan`.
-    ``reps`` records each slot's final representation (True = int
-    surrogates); output columns are dereferenced to OIDs at the
+    ``counters[i]`` accumulates the rows leaving step ``i`` -- the
+    interpreted matcher's per-step extension counts -- and a seed
+    binding must bind exactly the plan's ``bound_in`` variables among
+    its slots.  ``reps`` records each slot's final representation (True
+    = int surrogates); output columns are dereferenced to OIDs at the
     boundary unless the caller asks for ``raw`` columns (the engine's
     int-native head emitter does, to deduplicate in int space).
     :meth:`column_executor` serves the engine's full rule firings,
-    :meth:`exists` the maintainer's goal-directed checks.
+    :meth:`rows` the lazy answer stream of ad-hoc conjunctions
+    (``Query`` answers, ``solve``, the maintainer's full firings), and
+    :meth:`exists` goal-directed checks and ``ask()``; the last two
+    share one depth-first chunk loop (:func:`repro.engine.batch.chunks`).
 
     It keeps the plan's ``bound_in``, not the plan: the plan caches this
     object (``compiled_cache``, keyed by the database), so a back
@@ -673,7 +681,7 @@ class ColumnarPlan:
 
     __slots__ = ("bound_in", "slots", "nslots", "kernel_names", "reps",
                  "interner", "_builders", "_reads", "_writes", "_entry",
-                 "_out", "_exists")
+                 "_out", "_exists", "_rows")
 
     def __init__(self, plan: Plan, slots: dict[Var, int],
                  builders: tuple[StepBuilder, ...],
@@ -693,6 +701,7 @@ class ColumnarPlan:
                             if var in slots)
         self._out = tuple(slots.items())
         self._exists = None
+        self._rows = None
 
     def _build_steps(self, out_slots: set[int]) -> tuple[BatchStep, ...]:
         return _bake_steps(self._builders, self._reads, self._writes,
@@ -781,20 +790,62 @@ class ColumnarPlan:
             return cols, nrows
         return activated(execute, budget), out
 
+    def rows(self, binding: Binding | None = None,
+             counters: list[int] | None = None,
+             budget=None) -> Iterator[Binding]:
+        """Yield every solution extending ``binding`` as a dict, lazily.
+
+        Chunks come off the depth-first chunk loop one at a time and are
+        dereferenced and turned into dicts only when the consumer gets
+        to them, so a caller that stops early (``ask()``, a first
+        answer) leaves the rest of the plan unexecuted.  Seed variables
+        that are not plan slots ride along in every solution.
+        ``budget`` is checked per step and per chunk (the
+        ``columnar.step`` site).
+        """
+        steps = self._rows
+        if steps is None:
+            steps = self._rows = self._build_steps(
+                {slot for _, slot in self._out})
+        cols = self._seed(binding)
+        names = tuple(var for var, _ in self._out)
+        out = tuple((slot, self.reps[slot]) for _, slot in self._out)
+        resolver = self.interner.resolver()
+        base = dict(binding) if binding else None
+        for chunk, nrows in chunks(steps, cols, 1, budget=budget,
+                                   counters=counters):
+            if not out:
+                for _ in range(nrows):
+                    yield dict(base) if base else {}
+                continue
+            columns = [[resolver[v] for v in chunk[slot]] if is_int
+                       else chunk[slot] for slot, is_int in out]
+            if base is None:
+                for values in zip(*columns):
+                    yield dict(zip(names, values))
+            else:
+                for values in zip(*columns):
+                    row = dict(base)
+                    row.update(zip(names, values))
+                    yield row
+
     def exists(self, binding: Binding | None = None, stats=None,
                budget=None) -> bool:
         """True when at least one solution extends ``binding``.
 
-        Chunked and short-circuiting (:func:`repro.engine.batch.exists_over`):
-        rows are pushed through the steps in small chunks and the first
-        surviving terminal row returns immediately.
+        The first chunk the loop yields is the answer: rows are pushed
+        through the steps in small chunks and the first one to survive
+        them all stops the run.
         """
         steps = self._exists
         if steps is None:
             steps = self._exists = self._build_steps(set())
         if stats is not None:
             stats.batches += 1
-        return exists_over(steps, self._seed(binding), 1, stats, budget)
+        for _ in chunks(steps, self._seed(binding), 1, budget=budget,
+                        stats=stats):
+            return True
+        return False
 
 
 def compile_columnar_plan(db: Database, plan: Plan,
@@ -819,7 +870,7 @@ def compile_columnar_plan(db: Database, plan: Plan,
     writes: list[tuple] = []
     for atom in atoms:
         name, builder, step_reads, step_writes = _compile_columnar_step(
-            db, atom, bound, slots, policy, nslots, rep, interner)
+            db, atom, bound, slots, policy, rep, interner)
         builders.append(builder)
         names.append(name)
         reads.append(step_reads)
@@ -913,6 +964,35 @@ class ColumnarDeltaPlan:
                     cols[slot] = [resolver[v] for v in col]
             return cols, nrows
         return activated(execute, budget), out
+
+
+def _apply_row(ops, values, regs) -> bool:
+    """Run a row of ops against aligned fact components; False on mismatch."""
+    for op, value in zip(ops, values):
+        kind = op[0]
+        if kind == _STORE:
+            regs[op[1]] = value
+        elif kind == _LOAD:
+            if regs[op[1]] != value:
+                return False
+        elif value != op[1]:
+            return False
+    return True
+
+
+def _method_filter(policy: MatchPolicy, m_op):
+    """The per-entry method predicate of a boxed delta seed.
+
+    When the method position is *enumerated* (a ``_STORE`` op -- an
+    unbound variable ranging over stored methods), internal magic
+    predicates are hidden in addition to the policy's depth bound,
+    mirroring :func:`repro.engine.matching.method_visible`.  Constant
+    and already-bound method positions keep the plain policy check.
+    """
+    method_ok = policy.method_ok
+    if m_op[0] != _STORE:
+        return method_ok
+    return lambda m: method_ok(m) and method_visible(m)
 
 
 def _generic_delta_seed(wanted: str, ops: tuple, nargs: int,
@@ -1019,7 +1099,7 @@ def compile_columnar_delta_plan(db: Database, atom: Atom, plan: Plan,
     writes: list[tuple] = []
     for rest_atom in rest_atoms:
         name, builder, step_reads, step_writes = _compile_columnar_step(
-            db, rest_atom, bound, slots, policy, nslots, rep, interner)
+            db, rest_atom, bound, slots, policy, rep, interner)
         builders.append(builder)
         names.append(name)
         reads.append(step_reads)

@@ -9,16 +9,15 @@ rows and access path (index vs. scan), optionally augmented with the
 ``Query.explain()``, ``Engine.explain()``, and the ``explain`` CLI
 subcommand.
 
-The ``kernel`` column names what each step runs.  Ad-hoc conjunctions
-(``Query.explain``, the ``explain`` subcommand) show compiled
-tuple-at-a-time kernels (``scalar mr-probe``, ``set iter``, ...).
-Rule plans of a fixpoint run (``Engine.explain``, ``--explain``) show
-columnar kernels: ``int ...`` for steps served from the int-surrogate
-mirrors, ``batch ...`` for a boxed fallback step inside the same
-columnar plan, and ``batch row ...`` for a step that loops a compiled
-tuple kernel row by row (negation, superset bridges).  Rule plans also
-name their head rung (``head: int writer`` and so on): how the plan's
-solutions become facts.
+The ``kernel`` column names what each step runs, in one vocabulary
+for ad-hoc conjunctions (``Query.explain``, the ``explain``
+subcommand) and rule plans of a fixpoint run (``Engine.explain``,
+``--explain``) alike -- both run on columnar plans: ``int ...`` for
+steps served from the int-surrogate mirrors, ``batch ...`` for a boxed
+fallback step inside the same plan, and ``batch row ...`` for a step
+that re-enters the interpreted matcher row by row (negation, superset,
+dynamic methods).  Rule plans also name their head rung (``head: int
+writer`` and so on): how the plan's solutions become facts.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.pretty import render_table
-from repro.engine.compile import compile_plan
+from repro.engine.columnar import compile_columnar_plan
 from repro.engine.matching import UNRESTRICTED, Binding, MatchPolicy
-from repro.engine.planner import Plan, PlanCache, build_plan, relevant_bound
-from repro.engine.solve import execute_plan
+from repro.engine.planner import Plan, PlanCache
+from repro.engine.solve import _plan_for, execute_plan
 from repro.flogic.atoms import Atom
 from repro.oodb.database import Database
 
@@ -44,9 +43,8 @@ class StepView:
     access: str
     est_rows: float
     actual_rows: int | None  #: None when the plan was not executed
-    #: Kernel chosen for this step (``int ...`` / ``batch ...`` in a
-    #: columnar rule plan, the compiled tuple kernel in an ad-hoc one);
-    #: None when the plan ran through the interpreted matcher.
+    #: Kernel chosen for this step (``int ...`` / ``batch ...``); None
+    #: when the plan ran through the interpreted matcher.
     kernel: str | None = None
     #: Boundness adornment (``bf``, ``magic``, ...) from a demand-driven
     #: rewrite; None outside demand runs.
@@ -90,7 +88,7 @@ class PlanReport:
 
     @property
     def compiled(self) -> bool:
-        """Whether the steps carry compiled kernel names."""
+        """Whether the steps carry kernel names."""
         return any(step.kernel is not None for step in self.steps)
 
     @property
@@ -195,20 +193,13 @@ def explain_conjunction(db: Database, atoms: Iterable[Atom],
                         title: str = "") -> PlanReport:
     """Plan an ad-hoc conjunction and (by default) run it to observe rows.
 
-    The report names the compiled tuple-at-a-time kernel of every step
-    -- the form ``Query`` answers run in -- and the ``analyze`` run
-    executes that same form, so what you see is what runs.  (Rule
-    bodies inside a fixpoint run on the columnar executor instead; see
-    :meth:`repro.engine.fixpoint.Engine.plan_reports`.)
+    The report names the columnar kernel of every step -- the form
+    ``Query`` answers and rule bodies run in -- and the ``analyze`` run
+    executes that same form, so what you see is what runs.
     """
-    atoms_t = tuple(atoms)
     initial = dict(binding or {})
-    bound = relevant_bound(atoms_t, initial)
-    if cache is not None:
-        plan = cache.get(db, atoms_t, bound)
-    else:
-        plan = build_plan(db, atoms_t, bound)
-    kernels = compile_plan(db, plan, policy).kernel_names
+    plan = _plan_for(db, atoms, initial, cache)
+    kernels = compile_columnar_plan(db, plan, policy).kernel_names
     if not analyze:
         return report_for_plan(plan, title=title, kernels=kernels)
     counters = [0] * len(plan.steps)

@@ -38,8 +38,8 @@ instead of re-deriving the whole fixpoint from scratch:
 All three passes round the way the engine does: each round partitions
 its batch once and fires only the rule positions it can seed
 (:mod:`repro.engine.delta`).  Seeded positions and goal-directed
-existence checks run on the columnar executor, full firings (impure
-rules, isa readers in isa rounds) through the compiled ad-hoc solver
+existence checks run on the columnar executor, and so do full firings
+(impure rules, isa readers in isa rounds), through the ad-hoc solver
 (:func:`~repro.engine.solve.solve`); a maintainer built for an
 ``interpreted=True`` engine runs all three on the interpreted matcher.
 

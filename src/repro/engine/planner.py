@@ -88,8 +88,9 @@ class Plan:
 
     steps: tuple[PlanStep, ...]
     bound_in: frozenset[Var]
-    #: Memoised :class:`~repro.engine.compile.CompiledPlan` forms, keyed
-    #: per (database, match policy) by :func:`~repro.engine.compile.compile_plan`.
+    #: Memoised :class:`~repro.engine.columnar.ColumnarPlan` forms, keyed
+    #: per (database, match policy) by
+    #: :func:`~repro.engine.columnar.compile_columnar_plan`.
     #: Excluded from equality; a plan is its steps, not its lowerings.
     compiled_cache: dict = field(default_factory=dict, compare=False,
                                  repr=False)
@@ -415,8 +416,7 @@ def build_plan(db: Database, atoms: Sequence[Atom],
     binding (the set of bound variables), then marks the variables that
     atom binds.  Cost ties break towards the atom expected to yield
     *fewer rows*: the columnar executor's dominant cost is the width of
-    the intermediate binding batch (and the compiled tuple kernels equally
-    prefer narrow intermediate results), so among equally cheap steps
+    the intermediate binding batch, so among equally cheap steps
     the more selective one goes first.  Raises
     :class:`~repro.errors.EvaluationError` when only blocked negations
     remain (the conjunction is unsafe).  This check is *static*: a

@@ -11,13 +11,12 @@ identically along every branch of the search: a matched data atom binds
 all of its variables.
 
 This is the solver for *ad-hoc* conjunctions -- ``Query`` answers and
-the maintainer's full rule firings -- and it runs every plan in its
-**compiled** tuple-at-a-time form (:mod:`repro.engine.compile`):
-variables become integer slots, bindings a fixed-size register list,
-and each step a kernel closure specialized at compile time.  Answers
-stream lazily, so an ``ask()`` stops at its first solution.  Rule
-bodies inside a fixpoint run set-at-a-time instead, on the columnar
-executor (:mod:`repro.engine.columnar`).
+the maintainer's full rule firings -- and it runs every plan on the
+same executor as rule bodies inside a fixpoint: the columnar plan
+(:mod:`repro.engine.columnar`), set-at-a-time over int-surrogate
+columns.  Answers stream lazily out of its depth-first chunk loop
+(:meth:`~repro.engine.columnar.ColumnarPlan.rows`), and :func:`exists`
+stops at the first chunk that survives every step.
 
 ``interpreted=True`` walks the same plan through the interpreted
 matcher (:func:`~repro.engine.matching.match_atom`) with dict
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from repro.engine.columnar import compile_columnar_plan
 from repro.engine.matching import (
     UNRESTRICTED,
     Binding,
@@ -87,20 +87,25 @@ def solve(db: Database, atoms: Iterable[Atom],
     ``cache`` memoises plans across calls (the engine and the query API
     each own one); ``plan`` short-circuits planning entirely;
     ``interpreted=True`` runs the plan through the interpreted matcher
-    (the test oracle) instead of its compiled kernels; and ``budget``
+    (the test oracle) instead of its columnar kernels; and ``budget``
     (a :class:`~repro.engine.budget.QueryBudget`) inserts cooperative
-    checkpoints -- once on entry, then every 256 solutions.
+    checkpoints -- per step and per chunk on the columnar plan, once on
+    entry and then every 256 solutions on the interpreted walk.
     """
     initial = dict(binding or {})
     if plan is None:
-        atoms_t = tuple(atoms)
-        bound = relevant_bound(atoms_t, initial)
-        if cache is not None:
-            plan = cache.get(db, atoms_t, bound)
-        else:
-            plan = build_plan(db, atoms_t, bound)
+        plan = _plan_for(db, atoms, initial, cache)
     yield from execute_plan(db, plan, initial, policy,
                             interpreted=interpreted, budget=budget)
+
+
+def _plan_for(db: Database, atoms: Iterable[Atom], binding: Binding,
+              cache: PlanCache | None) -> Plan:
+    atoms_t = tuple(atoms)
+    bound = relevant_bound(atoms_t, binding)
+    if cache is not None:
+        return cache.get(db, atoms_t, bound)
+    return build_plan(db, atoms_t, bound)
 
 
 def execute_plan(db: Database, plan: Plan,
@@ -111,18 +116,16 @@ def execute_plan(db: Database, plan: Plan,
                  budget=None) -> Iterator[Binding]:
     """Run a static plan; ``counters[i]`` accumulates step i's actual rows.
 
-    The plan is lowered once to its slot/kernel form
-    (:func:`repro.engine.compile.compile_plan`, memoised on the plan)
-    and executed without per-tuple dispatch or dict copies;
+    The plan is lowered once to its columnar form
+    (:func:`~repro.engine.columnar.compile_columnar_plan`, memoised on
+    the plan) and its solutions stream out as dicts;
     ``interpreted=True`` keeps the dict-binding walk instead.  Per-step
     counters mean the same under both.  ``budget`` adds cooperative
     checkpoints; without one both paths are unchanged.
     """
     if not interpreted:
-        from repro.engine.compile import compile_plan
-
-        yield from compile_plan(db, plan, policy).execute(binding, counters,
-                                                          budget=budget)
+        yield from compile_columnar_plan(db, plan, policy).rows(
+            binding, counters, budget)
         return
     steps = plan.steps
     last = len(steps)
@@ -178,10 +181,18 @@ def exists(db: Database, atoms: Iterable[Atom],
            budget=None) -> bool:
     """True iff the conjunction has at least one solution.
 
-    Solutions stream tuple-at-a-time, so this stops at the first one.
+    The columnar plan stops at the first chunk that survives every step
+    (:meth:`~repro.engine.columnar.ColumnarPlan.exists`); the
+    interpreted walk at its first solution.
     """
-    for _ in solve(db, atoms, binding, policy, cache=cache, plan=plan,
-                   interpreted=interpreted, budget=budget):
+    initial = dict(binding or {})
+    if plan is None:
+        plan = _plan_for(db, atoms, initial, cache)
+    if not interpreted:
+        return compile_columnar_plan(db, plan, policy).exists(
+            initial, budget=budget)
+    for _ in execute_plan(db, plan, initial, policy, interpreted=True,
+                          budget=budget):
         return True
     return False
 

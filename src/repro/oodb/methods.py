@@ -685,9 +685,9 @@ class ScalarMethodTable(_MethodTable):
             return None
         return len(self._by_subject.get(subject, ()))
 
-    # -- raw views (compiled plan kernels) -----------------------------------
+    # -- raw views (boxed column kernels) ------------------------------------
     #
-    # The compiled executor probes the primary dict and the index dicts
+    # The boxed column kernels probe the primary dict and the index dicts
     # directly, skipping the generator dispatch of :meth:`match`.  The
     # views are the *live* internal dicts -- callers must treat them as
     # read-only.  The outer dicts are stable for the table's lifetime,

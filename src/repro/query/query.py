@@ -48,10 +48,10 @@ QueryInput = Union[str, Reference, Comparison, Sequence[Literal]]
 class Query:
     """Evaluates conjunctive PathLog queries over one database.
 
-    Each conjunction runs its cached plan in the compiled slot/kernel
-    form (:mod:`repro.engine.compile`), tuple at a time, so answers
-    stream lazily and ``ask()`` stops at the first solution; program
-    evaluation underneath runs on the engine's columnar executor.
+    Each conjunction runs its cached plan on the columnar executor
+    (:mod:`repro.engine.columnar`) -- the same one program evaluation
+    underneath uses -- and answers stream lazily out of its depth-first
+    chunk loop, so ``ask()`` stops at the first surviving chunk.
     ``interpreted=True`` runs both layers on the interpreted matcher --
     the reference oracle the test suites compare against.
 
@@ -483,7 +483,8 @@ class Query:
     def ask(self, query: QueryInput, *, budget=None) -> bool:
         """True iff the query has at least one solution.
 
-        Answers stream tuple-at-a-time, so this stops at the first one.
+        The columnar plan runs depth-first in small chunks, so this stops
+        at the first chunk of rows that survives every step.
         """
         if budget is None:
             budget = self._budget
@@ -543,7 +544,7 @@ class Query:
         default) the plan is also executed and each step's *actual* row
         count recorded.  The plan comes from the same cache the other
         query methods use, so what you see is what runs (the kernel
-        column names the compiled form; an ``interpreted=True`` query
+        column names the columnar form; an ``interpreted=True`` query
         walks the same plan through the matcher).  The report's
         ``bindings`` counts raw solver bindings; :meth:`all` may return
         fewer rows after projection and deduplication.

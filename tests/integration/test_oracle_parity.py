@@ -4,7 +4,7 @@ The performance ledger runs four program shapes: the paper's
 specialised and generic transitive closures, its address/EmployeeBoss
 views (virtual objects), and the served command-chain program with its
 counting view.  On small instances of each, the production path --
-columnar fixpoints, compiled ad-hoc queries, magic rewriting,
+columnar fixpoints, columnar ad-hoc queries, magic rewriting,
 incremental maintenance -- must give exactly what the interpreted
 matcher gives (``interpreted=True``): the same facts and derivation
 counters, the same virtual objects, the same answers before and after

@@ -5,8 +5,8 @@ chains and retract-heavy mutation sequences -- must reach the fixpoint
 the interpreted matcher (``interpreted=True``) reaches when the
 columnar executor (int-surrogate columns with their boxed per-slot
 fallback) evaluates the rule bodies.  Random queries must return the
-same answer sets through the compiled ad-hoc solver as through the
-oracle (and the same ``objects()`` denotations, pinning virtual-object
+same answer sets through the ad-hoc solver's columnar plans as through
+the oracle (and the same ``objects()`` denotations, pinning virtual-object
 identity), and the invariant must survive ``incremental=True``
 maintenance cycles driven by retraction-heavy mutations.  Surrogates,
 batching and mirror-first writes change the *representation* -- int

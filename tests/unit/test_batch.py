@@ -15,8 +15,7 @@ from repro.engine.columnar import (
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
-from repro.engine.compile import compile_plan
-from repro.engine.matching import UNRESTRICTED, match_atom_delta
+from repro.engine.matching import UNRESTRICTED, MatchPolicy, match_atom_delta
 from repro.engine.normalize import normalize_program
 from repro.engine.planner import build_plan, relevant_bound
 from repro.engine.solve import execute_plan, solve
@@ -110,8 +109,9 @@ class TestKernelSelection:
         _, plan, _ = batched(db, "X[vehicles ->> {V}]")
         assert (compile_columnar_plan(db, plan)
                 is compile_columnar_plan(db, plan))
-        # The tuple-at-a-time lowering coexists under its own cache key.
-        assert compile_plan(db, plan) is not compile_columnar_plan(db, plan)
+        # Another method-depth policy gets a lowering of its own.
+        assert (compile_columnar_plan(db, plan, MatchPolicy(2))
+                is not compile_columnar_plan(db, plan))
 
 
 class TestExecutionParity:
@@ -134,9 +134,9 @@ class TestExecutionParity:
         for text in self.QUERIES:
             compiled, _, atoms = batched(db, text)
             batch = answer_set(rows(compiled))
-            tuple_ = answer_set(solve(db, atoms))
+            streamed = answer_set(solve(db, atoms))
             interp = answer_set(solve(db, atoms, interpreted=True))
-            assert batch == tuple_ == interp, text
+            assert batch == streamed == interp, text
 
     def test_counters_match_tuple_executor(self, db):
         for text in self.QUERIES:
@@ -144,7 +144,8 @@ class TestExecutionParity:
             batch_counters = [0] * len(plan.steps)
             tuple_counters = [0] * len(plan.steps)
             rows(compiled, counters=batch_counters)
-            list(execute_plan(db, plan, {}, counters=tuple_counters))
+            list(execute_plan(db, plan, {}, counters=tuple_counters,
+                              interpreted=True))
             assert batch_counters == tuple_counters, text
 
     def test_seed_binding_extends_rows(self, db):

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from repro.core.ast import Var
 from repro.engine import Engine, QueryBudget
 from repro.engine.budget import QueryBudget as DirectQueryBudget
 from repro.errors import (
@@ -201,13 +202,16 @@ class TestQueryBudgetThreading:
         query = Query(db, budget=QueryBudget(timeout_ms=None))
         assert query.ask("p1 : employee")
 
-    @pytest.mark.parametrize("interpreted, site", [
-        pytest.param(False, "compiled.run", id="compiled"),
-        pytest.param(True, "solve.rows", id="interpreted")])
+    @pytest.mark.parametrize("interpreted, site, expected", [
+        pytest.param(False, "columnar.step", 0, id="columnar"),
+        pytest.param(True, "solve.rows", 255, id="interpreted")])
     def test_adhoc_answers_stop_at_a_row_checkpoint(self, interpreted,
-                                                    site):
-        # Both solvers check on entry, then every 256 answers: a cancel
-        # after the entry check is noticed at row 256, not at the end.
+                                                    site, expected):
+        # The columnar plan checks before each step and each 64-row
+        # chunk, the interpreted walk on entry and then every 256
+        # answers: a cancel after the first check is noticed at the
+        # first chunk (columnar) or at row 256 (interpreted), not at
+        # the end of the 600 answers.
         class CancelAfterEntry(QueryBudget):
             def check(self, where, **kw):
                 super().check(where, **kw)
@@ -224,7 +228,7 @@ class TestQueryBudgetThreading:
             for _ in rows:
                 taken += 1
         assert info.value.site == site
-        assert taken == 255
+        assert taken == expected
 
 
 class TestMaintainerBudget:
@@ -342,32 +346,37 @@ class TestMaintainerCheckpointSites:
         assert plan.counts.get("columnar.step", 0) >= 1
         assert "batch.step" not in plan.counts
 
-    def test_expiry_mid_full_firing_stops_at_compiled_run(self):
+    def test_expiry_mid_full_firing_stops_at_columnar_step(self):
         # An isa insertion fires the isa-reading rule in full through
-        # the compiled solver; 300 rows cross its 256-row checkpoint.
+        # the ad-hoc solver's columnar plan; its 300 rows cross the
+        # per-chunk checkpoint after the first 64.
         clock = ManualClock()
 
         class ExpiresMidFiring(QueryBudget):
+            armed = False  # the initial run passes its checkpoints
+
             def check(self, site, **kw):
                 super().check(site, **kw)
-                if site == "compiled.run":
+                if self.armed and site == "columnar.step":
                     clock.now = 10.0  # time runs out inside the firing
 
         db = Database()
         log = db.begin_changes()
         for i in range(300):
             db.add_object(f"i{i}", scalars={"flag": "on"})
+        budget = ExpiresMidFiring(timeout_ms=500, clock=clock)
         engine = Engine(db, parse_program(
             "X[seen ->> {Y}] <- X : watcher, Y[flag -> on]."),
-            budget=ExpiresMidFiring(timeout_ms=500, clock=clock))
+            budget=budget)
         result = engine.run()
         cursor = log.cursor()
         db.assert_isa(db.obj("w1"), db.obj("watcher"))
         maintainer = engine.maintainer(result, db)
         before = _state(result)
+        budget.armed = True
         with pytest.raises(EvaluationTimeout) as info:
             maintainer.apply(log.since(cursor))
-        assert info.value.site == "compiled.run"
+        assert info.value.site == "columnar.step"
         assert _state(result) == before
 
 
@@ -419,13 +428,14 @@ class TestRowwiseCheckpoints:
 
         clock = ManualClock()
         rows = []
+        x = Var("X")
 
-        def kern(regs):
+        def extend(binding):
             clock.now += 0.001
-            rows.append(regs[0])
-            yield regs
+            rows.append(binding[x])
+            yield binding
 
-        step = _rowwise(1, (0,), (), kern)((0,))
+        step = _rowwise(((x, 0),), (), extend)((0,))
         budget = QueryBudget(timeout_ms=300, clock=clock).start()
         run = activated(lambda _: step([list(range(1000))], 1000), budget)
         with pytest.raises(EvaluationTimeout) as info:
@@ -437,12 +447,13 @@ class TestRowwiseCheckpoints:
         from repro.engine.batch import _rowwise
 
         rows = []
+        x = Var("X")
 
-        def kern(regs):
-            rows.append(regs[0])
-            yield regs
+        def extend(binding):
+            rows.append(binding[x])
+            yield binding
 
-        step = _rowwise(1, (0,), (), kern)((0,))
+        step = _rowwise(((x, 0),), (), extend)((0,))
         assert step([list(range(1000))], 1000) == 1000
         assert len(rows) == 1000
 

@@ -81,15 +81,15 @@ EXPLAIN_PROGRAM = """
 #: one-entry (color, red) index bucket, walks the member index back to
 #: the owner (a merge join when the member column is batched -- the
 #: ``(merge)`` access-path suffix), then checks the class; the kernel
-#: column names the compiled form of each step.  Pinned as a rendering
-#: snapshot.
+#: column names the columnar kernel of each step -- the same labels the
+#: rule-body plan below prints.  Pinned as a rendering snapshot.
 EXPLAIN_SNAPSHOT = """\
 plan: X : employee..vehicles[color -> red]
-#  atom                   access path                  kernel           est.rows  rows
--  ---------------------  ---------------------------  ---------------  --------  ----
-1  _V1[color -> red]      method+result index          scalar mr-probe         1     1
-2  X[vehicles ->> {_V1}]  method+member index (merge)  set mm-probe          1.5     1
-3  X : employee           isa check                    isa check             0.5     1
+#  atom                   access path                  kernel                 est.rows  rows
+-  ---------------------  ---------------------------  ---------------------  --------  ----
+1  _V1[color -> red]      method+result index          int scalar mr-probe           1     1
+2  X[vehicles ->> {_V1}]  method+member index (merge)  int set mm merge-join       1.5     1
+3  X : employee           isa check                    int isa check               0.5     1
 estimated 0.8 rows; 1 bindings
 """
 
@@ -245,10 +245,10 @@ demand:
     X[idle -> yes] <- X : person, not X[busy -> yes].  -- negation in body
 
 plan: p1[desc ->> {Y}], g1[idle -> F]
-#  atom              access path     kernel      est.rows  rows
--  ----------------  --------------  ----------  --------  ----
-1  g1[idle -> F]     primary lookup  scalar get         1     1
-2  p1[desc ->> {Y}]  primary lookup  set iter           2     2
+#  atom              access path     kernel          est.rows  rows
+-  ----------------  --------------  --------------  --------  ----
+1  g1[idle -> F]     primary lookup  int scalar get         1     1
+2  p1[desc ->> {Y}]  primary lookup  int set iter           2     2
 estimated 2 rows; 2 bindings
 """
 

@@ -2,12 +2,12 @@
 
 The columnar executor runs plan steps over *int columns* of dense OID
 surrogates.  These tests pin the per-slot kernel selection (int kernel
-vs. boxed batch fallback), execution parity with the tuple-at-a-time
-kernels, the mirror-first head emitter (facts land in the surrogate
+vs. boxed batch fallback), execution parity with the interpreted
+matcher, the mirror-first head emitter (facts land in the surrogate
 mirror and back-fill the boxed table lazily; virtual-object path heads
 included), the tables' batch writer behind it, the int isa check,
-delta plans seeded from int batches, and the chunked ``exists``
-short-circuit behind the maintainer's goal-directed checks.
+delta plans seeded from int batches, and the depth-first chunk loop
+behind lazy ad-hoc answers and the ``exists`` short-circuit.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.engine.columnar import (
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
-from repro.engine.compile import compile_plan
 from repro.engine.delta import DeltaIndex
 from repro.engine.heads import HeadRealizer
 from repro.engine.normalize import normalize_program
@@ -121,11 +120,11 @@ class TestKernelSelection:
         compiled, _ = columnar(plain, "X[kids ->> {V}], V[age -> A]")
         assert all(name.startswith("batch") for name in compiled.kernel_names)
 
-    def test_memoised_separately_from_tuple_lowering(self, db):
+    def test_memoised_per_database(self, db):
         _, plan = columnar(db, "X[vehicles ->> {V}]")
-        assert (compile_columnar_plan(db, plan)
-                is compile_columnar_plan(db, plan))
-        assert compile_plan(db, plan) is not compile_columnar_plan(db, plan)
+        first = compile_columnar_plan(db, plan)
+        assert compile_columnar_plan(db, plan) is first
+        assert compile_columnar_plan(Database(), plan) is not first
 
 
 class TestExecutionParity:
@@ -149,17 +148,21 @@ class TestExecutionParity:
         for text in self.QUERIES:
             compiled, _ = columnar(db, text)
             col = answer_set(rows(compiled))
-            tuple_ = answer_set(solve(db, atoms_for(text)))
-            assert col == tuple_, text
+            streamed = answer_set(solve(db, atoms_for(text)))
+            interp = answer_set(solve(db, atoms_for(text), interpreted=True))
+            assert col == streamed == interp, text
 
     def test_counters_match_tuple_executor(self, db):
         for text in self.QUERIES:
             compiled, plan = columnar(db, text)
             col_counters = [0] * len(plan.steps)
+            streamed_counters = [0] * len(plan.steps)
             tuple_counters = [0] * len(plan.steps)
             rows(compiled, counters=col_counters)
-            list(execute_plan(db, plan, {}, counters=tuple_counters))
-            assert col_counters == tuple_counters, text
+            list(execute_plan(db, plan, {}, counters=streamed_counters))
+            list(execute_plan(db, plan, {}, counters=tuple_counters,
+                              interpreted=True))
+            assert col_counters == streamed_counters == tuple_counters, text
 
     def test_seed_binding_is_interned_and_resolved(self, db):
         atoms = atoms_for("X[vehicles ->> {V}], V[color -> C]")
@@ -203,6 +206,36 @@ class TestExistsShortCircuit:
         plan = build_plan(long_chain, atoms, ())
         assert not compile_columnar_plan(long_chain, plan).exists(
             {}, EngineStats())
+
+    def test_rows_stream_one_chunk_at_a_time(self, long_chain):
+        atoms = atoms_for("X[next -> Y], Y[next -> Z]")
+        plan = build_plan(long_chain, atoms, ())
+        counters = [0] * len(plan.steps)
+        stream = compile_columnar_plan(long_chain, plan).rows({}, counters)
+        next(stream)
+        # The opening scan ran whole; the second step saw one chunk.
+        assert counters == [600, 64]
+        assert len(list(stream)) == 598
+        assert counters == [600, 599]
+
+    def test_exists_stops_inside_an_exploding_rowwise_step(self, db):
+        # Four free source variables range over the universe: the one
+        # input row of the superset step expands to |U|^4 candidate
+        # rows.  The rowwise step hands its output on in blocks, so the
+        # existence check -- and ask() through solve -- stops at the
+        # first block instead of enumerating them all.
+        from repro.engine.solve import exists
+        from repro.query import Query
+
+        for extra in range(800):
+            db.add_object(f"pad{extra}")
+        text = "X[friends ->> {A.f, B.g, C.h, D.i}]"
+        compiled, _ = columnar(db, text)
+        assert compiled.kernel_names == ("batch row superset",)
+        assert compiled.exists()
+        assert exists(db, atoms_for(text))
+        assert Query(db).ask(text)
+        assert next(solve(db, atoms_for(text))) is not None
 
 
 class TestHeadEmitter:
@@ -546,6 +579,49 @@ class TestIntIsaCheck:
         db.assert_scalar(n("age"), n("ghost"), (), n(50))
         assert {b[Var("X")] for b in rows(compiled)} == {
             n("p1"), n("p2"), n("ghost")}
+
+    def test_concurrent_readers_never_see_a_torn_extent(self, db):
+        # Server readers share a cached plan, and with it one extent()
+        # memo.  After every hierarchy move eight threads race to
+        # rebuild it; each must get the members of the hierarchy it
+        # reads, never the new version paired with the old members.
+        import sys
+        import threading
+
+        from repro.engine.columnar import _class_extent
+
+        employee = n("employee")
+        extent = _class_extent(db, employee, db.interner)
+        readers, rounds = 8, 100
+        barrier = threading.Barrier(readers + 1, timeout=10)
+        torn = []
+
+        def read():
+            for _ in range(rounds):
+                barrier.wait()  # the hierarchy has moved
+                want, _ = db.interner.known(db.members(employee))
+                got = extent()
+                if got != want:
+                    torn.append(len(want) - len(got))
+                barrier.wait()  # done reading this version
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(rounds):
+                db.assert_isa(n(f"e{i}"), employee)
+                db.intern(n(f"e{i}"))
+                barrier.wait()
+                barrier.wait()
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
 
     def test_an_isa_head_refreshes_the_extent_between_rounds(self):
         db = Database()

@@ -1,17 +1,26 @@
-"""Plan-compiler tests: kernel selection, slot execution, delta seeds.
+"""Plan-compilation tests: ad-hoc columnar plans, seeds, delta seeds.
 
-The delta-seed tests run the engine's columnar delta plans: their seed
-pass lowers the delta atom with this module's term ops.
+Ad-hoc conjunctions (``solve``, ``execute_plan``, ``Query``) run their
+static plan lowered to a columnar plan
+(:func:`~repro.engine.columnar.compile_columnar_plan`); these tests pin
+what that lowering promises its callers -- the kernel names EXPLAIN
+shows, seed-binding checks, per-step counters equal to the interpreted
+matcher's, memoisation, and live reads of facts added after
+compilation.  The delta-seed tests run the engine's columnar delta
+plans: their seed pass lowers the delta atom with the same term ops.
 """
 
 import pytest
 
 from repro.core.ast import Name, Var
-from repro.engine.columnar import compile_columnar_delta_plan
-from repro.engine.compile import compile_plan
+from repro.engine.columnar import (
+    compile_columnar_delta_plan,
+    compile_columnar_plan,
+)
+from repro.engine.explain import explain_conjunction
 from repro.engine.matching import UNRESTRICTED, MatchPolicy, match_atom_delta
 from repro.engine.planner import build_plan, relevant_bound
-from repro.engine.solve import _solve_dynamic, execute_plan
+from repro.engine.solve import _solve_dynamic, execute_plan, solve
 from repro.errors import EvaluationError
 from repro.flogic.atoms import ScalarAtom, SetMemberAtom
 from repro.flogic.flatten import flatten_conjunction
@@ -42,10 +51,11 @@ def atoms_for(text):
     return flatten_conjunction(parse_query(text))
 
 
-def compiled_answers(db, text, bound=()):
-    atoms = atoms_for(text)
-    plan = build_plan(db, atoms, bound)
-    return compile_plan(db, plan), atoms
+def kernels(db, text, binding=None):
+    """The kernel column of an ad-hoc EXPLAIN (no execution)."""
+    report = explain_conjunction(db, atoms_for(text), binding,
+                                 analyze=False)
+    return tuple(step.kernel for step in report.steps)
 
 
 def answer_set(bindings):
@@ -60,38 +70,39 @@ def delta_rows(compiled, delta, counters=None):
 
 
 class TestKernelSelection:
+    """Ad-hoc EXPLAIN names the columnar kernels rule plans name."""
+
     def test_bound_probe_kernels(self, db):
-        compiled, _ = compiled_answers(db, "Y[color -> blue]")
-        assert compiled.kernel_names == ("scalar mr-probe",)
-        compiled, _ = compiled_answers(
-            db, "Y[color -> blue], X[vehicles ->> {Y}]")
-        assert compiled.kernel_names == ("scalar mr-probe", "set mm-probe")
+        assert kernels(db, "Y[color -> blue]") == ("int scalar mr-probe",)
+        assert kernels(db, "Y[color -> blue], X[vehicles ->> {Y}]") == (
+            "int scalar mr-probe", "int set mm merge-join")
 
     def test_subject_navigation_kernels(self, db):
-        atoms = atoms_for("X[vehicles ->> {V}], V[color -> C]")
-        plan = build_plan(db, atoms, {Var("X")})
-        compiled = compile_plan(db, plan)
-        assert compiled.kernel_names == ("set iter", "scalar get")
+        assert kernels(db, "X[vehicles ->> {V}], V[color -> C]",
+                       {Var("X"): n("p1")}) == ("int set iter",
+                                                "int scalar get")
 
     def test_unbound_method_uses_subject_probe(self, db):
-        compiled, _ = compiled_answers(db, "p1[M ->> {V}]")
-        assert compiled.kernel_names == ("set s-probe",)
+        # No column kernel enumerates methods: the matcher runs the
+        # step row by row, probing the subject index the planner chose.
+        report = explain_conjunction(db, atoms_for("p1[M ->> {V}]"),
+                                     analyze=False)
+        assert report.steps[0].access == "subject index"
+        assert report.steps[0].kernel == "batch row set any-method"
 
     def test_unindexed_store_compiles_scans(self):
         db = Database(indexed=False)
         db.add_object("car0", scalars={"color": "red"})
-        compiled, _ = compiled_answers(db, "Y[color -> red]")
-        assert compiled.kernel_names == ("scalar filtered-scan",)
+        assert kernels(db, "Y[color -> red]") == ("batch row scalar scan",)
 
     def test_superset_and_negation_bridge(self, db):
-        compiled, _ = compiled_answers(
-            db, "X[vehicles ->> p2..vehicles], not X[age -> 30]")
-        assert "superset (interp)" in compiled.kernel_names
-        assert "negation (interp)" in compiled.kernel_names
+        names = kernels(db, "X[vehicles ->> p2..vehicles], "
+                            "not X[age -> 30]")
+        assert "batch row superset" in names
+        assert "batch row negation" in names
 
     def test_builtin_self_kernels(self, db):
-        compiled, _ = compiled_answers(db, "p1.self[Y]")
-        assert compiled.kernel_names[0] == "self fwd"
+        assert kernels(db, "p1.self[Y]")[0] == "batch self fwd"
 
 
 class TestExecutionParity:
@@ -110,8 +121,7 @@ class TestExecutionParity:
     @pytest.mark.parametrize("text", QUERIES)
     def test_matches_dynamic_solver(self, db, text):
         atoms = atoms_for(text)
-        plan = build_plan(db, atoms)
-        got = answer_set(compile_plan(db, plan).execute())
+        got = answer_set(solve(db, atoms))
         want = answer_set(_solve_dynamic(db, list(atoms), {}, UNRESTRICTED))
         assert got == want
 
@@ -119,36 +129,32 @@ class TestExecutionParity:
         atoms = atoms_for("X : employee")
         bound = relevant_bound(atoms, {Var("X")})
         plan = build_plan(db, atoms, bound)
-        compiled = compile_plan(db, plan)
-        out = list(compiled.execute({Var("X"): n("p1")}))
+        out = list(execute_plan(db, plan, {Var("X"): n("p1")}))
         assert out == [{Var("X"): n("p1")}]
 
     def test_mismatched_seed_binding_raises(self, db):
         atoms = atoms_for("X : employee, X[age -> A]")
         plan = build_plan(db, atoms)  # compiled for nothing bound
-        compiled = compile_plan(db, plan)
         with pytest.raises(EvaluationError, match="bound-variable|binds"):
-            list(compiled.execute({Var("A"): n(30)}))
+            list(execute_plan(db, plan, {Var("A"): n(30)}))
 
     def test_missing_seed_binding_raises(self, db):
         # A plan compiled with X bound must refuse a seed that does not
-        # bind X (silently probing with an empty register would return
+        # bind X (silently probing with an empty column would return
         # wrong answers).
         atoms = atoms_for("X[age -> A]")
         plan = build_plan(db, atoms, {Var("X")})
-        compiled = compile_plan(db, plan)
         with pytest.raises(EvaluationError, match="does not bind|no seed"):
-            list(compiled.execute())
+            list(execute_plan(db, plan))
         with pytest.raises(EvaluationError, match="does not bind"):
-            list(compiled.execute({Var("A"): n(30), Var("Q"): n(1)}))
+            list(execute_plan(db, plan, {Var("A"): n(30), Var("Q"): n(1)}))
 
     def test_extra_foreign_seed_variables_flow_through(self, db):
         # Variables without slots ride along in every solution, exactly
         # like the interpreted executor's dict extension.
         atoms = atoms_for("X : employee")
         plan = build_plan(db, atoms)
-        compiled = compile_plan(db, plan)
-        out = list(compiled.execute({Var("Z"): n("foreign")}))
+        out = list(execute_plan(db, plan, {Var("Z"): n("foreign")}))
         assert all(b[Var("Z")] == n("foreign") for b in out)
         assert {b[Var("X")] for b in out} == {n("p1"), n("p2")}
 
@@ -159,10 +165,10 @@ class TestExecutionParity:
         atom = ComparisonAtom("<", Var("A"), Var("B"))
         plan = Plan((PlanStep(atom, 0.0, 1.0, "unready comparison"),),
                     frozenset())
-        compiled = compile_plan(db, plan)
-        assert compiled.kernel_names == ("compare unready",)
+        compiled = compile_columnar_plan(db, plan)
+        assert compiled.kernel_names == ("batch row compare unready",)
         with pytest.raises(EvaluationError, match="both sides bound"):
-            list(compiled.execute())
+            list(execute_plan(db, plan))
 
     def test_counters_match_interpreted_executor(self, db):
         atoms = atoms_for("X : employee..vehicles[color -> C]")
@@ -178,21 +184,22 @@ class TestExecutionParity:
     def test_projection_restricts_output(self, db):
         atoms = atoms_for("X : employee..vehicles[color -> C]")
         plan = build_plan(db, atoms)
-        execute = compile_plan(db, plan).executor(project=(Var("X"),))
-        rows = list(execute({}))
-        assert rows and all(set(b) == {Var("X")} for b in rows)
+        execute, out = compile_columnar_plan(db, plan).column_executor(
+            project=(Var("X"),))
+        cols, nrows = execute({})
+        assert nrows and [var for var, _ in out] == [Var("X")]
 
 
 class TestCompilationCache:
     def test_memoised_per_database_and_policy(self, db):
         atoms = atoms_for("X : employee")
         plan = build_plan(db, atoms)
-        first = compile_plan(db, plan)
-        assert compile_plan(db, plan) is first
-        deep = compile_plan(db, plan, MatchPolicy(2))
+        first = compile_columnar_plan(db, plan)
+        assert compile_columnar_plan(db, plan) is first
+        deep = compile_columnar_plan(db, plan, MatchPolicy(2))
         assert deep is not first
         other = Database()
-        assert compile_plan(other, plan) is not first
+        assert compile_columnar_plan(other, plan) is not first
 
     def test_alias_invalidates_compiled_plans(self, db):
         # Regression: compiled plans resolve Name constants at compile
@@ -213,15 +220,15 @@ class TestCompilationCache:
         assert q.plan_cache.invalidations >= 1
 
     def test_compiled_form_sees_new_facts(self, db):
-        # Kernels capture the live index dicts, so facts added after
-        # compilation are visible (the engine relies on this within a
-        # fixpoint run).
+        # Kernels capture the live index dicts and surrogate mirrors, so
+        # facts added after compilation are visible (the engine relies
+        # on this within a fixpoint run).
         atoms = atoms_for("Y[color -> red]")
         plan = build_plan(db, atoms)
-        compiled = compile_plan(db, plan)
-        before = len(list(compiled.execute()))
+        compiled = compile_columnar_plan(db, plan)
+        before = len(list(compiled.rows()))
         db.add_object("car9", scalars={"color": "red"})
-        assert len(list(compiled.execute())) == before + 1
+        assert len(list(compiled.rows())) == before + 1
 
 
 class TestDeltaPlans:
