@@ -13,10 +13,10 @@ applied"; this package supplies them:
 - :mod:`repro.engine.columnar` -- set-at-a-time execution over
   int-surrogate columns: the one executor of fixpoints, maintenance
   and ad-hoc answers, with delta seeding and int-native head emission;
-- :mod:`repro.engine.batch` -- the boxed column kernels columnar plans
-  fall back to per slot (row-at-a-time matcher steps included), the
-  depth-first chunk loop behind lazy answers and existence checks,
-  and the boxed simple-head emitter;
+- :mod:`repro.engine.batch` -- the boxed column steps of atoms with no
+  int form (isa enumeration, comparisons, row-at-a-time matcher steps)
+  and the depth-first chunk loop behind lazy answers and existence
+  checks;
 - :mod:`repro.engine.explain` -- the EXPLAIN surface: structured plan
   reports with estimated vs. actual rows and access paths;
 - :mod:`repro.engine.normalize` -- rule normalisation: head scalarity

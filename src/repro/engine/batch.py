@@ -1,43 +1,35 @@
-"""Boxed column kernels: the per-slot fallback steps of columnar plans.
+"""Boxed column kernels: the steps of columnar plans with no int form.
 
 The columnar executor (:mod:`repro.engine.columnar`) runs static plans
 **set-at-a-time**: a batch of bindings is a list of *columns* (one
 parallel value list per variable slot), and each step maps a whole
-batch to the next with bulk dict probes and single-pass loops.  Its
-hot kernels read int-surrogate columns; this module supplies the
-**boxed** step kernels it falls back to, per slot, wherever a step has
-no int form or reads a boxed column (``isa``, comparisons, builtins,
-``@``-parameters, unindexed tables, anything downstream of those):
+batch to the next.  Every stored scalar and set atom with a constant
+method and no ``@``-arguments runs on an int kernel there; this module
+supplies the **boxed** steps for the atoms that have no int form:
 
-- **probe** steps (``scalar get``, ``set iter``, index probes) loop
-  once over the incoming batch, probing the live table views per row --
-  no generator is created, no register file is re-entered;
-- **scan** steps materialise their index bucket wholesale and join it
-  against the batch (a batch of one row -- the usual first step --
-  degenerates to a plain bulk scan);
-- **filter** steps (comparisons, ``isa check``, ``set contains``) run
-  as a single selection pass over the columns;
-- steps with no column form at all (negation, superset atoms,
-  variable methods, ``@``-parameters, scans of unindexed tables,
-  repeated variables) re-enter the interpreted matcher once per row
-  (:func:`_rowwise`), so they keep its exact semantics.
+- **isa** steps that enumerate a class's members or an object's
+  classes, or test a variable class or a built-in value class
+  (``integer``, ``string``): ``batch isa members``, ``batch isa
+  classes-of``, ``batch isa check``;
+- **comparisons** over two known positions (``batch compare``), a
+  single selection pass over the columns;
+- every other shape -- negation, superset atoms, variable methods,
+  ``@``-parameters, scans of unindexed tables, repeated variables,
+  ``self`` over the universe -- re-enters the interpreted matcher once
+  per row (:func:`_rowwise`, ``batch row ...`` in EXPLAIN), so it keeps
+  the matcher's exact semantics.
 
-EXPLAIN names these steps ``batch ...`` (``batch row ...`` for the
-rowwise loop).  Surviving rows are *compacted*: each step keeps only
-the columns later steps (or the projection) still need
-(:func:`_bake_steps`), so dead variables cost nothing.  Row counts per
-step equal the interpreted matcher's per-step extension counters
-exactly -- batching changes the execution schedule (breadth-first
-instead of depth-first), never the set of solutions.
+Surviving rows are *compacted*: each step keeps only the columns later
+steps (or the projection) still need (:func:`_bake_steps`), so dead
+variables cost nothing.  Row counts per step equal the interpreted
+matcher's per-step extension counters exactly -- batching changes the
+execution schedule (breadth-first instead of depth-first), never the
+set of solutions.
 
 :func:`chunks` drives baked steps depth-first in small chunks -- the
 lazy answer stream of ad-hoc conjunctions and the goal-directed
-existence checks both read it -- and :func:`head_emitter` closes the
-loop on the output side: simple rule heads the int batch writer
-declines are asserted straight from boxed solution columns, skipping
-the per-binding dict build and head-spine walk entirely.  The term-op
-lowering (``_term_op``) and slot assignment the int kernels share live
-here too.
+existence checks both read it.  The term-op lowering (``_term_op``),
+slot assignment and row selection the int kernels share live here too.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core import builtins as _builtins
-from repro.core.ast import Molecule, Name, ScalarFilter, Var
+from repro.core.ast import Name, Var
 from repro.core.entailment import compare_oids
 from repro.engine.budget import (
     ROWWISE_CHECK_INTERVAL,
@@ -62,12 +54,11 @@ from repro.flogic.atoms import (
     IsaAtom,
     NegationAtom,
     ScalarAtom,
-    SetMemberAtom,
     SupersetAtom,
     Term,
 )
 from repro.oodb.database import Database
-from repro.oodb.oid import NamedOid, Oid
+from repro.oodb.oid import NamedOid
 
 #: A batched step, built with its compaction set baked in: mutates the
 #: column file in place and returns the new row count.
@@ -247,6 +238,19 @@ def _empty_builder(carry: tuple) -> BatchStep:
     return step
 
 
+def _filter_const(passes_of_cols) -> StepBuilder:
+    """A filter whose verdict is uniform for the whole batch.
+
+    ``passes_of_cols(cols, nrows)`` decides once per execution; the
+    batch either survives untouched or dies.
+    """
+    def builder(carry: tuple) -> BatchStep:
+        def step(cols: list, nrows: int) -> int:
+            return nrows if passes_of_cols(cols, nrows) else 0
+        return step
+    return builder
+
+
 def activated(execute, budget):
     """Wrap an executor so ``budget`` is active while it runs.
 
@@ -330,454 +334,6 @@ def chunks(steps: Sequence[BatchStep], cols: list, nrows: int, *,
                  for col in cols]
         yield from chunks(steps, chunk, stop - start, budget=budget,
                           counters=counters, stats=stats, k=k)
-
-
-# ---------------------------------------------------------------------------
-# Column access helpers
-# ---------------------------------------------------------------------------
-
-def _filter_const(passes_of_cols) -> StepBuilder:
-    """A filter whose verdict is uniform for the whole batch.
-
-    ``passes_of_cols(cols, nrows)`` decides once per execution; the
-    batch either survives untouched or dies.
-    """
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int) -> int:
-            return nrows if passes_of_cols(cols, nrows) else 0
-        return step
-    return builder
-
-
-# ---------------------------------------------------------------------------
-# Scalar steps
-# ---------------------------------------------------------------------------
-
-def _batch_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
-                  slots: dict[Var, int], policy: MatchPolicy):
-    seen: set[Var] = set()
-    m_op = _term_op(atom.method, db, slots, bound, seen)
-    s_op = _term_op(atom.subject, db, slots, bound, seen)
-    tuple(_term_op(a, db, slots, bound, seen) for a in atom.args)
-    r_op = _term_op(atom.result, db, slots, bound, seen)
-    s_known = _known(atom.subject, bound)
-    r_known = _known(atom.result, bound)
-
-    if m_op[0] != _CONST or atom.args:
-        return None
-    method = m_op[1]
-    if not policy.method_ok(method):
-        return "none (method over depth)", _empty_builder
-    if _builtins.is_builtin_scalar(method):
-        return _batch_self(s_op, r_op, s_known, r_known)
-    if s_known:
-        return _batch_scalar_get(db, method, s_op, r_op, r_known)
-    if db.scalars.indexed and r_known and s_op[0] == _STORE:
-        return _batch_inverse_probe(db.scalars.by_method_result_view(),
-                                    "batch scalar mr-probe", method,
-                                    s_op, r_op)
-    if db.scalars.indexed and s_op[0] == _STORE and r_op[0] == _STORE:
-        return _batch_scalar_mscan(db, method, s_op, r_op)
-    return None
-
-
-def _batch_self(s_op, r_op, s_known: bool, r_known: bool):
-    """The built-in identity ``o.self = o`` over a batch."""
-    if s_known and r_op[0] == _STORE:
-        ri = r_op[1]
-        if s_op[0] == _CONST:
-            s_const = s_op[1]
-
-            def builder(carry: tuple) -> BatchStep:
-                def step(cols: list, nrows: int) -> int:
-                    cols[ri] = [s_const] * nrows
-                    return nrows
-                return step
-        else:
-            si = s_op[1]
-
-            def builder(carry: tuple) -> BatchStep:
-                def step(cols: list, nrows: int) -> int:
-                    cols[ri] = cols[si][:]
-                    return nrows
-                return step
-        return "batch self fwd", builder
-    if r_known and s_op[0] == _STORE:
-        si = s_op[1]
-        if r_op[0] == _CONST:
-            r_const = r_op[1]
-
-            def builder(carry: tuple) -> BatchStep:
-                def step(cols: list, nrows: int) -> int:
-                    cols[si] = [r_const] * nrows
-                    return nrows
-                return step
-        else:
-            ri = r_op[1]
-
-            def builder(carry: tuple) -> BatchStep:
-                def step(cols: list, nrows: int) -> int:
-                    cols[si] = cols[ri][:]
-                    return nrows
-                return step
-        return "batch self rev", builder
-    if s_known and r_known:
-        builder = _batch_equality(s_op, r_op)
-        return "batch self check", builder
-    return None  # universe enumeration: rowwise
-
-
-def _batch_equality(l_op, r_op) -> StepBuilder:
-    """Filter rows where two known positions denote the same object."""
-    if l_op[0] == _CONST and r_op[0] == _CONST:
-        same = l_op[1] == r_op[1]
-        return _filter_const(lambda cols, nrows, _s=same: _s)
-    if l_op[0] == _CONST or r_op[0] == _CONST:
-        const = l_op[1] if l_op[0] == _CONST else r_op[1]
-        slot = r_op[1] if l_op[0] == _CONST else l_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int) -> int:
-                col = cols[slot]
-                idx = [i for i in range(nrows) if col[i] == const]
-                _take(cols, carry, idx)
-                return len(idx)
-            return step
-        return builder
-    li, ri = l_op[1], r_op[1]
-
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int) -> int:
-            left, right = cols[li], cols[ri]
-            idx = [i for i in range(nrows) if left[i] == right[i]]
-            _take(cols, carry, idx)
-            return len(idx)
-        return step
-    return builder
-
-
-def _batch_scalar_get(db: Database, method: Oid, s_op, r_op, r_known: bool):
-    """Method and subject known: one primary-dict probe per row."""
-    facts = db.scalars.primary_view()
-    if s_op[0] == _CONST:
-        key = (method, s_op[1], ())
-        if r_op[0] == _STORE:
-            ri = r_op[1]
-
-            def builder(carry: tuple) -> BatchStep:
-                def step(cols: list, nrows: int,
-                         _get=facts.get, _key=key, _ri=ri) -> int:
-                    value = _get(_key)
-                    if value is None:
-                        return 0
-                    cols[_ri] = [value] * nrows
-                    return nrows
-                return step
-            return "batch scalar get", builder
-        if r_op[0] == _CONST:
-            r_const = r_op[1]
-            return "batch scalar get", _filter_const(
-                lambda cols, nrows, _get=facts.get, _key=key, _r=r_const:
-                _get(_key) == _r)
-        ri = r_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int,
-                     _get=facts.get, _key=key, _ri=ri) -> int:
-                value = _get(_key)
-                if value is None:
-                    return 0
-                col = cols[_ri]
-                idx = [i for i in range(nrows) if col[i] == value]
-                _take(cols, carry, idx)
-                return len(idx)
-            return step
-        return "batch scalar get", builder
-    si = s_op[1]
-    if r_op[0] == _STORE:
-        ri = r_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int,
-                     _get=facts.get, _m=method, _si=si, _ri=ri) -> int:
-                scol = cols[_si]
-                idx: list[int] = []
-                out: list = []
-                for i in range(nrows):
-                    value = _get((_m, scol[i], ()))
-                    if value is not None:
-                        idx.append(i)
-                        out.append(value)
-                _take(cols, carry, idx)
-                cols[_ri] = out
-                return len(idx)
-            return step
-        return "batch scalar get", builder
-    if r_op[0] == _CONST:
-        r_const = r_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int,
-                     _get=facts.get, _m=method, _si=si, _r=r_const) -> int:
-                scol = cols[_si]
-                idx = [i for i in range(nrows)
-                       if _get((_m, scol[i], ())) == _r]
-                _take(cols, carry, idx)
-                return len(idx)
-            return step
-        return "batch scalar get", builder
-    ri = r_op[1]
-
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int,
-                 _get=facts.get, _m=method, _si=si, _ri=ri) -> int:
-            scol, rcol = cols[_si], cols[_ri]
-            idx = [i for i in range(nrows)
-                   if _get((_m, scol[i], ())) == rcol[i]]
-            _take(cols, carry, idx)
-            return len(idx)
-        return step
-    return "batch scalar get", builder
-
-
-def _batch_inverse_probe(buckets, name: str, method: Oid, s_op, r_op):
-    """Result/member and method known, subject written: inverse probes.
-
-    One builder serves both tables: ``buckets`` is the scalar
-    (method, result) or set (method, member) index view, and the only
-    other difference is the kernel name.
-    """
-    si = s_op[1]
-    if r_op[0] == _CONST:
-        def builder(carry: tuple) -> BatchStep:
-            key = (method, r_op[1])
-
-            def step(cols: list, nrows: int,
-                     _b=buckets, _key=key, _si=si) -> int:
-                found = _b.get(_key)
-                subjects = ([k[1] for k in found if not k[2]]
-                            if found else ())
-                if not subjects:
-                    return 0
-                idx: list[int] = []
-                out: list = []
-                for i in range(nrows):
-                    for subject in subjects:
-                        idx.append(i)
-                        out.append(subject)
-                _take(cols, carry, idx)
-                cols[_si] = out
-                return len(idx)
-            return step
-        return name, builder
-    ri = r_op[1]
-
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int,
-                 _b=buckets, _m=method, _ri=ri, _si=si) -> int:
-            rcol = cols[_ri]
-            idx: list[int] = []
-            out: list = []
-            for i in range(nrows):
-                found = _b.get((_m, rcol[i]))
-                if found:
-                    for key in found:
-                        if key[2]:
-                            continue
-                        idx.append(i)
-                        out.append(key[1])
-            _take(cols, carry, idx)
-            cols[_si] = out
-            return len(idx)
-        return step
-    return name, builder
-
-
-def _batch_scalar_mscan(db: Database, method: Oid, s_op, r_op):
-    """Method known, both positions written: join the method bucket."""
-    buckets = db.scalars.by_method_view()
-    si, ri = s_op[1], r_op[1]
-
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int,
-                 _b=buckets, _m=method, _si=si, _ri=ri) -> int:
-            bucket = _b.get(_m)
-            if not bucket:
-                return 0
-            pairs = [(key[1], value) for key, value in bucket.items()
-                     if not key[2]]
-            idx: list[int] = []
-            s_out: list = []
-            r_out: list = []
-            for i in range(nrows):
-                for subject, value in pairs:
-                    idx.append(i)
-                    s_out.append(subject)
-                    r_out.append(value)
-            _take(cols, carry, idx)
-            cols[_si] = s_out
-            cols[_ri] = r_out
-            return len(idx)
-        return step
-    return "batch scalar m-scan", builder
-
-
-# ---------------------------------------------------------------------------
-# Set-membership steps
-# ---------------------------------------------------------------------------
-
-def _batch_set(db: Database, atom: SetMemberAtom, bound: set[Var],
-               slots: dict[Var, int], policy: MatchPolicy):
-    seen: set[Var] = set()
-    m_op = _term_op(atom.method, db, slots, bound, seen)
-    s_op = _term_op(atom.subject, db, slots, bound, seen)
-    tuple(_term_op(a, db, slots, bound, seen) for a in atom.args)
-    r_op = _term_op(atom.member, db, slots, bound, seen)
-    s_known = _known(atom.subject, bound)
-    r_known = _known(atom.member, bound)
-
-    if m_op[0] != _CONST or atom.args:
-        return None
-    method = m_op[1]
-    if not policy.method_ok(method):
-        return "none (method over depth)", _empty_builder
-    if s_known:
-        return _batch_set_app(db, method, s_op, r_op, r_known)
-    if db.sets.indexed and r_known and s_op[0] == _STORE:
-        return _batch_inverse_probe(db.sets.by_method_member_view(),
-                                    "batch set mm-probe", method,
-                                    s_op, r_op)
-    if db.sets.indexed and s_op[0] == _STORE and r_op[0] == _STORE:
-        return _batch_set_mscan(db, method, s_op, r_op)
-    return None
-
-
-def _batch_set_app(db: Database, method: Oid, s_op, r_op, r_known: bool):
-    """Method and subject known: probe one application's set per row."""
-    facts = db.sets.primary_view()
-    if s_op[0] == _CONST:
-        key = (method, s_op[1], ())
-        if not r_known:
-            ri = r_op[1]
-
-            def builder(carry: tuple) -> BatchStep:
-                def step(cols: list, nrows: int,
-                         _get=facts.get, _key=key, _ri=ri) -> int:
-                    bucket = _get(_key)
-                    if not bucket:
-                        return 0
-                    members = list(bucket)
-                    idx: list[int] = []
-                    out: list = []
-                    for i in range(nrows):
-                        for value in members:
-                            idx.append(i)
-                            out.append(value)
-                    _take(cols, carry, idx)
-                    cols[_ri] = out
-                    return len(idx)
-                return step
-            return "batch set iter", builder
-        if r_op[0] == _CONST:
-            r_const = r_op[1]
-            return "batch set contains", _filter_const(
-                lambda cols, nrows, _get=facts.get, _key=key, _r=r_const:
-                bool((b := _get(_key)) and _r in b))
-        ri = r_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int,
-                     _get=facts.get, _key=key, _ri=ri) -> int:
-                bucket = _get(_key)
-                if not bucket:
-                    return 0
-                col = cols[_ri]
-                idx = [i for i in range(nrows) if col[i] in bucket]
-                _take(cols, carry, idx)
-                return len(idx)
-            return step
-        return "batch set contains", builder
-    si = s_op[1]
-    if not r_known:
-        ri = r_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int,
-                     _get=facts.get, _m=method, _si=si, _ri=ri) -> int:
-                scol = cols[_si]
-                idx: list[int] = []
-                out: list = []
-                for i in range(nrows):
-                    bucket = _get((_m, scol[i], ()))
-                    if bucket:
-                        for value in bucket:
-                            idx.append(i)
-                            out.append(value)
-                _take(cols, carry, idx)
-                cols[_ri] = out
-                return len(idx)
-            return step
-        return "batch set iter", builder
-    if r_op[0] == _CONST:
-        r_const = r_op[1]
-
-        def builder(carry: tuple) -> BatchStep:
-            def step(cols: list, nrows: int,
-                     _get=facts.get, _m=method, _si=si, _r=r_const) -> int:
-                scol = cols[_si]
-                idx: list[int] = []
-                for i in range(nrows):
-                    bucket = _get((_m, scol[i], ()))
-                    if bucket and _r in bucket:
-                        idx.append(i)
-                _take(cols, carry, idx)
-                return len(idx)
-            return step
-        return "batch set contains", builder
-    ri = r_op[1]
-
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int,
-                 _get=facts.get, _m=method, _si=si, _ri=ri) -> int:
-            scol, rcol = cols[_si], cols[_ri]
-            idx: list[int] = []
-            for i in range(nrows):
-                bucket = _get((_m, scol[i], ()))
-                if bucket and rcol[i] in bucket:
-                    idx.append(i)
-            _take(cols, carry, idx)
-            return len(idx)
-        return step
-    return "batch set contains", builder
-
-
-def _batch_set_mscan(db: Database, method: Oid, s_op, r_op):
-    """Method known, both positions written: join all memberships."""
-    buckets = db.sets.by_method_view()
-    si, ri = s_op[1], r_op[1]
-
-    def builder(carry: tuple) -> BatchStep:
-        def step(cols: list, nrows: int,
-                 _b=buckets, _m=method, _si=si, _ri=ri) -> int:
-            apps = _b.get(_m)
-            if not apps:
-                return 0
-            pairs = [(key[1], value) for key, members in apps.items()
-                     if not key[2] for value in members]
-            idx: list[int] = []
-            s_out: list = []
-            r_out: list = []
-            for i in range(nrows):
-                for subject, value in pairs:
-                    idx.append(i)
-                    s_out.append(subject)
-                    r_out.append(value)
-            _take(cols, carry, idx)
-            cols[_si] = s_out
-            cols[_ri] = r_out
-            return len(idx)
-        return step
-    return "batch set m-scan", builder
 
 
 # ---------------------------------------------------------------------------
@@ -955,28 +511,22 @@ def _rowwise_label(atom: Atom, bound: set[Var]) -> str:
 
 def _compile_batch_step(db: Database, atom: Atom, bound: set[Var],
                         slots: dict[Var, int], policy: MatchPolicy):
-    """(kernel name, step builder, read slots, written slots) for one atom."""
-    reads, writes = _step_io(atom, bound, slots)
-    read_slots = tuple(slot for _, slot in reads)
-    write_slots = tuple(slot for _, slot in writes)
-    specialized = None
-    if isinstance(atom, ScalarAtom):
-        specialized = _batch_scalar(db, atom, bound, slots, policy)
-    elif isinstance(atom, SetMemberAtom):
-        specialized = _batch_set(db, atom, bound, slots, policy)
-    elif isinstance(atom, IsaAtom):
+    """``(kernel name, step builder)`` of the boxed step for one atom."""
+    if isinstance(atom, IsaAtom):
         specialized = _batch_isa(db, atom, bound, slots)
     elif isinstance(atom, ComparisonAtom):
         specialized = _batch_compare(db, atom, bound, slots)
+    else:
+        specialized = None
     if specialized is not None:
-        name, builder = specialized
-        return name, builder, read_slots, write_slots
+        return specialized
 
     # No column form: the matcher extends each row's binding.
     def extend(binding, _db=db, _atom=atom, _policy=policy):
         return match_atom(_db, _atom, binding, _policy)
+    reads, writes = _step_io(atom, bound, slots)
     return (f"batch row {_rowwise_label(atom, bound)}",
-            _rowwise(reads, writes, extend), read_slots, write_slots)
+            _rowwise(reads, writes, extend))
 
 
 # ---------------------------------------------------------------------------
@@ -1006,98 +556,3 @@ def _bake_steps(builders, reads, writes, written,
         steps.append(builder(carry))
         written |= set(step_writes)
     return tuple(steps)
-
-
-# ---------------------------------------------------------------------------
-# Batched head realisation
-# ---------------------------------------------------------------------------
-
-def head_emitter(db: Database, rule, slot_of: dict[Var, int]):
-    """A set-at-a-time head realizer for ``rule``, or None.
-
-    For *simple* heads -- molecules over a name or variable whose
-    filters carry only names and variables -- substituting a solution
-    into the head yields its facts directly, so a whole batch of
-    solutions can be asserted straight from the columns: no per-row
-    binding dict, no head-spine walk, no per-row name lookups.  The
-    asserted facts and log entries are bit-identical to what
-    :class:`~repro.engine.heads.HeadRealizer` produces (assertions go
-    through the same database API, so scalar-conflict and hierarchy
-    errors behave identically).
-
-    The engine asks the int batch writer
-    (:func:`repro.engine.columnar.columnar_head_emitter`) first, so
-    this boxed emitter serves the simple heads that writer declines:
-    isa filters, ``@``-arguments, a method written twice, an open
-    change log.  Heads over a path (virtual objects the int writer
-    declines), computed methods and a re-stated built-in identity
-    return None; the engine then runs the realizer's compiled column
-    program.
-    """
-    from repro.engine.incremental import simple_head
-
-    head = rule.head
-    if isinstance(head, Molecule):
-        for filt in head.filters:
-            if (isinstance(filt, ScalarFilter)
-                    and isinstance(filt.method, Name)
-                    and _builtins.is_builtin_scalar(
-                        NamedOid(filt.method.value))):
-                # The realizer checks the built-in identity per row and
-                # may raise; keep that behaviour.
-                return None
-    spec = simple_head(rule)
-    if spec is None:
-        return None
-
-    def component(term):
-        """``(slot, const)``: exactly one side is set."""
-        if isinstance(term, Name):
-            return None, db.lookup_name(term.value)
-        slot = slot_of.get(term)
-        if slot is None:
-            return (), None  # unmapped variable: cannot emit
-        return slot, None
-
-    compiled = []
-    for template in spec.templates:
-        if template[0] == "isa":
-            parts = (component(template[1]), component(template[2]))
-            if any(slot == () for slot, _ in parts):
-                return None
-            compiled.append(("isa", db.assert_isa, parts, ()))
-        else:
-            kind, method_t, subject_t, args_t, result_t = template
-            parts = (component(subject_t), component(result_t))
-            arg_parts = tuple(component(a) for a in args_t)
-            if any(slot == () for slot, _ in (*parts, *arg_parts)):
-                return None
-            add = (db.assert_scalar if kind == "scalar"
-                   else db.assert_set_member)
-            method = db.lookup_name(method_t.value)
-            compiled.append((kind, add, parts, arg_parts, method))
-
-    def emit(cols: list, nrows: int, log: list) -> None:
-        for i in range(nrows):
-            for entry in compiled:
-                if entry[0] == "isa":
-                    _, add, parts, _ = entry
-                    (o_slot, o_const), (c_slot, c_const) = parts
-                    obj = cols[o_slot][i] if o_slot is not None else o_const
-                    cls = cols[c_slot][i] if c_slot is not None else c_const
-                    if add(obj, cls):
-                        log.append(("isa", obj, cls))
-                else:
-                    kind, add, parts, arg_parts, method = entry
-                    (s_slot, s_const), (r_slot, r_const) = parts
-                    subject = (cols[s_slot][i] if s_slot is not None
-                               else s_const)
-                    result = (cols[r_slot][i] if r_slot is not None
-                              else r_const)
-                    args = tuple(
-                        cols[slot][i] if slot is not None else const
-                        for slot, const in arg_parts
-                    )
-                    if add(method, subject, args, result):
-                        log.append((kind, method, subject, args, result))
-    return emit

@@ -27,12 +27,15 @@ tests:
 - **magic guards** (demand sets from the magic rewrite) filter whole
   columns against the demand bucket in one semi-join pass
   (``int semi-join (magic)``);
-- **isa checks** of a bound int column against a constant class are a
+- the built-in ``self`` copies or compares columns (``int self fwd``,
+  ``rev``, ``check``);
+- **isa checks** of a bound column against a constant class are a
   semi-join against the surrogates of the class's members
   (``int isa check``), rebuilt when the hierarchy moves;
 - **delta seeds** turn a semi-naive round's bucket straight into the
   initial columns (``int delta-set seed``) -- for facts the int-native
-  emitter derived, the very columns it wrote;
+  emitter derived, the very columns it wrote; a constant subject or
+  result (every magic guard) or a repeated variable filters them;
 - **head emission** writes a whole batch through the tables' batch
   writers, deduplicating in int space against the mirror before
   touching the boxed table, so re-derived facts never resolve a
@@ -40,18 +43,20 @@ tests:
   columns; a head path's virtual objects are defined with int probes
   too.
 
-Representation is chosen **per slot at plan-compile time**: a slot is
-an int column exactly when its writer is an int kernel (or the entry
-seed, which interns its one row).  Atoms with no int form -- builtins,
-isa steps that enumerate members or classes or test a built-in value
+Every stored scalar and set atom with a constant method and no
+``@``-arguments runs on one of these int kernels, whatever an earlier
+step left in its slots.  Atoms with no int form -- isa steps that
+enumerate members or classes or test a variable or built-in value
 class, comparisons, negation, superset bridges, parameterised or
-dynamic methods, unindexed tables -- fall back to the boxed column
-kernels of :mod:`repro.engine.batch` (``batch ...`` in EXPLAIN); a
-boxed step reading an int slot dereferences that column in place first
-(a list index per row, no hashing), and the slot stays boxed from then
-on.  Solutions leave the executor as OIDs: output columns are
-dereferenced at the boundary, so callers (and per-step row counters)
-cannot tell the representations apart.
+dynamic methods, ``self`` over the universe, inverse probes and scans
+of unindexed tables -- run the boxed steps of :mod:`repro.engine.batch`
+(``batch ...`` in EXPLAIN).  Representation is chosen **per slot at
+plan-compile time**, and a slot switches in place where a step needs
+the other one: a boxed step reading an int slot dereferences the
+column (a list index per row, no hashing), an int kernel reading a
+boxed slot interns it.  Solutions leave the executor as OIDs: output
+columns are dereferenced at the boundary, so callers (and per-step row
+counters) cannot tell the representations apart.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from repro.engine.batch import (
     _atom_variables,
     _bake_steps,
     _compile_batch_step,
+    _empty_builder,
     _filter_const,
     _known,
     _step_io,
@@ -120,8 +126,8 @@ def _int_merge_join(view, name: str, m_sur: int, si: int, ri: int):
     then walked in lockstep with the method's sorted inverse bucket;
     equal runs emit the same cross products a nested-loop probe would,
     so per-step row counts are unchanged.  Output row *order* differs
-    from the boxed kernel -- semantics are set-based, so no caller may
-    observe order.
+    from a nested-loop probe's -- semantics are set-based, so no caller
+    may observe order.
     """
     def builder(carry: tuple) -> BatchStep:
         def step(cols: list, nrows: int,
@@ -173,27 +179,106 @@ def _int_inverse_probe(view, name: str, m_sur: int, si: int, r_sur: int):
     return name, builder
 
 
-def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
-                slots: dict[Var, int], policy: MatchPolicy,
-                rep: list[bool], interner: OidInterner):
-    """An int-column kernel for a scalar atom, or None."""
-    if atom.args or not db.scalars.indexed:
+def _int_self(s_op, r_op, s_known: bool, r_known: bool,
+              interner: OidInterner):
+    """The built-in identity ``o.self = o`` over int columns, or None
+    over the universe (no position known)."""
+    if s_known and r_known:
+        return "int self check", _int_equality(s_op, r_op, interner)
+    if s_known:
+        name, src, dst = "int self fwd", s_op, r_op[1]
+    elif r_known:
+        name, src, dst = "int self rev", r_op, s_op[1]
+    else:
+        return None
+    if src[0] == _CONST:
+        sur = interner.intern(src[1])
+
+        def builder(carry: tuple) -> BatchStep:
+            def step(cols: list, nrows: int) -> int:
+                cols[dst] = [sur] * nrows
+                return nrows
+            return step
+        return name, builder
+    si = src[1]
+
+    def builder(carry: tuple) -> BatchStep:
+        def step(cols: list, nrows: int) -> int:
+            cols[dst] = cols[si][:]
+            return nrows
+        return step
+    return name, builder
+
+
+def _int_equality(l_op, r_op, interner: OidInterner) -> StepBuilder:
+    """Filter rows where two known positions hold the same surrogate."""
+    if l_op[0] == _CONST and r_op[0] == _CONST:
+        same = l_op[1] == r_op[1]
+        return _filter_const(lambda cols, nrows, _s=same: _s)
+    if l_op[0] == _CONST or r_op[0] == _CONST:
+        const, (_, slot) = ((l_op[1], r_op) if l_op[0] == _CONST
+                            else (r_op[1], l_op))
+        sur = interner.intern(const)
+
+        def builder(carry: tuple) -> BatchStep:
+            def step(cols: list, nrows: int) -> int:
+                col = cols[slot]
+                idx = [i for i in range(nrows) if col[i] == sur]
+                _take(cols, carry, idx)
+                return len(idx)
+            return step
+        return builder
+    li, ri = l_op[1], r_op[1]
+
+    def builder(carry: tuple) -> BatchStep:
+        def step(cols: list, nrows: int) -> int:
+            left, right = cols[li], cols[ri]
+            idx = [i for i in range(nrows) if left[i] == right[i]]
+            _take(cols, carry, idx)
+            return len(idx)
+        return step
+    return builder
+
+
+#: The step of an atom whose constant method is over the policy's depth.
+_OVER_DEPTH = ("none (method over depth)", _empty_builder)
+
+
+def _stored_ops(db: Database, atom, result, bound: set[Var],
+                slots: dict[Var, int]):
+    """``(method, s_op, r_op, s_known, r_known)`` of a stored atom with
+    a constant method and no ``@``-arguments, or None for any other atom
+    (the matcher runs it row by row)."""
+    if atom.args or not isinstance(atom.method, Name):
         return None
     seen: set[Var] = set()
-    m_op = _term_op(atom.method, db, slots, bound, seen)
+    method = db.lookup_name(atom.method.value)
     s_op = _term_op(atom.subject, db, slots, bound, seen)
-    r_op = _term_op(atom.result, db, slots, bound, seen)
-    if m_op[0] != _CONST:
+    r_op = _term_op(result, db, slots, bound, seen)
+    return (method, s_op, r_op, _known(atom.subject, bound),
+            _known(result, bound))
+
+
+def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
+                slots: dict[Var, int], policy: MatchPolicy,
+                interner: OidInterner):
+    """The int-column kernel for a scalar atom, or None.
+
+    Serves every constant method without ``@``-arguments, whatever
+    representation its read columns had (the caller interns boxed ones),
+    except an unindexed table's inverse probes and method scans and
+    ``self`` over the universe.
+    """
+    ops = _stored_ops(db, atom, atom.result, bound, slots)
+    if ops is None:
         return None
-    method = m_op[1]
-    if _builtins.is_builtin_scalar(method) or not policy.method_ok(method):
+    method, s_op, r_op, s_known, r_known = ops
+    if not policy.method_ok(method):
+        return _OVER_DEPTH
+    if _builtins.is_builtin_scalar(method):
+        return _int_self(s_op, r_op, s_known, r_known, interner)
+    if not s_known and not db.scalars.indexed:
         return None
-    s_known = _known(atom.subject, bound)
-    r_known = _known(atom.result, bound)
-    # Every column the kernel would read must already hold surrogates.
-    for op, known in ((s_op, s_known), (r_op, r_known)):
-        if known and op[0] != _CONST and not rep[op[1]]:
-            return None
 
     view = db.scalars.surrogate_view(interner)
     apps = view.apps
@@ -215,13 +300,13 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
                         cols[_ri] = [value] * nrows
                         return nrows
                     return step
-                return "int scalar get", builder, (ri,)
+                return "int scalar get", builder
             if r_op[0] == _CONST:
                 r_sur = interner.intern(r_op[1])
                 return "int scalar get", _filter_const(
                     lambda cols, nrows, _apps=apps, _m=m_sur, _s=s_sur,
                     _r=r_sur: (b := _apps.get(_m)) is not None
-                    and b.get(_s) == _r), ()
+                    and b.get(_s) == _r)
             ri = r_op[1]
 
             def builder(carry: tuple) -> BatchStep:
@@ -236,7 +321,7 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
                     _take(cols, carry, idx)
                     return len(idx)
                 return step
-            return "int scalar get", builder, ()
+            return "int scalar get", builder
         si = s_op[1]
         if r_op[0] == _STORE:
             ri = r_op[1]
@@ -260,7 +345,7 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
                     cols[_ri] = out
                     return len(idx)
                 return step
-            return "int scalar get", builder, (ri,)
+            return "int scalar get", builder
         if r_op[0] == _CONST:
             r_sur = interner.intern(r_op[1])
 
@@ -276,7 +361,7 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
                     _take(cols, carry, idx)
                     return len(idx)
                 return step
-            return "int scalar get", builder, ()
+            return "int scalar get", builder
         ri = r_op[1]
 
         def builder(carry: tuple) -> BatchStep:
@@ -291,18 +376,15 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
                 _take(cols, carry, idx)
                 return len(idx)
             return step
-        return "int scalar get", builder, ()
+        return "int scalar get", builder
 
     if r_known and s_op[0] == _STORE:
         si = s_op[1]
         if r_op[0] == _CONST:
-            name, builder = _int_inverse_probe(
-                view, "int scalar mr-probe", m_sur, si,
-                interner.intern(r_op[1]))
-            return name, builder, (si,)
-        name, builder = _int_merge_join(
-            view, "int scalar mr merge-join", m_sur, si, r_op[1])
-        return name, builder, (si,)
+            return _int_inverse_probe(view, "int scalar mr-probe", m_sur,
+                                      si, interner.intern(r_op[1]))
+        return _int_merge_join(view, "int scalar mr merge-join", m_sur,
+                               si, r_op[1])
 
     if s_op[0] == _STORE and r_op[0] == _STORE:
         si, ri = s_op[1], r_op[1]
@@ -327,30 +409,23 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
                 cols[_ri] = r_out
                 return len(idx)
             return step
-        return "int scalar m-scan", builder, (si, ri)
+        return "int scalar m-scan", builder
     return None
 
 
 def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
              slots: dict[Var, int], policy: MatchPolicy,
-             rep: list[bool], interner: OidInterner):
-    """An int-column kernel for a set-membership atom, or None."""
-    if atom.args or not db.sets.indexed:
+             interner: OidInterner):
+    """The int-column kernel for a set-membership atom, or None (the
+    same shapes as :func:`_int_scalar`, less ``self``)."""
+    ops = _stored_ops(db, atom, atom.member, bound, slots)
+    if ops is None:
         return None
-    seen: set[Var] = set()
-    m_op = _term_op(atom.method, db, slots, bound, seen)
-    s_op = _term_op(atom.subject, db, slots, bound, seen)
-    r_op = _term_op(atom.member, db, slots, bound, seen)
-    if m_op[0] != _CONST:
-        return None
-    method = m_op[1]
+    method, s_op, r_op, s_known, r_known = ops
     if not policy.method_ok(method):
+        return _OVER_DEPTH
+    if not s_known and not db.sets.indexed:
         return None
-    s_known = _known(atom.subject, bound)
-    r_known = _known(atom.member, bound)
-    for op, known in ((s_op, s_known), (r_op, r_known)):
-        if known and op[0] != _CONST and not rep[op[1]]:
-            return None
 
     view = db.sets.surrogate_view(interner)
     apps = view.apps
@@ -380,13 +455,13 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
                         cols[_ri] = out
                         return len(idx)
                     return step
-                return "int set iter", builder, (ri,)
+                return "int set iter", builder
             if r_op[0] == _CONST:
                 r_sur = interner.intern(r_op[1])
                 return "int set contains", _filter_const(
                     lambda cols, nrows, _apps=apps, _m=m_sur, _s=s_sur,
                     _r=r_sur: bool((b := _apps.get(_m))
-                                   and (ms := b.get(_s)) and _r in ms)), ()
+                                   and (ms := b.get(_s)) and _r in ms))
             # A whole column filtered against one stored bucket in a
             # single pass.  For magic guards this is the semi-join
             # pushdown: the demand set (anchored on the constant
@@ -408,7 +483,7 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
                     _take(cols, carry, idx)
                     return len(idx)
                 return step
-            return name, builder, ()
+            return name, builder
         si = s_op[1]
         if not r_known:
             ri = r_op[1]
@@ -433,7 +508,7 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
                     cols[_ri] = out
                     return len(idx)
                 return step
-            return "int set iter", builder, (ri,)
+            return "int set iter", builder
         if r_op[0] == _CONST:
             r_sur = interner.intern(r_op[1])
 
@@ -450,7 +525,7 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
                     _take(cols, carry, idx)
                     return len(idx)
                 return step
-            return "int set contains", builder, ()
+            return "int set contains", builder
         ri = r_op[1]
 
         def builder(carry: tuple) -> BatchStep:
@@ -466,18 +541,15 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
                 _take(cols, carry, idx)
                 return len(idx)
             return step
-        return "int set contains", builder, ()
+        return "int set contains", builder
 
     if r_known and s_op[0] == _STORE:
         si = s_op[1]
         if r_op[0] == _CONST:
-            name, builder = _int_inverse_probe(
-                view, "int set mm-probe", m_sur, si,
-                interner.intern(r_op[1]))
-            return name, builder, (si,)
-        name, builder = _int_merge_join(
-            view, "int set mm merge-join", m_sur, si, r_op[1])
-        return name, builder, (si,)
+            return _int_inverse_probe(view, "int set mm-probe", m_sur,
+                                      si, interner.intern(r_op[1]))
+        return _int_merge_join(view, "int set mm merge-join", m_sur,
+                               si, r_op[1])
 
     if s_op[0] == _STORE and r_op[0] == _STORE:
         si, ri = s_op[1], r_op[1]
@@ -504,7 +576,7 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
                 cols[_ri] = r_out
                 return len(idx)
             return step
-        return "int set m-scan", builder, (si, ri)
+        return "int set m-scan", builder
     return None
 
 
@@ -547,21 +619,18 @@ def _class_extent(db: Database, cls: Oid, interner: OidInterner):
 
 
 def _int_isa(db: Database, atom: IsaAtom, bound: set[Var],
-             slots: dict[Var, int], rep: list[bool],
-             interner: OidInterner):
+             slots: dict[Var, int], interner: OidInterner):
     """``X : c`` over an int column as a semi-join, or None.
 
-    Serves a bound variable in an int slot against a constant class
-    other than the built-in value classes (``integer`` and ``string``
-    are checkable, not enumerable); enumerating members or classes and
-    variable classes stay on the boxed kernels.
+    Serves a bound variable against a constant class other than the
+    built-in value classes (``integer`` and ``string`` are checkable,
+    not enumerable); enumerating members or classes and variable
+    classes stay on the boxed kernels.
     """
     if (not isinstance(atom.obj, Var) or atom.obj not in bound
             or not isinstance(atom.cls, Name)):
         return None
     oi = slots[atom.obj]
-    if not rep[oi]:
-        return None
     cls = db.lookup_name(atom.cls.value)
     if cls in (_builtins.INTEGER_CLASS, _builtins.STRING_CLASS):
         return None
@@ -575,34 +644,29 @@ def _int_isa(db: Database, atom: IsaAtom, bound: set[Var],
             _take(cols, carry, idx)
             return len(idx)
         return step
-    return "int isa check", builder, ()
+    return "int isa check", builder
 
 
 # ---------------------------------------------------------------------------
 # Step dispatch with per-slot representation tracking
 # ---------------------------------------------------------------------------
 
-def _boxed(builder: StepBuilder, db: Database, deref: tuple,
-           resolver: list) -> StepBuilder:
-    """Prepare a boxed fallback step's input before it runs.
+def _converted(builder: StepBuilder, slots: tuple, convert) -> StepBuilder:
+    """Switch ``slots``' representation in place before the step runs.
 
-    Two things happen per execution.  Mirror-first pending inserts are
-    drained: boxed kernels capture the tables' live dicts at compile
-    time and the drain back-fills those same dicts in place (see
-    ``MethodTable.int_writer``).  Then int read columns are resolved to
-    OIDs in place -- the slot is boxed for every later step, which is
-    exactly what the compile-time representation map records; a deref
-    is a list index per row, no hashing.  A row-at-a-time step's
-    ``blocks`` entry (:func:`repro.engine.batch.chunks`) gets the same
-    preparation.
+    ``convert`` maps one value: ``interner.intern`` before an int
+    kernel reads a boxed column, the resolver's index before a boxed
+    step reads an int one.  Each slot then keeps the new representation
+    for every later step, which is what the compile-time representation
+    map records.  A row-at-a-time step's ``blocks`` entry
+    (:func:`repro.engine.batch.chunks`) gets the same preparation.
     """
-    scalars, sets = db.scalars, db.sets
+    if not slots:
+        return builder
 
     def prepare(cols: list) -> None:
-        scalars.sync()
-        sets.sync()
-        for slot in deref:
-            cols[slot] = [resolver[v] for v in cols[slot]]
+        for slot in slots:
+            cols[slot] = list(map(convert, cols[slot]))
 
     def wrapped(carry: tuple) -> BatchStep:
         step = builder(carry)
@@ -626,31 +690,38 @@ def _compile_columnar_step(db: Database, atom: Atom, bound: set[Var],
                            rep: list[bool], interner: OidInterner):
     """One step with representation selection; mutates ``rep``.
 
-    Tries the int kernel first; atoms it cannot serve fall back to the
-    boxed batch kernels (with int read columns dereferenced in place).
+    Stored scalar and set atoms with a constant method and no
+    ``@``-arguments, and isa checks against a constant class, run on
+    int kernels: a boxed column they read is interned in place first
+    (a new surrogate is assigned under the interner's lock, so
+    concurrent readers of a cached plan stay safe).  Every other atom
+    runs a boxed step of :mod:`repro.engine.batch`, with int read
+    columns dereferenced in place (a list index per row, no hashing).
     """
+    reads, writes = _step_io(atom, bound, slots)
+    reads = tuple(slot for _, slot in reads)
+    writes = tuple(slot for _, slot in writes)
     specialized = None
     if isinstance(atom, ScalarAtom):
-        specialized = _int_scalar(db, atom, bound, slots, policy, rep,
-                                  interner)
+        specialized = _int_scalar(db, atom, bound, slots, policy, interner)
     elif isinstance(atom, SetMemberAtom):
-        specialized = _int_set(db, atom, bound, slots, policy, rep, interner)
+        specialized = _int_set(db, atom, bound, slots, policy, interner)
     elif isinstance(atom, IsaAtom):
-        specialized = _int_isa(db, atom, bound, slots, rep, interner)
+        specialized = _int_isa(db, atom, bound, slots, interner)
     if specialized is not None:
-        reads, writes = _step_io(atom, bound, slots)
-        name, builder, int_writes = specialized
-        for slot in int_writes:
-            rep[slot] = True
-        return (name, builder, tuple(slot for _, slot in reads),
-                tuple(slot for _, slot in writes))
-    name, builder, reads, writes = _compile_batch_step(
-        db, atom, bound, slots, policy)
-    deref = tuple(slot for slot in reads if rep[slot])
-    for slot in deref + writes:
-        rep[slot] = False
-    return (name, _boxed(builder, db, deref, interner.resolver()), reads,
-            writes)
+        name, builder = specialized
+        convert = tuple(slot for slot in reads if not rep[slot])
+        builder = _converted(builder, convert, interner.intern)
+        is_int = True
+    else:
+        name, builder = _compile_batch_step(db, atom, bound, slots, policy)
+        convert = tuple(slot for slot in reads if rep[slot])
+        builder = _converted(builder, convert,
+                             interner.resolver().__getitem__)
+        is_int = False
+    for slot in convert + writes:
+        rep[slot] = is_int
+    return name, builder, reads, writes
 
 
 # ---------------------------------------------------------------------------
@@ -995,10 +1066,47 @@ def _method_filter(policy: MatchPolicy, m_op):
     return lambda m: method_ok(m) and method_visible(m)
 
 
+def _int_delta_seed(wanted: str, method: Oid, s_op, r_op,
+                    interner: OidInterner):
+    """The seed of a parameterless constant-method delta atom.
+
+    The round's int bucket of the method is the seed batch.  A written
+    position takes its column as it is; a constant subject or result
+    keeps the rows holding its surrogate, and a result repeating the
+    subject's variable the rows where the two agree (a magic guard
+    ``"__demand__"[magic$... ->> {X}]`` is the constant-subject case).
+    """
+    si = s_op[1] if s_op[0] == _STORE else None
+    ri = r_op[1] if r_op[0] == _STORE else None
+    s_sur = interner.intern(s_op[1]) if s_op[0] == _CONST else None
+    r_sur = interner.intern(r_op[1]) if r_op[0] == _CONST else None
+    same = r_op[0] == _LOAD
+    filtered = s_sur is not None or r_sur is not None or same
+
+    def seed(cols, delta):
+        if not isinstance(delta, DeltaIndex):
+            delta = DeltaIndex(delta, interner)
+        s_col, r_col = delta.int_bucket(wanted, method)
+        if filtered:
+            idx = [i for i, (s, r) in enumerate(zip(s_col, r_col))
+                   if (s_sur is None or s == s_sur)
+                   and (r_sur is None or r == r_sur)
+                   and (not same or s == r)]
+            s_col = [s_col[i] for i in idx]
+            r_col = [r_col[i] for i in idx]
+        if si is not None:
+            cols[si] = s_col
+        if ri is not None:
+            cols[ri] = r_col
+        return len(s_col)
+    return seed
+
+
 def _generic_delta_seed(wanted: str, ops: tuple, nargs: int,
                         seed_writes: tuple, nslots: int,
                         policy: MatchPolicy, m_op):
-    """The boxed row-at-a-time seed handling every delta-atom shape."""
+    """The boxed row-at-a-time seed of a delta atom with ``@``-arguments
+    or a variable method."""
     const = m_op[0] == _CONST
     runtime_ok = None if const else _method_filter(policy, m_op)
 
@@ -1070,22 +1178,13 @@ def compile_columnar_delta_plan(db: Database, atom: Atom, plan: Plan,
     if m_op[0] == _CONST and not policy.method_ok(m_op[1]):
         def seed(cols, delta):
             return 0
-        seed_name = f"batch delta-{wanted} seed"
-    elif (nargs == 0 and m_op[0] == _CONST
-            and s_op[0] == _STORE and r_op[0] == _STORE):
-        # The hot shape seeds int columns straight from the delta's
-        # bucket (a plain Oid log is partitioned first).
-        method = m_op[1]
-        si, ri = s_op[1], r_op[1]
-        rep[si] = rep[ri] = True
-
-        def seed(cols, delta, _wanted=wanted, _m=method, _si=si, _ri=ri):
-            if not isinstance(delta, DeltaIndex):
-                delta = DeltaIndex(delta, interner)
-            s_out, r_out = delta.int_bucket(_wanted, _m)
-            cols[_si] = s_out
-            cols[_ri] = r_out
-            return len(s_out)
+        seed_name = _OVER_DEPTH[0]
+    elif nargs == 0 and m_op[0] == _CONST:
+        # Seeds int columns straight from the delta's bucket (a plain
+        # Oid log is partitioned first).
+        seed = _int_delta_seed(wanted, m_op[1], s_op, r_op, interner)
+        for slot in seed_writes:
+            rep[slot] = True
         seed_name = f"int delta-{wanted} seed"
     else:
         seed = _generic_delta_seed(wanted, ops, nargs, seed_writes, nslots,

@@ -25,8 +25,8 @@ class DeltaIndex:
     The round is written while it runs and read as the next round's
     delta.  Two kinds of writer share it:
 
-    - boxed realizer paths (:class:`~repro.engine.heads.HeadRealizer`,
-      the simple-head and compiled column emitters) :meth:`append`
+    - boxed realizer paths (:class:`~repro.engine.heads.HeadRealizer`
+      and its compiled column programs) :meth:`append`
       realizer-log entries -- ``("scalar", m, s, args, r)``,
       ``("set", m, s, args, r)``, ``("isa", o, c)`` -- to a plain list;
     - the int-native emitter records each batch's new surrogate columns

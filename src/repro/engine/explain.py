@@ -13,10 +13,11 @@ The ``kernel`` column names what each step runs, in one vocabulary
 for ad-hoc conjunctions (``Query.explain``, the ``explain``
 subcommand) and rule plans of a fixpoint run (``Engine.explain``,
 ``--explain``) alike -- both run on columnar plans: ``int ...`` for
-steps served from the int-surrogate mirrors, ``batch ...`` for a boxed
-fallback step inside the same plan, and ``batch row ...`` for a step
-that re-enters the interpreted matcher row by row (negation, superset,
-dynamic methods).  Rule plans also name their head rung (``head: int
+steps served from the int-surrogate mirrors (every stored scalar and
+set atom with a constant method and no ``@``-arguments), ``batch ...``
+for a boxed isa or comparison step inside the same plan, and ``batch
+row ...`` for a step that re-enters the interpreted matcher row by row
+(negation, superset, dynamic methods).  Rule plans also name their head rung (``head: int
 writer`` and so on): how the plan's solutions become facts.
 """
 
@@ -76,9 +77,9 @@ class PlanReport:
     #: reason the memoised result had to be re-derived in full.
     maintenance: object | None = None
     #: How a rule plan's solutions become facts -- its head rung:
-    #: ``int writer``, ``boxed emitter``, ``column program`` or
-    #: ``per-row realize`` (see ``Engine._head_emitter``); None for an
-    #: ad-hoc conjunction, which has no head.
+    #: ``int writer``, ``column program`` or ``per-row realize`` (see
+    #: ``Engine._head_emitter``); None for an ad-hoc conjunction, which
+    #: has no head.
     head: str | None = None
 
     @property

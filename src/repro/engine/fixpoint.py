@@ -32,9 +32,9 @@ int-surrogate columns through the whole body, semi-naive rounds turn
 each seeded bucket of the delta into the initial batch in a single
 pass, and rule heads are asserted straight from the solution columns
 (the int batch writer for stored filters, also over the virtual objects
-of scalar path steps; the boxed simple-head emitter or the realizer's
-compiled column program for the rest; support-tracked rules go row by
-row -- ``Engine._head_emitter`` names the rungs, EXPLAIN shows them).
+of scalar path steps; the realizer's compiled column program for the
+rest; support-tracked rules go row by row -- ``Engine._head_emitter``
+names the rungs, EXPLAIN shows them).
 
 Every head path of a round writes into one round object, a
 :class:`~repro.engine.delta.DeltaIndex`, which the next round reads as
@@ -66,7 +66,6 @@ from typing import Iterable, Union
 
 from repro.core.ast import Program, Rule
 from repro.core.variables import variables_of
-from repro.engine.batch import head_emitter
 from repro.engine.columnar import (
     columnar_head_emitter,
     compile_columnar_delta_plan,
@@ -484,13 +483,11 @@ class Engine:
           scalar and set filters, also over scalar path steps that
           create virtual objects; it alone consumes ``raw`` surrogate
           columns, skipping the deref at the plan boundary;
-        - ``boxed emitter`` -- the simple-head emitter
-          (:func:`~repro.engine.batch.head_emitter`) for the other
-          simple heads: isa filters, ``@``-arguments, a method written
-          twice, an open change log;
         - ``column program`` -- the realizer's compiled column program
-          for every other head: virtual objects outside the int
-          writer's shape, computed methods, built-in filters.
+          (:meth:`~repro.engine.heads.HeadRealizer.compile_columns`)
+          for every other head: isa filters, ``@``-arguments, a method
+          written twice, an open change log, virtual objects outside
+          the int writer's shape, computed methods, built-in filters.
 
         Support recording observes per binding, so tracked rules get no
         emitter and fall back to ``per-row realize`` -- as does a head
@@ -500,9 +497,6 @@ class Engine:
         if self.support is None or not self.support.tracks(rule):
             emit = columnar_head_emitter(db, rule, cplan, realizer)
             rung = "int writer"
-            if emit is None:
-                emit = head_emitter(db, rule, cplan.slots)
-                rung = "boxed emitter"
             if emit is None:
                 emit = realizer.compile_columns(rule.head, cplan.slots)
                 rung = "column program"

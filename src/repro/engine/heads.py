@@ -34,7 +34,10 @@ runs over whole solution columns.  The engine's int batch writer
 the heads it can write in int space -- the paper's views among them --
 and makes its virtual objects through :meth:`HeadRealizer.new_virtual`,
 so identity, the ``max_virtual_depth`` limit and
-:attr:`HeadRealizer.virtuals_created` are the same on every rung.
+:attr:`HeadRealizer.virtuals_created` are the same on every rung.  The
+column program takes every head the writer declines: isa filters,
+``@``-arguments, a method written twice, an open change log, paths
+outside the writer's shape, computed methods and built-in filters.
 """
 
 from __future__ import annotations
@@ -246,15 +249,15 @@ class HeadRealizer:
     def compile_columns(self, head: Reference, slot_of: dict[Var, int]):
         """Lower ``head`` to a flat program over solution columns.
 
-        Returns ``emit(cols, nrows, log)`` -- the head emitter protocol
-        of :mod:`repro.engine.batch` -- which realises one batch exactly
-        as ``nrows`` calls of :meth:`realize` would, in row order: the
-        same facts asserted through the same database API, the same
-        :attr:`log` entries (the protocol's ``log`` argument *is*
-        :attr:`log`; the primitives append to it themselves), the same
-        virtual objects, the same error at the same row.  Returns None
-        when a head variable has no column, leaving :meth:`realize` to
-        report the unbound variable.
+        Returns ``emit(cols, nrows, log)`` -- the engine's head emitter
+        protocol, shared with the int writer -- which realises one
+        batch exactly as ``nrows`` calls of :meth:`realize` would, in
+        row order: the same facts asserted through the same database
+        API, the same :attr:`log` entries (the protocol's ``log``
+        argument *is* :attr:`log`; the primitives append to it
+        themselves), the same virtual objects, the same error at the
+        same row.  Returns None when a head variable has no column,
+        leaving :meth:`realize` to report the unbound variable.
 
         The spine is walked once, here, in :meth:`_realize`'s
         evaluation order.  What is left per row is a list of

@@ -69,7 +69,7 @@ class EngineStats:
     #: existence check, the rows it pushed before stopping).
     batch_rows: int = 0
     #: Plans (rule bodies + seeded delta positions) whose solution
-    #: batches are realised set-at-a-time: by a simple-head emitter or a
+    #: batches are realised set-at-a-time: by the int writer or a
     #: compiled column head program.
     heads_compiled: int = 0
     #: Plans whose batches still go row by row through

@@ -72,7 +72,7 @@ class _SurrogateView:
     indexes: keys are dense integer surrogates, so every probe hashes a
     machine int instead of recomputing a structural OID hash.  The view
     mirrors only ``args == ()`` facts -- parameterised methods stay on
-    the boxed kernels.
+    the interpreted matcher's row-at-a-time steps.
 
     The mirror is maintained *incrementally* by the owning table's
     mutators (and written first by the engine's batch writers,
@@ -325,9 +325,7 @@ class _MethodTable:
         """Materialise queued mirror-first inserts into the boxed dicts.
 
         Cheap when nothing is pending; called by every boxed entry
-        point, and by the columnar executor before a boxed fallback
-        kernel runs (those capture the live dicts the drain fills in
-        place, so one sync per step execution keeps them coherent).
+        point.
         """
         if self._pending:
             self._drain()
@@ -685,33 +683,20 @@ class ScalarMethodTable(_MethodTable):
             return None
         return len(self._by_subject.get(subject, ()))
 
-    # -- raw views (boxed column kernels) ------------------------------------
+    # -- raw views (statistics, tests) ---------------------------------------
     #
-    # The boxed column kernels probe the primary dict and the index dicts
-    # directly, skipping the generator dispatch of :meth:`match`.  The
-    # views are the *live* internal dicts -- callers must treat them as
-    # read-only.  The outer dicts are stable for the table's lifetime,
-    # so a compiled kernel may capture a view once; the buckets inside
-    # are not (a first write after a clone installs a copy, an emptied
-    # bucket is pruned), so it must look them up per execution.
-
-    def primary_view(self) -> dict[AppKey, Oid]:
-        """The live ``(method, subject, args) -> result`` dict."""
-        if self._pending:
-            self._drain()
-        return self._facts
+    # The views are the *live* internal index dicts, read without the
+    # generator dispatch of :meth:`match` -- callers must treat them as
+    # read-only.  The outer dicts are stable for the table's lifetime;
+    # the buckets inside are not (a first write after a clone installs
+    # a copy, an emptied bucket is pruned), so a caller that keeps a
+    # view must look them up again per use.
 
     def by_method_view(self) -> dict[Oid, dict[AppKey, Oid]]:
         """The live method index (empty when ``indexed=False``)."""
         if self._pending:
             self._drain()
         return self._by_method
-
-    def by_method_result_view(self) -> dict[tuple[Oid, Oid], set[AppKey]]:
-        """The live (method, result) index (empty when unindexed)."""
-        if self._pending:
-            self._drain()
-        return self._by_method_result
 
     def by_subject_view(self) -> dict[Oid, dict[AppKey, Oid]]:
         """The live subject index (empty when unindexed)."""
@@ -986,13 +971,7 @@ class SetMethodTable(_MethodTable):
             return None
         return len(self._by_subject.get(subject, ()))
 
-    # -- raw views (compiled plan kernels) -----------------------------------
-
-    def primary_view(self) -> dict[AppKey, set[Oid]]:
-        """The live ``(method, subject, args) -> members`` dict."""
-        if self._pending:
-            self._drain()
-        return self._facts
+    # -- raw views (statistics, tests; see ScalarMethodTable) ----------------
 
     def by_method_view(self) -> dict[Oid, dict[AppKey, set[Oid]]]:
         """The live method index (empty when ``indexed=False``)."""

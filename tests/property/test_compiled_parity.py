@@ -7,7 +7,8 @@ result -- which run on the same columnar plans, streamed chunk by
 chunk -- must return identical answer sets, and identical per-step
 EXPLAIN actuals, through the production solver and ``interpreted=True``.
 This pins the invariant that lowering a plan to kernels changes how it
-runs, never the semantics.
+runs, never the semantics -- also where a boxed step hands its column
+to an int kernel.
 """
 
 import pytest
@@ -45,6 +46,15 @@ QUERY_POOL = (
     "X[boss -> B], B[boss -> C]",
     "X[a ->> {Y}], not Y : c2",
     "X[d1 ->> {Y}], Y[d3 -> N]",
+    # A boxed step -- isa enumeration, comparison, negation -- feeding
+    # stored scalar and set steps (and ``self``), which intern the
+    # boxed column in place; ``databases()`` draws indexed and
+    # unindexed stores alike.
+    "X : c1, X[kids ->> {Y}], Y[color -> C]",
+    "C : c1, X[boss -> C]",
+    "X[m1 -> Y], X != Y, Y[kids ->> {Z}]",
+    "X[kids ->> {Y}], not Y : c2, Y[boss -> B]",
+    "X : c1, X.self[Y], Y[color -> C]",
 )
 
 

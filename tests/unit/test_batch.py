@@ -1,20 +1,27 @@
-"""Boxed column kernels: the per-slot fallback steps of columnar plans.
+"""Boxed column steps: the atoms of columnar plans with no int form.
 
-Every plan here is lowered by ``compile_columnar_plan``; the queries
-are shaped so the steps under test read boxed columns (after an isa
-step, a builtin, a bridge), which is where a columnar plan runs the
-boxed ``batch ...`` kernels of :mod:`repro.engine.batch`.
+Every plan here is lowered by ``compile_columnar_plan``.  The boxed
+``batch ...`` steps of :mod:`repro.engine.batch` serve isa steps that
+enumerate members or classes (or test a variable or built-in value
+class), comparisons, and -- as ``batch row ...`` -- the shapes the
+interpreted matcher runs row by row (negation, superset, variable
+methods, ``self`` over the universe).  The queries are shaped so those
+steps feed stored scalar and set steps, which run on int kernels over
+the boxed column interned in place; parity with the interpreted matcher
+covers answers and per-step row counters.  Heads the int writer
+declines run the realizer's compiled column program, also pinned here.
 """
 
 import pytest
 
 from repro.core.ast import Var
 from repro.engine import Engine
-from repro.engine.batch import head_emitter
 from repro.engine.columnar import (
+    columnar_head_emitter,
     compile_columnar_delta_plan,
     compile_columnar_plan,
 )
+from repro.engine.heads import HeadRealizer
 from repro.engine.matching import UNRESTRICTED, MatchPolicy, match_atom_delta
 from repro.engine.normalize import normalize_program
 from repro.engine.planner import build_plan, relevant_bound
@@ -24,7 +31,7 @@ from repro.flogic.atoms import SetMemberAtom
 from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_program, parse_query
 from repro.oodb.database import Database
-from repro.oodb.oid import NamedOid
+from repro.oodb.oid import NamedOid, VirtualOid
 
 from repro.core.ast import Name
 
@@ -79,14 +86,14 @@ class TestKernelSelection:
                                          "int set mm merge-join")
         compiled, _, _ = batched(db, "C : automobile, Y[color -> C]")
         assert compiled.kernel_names == ("batch isa members",
-                                         "batch scalar mr-probe")
+                                         "int scalar mr merge-join")
 
     def test_subject_navigation_kernels(self, db):
         compiled, _, _ = batched(
             db, "X : employee, X[vehicles ->> {V}], V[color -> C]")
         assert compiled.kernel_names == ("batch isa members",
-                                         "batch set iter",
-                                         "batch scalar get")
+                                         "int set iter",
+                                         "int scalar get")
 
     def test_isa_and_compare_kernels(self, db):
         compiled, _, _ = batched(db, "X : employee, X.age >= 35")
@@ -103,7 +110,7 @@ class TestKernelSelection:
 
     def test_builtin_self_kernel(self, db):
         compiled, _, _ = batched(db, "p1.self[Y]")
-        assert compiled.kernel_names[0] == "batch self fwd"
+        assert compiled.kernel_names[0] == "int self fwd"
 
     def test_memoised_per_database_and_policy(self, db):
         _, plan, _ = batched(db, "X[vehicles ->> {V}]")
@@ -217,31 +224,50 @@ class TestDeltaPlans:
 
 
 class TestHeadEmitters:
+    """Heads the int writer declines run the realizer's column program."""
+
     def rule_for(self, text):
         return normalize_program(parse_program(text))[0]
+
+    def column_program(self, db, rule, slots):
+        realizer = HeadRealizer(db)
+        return realizer.compile_columns(rule.head, slots), realizer.log
+
+    def head_rung(self, db, text):
+        """The engine's head rung for a one-rule program, its facts
+        checked against the interpreted oracle."""
+        program = parse_program(text)
+        engine = Engine(db, program)
+        result = engine.run()
+        oracle = Engine(db, program, interpreted=True).run()
+        assert set(result.scalars.items()) == set(oracle.scalars.items())
+        assert ({(k, frozenset(v)) for k, v in result.sets.items()}
+                == {(k, frozenset(v)) for k, v in oracle.sets.items()})
+        assert (set(result.hierarchy.declared_edges())
+                == set(oracle.hierarchy.declared_edges()))
+        report, = engine.plan_reports()
+        return report.head
 
     def test_simple_set_head_emits_directly(self, db):
         rule = self.rule_for("X[reach ->> {V}] <- X[vehicles ->> {V}].")
         slots = {Var("X"): 0, Var("V"): 1}
-        emit = head_emitter(db, rule, slots)
+        emit, log = self.column_program(db, rule, slots)
         assert emit is not None
-        log = []
         emit([[n("p1"), n("p2")], [n("car0"), n("car2")]], 2, log)
         assert log == [("set", n("reach"), n("p1"), (), n("car0")),
                        ("set", n("reach"), n("p2"), (), n("car2"))]
         assert db.sets.get(n("reach"), n("p1")) == frozenset({n("car0")})
         # Re-emitting asserts nothing new and logs nothing.
-        log2 = []
-        emit([[n("p1")], [n("car0")]], 1, log2)
-        assert log2 == []
+        log.clear()
+        emit([[n("p1")], [n("car0")]], 1, log)
+        assert log == []
 
     def test_multi_template_head_emits_all_templates(self, db):
         rule = self.rule_for(
             "X[marked ->> {V, car0}] <- X[vehicles ->> {V}].")
         slots = {Var("X"): 0, Var("V"): 1}
-        emit = head_emitter(db, rule, slots)
+        emit, log = self.column_program(db, rule, slots)
         assert emit is not None
-        log = []
         emit([[n("p1")], [n("car1")]], 1, log)
         assert ("set", n("marked"), n("p1"), (), n("car1")) in log
         assert ("set", n("marked"), n("p1"), (), n("car0")) in log
@@ -249,32 +275,46 @@ class TestHeadEmitters:
     def test_isa_head_emits_memberships(self, db):
         rule = self.rule_for("X : flagged <- X[age -> A].")
         slots = {Var("X"): 0, Var("A"): 1}
-        emit = head_emitter(db, rule, slots)
+        emit, log = self.column_program(db, rule, slots)
         assert emit is not None
-        log = []
         emit([[n("p1")], [n(30)]], 1, log)
         assert log == [("isa", n("p1"), n("flagged"))]
         assert db.isa(n("p1"), n("flagged"))
+        assert self.head_rung(
+            db, "X : flagged <- X[age -> A].") == "column program"
 
     def test_nested_molecule_head_has_no_emitter(self, db):
-        rule = self.rule_for(
-            "X : flagged[why -> V] <- X[vehicles ->> {V}].")
-        assert head_emitter(db, rule, {Var("X"): 0, Var("V"): 1}) is None
+        # No int writer for an isa filter: the column program serves it.
+        assert self.head_rung(
+            db, "X : flagged[why ->> {V}] <- X[vehicles ->> {V}].") == (
+                "column program")
 
     def test_virtual_creating_head_has_no_emitter(self, db):
-        rule = self.rule_for("X.boss[city -> C] <- X[age -> C].")
-        assert head_emitter(db, rule, {Var("X"): 0, Var("C"): 1}) is None
+        # The int writer defines virtual objects, but not while a change
+        # log is open: the column program creates the same ones then.
+        text = "X.boss[city -> C] <- X[age -> C]."
+        assert self.head_rung(db, text) == "int writer"
+        db.begin_changes()
+        rule = self.rule_for(text)
+        cplan = compile_columnar_plan(db, build_plan(db, rule.body, ()))
+        assert columnar_head_emitter(db, rule, cplan,
+                                     HeadRealizer(db)) is None
+        emit, log = self.column_program(db, rule, {Var("X"): 0, Var("C"): 1})
+        emit([[n("p1")], [n(30)]], 1, log)
+        boss = VirtualOid(n("boss"), n("p1"), ())
+        assert log == [("scalar", n("boss"), n("p1"), (), boss),
+                       ("scalar", n("city"), boss, (), n(30))]
 
     def test_builtin_identity_head_has_no_emitter(self, db):
-        rule = self.rule_for("X[self -> X] <- X[age -> A].")
-        assert head_emitter(db, rule, {Var("X"): 0, Var("A"): 1}) is None
+        assert self.head_rung(
+            db, "X[self -> X] <- X[age -> A].") == "column program"
 
     def test_scalar_conflicts_still_raise(self, db):
         rule = self.rule_for("X[age -> V] <- X[cylinders -> V].")
         slots = {Var("X"): 0, Var("V"): 1}
-        emit = head_emitter(db, rule, slots)
+        emit, log = self.column_program(db, rule, slots)
         with pytest.raises(ScalarConflictError):
-            emit([[n("p1")], [n(99)]], 1, [])
+            emit([[n("p1")], [n(99)]], 1, log)
 
 
 class TestEngineIntegration:

@@ -13,6 +13,7 @@ behind lazy ad-hoc answers and the ``exists`` short-circuit.
 import pytest
 
 from repro.core.ast import Name, Var
+from repro.datasets import CompanyConfig, build_company
 from repro.engine import Engine
 from repro.engine.columnar import (
     columnar_head_emitter,
@@ -21,6 +22,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.delta import DeltaIndex
 from repro.engine.heads import HeadRealizer
+from repro.engine.matching import UNRESTRICTED, match_atom_delta
 from repro.engine.normalize import normalize_program
 from repro.engine.planner import Plan, PlanStep, build_plan, relevant_bound
 from repro.engine.profiler import EngineStats
@@ -31,6 +33,7 @@ from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_program, parse_query
 from repro.oodb.database import Database
 from repro.oodb.oid import NamedOid, VirtualOid
+from repro.query import Query
 
 
 def n(value):
@@ -118,7 +121,11 @@ class TestKernelSelection:
         plain = Database(indexed=False)
         plain.add_object("p1", scalars={"age": 30}, sets={"kids": ["p2"]})
         compiled, _ = columnar(plain, "X[kids ->> {V}], V[age -> A]")
-        assert all(name.startswith("batch") for name in compiled.kernel_names)
+        # A scan has no index to read: the matcher runs it row by row.
+        # The mirror is built from the primary dict, so the forward
+        # probe after it stays an int kernel.
+        assert compiled.kernel_names == ("batch row set scan",
+                                         "int scalar get")
 
     def test_memoised_per_database(self, db):
         _, plan = columnar(db, "X[vehicles ->> {V}]")
@@ -522,6 +529,91 @@ class TestEngineIntegration:
                                    (Var("Z"), n("n2"))})}
 
 
+class TestMagicGuardSeeds:
+    """A magic guard's constant subject filters the round's int bucket,
+    so a demand run's delta plans never leave the int kernels."""
+
+    GUARD = SetMemberAtom(Name("magic$set$commandChain$bf"),
+                          Name("__demand__"), (), Var("X"))
+
+    #: The served program: a recursive chain of command and a counting
+    #: view over vehicles.
+    SERVE_RULES = """
+        X[commandChain ->> {Y}] <- X[mentor -> Y].
+        X[commandChain ->> {Z}] <- X[commandChain ->> {Y}], Y[mentor -> Z].
+        X[redOwner -> 1] <- X[vehicles ->> {V}], V[color -> red].
+    """
+
+    @pytest.fixture
+    def company(self):
+        db = build_company(CompanyConfig(employees=40, seed=3))
+        for index in range(1, 40):
+            db.add_object(f"p{index}", scalars={"mentor": f"p{index - 1}"})
+        return db
+
+    @pytest.mark.parametrize("rest", [
+        "X[mentor -> Y]",
+        "X[commandChain ->> {Y}], Y[mentor -> Z]",
+    ])
+    def test_guard_seeds_an_int_delta_plan(self, company, rest):
+        db = company
+        for index in (3, 5):
+            db.assert_set_member(n("commandChain"), n(f"p{index}"), (),
+                                 n(f"p{index - 2}"))
+        atoms = atoms_for(rest)
+        plan = build_plan(db, atoms, relevant_bound(atoms, {Var("X")}))
+        delta_plan = compile_columnar_delta_plan(db, self.GUARD, plan)
+        assert delta_plan.kernel_names[0] == "int delta-set seed"
+        assert all(name.startswith("int ")
+                   for name in delta_plan.kernel_names)
+        guard = n("magic$set$commandChain$bf")
+        delta = [("set", guard, n("__demand__"), (), n("p3")),
+                 ("set", guard, n("elsewhere"), (), n("p4")),
+                 ("set", guard, n("__demand__"), (), n("p5"))]
+        counters = [0] * (len(plan.steps) + 1)
+        execute, out = delta_plan.column_executor(counters)
+        cols, nrows = execute(delta)
+        got = {frozenset((var, cols[slot][i]) for var, slot in out)
+               for i in range(nrows)}
+        want, seeds = set(), 0
+        rest_counters = [0] * len(plan.steps)
+        for seed in match_atom_delta(db, self.GUARD, {}, delta,
+                                     UNRESTRICTED):
+            seeds += 1
+            want |= answer_set(execute_plan(db, plan, seed,
+                                            counters=rest_counters,
+                                            interpreted=True))
+        assert got == want and nrows
+        assert counters == [seeds, *rest_counters]
+
+    def test_served_answers_match_the_oracle_across_a_write(self, company):
+        db = company
+        db.begin_changes()
+        program = parse_program(self.SERVE_RULES)
+        served, oracle = [Query(db, program=program, magic=True,
+                                interpreted=interpreted)
+                          for interpreted in (False, True)]
+        texts = [f"p{key}[commandChain ->> {{Y}}]" for key in (7, 21, 38)]
+        texts.append("X[redOwner -> 1]")
+
+        def answers(query):
+            return [query.all(text) for text in texts]
+
+        before = answers(served)
+        assert before == answers(oracle) and all(before)
+        # A maintained repaint and a dropped vehicle: both memos are
+        # brought up to date incrementally.
+        car = Query(db).all("V : automobile[color -> C]")[0]
+        paint = n("red") if car["C"] != n("red") else n("blue")
+        db.retract_scalar(n("color"), car["V"], ())
+        db.assert_scalar(n("color"), car["V"], (), paint)
+        owner = Query(db).all("X[vehicles ->> {V}]")[0]
+        db.retract_set_member(n("vehicles"), owner["X"], (), owner["V"])
+        after = answers(served)
+        assert after == answers(oracle)
+        assert served.last_maintenance.applied
+
+
 class TestIntIsaCheck:
     """``X : c`` on an int column: a semi-join against the surrogates
     of the class's members, refreshed when the hierarchy moves."""
@@ -636,7 +728,7 @@ class TestIntIsaCheck:
         report, = engine.plan_reports()
         assert [step.kernel for step in report.steps] == [
             "int scalar m-scan", "int isa check"]
-        assert report.head == "boxed emitter"
+        assert report.head == "column program"
         # One more member per round: every round re-reads the hierarchy.
         assert result.members(n("big")) >= {n(f"n{i}") for i in range(6)}
         assert result.members(n("big")) == Engine(

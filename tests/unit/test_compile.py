@@ -102,7 +102,7 @@ class TestKernelSelection:
         assert "batch row negation" in names
 
     def test_builtin_self_kernels(self, db):
-        assert kernels(db, "p1.self[Y]")[0] == "batch self fwd"
+        assert kernels(db, "p1.self[Y]")[0] == "int self fwd"
 
 
 class TestExecutionParity:

@@ -250,7 +250,7 @@ class TestMixedRounds:
 
 
 class TestGenericSeedReadsItsBucket:
-    """Constant-subject seeds (every magic guard) take the generic path."""
+    """Constant-subject seeds (every magic guard) read their int bucket."""
 
     @pytest.fixture
     def db(self):
@@ -271,7 +271,7 @@ class TestGenericSeedReadsItsBucket:
         rest = flatten_conjunction(parse_query("X[color -> C]"))
         plan = build_plan(db, rest, relevant_bound(rest, atom.variables()))
         delta_plan = compile_columnar_delta_plan(db, atom, plan)
-        assert delta_plan.kernel_names[0] == "batch delta-set seed"
+        assert delta_plan.kernel_names[0] == "int delta-set seed"
         execute, out = delta_plan.column_executor()
 
         def rows(delta):
@@ -281,7 +281,8 @@ class TestGenericSeedReadsItsBucket:
 
         expected = {frozenset({(Var("X"), n("car0")), (Var("C"), n("red"))})}
         assert rows(list(self.ENTRIES)) == expected
-        index = DeltaIndex(list(self.ENTRIES))
+        # A round carries the interner of the database it derives into.
+        index = DeltaIndex(list(self.ENTRIES), db.interner)
         with mock.patch.object(DeltaIndex, "boxed", _unreadable):
             assert rows(index) == expected
 
