@@ -14,10 +14,10 @@ supplies the **boxed** steps for the atoms that have no int form:
 - **comparisons** over two known positions (``batch compare``), a
   single selection pass over the columns;
 - every other shape -- negation, superset atoms, variable methods,
-  ``@``-parameters, scans of unindexed tables, repeated variables,
-  ``self`` over the universe -- re-enters the interpreted matcher once
-  per row (:func:`_rowwise`, ``batch row ...`` in EXPLAIN), so it keeps
-  the matcher's exact semantics.
+  ``@``-parameters, repeated variables, ``self`` over the universe --
+  re-enters the interpreted matcher once per row (:func:`_rowwise`,
+  ``batch row ...`` in EXPLAIN), so it keeps the matcher's exact
+  semantics.
 
 Surviving rows are *compacted*: each step keeps only the columns later
 steps (or the projection) still need (:func:`_bake_steps`), so dead

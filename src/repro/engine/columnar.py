@@ -48,15 +48,15 @@ Every stored scalar and set atom with a constant method and no
 step left in its slots.  Atoms with no int form -- isa steps that
 enumerate members or classes or test a variable or built-in value
 class, comparisons, negation, superset bridges, parameterised or
-dynamic methods, ``self`` over the universe, inverse probes and scans
-of unindexed tables -- run the boxed steps of :mod:`repro.engine.batch`
-(``batch ...`` in EXPLAIN).  Representation is chosen **per slot at
-plan-compile time**, and a slot switches in place where a step needs
-the other one: a boxed step reading an int slot dereferences the
-column (a list index per row, no hashing), an int kernel reading a
-boxed slot interns it.  Solutions leave the executor as OIDs: output
-columns are dereferenced at the boundary, so callers (and per-step row
-counters) cannot tell the representations apart.
+dynamic methods, ``self`` over the universe -- run the boxed steps of
+:mod:`repro.engine.batch` (``batch ...`` in EXPLAIN).  Representation
+is chosen **per slot at plan-compile time**, and a slot switches in
+place where a step needs the other one: a boxed step reading an int
+slot dereferences the column (a list index per row, no hashing), an
+int kernel reading a boxed slot interns it.  Solutions leave the
+executor as OIDs: output columns are dereferenced at the boundary, so
+callers (and per-step row counters) cannot tell the representations
+apart.
 """
 
 from __future__ import annotations
@@ -266,8 +266,8 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
 
     Serves every constant method without ``@``-arguments, whatever
     representation its read columns had (the caller interns boxed ones),
-    except an unindexed table's inverse probes and method scans and
-    ``self`` over the universe.
+    except ``self`` over the universe and a variable repeated within
+    the atom.
     """
     ops = _stored_ops(db, atom, atom.result, bound, slots)
     if ops is None:
@@ -277,8 +277,6 @@ def _int_scalar(db: Database, atom: ScalarAtom, bound: set[Var],
         return _OVER_DEPTH
     if _builtins.is_builtin_scalar(method):
         return _int_self(s_op, r_op, s_known, r_known, interner)
-    if not s_known and not db.scalars.indexed:
-        return None
 
     view = db.scalars.surrogate_view(interner)
     apps = view.apps
@@ -424,8 +422,6 @@ def _int_set(db: Database, atom: SetMemberAtom, bound: set[Var],
     method, s_op, r_op, s_known, r_known = ops
     if not policy.method_ok(method):
         return _OVER_DEPTH
-    if not s_known and not db.sets.indexed:
-        return None
 
     view = db.sets.surrogate_view(interner)
     apps = view.apps

@@ -224,47 +224,36 @@ def _scalar_estimate(db: Database, catalog: CardinalityCatalog,
         per_subject = catalog.avg_scalar_facts_per_subject
         per_result = max(1.0, facts / 10.0)
 
-    indexed = db.scalars.indexed
-
     if m_bound and s_bound and args_bound:
         # Scalar methods are functions: at most one row per application.
         rows = (1.0 if facts or not known else 0.0) * check
         return Estimate(1.0, rows, "primary lookup")
     if m_bound and r_bound:
-        if known and indexed and isinstance(atom.result, Name):
-            exact = db.scalars.count_method_result(
-                method, db.lookup_name(atom.result.value))
-            rows = float(exact or 0)
+        if known and isinstance(atom.result, Name):
+            rows = float(db.scalars.count_method_result(
+                method, db.lookup_name(atom.result.value)))
         else:
             rows = per_result
         if s_bound:
             rows = min(rows, 1.0)
-        if indexed:
-            # A variable result bound by an earlier step arrives as a
-            # whole column: the columnar executor serves this shape as a
-            # merge join over the sorted inverse bucket rather than a
-            # per-row probe.
-            access = ("method+result index" if isinstance(atom.result, Name)
-                      else "method+result index (merge)")
-            return Estimate(rows + 1.0, rows, access)
-        return Estimate(catalog.scalar_total + 1.0, rows, "table scan")
+        # A variable result bound by an earlier step arrives as a whole
+        # column: the columnar executor serves this shape as a merge
+        # join over the sorted inverse bucket rather than a per-row
+        # probe.
+        access = ("method+result index" if isinstance(atom.result, Name)
+                  else "method+result index (merge)")
+        return Estimate(rows + 1.0, rows, access)
     if m_bound:
         rows = per_subject * check if s_bound else facts * check
-        if indexed:
-            return Estimate(facts + 1.0 if s_bound else rows + 1.0, rows,
-                            "method index")
-        return Estimate(catalog.scalar_total + 1.0, rows, "table scan")
+        return Estimate(facts + 1.0 if s_bound else rows + 1.0, rows,
+                        "method index")
     if s_bound:
-        if indexed and isinstance(atom.subject, Name):
-            exact = db.scalars.count_subject(
-                db.lookup_name(atom.subject.value))
-            touched = float(exact or 0)
+        if isinstance(atom.subject, Name):
+            touched = float(db.scalars.count_subject(
+                db.lookup_name(atom.subject.value)))
         else:
             touched = catalog.avg_scalar_facts_per_subject
-        if indexed:
-            return Estimate(touched + 1.0, touched * check, "subject index")
-        return Estimate(catalog.scalar_total + 1.0, touched * check,
-                        "table scan")
+        return Estimate(touched + 1.0, touched * check, "subject index")
     total = float(catalog.scalar_total)
     return Estimate(total + 1.0, total * check, "table scan")
 
@@ -293,44 +282,33 @@ def _set_estimate(db: Database, catalog: CardinalityCatalog,
         per_result = max(1.0, facts / 10.0)
         avg_set = facts / apps if apps else 1.0
 
-    indexed = db.sets.indexed
-
     if m_bound and s_bound and args_bound:
         rows = (min(1.0, avg_set) if r_bound else avg_set)
         return Estimate(avg_set + 1.0, rows * (check if r_bound else 1.0),
                         "primary lookup")
     if m_bound and r_bound:
-        if known and indexed and isinstance(atom.member, Name):
-            exact = db.sets.count_method_member(
-                method, db.lookup_name(atom.member.value))
-            rows = float(exact or 0)
+        if known and isinstance(atom.member, Name):
+            rows = float(db.sets.count_method_member(
+                method, db.lookup_name(atom.member.value)))
         else:
             rows = per_result
         if s_bound:
             rows = min(rows, 1.0)
-        if indexed:
-            # As for scalars: a column of bound members is answered
-            # with a merge join over the sorted inverse bucket.
-            access = ("method+member index" if isinstance(atom.member, Name)
-                      else "method+member index (merge)")
-            return Estimate(rows + 1.0, rows, access)
-        return Estimate(catalog.set_total + 1.0, rows, "table scan")
+        # As for scalars: a column of bound members is answered with a
+        # merge join over the sorted inverse bucket.
+        access = ("method+member index" if isinstance(atom.member, Name)
+                  else "method+member index (merge)")
+        return Estimate(rows + 1.0, rows, access)
     if m_bound:
-        rows = facts * check
-        if indexed:
-            return Estimate(facts + 1.0, rows, "method index")
-        return Estimate(catalog.set_total + 1.0, rows, "table scan")
+        return Estimate(facts + 1.0, facts * check, "method index")
     if s_bound:
-        if indexed and isinstance(atom.subject, Name):
+        if isinstance(atom.subject, Name):
             apps_here = db.sets.count_subject_apps(
-                db.lookup_name(atom.subject.value)) or 0
+                db.lookup_name(atom.subject.value))
             touched = apps_here * max(1.0, avg_set)
         else:
             touched = catalog.avg_set_facts_per_subject
-        if indexed:
-            return Estimate(touched + 1.0, touched * check, "subject index")
-        return Estimate(catalog.set_total + 1.0, touched * check,
-                        "table scan")
+        return Estimate(touched + 1.0, touched * check, "subject index")
     total = float(catalog.set_total)
     return Estimate(total + 1.0, total * check, "table scan")
 

@@ -200,13 +200,12 @@ class ChangeLease:
 class Database:
     """An in-memory OODB instance: the semantic structure ``I``."""
 
-    def __init__(self, *, indexed: bool = True, reflexive_isa: bool = False) -> None:
+    def __init__(self, *, reflexive_isa: bool = False) -> None:
         self._aliases: dict[NameValue, Oid] = {}
         self._universe: set[Oid] = set()
         self.hierarchy = ClassHierarchy(reflexive=reflexive_isa)
-        self.scalars = ScalarMethodTable(indexed=indexed)
-        self.sets = SetMethodTable(indexed=indexed)
-        self._indexed = indexed
+        self.scalars = ScalarMethodTable()
+        self.sets = SetMethodTable()
         self._catalog = None
         self._catalog_version = -1
         self._catalog_cursor: int | None = None
@@ -630,11 +629,10 @@ class Database:
         (:meth:`CardinalityCatalog.recount`), instead of the whole
         database being rescanned.  The recount is deferred because it
         reads the boxed indexes, which a columnar run leaves to be
-        back-filled by the first boxed reader.  Without a catalog or
-        without secondary indexes this is a no-op (the next
-        :meth:`catalog` call rebuilds as usual).
+        back-filled by the first boxed reader.  Without a catalog this
+        is a no-op (the next :meth:`catalog` call builds one).
         """
-        if self._catalog is None or not self._indexed:
+        if self._catalog is None:
             return
         touched = {(kind, self.denotes(name)) for kind, name in predicates}
         self._catalog_touched = frozenset(
@@ -709,8 +707,7 @@ class Database:
         observe, so readers sharing a quiescent database may each take
         their own.
         """
-        copy = Database(indexed=self._indexed,
-                        reflexive_isa=self.hierarchy.reflexive)
+        copy = Database(reflexive_isa=self.hierarchy.reflexive)
         copy._aliases = dict(self._aliases)
         copy._alias_version = self._alias_version
         copy._universe = set(self._universe)

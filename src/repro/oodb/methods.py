@@ -14,8 +14,8 @@ evaluator needs:
 - by subject (enumerate all methods defined on ``p1`` -- needed for
   variables at method position, as in the generic ``M.tc`` rules).
 
-Indexes can be disabled (``indexed=False``) to support the index
-ablation benchmark; all lookups then scan the primary dict.
+Every table always keeps all three indexes, and the ``count_*``
+methods report their exact bucket sizes to the planner.
 
 Both tables keep a monotone :attr:`version` counter, bumped on every
 successful mutation.  The query planner's cardinality catalog and plan
@@ -292,8 +292,7 @@ class _MethodTable:
     _SHARED: tuple[str, ...] = ()
     _VIEW: type = _SurrogateView
 
-    def __init__(self, *, indexed: bool = True) -> None:
-        self._indexed = indexed
+    def __init__(self) -> None:
         self._surrogates: _SurrogateView | None = None
         #: Mirror-first inserts not yet back-filled into the boxed
         #: structures: one chunk per written batch (see
@@ -309,11 +308,6 @@ class _MethodTable:
         self._token = object()
         #: Shared buckets copied before a first write (mirror excluded).
         self.copied = 0
-
-    @property
-    def indexed(self) -> bool:
-        """Whether secondary indexes are maintained."""
-        return self._indexed
 
     @property
     def buckets_copied(self) -> int:
@@ -420,7 +414,7 @@ class _MethodTable:
             view.interner = new
 
     def clone(self):
-        """A copy-on-write copy (same indexing mode and version).
+        """A copy-on-write copy (same version).
 
         Costs one C-level ``dict.copy()`` per top-level structure --
         nothing is done per fact or per bucket, and no key is
@@ -441,7 +435,7 @@ class _MethodTable:
         """
         if self._pending:
             self._drain()
-        copy = type(self)(indexed=self._indexed)
+        copy = type(self)()
         for name in self._SHARED:
             setattr(copy, name, getattr(self, name).copy())
         if self._surrogates is not None:
@@ -457,8 +451,8 @@ class ScalarMethodTable(_MethodTable):
     _SHARED = ("_facts", "_by_method", "_by_method_result", "_by_subject")
     _VIEW = ScalarSurrogateView
 
-    def __init__(self, *, indexed: bool = True) -> None:
-        super().__init__(indexed=indexed)
+    def __init__(self) -> None:
+        super().__init__()
         self._facts: dict[AppKey, Oid] = {}
         self._by_method: dict[Oid, _OwnedDict] = {}
         self._by_method_result: dict[tuple[Oid, Oid], _OwnedSet] = {}
@@ -470,7 +464,6 @@ class ScalarMethodTable(_MethodTable):
         pending = self._pending
         resolver = self._surrogates.interner.resolver()
         facts = self._facts
-        indexed = self._indexed
         by_method = self._by_method
         by_method_result = self._by_method_result
         by_subject = self._by_subject
@@ -486,19 +479,18 @@ class ScalarMethodTable(_MethodTable):
             result = resolver[r_sur]
             key = (method, subject, ())
             facts[key] = result
-            if indexed:
-                bucket = by_method.get(method)
-                if bucket is None or bucket.owner is not token:
-                    bucket = own(by_method, method, _OwnedDict)
-                bucket[key] = result
-                inv = by_method_result.get((method, result))
-                if inv is None or inv.owner is not token:
-                    inv = own(by_method_result, (method, result), _OwnedSet)
-                inv.add(key)
-                subj = by_subject.get(subject)
-                if subj is None or subj.owner is not token:
-                    subj = own(by_subject, subject, _OwnedDict)
-                subj[key] = result
+            bucket = by_method.get(method)
+            if bucket is None or bucket.owner is not token:
+                bucket = own(by_method, method, _OwnedDict)
+            bucket[key] = result
+            inv = by_method_result.get((method, result))
+            if inv is None or inv.owner is not token:
+                inv = own(by_method_result, (method, result), _OwnedSet)
+            inv.add(key)
+            subj = by_subject.get(subject)
+            if subj is None or subj.owner is not token:
+                subj = own(by_subject, subject, _OwnedDict)
+            subj[key] = result
         pending.clear()
 
     def _batch_writer(self, view, token, m_sur, bucket, inverse):
@@ -555,11 +547,10 @@ class ScalarMethodTable(_MethodTable):
             raise ScalarConflictError(method, subject, args, existing, result)
         self._facts[key] = result
         self.version += 1
-        if self._indexed:
-            own = self._own
-            own(self._by_method, method, _OwnedDict)[key] = result
-            own(self._by_method_result, (method, result), _OwnedSet).add(key)
-            own(self._by_subject, subject, _OwnedDict)[key] = result
+        own = self._own
+        own(self._by_method, method, _OwnedDict)[key] = result
+        own(self._by_method_result, (method, result), _OwnedSet).add(key)
+        own(self._by_subject, subject, _OwnedDict)[key] = result
         if self._surrogates is not None and not args:
             self._surrogates.on_put(method, subject, result)
         return True
@@ -577,10 +568,9 @@ class ScalarMethodTable(_MethodTable):
         if result is None:
             return False
         self.version += 1
-        if self._indexed:
-            self._unindex(self._by_method, method, key)
-            self._unindex(self._by_method_result, (method, result), key)
-            self._unindex(self._by_subject, subject, key)
+        self._unindex(self._by_method, method, key)
+        self._unindex(self._by_method_result, (method, result), key)
+        self._unindex(self._by_subject, subject, key)
         if self._surrogates is not None and not args:
             self._surrogates.on_remove(method, subject, result)
         return True
@@ -615,72 +605,51 @@ class ScalarMethodTable(_MethodTable):
         """Enumerate facts matching the bound components.
 
         Any of ``method``/``subject``/``result`` may be None (wildcard).
-        Chooses the most selective index available.
+        Chooses the most selective index; only a pattern with neither
+        method nor subject bound scans the primary dict.
         """
         if self._pending:
             self._drain()
-        if self._indexed:
-            if method is not None and result is not None:
-                keys = self._by_method_result.get((method, result), ())
-                for key in keys:
-                    if subject is None or key[1] == subject:
-                        yield (key, result)
-                return
-            if method is not None:
-                bucket = self._by_method.get(method, {})
-                for key, value in bucket.items():
-                    if subject is not None and key[1] != subject:
-                        continue
+        if method is not None and result is not None:
+            for key in self._by_method_result.get((method, result), ()):
+                if subject is None or key[1] == subject:
+                    yield (key, result)
+            return
+        if method is not None:
+            for key, value in self._by_method.get(method, {}).items():
+                if subject is None or key[1] == subject:
                     yield (key, value)
-                return
-            if subject is not None:
-                bucket = self._by_subject.get(subject, {})
-                for key, value in bucket.items():
-                    if result is not None and value != result:
-                        continue
-                    yield (key, value)
-                return
-        for key, value in self._facts.items():
-            if method is not None and key[0] != method:
-                continue
-            if subject is not None and key[1] != subject:
-                continue
-            if result is not None and value != result:
-                continue
-            yield (key, value)
+            return
+        buckets = (self._facts if subject is None
+                   else self._by_subject.get(subject, {}))
+        for key, value in buckets.items():
+            if result is None or value == result:
+                yield (key, value)
 
     def methods(self) -> frozenset[Oid]:
         """All method objects with at least one stored application."""
         if self._pending:
             self._drain()
-        if self._indexed:
-            return frozenset(self._by_method)
-        return frozenset(key[0] for key in self._facts)
+        return frozenset(self._by_method)
 
     # -- exact index cardinalities (planner estimates) -----------------------
 
-    def count_method(self, method: Oid) -> int | None:
-        """Stored facts of ``method``; None when no index is available."""
+    def count_method(self, method: Oid) -> int:
+        """Stored facts of ``method``."""
         if self._pending:
             self._drain()
-        if not self._indexed:
-            return None
         return len(self._by_method.get(method, ()))
 
-    def count_method_result(self, method: Oid, result: Oid) -> int | None:
-        """Facts with this method *and* result; None when unindexed."""
+    def count_method_result(self, method: Oid, result: Oid) -> int:
+        """Facts with this method *and* result."""
         if self._pending:
             self._drain()
-        if not self._indexed:
-            return None
         return len(self._by_method_result.get((method, result), ()))
 
-    def count_subject(self, subject: Oid) -> int | None:
-        """Facts stored on ``subject``; None when unindexed."""
+    def count_subject(self, subject: Oid) -> int:
+        """Facts stored on ``subject``."""
         if self._pending:
             self._drain()
-        if not self._indexed:
-            return None
         return len(self._by_subject.get(subject, ()))
 
     # -- raw views (statistics, tests) ---------------------------------------
@@ -693,13 +662,13 @@ class ScalarMethodTable(_MethodTable):
     # view must look them up again per use.
 
     def by_method_view(self) -> dict[Oid, dict[AppKey, Oid]]:
-        """The live method index (empty when ``indexed=False``)."""
+        """The live method index: method -> {key: result}."""
         if self._pending:
             self._drain()
         return self._by_method
 
     def by_subject_view(self) -> dict[Oid, dict[AppKey, Oid]]:
-        """The live subject index (empty when unindexed)."""
+        """The live subject index: subject -> {key: result}."""
         if self._pending:
             self._drain()
         return self._by_subject
@@ -731,8 +700,8 @@ class SetMethodTable(_MethodTable):
     _SHARED = ("_facts", "_by_method", "_by_method_member", "_by_subject")
     _VIEW = SetSurrogateView
 
-    def __init__(self, *, indexed: bool = True) -> None:
-        super().__init__(indexed=indexed)
+    def __init__(self) -> None:
+        super().__init__()
         self._facts: dict[AppKey, _OwnedSet] = {}
         self._by_method: dict[Oid, _OwnedDict] = {}
         self._by_method_member: dict[tuple[Oid, Oid], _OwnedSet] = {}
@@ -752,9 +721,8 @@ class SetMethodTable(_MethodTable):
             self.copied += 1
         fresh.owner = self._token
         self._facts[key] = fresh
-        if self._indexed:
-            self._own(self._by_method, key[0], _OwnedDict)[key] = fresh
-            self._own(self._by_subject, key[1], _OwnedDict)[key] = fresh
+        self._own(self._by_method, key[0], _OwnedDict)[key] = fresh
+        self._own(self._by_subject, key[1], _OwnedDict)[key] = fresh
         return fresh
 
     # -- mirror-first writes (columnar head emission) ------------------------
@@ -763,7 +731,6 @@ class SetMethodTable(_MethodTable):
         pending = self._pending
         resolver = self._surrogates.interner.resolver()
         facts = self._facts
-        indexed = self._indexed
         by_method_member = self._by_method_member
         own = self._own
         own_members = self._own_members
@@ -776,11 +743,10 @@ class SetMethodTable(_MethodTable):
             if members is None or members.owner is not token:
                 members = own_members(key, members)
             members.add(member)
-            if indexed:
-                inv = by_method_member.get((method, member))
-                if inv is None or inv.owner is not token:
-                    inv = own(by_method_member, (method, member), _OwnedSet)
-                inv.add(key)
+            inv = by_method_member.get((method, member))
+            if inv is None or inv.owner is not token:
+                inv = own(by_method_member, (method, member), _OwnedSet)
+            inv.add(key)
         pending.clear()
 
     def _batch_writer(self, view, token, m_sur, bucket, inverse):
@@ -826,9 +792,7 @@ class SetMethodTable(_MethodTable):
             return False
         self._own_members(key, members).add(member)
         self.version += 1
-        if self._indexed:
-            self._own(self._by_method_member, (method, member),
-                      _OwnedSet).add(key)
+        self._own(self._by_method_member, (method, member), _OwnedSet).add(key)
         if self._surrogates is not None and not args:
             self._surrogates.on_add(method, subject, member)
         return True
@@ -851,12 +815,10 @@ class SetMethodTable(_MethodTable):
             self._own_members(key, members).remove(member)
         else:
             del self._facts[key]
-            if self._indexed:
-                self._unindex(self._by_method, method, key)
-                self._unindex(self._by_subject, subject, key)
+            self._unindex(self._by_method, method, key)
+            self._unindex(self._by_subject, subject, key)
         self.version += 1
-        if self._indexed:
-            self._unindex(self._by_method_member, (method, member), key)
+        self._unindex(self._by_method_member, (method, member), key)
         if self._surrogates is not None and not args:
             self._surrogates.on_discard(method, subject, member)
         return True
@@ -903,90 +865,73 @@ class SetMethodTable(_MethodTable):
         """Enumerate memberships matching the bound components.
 
         Yields one ``((method, subject, args), member)`` pair per
-        membership, using the most selective index available.
+        membership, using the most selective index; only a pattern with
+        neither method nor subject bound scans the primary dict.
         """
         if self._pending:
             self._drain()
-        if self._indexed:
-            if method is not None and member is not None:
-                for key in self._by_method_member.get((method, member), ()):
-                    if subject is None or key[1] == subject:
-                        yield (key, member)
-                return
-            if method is not None:
-                for key, bucket in self._by_method.get(method, {}).items():
-                    if subject is not None and key[1] != subject:
-                        continue
+        if method is not None and member is not None:
+            for key in self._by_method_member.get((method, member), ()):
+                if subject is None or key[1] == subject:
+                    yield (key, member)
+            return
+        if method is not None:
+            for key, bucket in self._by_method.get(method, {}).items():
+                if subject is None or key[1] == subject:
                     for value in bucket:
                         yield (key, value)
-                return
-            if subject is not None:
-                for key, bucket in self._by_subject.get(subject, {}).items():
-                    for value in bucket:
-                        if member is not None and value != member:
-                            continue
-                        yield (key, value)
-                return
-        for key, bucket in self._facts.items():
-            if method is not None and key[0] != method:
-                continue
-            if subject is not None and key[1] != subject:
-                continue
-            for value in bucket:
-                if member is not None and value != member:
-                    continue
-                yield (key, value)
+            return
+        buckets = (self._facts if subject is None
+                   else self._by_subject.get(subject, {}))
+        for key, bucket in buckets.items():
+            if member is None:
+                for value in bucket:
+                    yield (key, value)
+            elif member in bucket:
+                yield (key, member)
 
     def methods(self) -> frozenset[Oid]:
         """All method objects with at least one stored application."""
         if self._pending:
             self._drain()
-        if self._indexed:
-            return frozenset(self._by_method)
-        return frozenset(key[0] for key in self._facts)
+        return frozenset(self._by_method)
 
     # -- exact index cardinalities (planner estimates) -----------------------
 
-    def count_method_apps(self, method: Oid) -> int | None:
-        """Applications of ``method``; None when unindexed."""
+    def count_method_apps(self, method: Oid) -> int:
+        """Applications of ``method``."""
         if self._pending:
             self._drain()
-        if not self._indexed:
-            return None
         return len(self._by_method.get(method, ()))
 
-    def count_method_member(self, method: Oid, member: Oid) -> int | None:
-        """Memberships of ``member`` under ``method``; None when unindexed."""
+    def count_method_member(self, method: Oid, member: Oid) -> int:
+        """Memberships of ``member`` under ``method``."""
         if self._pending:
             self._drain()
-        if not self._indexed:
-            return None
         return len(self._by_method_member.get((method, member), ()))
 
-    def count_subject_apps(self, subject: Oid) -> int | None:
-        """Applications stored on ``subject``; None when unindexed."""
+    def count_subject_apps(self, subject: Oid) -> int:
+        """Applications stored on ``subject``."""
         if self._pending:
             self._drain()
-        if not self._indexed:
-            return None
         return len(self._by_subject.get(subject, ()))
 
     # -- raw views (statistics, tests; see ScalarMethodTable) ----------------
 
     def by_method_view(self) -> dict[Oid, dict[AppKey, set[Oid]]]:
-        """The live method index (empty when ``indexed=False``)."""
+        """The live method index: method -> {key: members}."""
         if self._pending:
             self._drain()
         return self._by_method
 
     def by_method_member_view(self) -> dict[tuple[Oid, Oid], set[AppKey]]:
-        """The live (method, member) index (empty when unindexed)."""
+        """The live inverse index: (method, member) -> {key}."""
         if self._pending:
             self._drain()
         return self._by_method_member
 
     def by_subject_view(self) -> dict[Oid, dict[AppKey, set[Oid]]]:
-        """The live subject index (empty when unindexed)."""
+        """The live subject index: subject -> {key: members}."""
         if self._pending:
             self._drain()
         return self._by_subject

@@ -158,11 +158,11 @@ class CardinalityCatalog:
         ``touched`` holds ``("scalar" | "set" | "isa", method)`` pairs
         (the method of an ``"isa"`` pair is ignored): the only
         predicates whose stored facts differ from what this catalog
-        describes (a fixpoint run knows them from its rule heads).  Each touched method is recounted from
-        its index bucket and the totals are re-derived, so the cost
-        follows the touched predicates' size, not the database's, and
-        the result equals :meth:`build` on the same database.  Requires
-        secondary indexes (``db`` must be ``indexed``).
+        describes (a fixpoint run knows them from its rule heads).
+        Each touched method is recounted from its index bucket and the
+        totals are re-derived, so the cost follows the touched
+        predicates' size, not the database's, and the result equals
+        :meth:`build` on the same database.
         """
         self.universe = len(db)
         scalar_apps = db.scalars.by_method_view()
@@ -215,10 +215,10 @@ class CardinalityCatalog:
         :class:`~repro.oodb.database.ChangeLog` shape that lead up to
         the current state of ``db``.  Fact counts, per-kind totals, and
         isa edge counts adjust exactly, and a method whose last fact
-        was retracted loses its card, as in a rebuild.  With secondary
-        indexes the application and subject counts are read off the
-        live index sizes (a fully retracted application or subject has
-        no bucket left), so they are exact too.  The per-method
+        was retracted loses its card, as in a rebuild.  The application
+        and subject counts are read off the live index sizes (a fully
+        retracted application or subject has no bucket left), so they
+        are exact too.  The per-method
         *distinct* subject/result counts stay as built (maintaining
         them exactly would need per-method value multisets), which only
         skews the planner's per-subject/per-result averages slightly --
@@ -239,13 +239,12 @@ class CardinalityCatalog:
                 self.isa_edges = max(0, self.isa_edges + step)
         self.universe = len(db)
         self.set_apps_total = sum(c.apps for c in self.sets.values())
-        if db.scalars.indexed:
-            self.scalar_subjects = len(db.scalars.by_subject_view())
-            self.set_subjects = len(db.sets.by_subject_view())
+        self.scalar_subjects = len(db.scalars.by_subject_view())
+        self.set_subjects = len(db.sets.by_subject_view())
 
     @staticmethod
     def _bump(table: dict, method: Oid, step: int, *, scalar: bool,
-              live_apps: int | None = None) -> None:
+              live_apps: int = 0) -> None:
         from dataclasses import replace
 
         card = table.get(method)
@@ -256,10 +255,9 @@ class CardinalityCatalog:
         if card is None:
             card = MethodCard(facts=0, apps=1, subjects=1, results=1)
         # One application per scalar fact; a set method's count is read
-        # live when there is an index to read it from (a membership
-        # delta alone does not say whether it opened or closed one).
-        apps = facts if scalar else (
-            card.apps if live_apps is None else live_apps)
+        # live from its index (a membership delta alone does not say
+        # whether it opened or closed one).
+        apps = facts if scalar else live_apps
         table[method] = replace(card, facts=facts, apps=apps)
 
     # -- derived averages ---------------------------------------------------

@@ -101,7 +101,14 @@ def test_served_answers_match_the_oracle_under_changes(magic):
     texts = ["p20[commandChain ->> {Y}]", "p7[commandChain ->> {Y}]",
              "X[redOwner -> 1]",
              "X : employee[age -> A]..vehicles : automobile"
-             "[cylinders -> 4].color[Z]"]
+             "[cylinders -> 4].color[Z]",
+             # The flagship path, subject-first from a class extent,
+             # and an inverse conjunction (subjects unbound, results
+             # bound) that starts from the method+result indexes.
+             "X : employee[city -> C]..vehicles : automobile"
+             "[cylinders -> 4].color[Z]",
+             "Y[color -> red], Y[cylinders -> 8], Y[producedBy -> P], "
+             "P[city -> detroit]"]
     queries = [Query(db, program=rules, magic=magic,
                      interpreted=interpreted)
                for interpreted in (False, True)]

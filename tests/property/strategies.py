@@ -142,12 +142,9 @@ def _is_scalar_paren(ref: Paren) -> bool:
 
 @st.composite
 def databases(draw, max_objects: int = 8) -> Database:
-    """Small random databases over the shared name pools.
-
-    Half the draws disable secondary indexes, so properties sweep the
-    scan-based access paths (and compiled scan kernels) too.
-    """
-    db = Database(indexed=draw(st.booleans()))
+    """Small random databases over the shared name pools: objects with
+    classes and scalar and set facts, plus a couple of subclass edges."""
+    db = Database()
     objects = draw(st.lists(st.sampled_from(NAME_POOL + ("p1", "p2", "p3")),
                             min_size=1, max_size=max_objects, unique=True))
     class_pool = ("c1", "c2", "c3")

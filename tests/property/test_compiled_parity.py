@@ -48,8 +48,7 @@ QUERY_POOL = (
     "X[d1 ->> {Y}], Y[d3 -> N]",
     # A boxed step -- isa enumeration, comparison, negation -- feeding
     # stored scalar and set steps (and ``self``), which intern the
-    # boxed column in place; ``databases()`` draws indexed and
-    # unindexed stores alike.
+    # boxed column in place.
     "X : c1, X[kids ->> {Y}], Y[color -> C]",
     "C : c1, X[boss -> C]",
     "X[m1 -> Y], X != Y, Y[kids ->> {Z}]",

@@ -165,26 +165,25 @@ def _assert_coherent(db):
     _sync(db)
     scalars, sets = db.scalars, db.sets
     assert all(sets._facts.values())
-    if scalars.indexed:
-        by_method, by_pair, by_subject = {}, {}, {}
-        for key, result in scalars._facts.items():
-            by_method.setdefault(key[0], {})[key] = result
-            by_pair.setdefault((key[0], result), set()).add(key)
-            by_subject.setdefault(key[1], {})[key] = result
-        assert scalars._by_method == by_method
-        assert scalars._by_method_result == by_pair
-        assert scalars._by_subject == by_subject
-        by_method, by_pair, by_subject = {}, {}, {}
-        for key, members in sets._facts.items():
-            by_method.setdefault(key[0], {})[key] = members
-            by_subject.setdefault(key[1], {})[key] = members
-            assert sets._by_method[key[0]][key] is members
-            assert sets._by_subject[key[1]][key] is members
-            for member in members:
-                by_pair.setdefault((key[0], member), set()).add(key)
-        assert sets._by_method == by_method
-        assert sets._by_method_member == by_pair
-        assert sets._by_subject == by_subject
+    by_method, by_pair, by_subject = {}, {}, {}
+    for key, result in scalars._facts.items():
+        by_method.setdefault(key[0], {})[key] = result
+        by_pair.setdefault((key[0], result), set()).add(key)
+        by_subject.setdefault(key[1], {})[key] = result
+    assert scalars._by_method == by_method
+    assert scalars._by_method_result == by_pair
+    assert scalars._by_subject == by_subject
+    by_method, by_pair, by_subject = {}, {}, {}
+    for key, members in sets._facts.items():
+        by_method.setdefault(key[0], {})[key] = members
+        by_subject.setdefault(key[1], {})[key] = members
+        assert sets._by_method[key[0]][key] is members
+        assert sets._by_subject[key[1]][key] is members
+        for member in members:
+            by_pair.setdefault((key[0], member), set()).add(key)
+    assert sets._by_method == by_method
+    assert sets._by_method_member == by_pair
+    assert sets._by_subject == by_subject
     replayed = ClassHierarchy(reflexive=db.hierarchy.reflexive)
     for member, cls in db.hierarchy.declared_edges():
         replayed.declare(member, cls)
@@ -196,24 +195,23 @@ def _assert_coherent(db):
     for table, fresh in ((scalars, rebuilt.scalars), (sets, rebuilt.sets)):
         assert (_mirror_state(table._surrogates)
                 == _mirror_state(fresh.surrogate_view(rebuilt.interner)))
-    if scalars.indexed:
-        exact = CardinalityCatalog.build(db)
-        catalog = db.catalog()
-        # (Not ``universe``: a name lookup registers an object without
-        # a data-version bump, so that count may trail until the next
-        # fact change -- before this suite as after.)
-        assert all(getattr(catalog, name) == getattr(exact, name)
-                   for name in ("scalar_total", "set_total",
-                                "set_apps_total", "scalar_subjects",
-                                "set_subjects", "isa_edges"))
-        # Per method: a card exactly while the method has a fact, with
-        # exact fact and application counts (the distinct counts of a
-        # log-patched card are estimates).
-        for name in ("scalar", "sets"):
-            assert ({m: (card.facts, card.apps)
-                     for m, card in getattr(catalog, name).items()}
-                    == {m: (card.facts, card.apps)
-                        for m, card in getattr(exact, name).items()})
+    exact = CardinalityCatalog.build(db)
+    catalog = db.catalog()
+    # (Not ``universe``: a name lookup registers an object without
+    # a data-version bump, so that count may trail until the next
+    # fact change -- before this suite as after.)
+    assert all(getattr(catalog, name) == getattr(exact, name)
+               for name in ("scalar_total", "set_total",
+                            "set_apps_total", "scalar_subjects",
+                            "set_subjects", "isa_edges"))
+    # Per method: a card exactly while the method has a fact, with
+    # exact fact and application counts (the distinct counts of a
+    # log-patched card are estimates).
+    for name in ("scalar", "sets"):
+        assert ({m: (card.facts, card.apps)
+                 for m, card in getattr(catalog, name).items()}
+                == {m: (card.facts, card.apps)
+                    for m, card in getattr(exact, name).items()})
 
 
 def _mirror_first(db, kind, method_name, subject_name, value_name):

@@ -444,13 +444,6 @@ class TestResultCatalog:
         assert catalog_fields(result.catalog()) == catalog_fields(
             CardinalityCatalog.build(result))
 
-    def test_unindexed_results_rescan(self, built):
-        db = Database(indexed=False)
-        db.add_object("a", sets={"kids": ["b"]})
-        result = Engine(db, parse_program(RULES)).run()
-        assert catalog_fields(result.catalog()) == catalog_fields(
-            CardinalityCatalog.build(result))
-
 
 class TestStats:
     def test_elapsed_covers_the_snapshot(self, db):

@@ -117,16 +117,6 @@ class TestKernelSelection:
         assert compiled.kernel_names[0] == "batch isa members"
         assert "batch compare" in compiled.kernel_names
 
-    def test_unindexed_tables_fall_back_to_boxed_kernels(self):
-        plain = Database(indexed=False)
-        plain.add_object("p1", scalars={"age": 30}, sets={"kids": ["p2"]})
-        compiled, _ = columnar(plain, "X[kids ->> {V}], V[age -> A]")
-        # A scan has no index to read: the matcher runs it row by row.
-        # The mirror is built from the primary dict, so the forward
-        # probe after it stays an int kernel.
-        assert compiled.kernel_names == ("batch row set scan",
-                                         "int scalar get")
-
     def test_memoised_per_database(self, db):
         _, plan = columnar(db, "X[vehicles ->> {V}]")
         first = compile_columnar_plan(db, plan)

@@ -90,11 +90,6 @@ class TestKernelSelection:
         assert report.steps[0].access == "subject index"
         assert report.steps[0].kernel == "batch row set any-method"
 
-    def test_unindexed_store_compiles_scans(self):
-        db = Database(indexed=False)
-        db.add_object("car0", scalars={"color": "red"})
-        assert kernels(db, "Y[color -> red]") == ("batch row scalar scan",)
-
     def test_superset_and_negation_bridge(self, db):
         names = kernels(db, "X[vehicles ->> p2..vehicles], "
                             "not X[age -> 30]")

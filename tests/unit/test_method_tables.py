@@ -1,4 +1,4 @@
-"""Method table tests: storage, conflicts, index/scan parity."""
+"""Method table tests: storage, conflicts, index/brute-force parity."""
 
 import pytest
 
@@ -11,9 +11,9 @@ def n(value):
     return NamedOid(value)
 
 
-@pytest.fixture(params=[True, False], ids=["indexed", "scan"])
-def scalar_table(request):
-    table = ScalarMethodTable(indexed=request.param)
+@pytest.fixture
+def scalar_table():
+    table = ScalarMethodTable()
     table.put(n("age"), n("p1"), (), n(30))
     table.put(n("age"), n("p2"), (), n(45))
     table.put(n("city"), n("p1"), (), n("newYork"))
@@ -21,9 +21,9 @@ def scalar_table(request):
     return table
 
 
-@pytest.fixture(params=[True, False], ids=["indexed", "scan"])
-def set_table(request):
-    table = SetMethodTable(indexed=request.param)
+@pytest.fixture
+def set_table():
+    table = SetMethodTable()
     table.add(n("kids"), n("peter"), (), n("tim"))
     table.add(n("kids"), n("peter"), (), n("mary"))
     table.add(n("kids"), n("tim"), (), n("sally"))
@@ -128,31 +128,74 @@ class TestSetTable:
 
 
 class TestIndexScanParity:
-    """The same queries must give identical results with indexes off."""
+    """Every index-served lookup equals a brute-force filter over
+    ``items()``: all eight bound/unbound ``match`` patterns (with values
+    that occur and one that does not), ``methods()`` and every
+    ``count_*``."""
+
+    METHODS = (n("a"), n("b"), n("absent"))
+    SUBJECTS = (n("s1"), n("s2"), n("absent"))
+    VALUES = (n(1), n(2), n("absent"))
+
+    def patterns(self, value_name):
+        for method in (None, *self.METHODS):
+            for subject in (None, *self.SUBJECTS):
+                for value in (None, *self.VALUES):
+                    yield {"method": method, "subject": subject,
+                           value_name: value}
+
+    @staticmethod
+    def brute(rows, method, subject, value):
+        return sorted(((key, v) for key, v in rows
+                       if method in (None, key[0])
+                       and subject in (None, key[1])
+                       and value in (None, v)), key=str)
 
     def test_scalar_parity(self):
-        indexed = ScalarMethodTable(indexed=True)
-        scan = ScalarMethodTable(indexed=False)
-        facts = [
-            (n("a"), n("s1"), (), n(1)),
-            (n("a"), n("s2"), (), n(2)),
-            (n("b"), n("s1"), (n("x"),), n(1)),
-        ]
-        for fact in facts:
-            indexed.put(*fact)
-            scan.put(*fact)
-        for pattern in [{}, {"method": n("a")}, {"subject": n("s1")},
-                        {"method": n("a"), "result": n(1)}]:
-            assert (sorted(indexed.match(**pattern), key=str)
-                    == sorted(scan.match(**pattern), key=str))
+        table = ScalarMethodTable()
+        for fact in [(n("a"), n("s1"), (), n(1)),
+                     (n("a"), n("s2"), (), n(2)),
+                     (n("b"), n("s1"), (n("x"),), n(1)),
+                     (n("b"), n("s2"), (), n(1))]:
+            table.put(*fact)
+        table.remove(n("b"), n("s2"), ())
+        rows = list(table.items())
+        for pattern in self.patterns("result"):
+            assert (sorted(table.match(**pattern), key=str)
+                    == self.brute(rows, *pattern.values())), pattern
+        assert table.methods() == {key[0] for key, _ in rows}
+        for method in self.METHODS:
+            assert table.count_method(method) == len(
+                self.brute(rows, method, None, None))
+            for result in self.VALUES:
+                assert table.count_method_result(method, result) == len(
+                    self.brute(rows, method, None, result))
+        for subject in self.SUBJECTS:
+            assert table.count_subject(subject) == len(
+                self.brute(rows, None, subject, None))
 
     def test_set_parity(self):
-        indexed = SetMethodTable(indexed=True)
-        scan = SetMethodTable(indexed=False)
-        for member in ("x", "y", "z"):
-            indexed.add(n("m"), n("s"), (), n(member))
-            scan.add(n("m"), n("s"), (), n(member))
-        for pattern in [{}, {"method": n("m")}, {"subject": n("s")},
-                        {"method": n("m"), "member": n("y")}]:
-            assert (sorted(indexed.match(**pattern), key=str)
-                    == sorted(scan.match(**pattern), key=str))
+        table = SetMethodTable()
+        for fact in [(n("a"), n("s1"), (), n(1)),
+                     (n("a"), n("s1"), (), n(2)),
+                     (n("a"), n("s2"), (), n(1)),
+                     (n("b"), n("s1"), (n("x"),), n(2)),
+                     (n("b"), n("s2"), (), n(1))]:
+            table.add(*fact)
+        table.discard(n("b"), n("s2"), (), n(1))
+        rows = [(key, member) for key, members in table.items()
+                for member in members]
+        apps = [(key, None) for key, _ in table.items()]
+        for pattern in self.patterns("member"):
+            assert (sorted(table.match(**pattern), key=str)
+                    == self.brute(rows, *pattern.values())), pattern
+        assert table.methods() == {key[0] for key, _ in rows}
+        for method in self.METHODS:
+            assert table.count_method_apps(method) == len(
+                self.brute(apps, method, None, None))
+            for member in self.VALUES:
+                assert table.count_method_member(method, member) == len(
+                    self.brute(rows, method, None, member))
+        for subject in self.SUBJECTS:
+            assert table.count_subject_apps(subject) == len(
+                self.brute(apps, None, subject, None))

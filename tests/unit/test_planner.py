@@ -72,13 +72,6 @@ class TestEstimates:
         assert est.rows == 2.0  # p1 and p2
         assert est.access == "class extent"
 
-    def test_unindexed_store_estimates_scans(self):
-        db = Database(indexed=False)
-        db.add_object("car0", scalars={"color": "red"})
-        atom = ScalarAtom(Name("color"), Var("Y"), (), Name("red"))
-        est = estimate_atom(db, db.catalog(), atom, frozenset())
-        assert est.access == "table scan"
-
 
 class TestPlanOrder:
     def test_inverse_starts_with_most_selective_atom(self, db):
