@@ -107,16 +107,7 @@ class HeadRealizer:
         fault_point("heads.replay")
         new = 0
         for entry in entries:
-            kind = entry[0]
-            if kind == "scalar":
-                added = self._db.assert_scalar(entry[1], entry[2],
-                                               entry[3], entry[4])
-            elif kind == "set":
-                added = self._db.assert_set_member(entry[1], entry[2],
-                                                   entry[3], entry[4])
-            else:
-                added = self._db.assert_isa(entry[1], entry[2])
-            if added:
+            if self._db.apply_entry("+", entry):
                 self.log.append(entry)
                 new += 1
         return new

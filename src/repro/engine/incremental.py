@@ -132,27 +132,6 @@ def fact_present(db: Database, fact: Fact) -> bool:
     return fact[2] in db.hierarchy.declared_parents(fact[1])
 
 
-def remove_fact(db: Database, fact: Fact) -> bool:
-    """Delete one stored fact from ``db`` (through the retraction API,
-    so an active change log on ``db`` stays in sync)."""
-    kind = fact[0]
-    if kind == "scalar":
-        return db.retract_scalar(fact[1], fact[2], fact[3])
-    if kind == "set":
-        return db.retract_set_member(fact[1], fact[2], fact[3], fact[4])
-    return db.retract_isa(fact[1], fact[2])
-
-
-def assert_fact(db: Database, fact: Fact) -> bool:
-    """Store one fact into ``db``; False when it was already present."""
-    kind = fact[0]
-    if kind == "scalar":
-        return db.assert_scalar(fact[1], fact[2], fact[3], fact[4])
-    if kind == "set":
-        return db.assert_set_member(fact[1], fact[2], fact[3], fact[4])
-    return db.assert_isa(fact[1], fact[2])
-
-
 # ---------------------------------------------------------------------------
 # Simple heads: direct substitution and unification
 # ---------------------------------------------------------------------------
@@ -716,7 +695,7 @@ class Maintainer:
                 # Pure base data (no rule derives it): the deletion just
                 # lands in the view, counted as deleted_base already.
                 for fact in by_level.get(level, ()):
-                    remove_fact(db, fact)
+                    db.apply_entry("-", fact)
                 continue
             fault_point("maintain.counting")
             if budget is not None:
@@ -735,7 +714,7 @@ class Maintainer:
                 if counting_preds[fact_pred(fact)]:
                     if support.counts.get(fact, 0) <= 0 \
                             and fact_present(db, fact):
-                        remove_fact(db, fact)
+                        db.apply_entry("-", fact)
                         report.overdeleted += 1
                 else:
                     dred.append(fact)
@@ -823,7 +802,7 @@ class Maintainer:
         budget = self._budget
         removed: list[Fact] = []
         for fact in facts:
-            if remove_fact(db, fact):
+            if db.apply_entry("-", fact):
                 removed.append(fact)
                 report.overdeleted += 1
                 if support is not None:

@@ -81,7 +81,8 @@ class ScalarConflictError(EvaluationError):
         )
         self.method = method
         self.subject = subject
-        self.args = args
+        # Not ``args``: that is BaseException's, and holds the message.
+        self.arguments = args
         self.existing = existing
         self.new = new
 

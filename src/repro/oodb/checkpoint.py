@@ -186,27 +186,6 @@ class RecoveryResult:
     fresh: bool = True
 
 
-def _apply_entry(db: Database, sign: str, fact: tuple) -> None:
-    kind = fact[0]
-    if sign == "+":
-        if kind == "scalar":
-            db.assert_scalar(fact[1], fact[2], fact[3], fact[4])
-        elif kind == "set":
-            db.assert_set_member(fact[1], fact[2], fact[3], fact[4])
-        else:
-            db.assert_isa(fact[1], fact[2])
-    else:
-        if kind == "scalar":
-            # Guarded like rollback: only retract what the log recorded,
-            # which keeps a duplicated batch replay exactly idempotent.
-            if db.scalars.get(fact[1], fact[2], fact[3]) == fact[4]:
-                db.retract_scalar(fact[1], fact[2], fact[3])
-        elif kind == "set":
-            db.retract_set_member(fact[1], fact[2], fact[3], fact[4])
-        else:
-            db.retract_isa(fact[1], fact[2])
-
-
 def recover(data_dir: Path | str, *, trim: bool = True) -> RecoveryResult:
     """Rebuild the durable state of ``data_dir``.
 
@@ -307,7 +286,7 @@ def _replay(result: RecoveryResult, segments: list[tuple[int, Path]],
                     fault_point("recover.replay")
                     for offset, (sign, encoded) in enumerate(batch):
                         if position + offset >= expected:
-                            _apply_entry(db, sign, decode_fact(encoded))
+                            db.apply_entry(sign, decode_fact(encoded))
                             result.recovered_entries += 1
                     expected = max(expected, position + len(batch))
                     batch = None

@@ -20,7 +20,7 @@ The built-in ``self`` method is interpreted here, so
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.core import builtins as _builtins
 from repro.oodb.hierarchy import ClassHierarchy
@@ -29,8 +29,17 @@ from repro.oodb.oid import NamedOid, NameValue, Oid, OidInterner, VirtualOid
 
 #: A recorded base-fact change: ``("+", fact)`` or ``("-", fact)`` where
 #: ``fact`` uses the realizer-log shape -- ``("scalar", m, s, args, r)``,
-#: ``("set", m, s, args, r)``, or ``("isa", o, c)``.
+#: ``("set", m, s, args, r)``, or ``("isa", o, c)``.  A scalar ``-``
+#: handed to :meth:`Database.apply_entry` may carry ``r = None``
+#: ("whatever is stored"); the log always records the actual result.
 ChangeEntry = tuple[str, tuple]
+
+
+def _fact_oids(fact: tuple) -> tuple[Oid, ...]:
+    """Every OID a change-entry fact mentions."""
+    if fact[0] == "isa":
+        return fact[1], fact[2]
+    return (fact[1], fact[2], *fact[3], fact[4])
 
 
 class TrimmedCursor(ValueError):
@@ -292,9 +301,9 @@ class Database:
 
     def assert_isa(self, obj: Oid, cls: Oid) -> bool:
         """Declare ``obj in_U cls``; returns False if already implied."""
+        added = self.hierarchy.declare(obj, cls)
         self._universe.add(obj)
         self._universe.add(cls)
-        added = self.hierarchy.declare(obj, cls)
         if added and self._change_log is not None:
             self._change_log.record("+", ("isa", obj, cls))
         return added
@@ -336,8 +345,8 @@ class Database:
     def assert_scalar(self, method: Oid, subject: Oid,
                       args: tuple[Oid, ...], result: Oid) -> bool:
         """Store a scalar fact; see :meth:`ScalarMethodTable.put`."""
-        self._register_app(method, subject, args, result)
         added = self.scalars.put(method, subject, args, result)
+        self._register_app(method, subject, args, result)
         if added and self._change_log is not None:
             self._change_log.record(
                 "+", ("scalar", method, subject, args, result))
@@ -358,8 +367,8 @@ class Database:
     def assert_set_member(self, method: Oid, subject: Oid,
                           args: tuple[Oid, ...], member: Oid) -> bool:
         """Store a set membership fact."""
-        self._register_app(method, subject, args, member)
         added = self.sets.add(method, subject, args, member)
+        self._register_app(method, subject, args, member)
         if added and self._change_log is not None:
             self._change_log.record(
                 "+", ("set", method, subject, args, member))
@@ -376,6 +385,8 @@ class Database:
 
     def _register_app(self, method: Oid, subject: Oid,
                       args: tuple[Oid, ...], result: Oid) -> None:
+        # Called once the table accepted the fact: an assertion refused
+        # on a scalar conflict (or, for isa, a cycle) leaves U unchanged.
         self._universe.add(method)
         self._universe.add(subject)
         self._universe.update(args)
@@ -392,6 +403,73 @@ class Database:
                   args: tuple[Oid, ...] = ()) -> frozenset[Oid]:
         """``I_->>(method)(subject, args)``; empty where undefined."""
         return self.sets.get(method, subject, args)
+
+    # ------------------------------------------------------------------
+    # Change entries: the one write vocabulary below the wire
+    # ------------------------------------------------------------------
+
+    def apply_entry(self, sign: str, fact: tuple) -> bool:
+        """Apply one :data:`ChangeEntry` ``(sign, fact)``; True if it
+        changed the database.
+
+        The only dispatch from a change entry to the assertion and
+        retraction API: rollback, WAL replay, the server, replicas and
+        incremental maintenance all write through here.  A scalar ``-``
+        is guarded on the stored result -- it retracts only when the
+        stored result is ``fact[4]`` (or ``fact[4]`` is None: "whatever
+        is stored"), so replaying a logged retraction twice is
+        idempotent.
+        """
+        kind = fact[0]
+        if sign == "+":
+            if kind == "scalar":
+                return self.assert_scalar(fact[1], fact[2], fact[3], fact[4])
+            if kind == "set":
+                return self.assert_set_member(fact[1], fact[2], fact[3],
+                                              fact[4])
+            return self.assert_isa(fact[1], fact[2])
+        if kind == "scalar":
+            if (fact[4] is not None and self.scalars.get(
+                    fact[1], fact[2], fact[3]) != fact[4]):
+                return False
+            return self.retract_scalar(fact[1], fact[2], fact[3])
+        if kind == "set":
+            return self.retract_set_member(fact[1], fact[2], fact[3],
+                                           fact[4])
+        return self.retract_isa(fact[1], fact[2])
+
+    def apply_batch(self, entries: Iterable[ChangeEntry], *,
+                    commit: Callable[[], object] | None = None) -> int:
+        """Apply change entries all-or-nothing; returns how many changed
+        the database.
+
+        Takes a change-log cursor checkpoint (starting a log when none
+        is active) and applies each entry through :meth:`apply_entry`.
+        ``commit``, when given, runs after the last entry inside the
+        same guarded region -- a durable server journals the batch
+        there.  On any exception the facts are rolled back to the
+        checkpoint (:meth:`rollback_changes`), the objects this batch
+        added to ``U`` are removed again, and the exception re-raises:
+        a failed batch leaves facts and universe as they were.
+        """
+        log = self._change_log or self.begin_changes()
+        checkpoint = log.cursor()
+        universe = self._universe
+        added: list[Oid] = []
+        applied = 0
+        try:
+            for sign, fact in entries:
+                if sign == "+":
+                    added.extend(oid for oid in _fact_oids(fact)
+                                 if oid not in universe)
+                applied += self.apply_entry(sign, fact)
+            if commit is not None:
+                commit()
+        except BaseException:
+            self.rollback_changes(checkpoint)
+            universe.difference_update(added)
+            raise
+        return applied
 
     # ------------------------------------------------------------------
     # Change log (incremental view maintenance)
@@ -502,40 +580,22 @@ class Database:
         the start_version + cursor == data_version arithmetic, since
         versions only ever advance).
 
-        LIFO order makes each inverse exact: a ``+`` entry is undone by
-        retracting the fact (guarded, for scalars, on the stored result
-        still being the recorded one), a ``-`` entry by re-asserting
-        it; by the time an earlier entry is undone every later entry
-        touching the same fact has already been reversed, so re-asserts
-        can never hit a scalar conflict.  Returns how many entries were
-        undone.
+        Each entry is undone by applying its inverse through
+        :meth:`apply_entry`.  LIFO order makes each inverse exact: a
+        ``+`` entry is undone by retracting the fact (guarded, for
+        scalars, on the stored result still being the recorded one), a
+        ``-`` entry by re-asserting it; by the time an earlier entry is
+        undone every later entry touching the same fact has already
+        been reversed, so re-asserts can never hit a scalar conflict.
+        Returns how many entries were undone.
         """
         log = self._change_log
         if log is None:
             return 0
-        undone = 0
-        for sign, fact in reversed(log.since(cursor)):
-            kind = fact[0]
-            if sign == "+":
-                if kind == "scalar":
-                    if self.scalars.get(fact[1], fact[2],
-                                        fact[3]) == fact[4]:
-                        self.retract_scalar(fact[1], fact[2], fact[3])
-                elif kind == "set":
-                    self.retract_set_member(fact[1], fact[2], fact[3],
-                                            fact[4])
-                else:
-                    self.retract_isa(fact[1], fact[2])
-            else:
-                if kind == "scalar":
-                    self.assert_scalar(fact[1], fact[2], fact[3], fact[4])
-                elif kind == "set":
-                    self.assert_set_member(fact[1], fact[2], fact[3],
-                                           fact[4])
-                else:
-                    self.assert_isa(fact[1], fact[2])
-            undone += 1
-        return undone
+        entries = log.since(cursor)
+        for sign, fact in reversed(entries):
+            self.apply_entry("-" if sign == "+" else "+", fact)
+        return len(entries)
 
     def trim_changes(self) -> int:
         """Drop the change-log prefix every live consumer has replayed.

@@ -30,10 +30,11 @@ Replica side (:class:`Replicator`):
    :func:`~repro.oodb.checkpoint.write_snapshot` persists, verified by
    the same :func:`~repro.oodb.checkpoint.verify_document`), install
    it as the replica's database at the snapshot's cursor.
-2. **Stream**: subscribe at the applied cursor, pull batches, apply
-   each all-or-nothing under the replica's exclusive gate (rollback to
-   a cursor checkpoint on any failure, exactly like the primary's
-   maintainer), then patch the memos via ``Query.sync``.
+2. **Stream**: subscribe at the applied cursor, pull batches, and
+   apply each under the replica's exclusive gate through the server's
+   one commit step -- the primary's maintainer runs the same one:
+   :meth:`Database.apply_batch` (all-or-nothing, facts and ``U``
+   rolled back on any failure), then ``Query.sync``.
 3. **Recover**: a dropped connection reconnects with jittered
    exponential backoff and resubscribes at the applied cursor --
    duplicate entries below it are skipped idempotently.  A cursor
@@ -64,7 +65,7 @@ import uuid
 from typing import TYPE_CHECKING
 
 from repro.errors import PathLogError
-from repro.oodb.checkpoint import _apply_entry, verify_document
+from repro.oodb.checkpoint import verify_document
 from repro.oodb.database import Database, TrimmedCursor
 from repro.oodb.serialize import decode_fact
 from repro.server.client import Client, ResyncRequired, RetryPolicy
@@ -94,6 +95,15 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     if not sep or not port.isdigit():
         raise ValueError(f"endpoint {text!r} is not HOST:PORT")
     return host or "127.0.0.1", int(port)
+
+
+def _faulted(entries: list):
+    """Yield ``entries``, firing ``repl.apply`` before each one: a
+    targeted nth hit crashes *mid-batch*, inside the all-or-nothing
+    region, and must roll the whole span back."""
+    for entry in entries:
+        fault_point("repl.apply")
+        yield entry
 
 
 class Subscription:
@@ -385,45 +395,22 @@ class Replicator:
             await self._apply(todo)
 
     async def _apply(self, entries: list) -> None:
-        server = self._server
-        loop = asyncio.get_running_loop()
-        async with server._gate.write():
-            await loop.run_in_executor(server._pool, self._apply_entries,
-                                       entries)
+        """Apply one streamed batch through the server's commit step.
 
-    def _apply_entries(self, entries: list) -> None:
-        """Worker thread, gate held exclusive: the replica's maintainer.
-
-        Mirrors ``Server._apply_batch``: decode the whole batch before
-        the first mutation (a malformed entry rejects it whole), roll
-        back to the cursor checkpoint on any failure, publish the
-        applied cursor, then patch the memos -- dropping them wholesale
-        if maintenance itself dies (degraded, not wrong).
+        The whole batch is decoded before the first mutation (a
+        malformed entry rejects it whole); the applied cursor and the
+        ``repl_*`` counters advance inside the same exclusive section
+        as the apply, so a reader never sees one without the other.
         """
         server = self._server
-        db = server.database
-        decoded = [(sign, decode_fact(encoded))
-                   for sign, encoded in entries]
-        checkpoint = db.change_log.cursor()
-        try:
-            for sign, fact in decoded:
-                # Per-entry, inside the guarded region: a targeted nth
-                # hit crashes *mid-batch* and must roll the whole span
-                # back to the checkpoint.
-                fault_point("repl.apply")
-                _apply_entry(db, sign, fact)
-        except Exception:
-            server.stats.rollbacks += 1
-            db.rollback_changes(checkpoint)
-            raise
-        self.applied += len(entries)
-        server.stats.repl_batches_applied += 1
-        server.stats.repl_entries_applied += len(entries)
-        try:
-            server.query.sync()
-        except Exception:  # noqa: BLE001 - degrade to re-derivation
-            server.stats.memo_resets += 1
-            server.query.forget()
+        decoded = [(sign, decode_fact(encoded)) for sign, encoded in entries]
+        loop = asyncio.get_running_loop()
+        async with server._gate.write():
+            await loop.run_in_executor(server._pool, server._apply_batch,
+                                       _faulted(decoded))
+            self.applied += len(entries)
+            server.stats.repl_batches_applied += 1
+            server.stats.repl_entries_applied += len(entries)
 
     async def _rebootstrap(self) -> None:
         """Full resync: fresh snapshot, database swap, cursors rebased."""

@@ -13,13 +13,14 @@ Architecture (docs/server.md has the full story):
   ``finally``), so the log stays consistent for the memo machinery and
   ``stats`` can report how far the slowest reader lags.
 - All writes funnel through one maintainer task.  It takes the gate
-  exclusively, applies the batch through the ordinary assertion API
-  (rolling back to a cursor checkpoint on any failure), then patches
-  the memoised results via :meth:`Query.sync` -- still exclusive, so
-  result databases are only ever mutated with no reader inside.  If
-  maintenance itself dies half-way, the memos are dropped wholesale
-  (:meth:`Query.forget`) and the next query re-derives: degraded, not
-  wrong.
+  exclusively and runs the one commit step the replica shares
+  (:meth:`Server._apply_batch`): the batch's change entries apply
+  through :meth:`Database.apply_batch` (facts and ``U`` rolled back on
+  any failure), then the memoised results are patched via
+  :meth:`Query.sync` -- still exclusive, so result databases are only
+  ever mutated with no reader inside.  If maintenance itself dies
+  half-way, the memos are dropped wholesale (:meth:`Query.forget`) and
+  the next query re-derives: degraded, not wrong.
 - Admission control bounds the request queue
   (:class:`~repro.server.admission.AdmissionController`): beyond
   ``max_queue`` waiters the request is *shed* with a typed
@@ -41,7 +42,7 @@ Architecture (docs/server.md has the full story):
 - With ``replica_of`` configured the server is a **read replica**
   (docs/server.md "Replication"): it bootstraps from the primary's
   snapshot, applies streamed change-log batches through the same
-  exclusive-gate maintainer discipline, refuses writes with a typed
+  exclusive-gate commit step as the primary, refuses writes with a typed
   ``read_only`` error, and sheds reads beyond ``max_lag`` as ``stale``.
   A primary serves the ``repl.*`` ops through a
   :class:`~repro.server.replication.ReplicationHub`.
@@ -66,7 +67,7 @@ from pathlib import Path
 from repro.engine import QueryBudget
 from repro.errors import BudgetExceededError, PathLogError
 from repro.oodb.checkpoint import DurableStore, snapshot_document
-from repro.oodb.database import Database
+from repro.oodb.database import ChangeEntry, Database
 from repro.oodb.serialize import encode_fact
 from repro.query import Query
 from repro.server import protocol
@@ -812,13 +813,13 @@ class Server:
                                   "write op needs a 'changes' list",
                                   request=request)
         try:
-            ops = [self._parse_change(change) for change in raw]
+            entries = [self._parse_change(change) for change in raw]
         except ValueError as err:
             return protocol.error(protocol.QUERY_ERROR, str(err),
                                   request=request)
         self.stats.writes += 1
         future = asyncio.get_running_loop().create_future()
-        await self._write_queue.put((ops, future))
+        await self._write_queue.put((entries, future))
         outcome = await future
         if isinstance(outcome, Exception):
             if isinstance(outcome, PathLogError):
@@ -833,9 +834,14 @@ class Server:
     _CHANGE_ARITY = {"+scalar": 5, "-scalar": 4, "+set": 5, "-set": 5,
                      "+isa": 3, "-isa": 3}
 
-    def _parse_change(self, change) -> tuple:
-        """Validate one wire change into ``(tag, *oids)`` before any
-        mutation happens -- a malformed batch is rejected whole."""
+    def _parse_change(self, change) -> ChangeEntry:
+        """Validate one wire change into a change entry before any
+        mutation happens -- a malformed batch is rejected whole.
+
+        Names resolve with :meth:`Database.denotes`, so parsing
+        registers nothing in ``U``.  A wire ``-scalar`` carries no
+        result: its entry's result is None, "whatever is stored".
+        """
         if (not isinstance(change, list) or not change
                 or change[0] not in self._CHANGE_ARITY):
             raise ValueError(f"malformed change {change!r}")
@@ -844,22 +850,22 @@ class Server:
             raise ValueError(
                 f"change {tag!r} takes {self._CHANGE_ARITY[tag] - 1} "
                 f"fields, got {len(change) - 1}")
-        if tag in ("+isa", "-isa"):
-            return (tag, self._name(change[1]), self._name(change[2]))
+        sign, kind = tag[0], tag[1:]
+        if kind == "isa":
+            return sign, (kind, self._name(change[1]),
+                          self._name(change[2]))
         args = change[3]
         if not isinstance(args, list):
             raise ValueError(f"change {tag!r} args must be a list")
-        resolved = (tag, self._name(change[1]), self._name(change[2]),
-                    tuple(self._name(a) for a in args))
-        if tag == "-scalar":
-            return resolved
-        return resolved + (self._name(change[4]),)
+        result = None if tag == "-scalar" else self._name(change[4])
+        return sign, (kind, self._name(change[1]), self._name(change[2]),
+                      tuple(self._name(a) for a in args), result)
 
     def _name(self, value):
         if not isinstance(value, (str, int)) or isinstance(value, bool):
             raise ValueError(f"names must be strings or integers, "
                              f"got {value!r}")
-        return self._db.obj(value)
+        return self._db.denotes(value)
 
     async def _maintain_loop(self) -> None:
         """The single writer: apply batches exclusively, then sync."""
@@ -868,11 +874,12 @@ class Server:
             item = await self._write_queue.get()
             if item is None:
                 return
-            ops, future = item
+            entries, future = item
             async with self._gate.write():
                 try:
+                    fault_point("server.maintain")
                     outcome = await loop.run_in_executor(
-                        self._pool, self._apply_batch, ops)
+                        self._pool, self._apply_batch, entries)
                 except Exception as err:  # noqa: BLE001 - typed on the wire
                     outcome = err
             if not future.cancelled():
@@ -907,32 +914,28 @@ class Server:
             except Exception:
                 self.stats.internal_errors += 1
 
-    def _apply_batch(self, ops: list[tuple]) -> dict:
-        """Apply one parsed batch (worker thread, gate held exclusive).
+    def _apply_batch(self, entries) -> dict:
+        """The one commit step (worker thread, gate held exclusive).
 
-        All-or-nothing: any failure -- a scalar conflict, an injected
-        ``server.maintain`` fault, a crashed WAL append -- rolls the
-        base facts back to the checkpoint (repairing the WAL tail when
-        durable) and re-raises.  The batch is journalled durably
-        *before* the exclusive gate is released, so an acknowledged
-        write survives a crash.  A failure *after* the journal commit
-        (inside memo maintenance) instead drops the memos wholesale:
-        the base write stands, readers re-derive.
+        Shared by the primary's maintainer (client batches) and the
+        replica's pull loop (streamed batches).  All-or-nothing through
+        :meth:`Database.apply_batch`: any failure -- a scalar conflict,
+        an injected fault, a crashed WAL append -- rolls facts and
+        ``U`` back (repairing the WAL tail when durable) and re-raises.
+        The batch is journalled durably *before* the exclusive gate is
+        released, so an acknowledged write survives a crash.  A failure
+        *after* the journal commit (inside memo maintenance) instead
+        drops the memos wholesale: the base write stands, readers
+        re-derive.
         """
-        log = self._db.change_log
-        checkpoint = log.cursor()
-        fault_point("server.maintain")
+        store = self._store
         try:
-            applied = 0
-            for op in ops:
-                applied += self._apply_change(op)
-            if self._store is not None:
-                self._store.commit()
+            applied = self._db.apply_batch(
+                entries, commit=store.commit if store is not None else None)
         except Exception:
             self.stats.rollbacks += 1
-            self._db.rollback_changes(checkpoint)
-            if self._store is not None:
-                self._store.discard_pending()
+            if store is not None:
+                store.discard_pending()
             raise
         try:
             report = self._query.sync()
@@ -946,19 +949,3 @@ class Server:
             report = {"maintained": 0, "evicted": dropped}
         return {"applied": applied, "version": self._db.data_version(),
                 "maintenance": report}
-
-    def _apply_change(self, op: tuple) -> int:
-        tag = op[0]
-        if tag == "+scalar":
-            return int(self._db.assert_scalar(op[1], op[2], op[3], op[4]))
-        if tag == "-scalar":
-            return int(self._db.retract_scalar(op[1], op[2], op[3]))
-        if tag == "+set":
-            return int(self._db.assert_set_member(op[1], op[2], op[3],
-                                                  op[4]))
-        if tag == "-set":
-            return int(self._db.retract_set_member(op[1], op[2], op[3],
-                                                   op[4]))
-        if tag == "+isa":
-            return int(self._db.assert_isa(op[1], op[2]))
-        return int(self._db.retract_isa(op[1], op[2]))

@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang.parser import parse_program
-from repro.oodb.checkpoint import _apply_entry
 from repro.oodb.database import Database
 from repro.query import Query
 from repro.server import Client, ClientError, RetryPolicy, Server, \
@@ -91,7 +90,7 @@ def answers_at(program, entries):
     """Unfaulted scratch derivation over a primary log prefix."""
     oracle = seeded_db()
     for sign, fact in entries:
-        _apply_entry(oracle, sign, fact)
+        oracle.apply_entry(sign, fact)
     scratch = Query(oracle, program=program, incremental=False)
     return frozenset(a.values_dict()["X"] for a in scratch.all(QUERY))
 

@@ -222,12 +222,21 @@ RULE_POOL = (
 )
 
 
+def _failure(failure):
+    if isinstance(failure, ScalarConflictError):
+        # Which two results of the application an engine derives first
+        # depends on its evaluation order; the application does not.
+        return (type(failure), failure.method, failure.subject,
+                failure.arguments)
+    return type(failure), str(failure)
+
+
 def _outcome(db, rules, **kwargs):
     engine = Engine(db, rules, **kwargs)
     try:
         result = engine.run()
     except PathLogError as failure:
-        return (type(failure), str(failure)), engine.stats
+        return _failure(failure), engine.stats
     facts = (set(result.scalars.items()),
              {(key, members) for key, members in result.sets.items()},
              set(result.hierarchy.declared_edges()))

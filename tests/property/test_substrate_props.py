@@ -1,5 +1,6 @@
-"""Substrate properties: hierarchy laws, serialisation round-trips, and
-clone isolation through every access path."""
+"""Substrate properties: hierarchy laws, serialisation round-trips,
+clone isolation through every access path, and the change-entry apply
+path (``apply_entry`` / ``apply_batch`` / ``rollback_changes``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from repro.errors import PathLogError
 from repro.oodb.database import Database
 from repro.oodb.hierarchy import ClassHierarchy
 from repro.oodb.oid import NamedOid
-from repro.oodb.serialize import dumps, loads
+from repro.oodb.serialize import dumps, loads, to_dict
 from repro.oodb.statistics import CardinalityCatalog
 from tests.property.strategies import (
     NAME_POOL,
@@ -309,3 +310,112 @@ def test_clone_is_isolated_through_every_access_path(
 
     for side in family:
         _assert_coherent(side)
+
+
+# ---------------------------------------------------------------------------
+# The change-entry apply path
+# ---------------------------------------------------------------------------
+
+#: Names the drawn entries mention; ``fresh`` is in no drawn database,
+#: so a ``+`` entry naming it grows the universe.  Methods come from a
+#: smaller pool, subjects from another, so scalar entries often
+#: conflict.
+ENTRY_NAMES = ("p1", "a", "kids", "c1", "fresh", 1)
+ENTRY_METHODS = ("a", "kids")
+ENTRY_SUBJECTS = ("p1", "a")
+
+
+@st.composite
+def change_entries(draw):
+    """One random change entry ``(sign, fact)``; a scalar ``-`` may
+    carry a None result ("whatever is stored")."""
+    def name(pool=ENTRY_NAMES):
+        return n(draw(st.sampled_from(pool)))
+
+    sign = draw(st.sampled_from("+-"))
+    kind = draw(st.sampled_from(("scalar", "set", "isa")))
+    if kind == "isa":
+        return sign, ("isa", name(), name())
+    method, subject = name(ENTRY_METHODS), name(ENTRY_SUBJECTS)
+    args = (name(),) if draw(st.integers(0, 3)) == 0 else ()
+    result = name()
+    if kind == "scalar" and sign == "-" and draw(st.booleans()):
+        result = None
+    return sign, (kind, method, subject, args, result)
+
+
+entry_batches = st.lists(change_entries(), min_size=1, max_size=10)
+
+
+class _Injected(Exception):
+    pass
+
+
+def _failing_at(entries, index):
+    for position, entry in enumerate(entries):
+        if position == index:
+            raise _Injected
+        yield entry
+
+
+def _apply_each(db, entries):
+    for sign, fact in entries:
+        try:
+            db.apply_entry(sign, fact)
+        except PathLogError:
+            pass  # a scalar conflict or an isa cycle: nothing changed
+
+
+def _facts(db):
+    state = to_dict(db)
+    del state["universe"]
+    return state
+
+
+@given(db=databases(), before=st.lists(change_entries(), max_size=6),
+       entries=entry_batches, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_failed_apply_batch_leaves_facts_and_universe(
+        db, before, entries, data):
+    log = db.begin_changes()
+    _apply_each(db, before)
+    state = to_dict(db)
+    universe = db.universe()
+    # Fail before a random entry, or (index == len) in the commit hook.
+    index = data.draw(st.integers(0, len(entries)), label="fail_at")
+
+    def commit():
+        raise _Injected
+
+    with pytest.raises((PathLogError, _Injected)):
+        db.apply_batch(_failing_at(entries, index), commit=commit)
+    assert db.universe() == universe
+    assert to_dict(db) == state
+    assert log.in_sync(db.data_version(), log.cursor())
+
+
+@given(db=databases(), before=st.lists(change_entries(), max_size=8),
+       after=entry_batches)
+@settings(max_examples=150, deadline=None)
+def test_rollback_changes_restores_the_facts_at_a_cursor(db, before, after):
+    log = db.begin_changes()
+    _apply_each(db, before)
+    cursor = log.cursor()
+    state = _facts(db)
+    _apply_each(db, after)
+    db.rollback_changes(cursor)
+    assert _facts(db) == state
+    assert log.in_sync(db.data_version(), log.cursor())
+
+
+@given(db=databases(), entries=st.lists(change_entries(), max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_replaying_the_log_through_apply_entry_reproduces_the_state(
+        db, entries):
+    start = db.clone()
+    log = db.begin_changes()
+    cursor = log.cursor()
+    _apply_each(db, entries)
+    for sign, fact in log.since(cursor):
+        start.apply_entry(sign, fact)
+    assert to_dict(start) == to_dict(db)

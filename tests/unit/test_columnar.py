@@ -426,7 +426,7 @@ class TestBatchWriter:
                   [db.intern(n(7)), db.intern(n(99)), db.intern(n(8))])
         with pytest.raises(ScalarConflictError) as boxed:
             scalars.put(n("age"), n("p1"), (), n(99))
-        fields = ("method", "subject", "args", "existing", "new")
+        fields = ("method", "subject", "arguments", "existing", "new")
         assert ([getattr(batch.value, f) for f in fields]
                 == [getattr(boxed.value, f) for f in fields])
         assert str(batch.value) == str(boxed.value)

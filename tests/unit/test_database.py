@@ -1,9 +1,12 @@
-"""Database facade tests: names, aliases, builtins, loading, cloning."""
+"""Database facade tests: names, aliases, builtins, loading, change
+entries, cloning."""
 
 import pytest
 
 from repro.core.builtins import SELF_OID
+from repro.errors import ScalarConflictError
 from repro.oodb.database import Database
+from repro.oodb.hierarchy import HierarchyError
 from repro.oodb.oid import NamedOid
 
 
@@ -79,6 +82,43 @@ class TestLoading:
         db = Database()
         db.add_object("p1", classes=["c"], scalars={"a": 1})
         assert "scalar=1" in repr(db)
+
+
+class TestChangeEntries:
+    def test_a_refused_assertion_leaves_the_universe(self):
+        db = Database()
+        db.add_object("p1", classes=["c"], scalars={"age": 30})
+        universe = db.universe()
+        with pytest.raises(ScalarConflictError):
+            db.apply_entry("+", ("scalar", n("age"), n("p1"), (), n(77)))
+        with pytest.raises(HierarchyError):
+            db.apply_entry("+", ("isa", n("c"), n("c")))
+        assert db.universe() == universe
+
+    def test_a_scalar_retraction_is_guarded_on_its_result(self):
+        db = Database()
+        db.add_object("p1", scalars={"age": 30})
+        age = ("scalar", n("age"), n("p1"), ())
+        assert not db.apply_entry("-", age + (n(31),))
+        assert db.apply_entry("-", age + (None,))
+        assert db.scalar_apply(n("age"), n("p1")) is None
+
+    def test_apply_batch_rolls_back_facts_and_universe(self):
+        db = Database()
+        db.add_object("p1", scalars={"age": 30})
+        universe = db.universe()
+        log = db.begin_changes()
+        with pytest.raises(ScalarConflictError):
+            db.apply_batch([("+", ("isa", n("ghost"), n("c"))),
+                            ("-", ("scalar", n("age"), n("p1"), (), None)),
+                            ("+", ("scalar", n("age"), n("p1"), (), n(1))),
+                            ("+", ("scalar", n("age"), n("p1"), (), n(2)))])
+        assert db.universe() == universe
+        assert db.scalar_apply(n("age"), n("p1")) == n(30)
+        assert not db.isa(n("ghost"), n("c"))
+        assert log.in_sync(db.data_version(), log.cursor())
+        assert db.apply_batch([("+", ("isa", n("ghost"), n("c")))]) == 1
+        assert n("ghost") in db
 
 
 class TestClone:

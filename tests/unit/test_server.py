@@ -221,6 +221,43 @@ class TestServerBasics:
                 assert (await client.stats())["version"] >= version
         run_with_server(scenario)
 
+    def test_failed_writes_leave_the_universe_unchanged(self):
+        async def scenario(server):
+            host, port = server.address
+            async with Client(host, port) as client:
+                # The first query registers its own constant (`self`).
+                before = (await client.query("X[self -> X]",
+                                             ["X"]))["answers"]
+                size = len(server.database.universe())
+                with pytest.raises(RequestError):
+                    # Malformed after a change naming a fresh object.
+                    await client.write([["+isa", "fresh", "employee"],
+                                        ["+isa", ["nested"], "c"]])
+                # A no-op retraction of names nobody stored.
+                assert (await client.write(
+                    [["-set", "nosuch", "nobody", [], "nothing"]]
+                ))["applied"] == 0
+                with pytest.raises(RequestError):
+                    # p0 already has age 30: rolled back on the conflict.
+                    await client.write([["+isa", "ghost", "employee"],
+                                        ["+scalar", "age", "p0", [], 77]])
+                after = (await client.query("X[self -> X]",
+                                            ["X"]))["answers"]
+                assert after == before
+                assert len(server.database.universe()) == size
+        run_with_server(scenario)
+
+    def test_scalar_conflict_message_reaches_the_wire(self):
+        async def scenario(server):
+            host, port = server.address
+            async with Client(host, port) as client:
+                with pytest.raises(RequestError) as info:
+                    await client.write([["+scalar", "age", "p0", [], 77]])
+                message = str(info.value)
+                for part in ("age", "p0", "30", "77"):
+                    assert part in message
+        run_with_server(scenario)
+
     def test_malformed_changes_rejected_before_mutation(self):
         async def scenario(server):
             host, port = server.address
