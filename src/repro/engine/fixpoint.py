@@ -1,7 +1,9 @@
 """The :class:`Engine`: stratified bottom-up fixpoint evaluation.
 
 Evaluation proceeds stratum by stratum (see
-:mod:`repro.engine.stratify`); within a stratum the engine iterates to a
+:mod:`repro.engine.stratify`); within a stratum
+:meth:`Evaluation.run_stratum` -- the one semi-naive loop, which the
+incremental maintainer also runs, seeded with a change -- iterates to a
 fixpoint, either
 
 - **naively** -- every rule re-evaluated against the full database each
@@ -33,7 +35,7 @@ each seeded bucket of the delta into the initial batch in a single
 pass, and rule heads are asserted straight from the solution columns
 (the int batch writer for stored filters, also over the virtual objects
 of scalar path steps; the realizer's compiled column program for the
-rest; support-tracked rules go row by row -- ``Engine._head_emitter``
+rest; support-tracked rules go row by row -- ``Evaluation._head_emitter``
 names the rungs, EXPLAIN shows them).
 
 Every head path of a round writes into one round object, a
@@ -132,7 +134,7 @@ class _RulePlanRecord:
         self.execute_cols = None
         self.head_pairs: tuple = ()
         self.emit = None
-        #: The head rung EXPLAIN names (see ``Engine._head_emitter``).
+        #: The head rung EXPLAIN names (see ``Evaluation._head_emitter``).
         self.head = "per-row realize"
 
 
@@ -146,7 +148,7 @@ class _DeltaPlanRecord:
     """
 
     __slots__ = ("plan", "counters", "rest_counters", "execute_cols",
-                 "head_pairs", "emit")
+                 "head_pairs", "emit", "head")
 
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
@@ -155,10 +157,298 @@ class _DeltaPlanRecord:
         self.execute_cols = None
         self.head_pairs: tuple = ()
         self.emit = None
+        #: The head rung (see ``Evaluation._head_emitter``).
+        self.head = "per-row realize"
 
     def tuples(self) -> int:
         """All per-step extensions observed through this position."""
         return sum(self.counters) + sum(self.rest_counters)
+
+
+class Evaluation:
+    """One evaluation's semi-naive state over one database: plan cache,
+    plan and delta records, head emitters, realizer, stats, support,
+    budget and limits.
+
+    :meth:`run_stratum` is the one semi-naive loop.  :meth:`Engine.run`
+    calls it once per stratum with no seed; the incremental maintainer
+    keeps one instance on its result database and seeds it with a
+    change.
+    """
+
+    def __init__(self, db: Database, *, limits: EngineLimits,
+                 policy: MatchPolicy, interpreted: bool, budget,
+                 support, stats: EngineStats, seminaive: bool = True,
+                 catalog=None) -> None:
+        self.db = db
+        self.limits = limits
+        self.policy = policy
+        self.interpreted = interpreted
+        self.budget = budget  # checked per round and kernel step
+        self.support = support  # tracked rules observe per binding
+        self.stats = stats
+        self.seminaive = seminaive
+        #: Statistics new plans are built against: a run pins its
+        #: start-of-run catalog; None reads the live one.
+        self.catalog = catalog
+        # One plan per (rule body, bound set): the database's owner
+        # decides when it changes, so no version tracking.
+        self.plan_cache = PlanCache(track_version=False)
+        self.plan_records: dict[int, _RulePlanRecord] = {}
+        # Delta-position records, keyed (rule identity, atom position) so
+        # the hot per-round path avoids re-hashing rule bodies.
+        self.delta_records: dict[tuple[int, int], _DeltaPlanRecord] = {}
+        self.realizer = HeadRealizer(
+            db, max_virtual_depth=limits.max_virtual_depth)
+
+    def run_stratum(self, rules: list[NormalizedRule], level: int, *,
+                    site: str, seed: DeltaIndex | None = None) -> int:
+        """Round ``rules`` to their fixpoint; returns the facts derived.
+
+        Without a ``seed`` the first round fires every rule in full and
+        impure rules (superset, negation) fire in full every round.  A
+        ``seed`` is the first round's delta; its caller vouches that no
+        rule reads a changed predicate under negation or in a superset
+        source, so rules fire only their seeded positions.  Isa readers
+        fire in full in rounds whose delta holds isa.  Each round passes
+        the fault point and budget checkpoint ``site`` once.
+        """
+        db = self.db
+        budget = self.budget
+        limits = self.limits
+        stats = self.stats
+        realizer = self.realizer
+        interner = db.interner
+        # Semi-naive eligibility and seeding are static properties of
+        # the rule bodies: classify once per stratum, not per round.
+        seeds = SeedIndex(db, rules)
+        isa_full = frozenset(index for index, rule in enumerate(rules)
+                             if _reads_isa(rule))
+        impure: frozenset = frozenset()
+        if seed is None:
+            impure = frozenset(index for index, rule in enumerate(rules)
+                               if not _is_pure(rule))
+            isa_full |= impure
+        delta = seed
+        iterations = derived = 0
+        while True:
+            iterations += 1
+            fault_point(site)
+            if budget is not None:
+                budget.check(site, stratum=level, iteration=iterations)
+            if iterations > limits.max_iterations:
+                raise ResourceLimitError(
+                    f"no fixpoint after {limits.max_iterations} "
+                    f"iterations in one stratum; raise "
+                    f"EngineLimits.max_iterations if the program is "
+                    f"genuinely that deep"
+                )
+            new = DeltaIndex(interner=interner)
+            realizer.log = new
+            if delta is None:
+                for rule in rules:
+                    self._fire_full(rule)
+            else:
+                for at, positions in seeds.plan(
+                        delta, isa_full if delta.has_isa else impure):
+                    if positions is None:
+                        self._fire_full(rules[at])
+                    else:
+                        self._fire_delta(rules[at], delta, positions)
+            if len(db) > limits.max_universe:
+                raise ResourceLimitError(
+                    f"universe grew past EngineLimits.max_universe = "
+                    f"{limits.max_universe} objects; the program "
+                    f"likely creates virtual objects without bound"
+                )
+            stats.count_derived(new)
+            count = len(new)
+            if budget is not None:
+                budget.charge(count, site, stratum=level,
+                              iteration=iterations)
+            if not count:
+                break
+            derived += count
+            delta = new if self.seminaive else None
+        stats.iterations.append(iterations)
+        return derived
+
+    def tuples(self) -> int:
+        """Per-step extensions observed through every record."""
+        return (sum(sum(r.counters) for r in self.plan_records.values())
+                + sum(r.tuples() for r in self.delta_records.values()))
+
+    def _fire_full(self, rule: NormalizedRule) -> None:
+        db = self.db
+        record = self.plan_records.get(id(rule))
+        if record is None:
+            plan = self.plan_cache.get(db, rule.body, frozenset(),
+                                       self.catalog)
+            record = _RulePlanRecord(rule, plan)
+            # Facts (empty bodies) have nothing to compile: the
+            # interpreted walk yields the empty binding once.
+            if not self.interpreted and plan.steps:
+                cplan = compile_columnar_plan(db, plan, self.policy)
+                record.kernels = cplan.kernel_names
+                record.emit, raw, record.head = self._head_emitter(
+                    rule, cplan)
+                record.execute_cols, record.head_pairs = \
+                    cplan.column_executor(record.counters,
+                                          project=variables_of(rule.head),
+                                          raw=raw, budget=self.budget)
+                self.stats.plans_compiled += 1
+            self.plan_records[id(rule)] = record
+        else:
+            self.plan_cache.hits += 1
+        if record.execute_cols is not None:
+            cols, nrows = record.execute_cols({})
+            record.bindings += nrows
+            record.firings += 1
+            self._realize_columns(rule, record, cols, nrows)
+            return
+        solutions = list(execute_plan(db, record.plan, {}, self.policy,
+                                      record.counters, interpreted=True))
+        record.bindings += len(solutions)
+        record.firings += 1
+        self._realize_all(rule, solutions)
+
+    def _fire_delta(self, rule: NormalizedRule, delta: DeltaIndex,
+                    positions: list[int]) -> None:
+        solutions: list[Binding] = []
+        # Column batches are materialised first and realised after the
+        # position loop, preserving the invariant that the solver never
+        # iterates indexes the realizer mutates.
+        batches: list[tuple[_DeltaPlanRecord, list, int]] = []
+        for position in positions:
+            record = self.delta_record(rule, position)
+            if record.execute_cols is not None:
+                cols, nrows = record.execute_cols(delta)
+                batches.append((record, cols, nrows))
+            else:
+                solutions += self.walk_delta(rule, position, record, delta)
+        if solutions:
+            self._realize_all(rule, solutions)
+        for record, cols, nrows in batches:
+            self._realize_columns(rule, record, cols, nrows)
+
+    def delta_record(self, rule: NormalizedRule,
+                     position: int) -> _DeltaPlanRecord:
+        """The record of one rule's delta position, built on first use."""
+        key = (id(rule), position)
+        record = self.delta_records.get(key)
+        if record is not None:
+            self.plan_cache.hits += 1
+            return record
+        db = self.db
+        atom = rule.body[position]
+        # All of the delta atom's variables are bound in every seed, so
+        # one plan covers every seed of this position.
+        rest = rule.body[:position] + rule.body[position + 1:]
+        bound = relevant_bound(rest, atom.variables())
+        record = _DeltaPlanRecord(
+            self.plan_cache.get(db, rest, bound, self.catalog))
+        if not self.interpreted:
+            cplan = compile_columnar_delta_plan(db, atom, record.plan,
+                                                self.policy)
+            record.emit, raw, record.head = self._head_emitter(rule, cplan)
+            record.execute_cols, record.head_pairs = \
+                cplan.column_executor(record.counters,
+                                      project=variables_of(rule.head),
+                                      raw=raw, budget=self.budget)
+            self.stats.plans_compiled += 1
+        self.delta_records[key] = record
+        return record
+
+    def walk_delta(self, rule: NormalizedRule, position: int,
+                   record: _DeltaPlanRecord,
+                   delta: DeltaIndex) -> list[Binding]:
+        """Interpreted: full body bindings seeded at ``position``."""
+        db = self.db
+        policy = self.policy
+        rest_counters = record.rest_counters
+        solutions: list[Binding] = []
+        for seed in match_atom_delta(db, rule.body[position], {},
+                                     delta.boxed(), policy):
+            record.counters[0] += 1
+            solutions.extend(execute_plan(db, record.plan, seed, policy,
+                                          rest_counters, interpreted=True))
+        return solutions
+
+    def _head_emitter(self, rule: NormalizedRule, cplan):
+        """``(emit, raw, rung)``: how one columnar plan's batches are
+        realised, and the name EXPLAIN gives that head rung.
+
+        ``emit(cols, nrows, log)`` is the first that applies of:
+
+        - ``int writer`` -- the int-native emitter
+          (:func:`~repro.engine.columnar.columnar_head_emitter`): stored
+          scalar and set filters, also over scalar path steps that
+          create virtual objects; it alone consumes ``raw`` surrogate
+          columns, skipping the deref at the plan boundary;
+        - ``column program`` -- the realizer's compiled column program
+          (:meth:`~repro.engine.heads.HeadRealizer.compile_columns`)
+          for every other head: isa filters, ``@``-arguments, a method
+          written twice, an open change log (so every maintained head),
+          virtual objects outside the int writer's shape, computed
+          methods, built-in filters.
+
+        Support recording observes per binding, so tracked rules get no
+        emitter and fall back to ``per-row realize`` -- as does a head
+        with a variable the plan does not bind.
+        """
+        emit = None
+        if self.support is None or not self.support.tracks(rule):
+            realizer = self.realizer
+            emit = columnar_head_emitter(self.db, rule, cplan, realizer)
+            rung = "int writer"
+            if emit is None:
+                emit = realizer.compile_columns(rule.head, cplan.slots)
+                rung = "column program"
+        if emit is None:
+            rung = "per-row realize"
+            self.stats.heads_fallback += 1
+        else:
+            self.stats.heads_compiled += 1
+        return emit, rung == "int writer", rung
+
+    def _realize_columns(self, rule: NormalizedRule, record, cols: list,
+                         nrows: int) -> None:
+        """Realise one batch of solution columns, set-at-a-time.
+
+        The record's emitter (see :meth:`_head_emitter`) asserts the
+        heads straight from the columns; plans without one fall back to
+        per-row realisation through :meth:`_realize_all`.
+        """
+        fault_point("engine.emit")
+        self.stats.batches += 1
+        self.stats.batch_rows += nrows
+        if not nrows:
+            return
+        if record.emit is not None:
+            record.emit(cols, nrows, self.realizer.log)
+            self.stats.firings += nrows
+            return
+        pairs = record.head_pairs
+        solutions = [
+            {var: cols[slot][i] for var, slot in pairs}
+            for i in range(nrows)
+        ]
+        self._realize_all(rule, solutions)
+
+    def _realize_all(self, rule: NormalizedRule,
+                     solutions: list[Binding]) -> None:
+        fault_point("engine.emit")
+        realizer = self.realizer
+        support = self.support
+        if support is not None and support.tracks(rule):
+            for binding in solutions:
+                support.observe(rule, binding, self.db)
+                realizer.realize(rule.head, binding)
+                self.stats.firings += 1
+            return
+        for binding in solutions:
+            realizer.realize(rule.head, binding)
+            self.stats.firings += 1
 
 
 class Engine:
@@ -191,11 +481,7 @@ class Engine:
         self._limits = limits or EngineLimits()
         self._policy = MatchPolicy(self._limits.max_method_depth)
         self._interpreted = interpreted
-        self._plan_cache = PlanCache(track_version=False)
-        self._plan_records: dict[int, _RulePlanRecord] = {}
-        # Delta-position records, keyed (rule identity, atom position) so
-        # the hot per-iteration path avoids re-hashing rule bodies.
-        self._delta_records: dict[tuple[int, int], _DeltaPlanRecord] = {}
+        self._evaluation: Evaluation | None = None  # the last run's
         # Per-fact derivation support, recorded during run() so the
         # result can later be maintained incrementally (built lazily in
         # run(): stratification errors keep raising from there).
@@ -253,22 +539,15 @@ class Engine:
             self.support = SupportIndex(self._rules)
         self.stats = EngineStats(seminaive=self._seminaive,
                                  strata=len(strata))
-        # One plan per (rule body, bound set) for the whole run: the
-        # engine owns its snapshot, so version tracking is unnecessary.
-        # The cardinality catalog is likewise snapshotted once -- plans
-        # built mid-run (delta positions) should not each pay a catalog
-        # rebuild against the facts derived so far.
-        self._plan_cache = PlanCache(track_version=False)
-        self._run_catalog = work.catalog()
-        self._plan_records = {}
-        self._delta_records = {}
-        realizer = HeadRealizer(
-            work, max_virtual_depth=self._limits.max_virtual_depth
-        )
+        evaluation = self._evaluation = Evaluation(
+            work, limits=self._limits, policy=self._policy,
+            interpreted=self._interpreted, budget=budget,
+            support=self.support, stats=self.stats,
+            seminaive=self._seminaive, catalog=work.catalog())
         self.stats.snapshot_s = time.perf_counter() - started
         try:
             for level, group in enumerate(strata):
-                self._eval_stratum(work, group, realizer, level)
+                evaluation.run_stratum(group, level, site="engine.iteration")
         except BudgetExceededError as error:
             self.stats.stopped_at = error.where
             raise
@@ -277,13 +556,10 @@ class Engine:
             self.stats.gc_passes = tuple(
                 now - then for now, then in zip(gc_collections(), collections))
             self.stats.buckets_copied = work.buckets_copied
-            self.stats.virtuals_created = realizer.virtuals_created
-            self.stats.plans_built = self._plan_cache.misses
-            self.stats.plan_cache_hits = self._plan_cache.hits
-            self.stats.tuples = (
-                sum(sum(r.counters) for r in self._plan_records.values())
-                + sum(r.tuples() for r in self._delta_records.values())
-            )
+            self.stats.virtuals_created = evaluation.realizer.virtuals_created
+            self.stats.plans_built = evaluation.plan_cache.misses
+            self.stats.plan_cache_hits = evaluation.plan_cache.hits
+            self.stats.tuples = evaluation.tuples()
             if budget is not None:
                 self.stats.budget_checks = budget.checks
         # The run asserted facts of the predicates its heads define and
@@ -312,13 +588,15 @@ class Engine:
         EXPLAIN ``adorn`` column).
         """
         adornments = adornments or {}
+        if self._evaluation is None:
+            return []
         return [
             report_for_plan(record.plan, title=str(record.rule),
                             counters=record.counters,
                             bindings=record.bindings,
                             kernels=record.kernels, head=record.head,
                             adornments=adornments.get(id(record.rule)))
-            for record in self._plan_records.values()
+            for record in self._evaluation.plan_records.values()
             if record.plan.steps  # facts have no join order to explain
         ]
 
@@ -328,224 +606,6 @@ class Engine:
         if not reports:
             return "no rule plans captured (run the engine first)"
         return "\n\n".join(report.render() for report in reports)
-
-    # ------------------------------------------------------------------
-
-    def _eval_stratum(self, db: Database, rules: list[NormalizedRule],
-                      realizer: HeadRealizer, level: int = 0) -> None:
-        budget = self._budget
-        interner = db.interner
-        delta: DeltaIndex | None = None
-        iterations = 0
-        # Semi-naive eligibility and seeding are static properties of
-        # the rule bodies: classify once per stratum, not per round.
-        seeds = SeedIndex(db, rules)
-        impure = frozenset(index for index, rule in enumerate(rules)
-                           if not _is_pure(rule))
-        isa_full = impure.union(index for index, rule in enumerate(rules)
-                                if _reads_isa(rule))
-        while True:
-            iterations += 1
-            fault_point("engine.iteration")
-            if budget is not None:
-                budget.check("engine.iteration", stratum=level,
-                             iteration=iterations)
-            if iterations > self._limits.max_iterations:
-                raise ResourceLimitError(
-                    f"no fixpoint after {self._limits.max_iterations} "
-                    f"iterations in one stratum; raise "
-                    f"EngineLimits.max_iterations if the program is "
-                    f"genuinely that deep"
-                )
-            new = DeltaIndex(interner=interner)
-            realizer.log = new
-            if delta is None:
-                for rule in rules:
-                    self._fire_full(db, rule, realizer)
-            else:
-                for at, positions in seeds.plan(
-                        delta, isa_full if delta.has_isa else impure):
-                    if positions is None:
-                        self._fire_full(db, rules[at], realizer)
-                    else:
-                        self._fire_delta(db, rules[at], realizer, delta,
-                                         positions)
-            if len(db) > self._limits.max_universe:
-                raise ResourceLimitError(
-                    f"universe grew past EngineLimits.max_universe = "
-                    f"{self._limits.max_universe} objects; the program "
-                    f"likely creates virtual objects without bound"
-                )
-            self.stats.count_derived(new)
-            if budget is not None:
-                budget.charge(len(new), "engine.iteration",
-                              stratum=level, iteration=iterations)
-            if not new:
-                break
-            delta = new if self._seminaive else None
-        self.stats.iterations.append(iterations)
-
-    def _fire_full(self, db: Database, rule: NormalizedRule,
-                   realizer: HeadRealizer) -> None:
-        record = self._plan_records.get(id(rule))
-        if record is None:
-            plan = self._plan_cache.get(db, rule.body, frozenset(),
-                                        self._run_catalog)
-            record = _RulePlanRecord(rule, plan)
-            # Facts (empty bodies) have nothing to compile: the
-            # interpreted walk yields the empty binding once.
-            if not self._interpreted and plan.steps:
-                cplan = compile_columnar_plan(db, plan, self._policy)
-                record.kernels = cplan.kernel_names
-                record.emit, raw, record.head = self._head_emitter(
-                    db, rule, realizer, cplan)
-                record.execute_cols, record.head_pairs = \
-                    cplan.column_executor(record.counters,
-                                          project=variables_of(rule.head),
-                                          raw=raw, budget=self._budget)
-                self.stats.plans_compiled += 1
-            self._plan_records[id(rule)] = record
-        else:
-            self._plan_cache.hits += 1
-        if record.execute_cols is not None:
-            cols, nrows = record.execute_cols({})
-            record.bindings += nrows
-            record.firings += 1
-            self._realize_columns(db, rule, record, cols, nrows, realizer)
-            return
-        solutions = list(execute_plan(db, record.plan, {}, self._policy,
-                                      record.counters, interpreted=True))
-        record.bindings += len(solutions)
-        record.firings += 1
-        self._realize_all(db, rule, solutions, realizer)
-
-    def _fire_delta(self, db: Database, rule: NormalizedRule,
-                    realizer: HeadRealizer, delta: DeltaIndex,
-                    positions: list[int]) -> None:
-        solutions: list[Binding] = []
-        # Column batches are materialised first and realised after the
-        # position loop, preserving the invariant that the solver never
-        # iterates indexes the realizer mutates.
-        batches: list[tuple[_DeltaPlanRecord, list, int]] = []
-        for position in positions:
-            atom = rule.body[position]
-            # All of the delta atom's variables are bound in every seed,
-            # so one plan covers every seed of this position.
-            key = (id(rule), position)
-            record = self._delta_records.get(key)
-            if record is None:
-                rest = rule.body[:position] + rule.body[position + 1:]
-                bound = relevant_bound(rest, atom.variables())
-                plan = self._plan_cache.get(db, rest, bound,
-                                            self._run_catalog)
-                record = _DeltaPlanRecord(plan)
-                if not self._interpreted:
-                    cplan = compile_columnar_delta_plan(db, atom, plan,
-                                                        self._policy)
-                    record.emit, raw, _ = self._head_emitter(
-                        db, rule, realizer, cplan)
-                    record.execute_cols, record.head_pairs = \
-                        cplan.column_executor(
-                            record.counters,
-                            project=variables_of(rule.head),
-                            raw=raw, budget=self._budget)
-                    self.stats.plans_compiled += 1
-                self._delta_records[key] = record
-            else:
-                self._plan_cache.hits += 1
-            if record.execute_cols is not None:
-                cols, nrows = record.execute_cols(delta)
-                batches.append((record, cols, nrows))
-                continue
-            counters = record.counters
-            rest_counters = record.rest_counters
-            for seed in match_atom_delta(db, atom, {}, delta.boxed(),
-                                         self._policy):
-                counters[0] += 1
-                solutions.extend(
-                    execute_plan(db, record.plan, seed, self._policy,
-                                 rest_counters, interpreted=True)
-                )
-        if solutions:
-            self._realize_all(db, rule, solutions, realizer)
-        for record, cols, nrows in batches:
-            self._realize_columns(db, rule, record, cols, nrows, realizer)
-
-    def _head_emitter(self, db: Database, rule: NormalizedRule,
-                      realizer: HeadRealizer, cplan):
-        """``(emit, raw, rung)``: how one columnar plan's batches are
-        realised, and the name EXPLAIN gives that head rung.
-
-        ``emit(cols, nrows, log)`` is the first that applies of:
-
-        - ``int writer`` -- the int-native emitter
-          (:func:`~repro.engine.columnar.columnar_head_emitter`): stored
-          scalar and set filters, also over scalar path steps that
-          create virtual objects; it alone consumes ``raw`` surrogate
-          columns, skipping the deref at the plan boundary;
-        - ``column program`` -- the realizer's compiled column program
-          (:meth:`~repro.engine.heads.HeadRealizer.compile_columns`)
-          for every other head: isa filters, ``@``-arguments, a method
-          written twice, an open change log, virtual objects outside
-          the int writer's shape, computed methods, built-in filters.
-
-        Support recording observes per binding, so tracked rules get no
-        emitter and fall back to ``per-row realize`` -- as does a head
-        with a variable the plan does not bind.
-        """
-        emit = None
-        if self.support is None or not self.support.tracks(rule):
-            emit = columnar_head_emitter(db, rule, cplan, realizer)
-            rung = "int writer"
-            if emit is None:
-                emit = realizer.compile_columns(rule.head, cplan.slots)
-                rung = "column program"
-        if emit is None:
-            rung = "per-row realize"
-            self.stats.heads_fallback += 1
-        else:
-            self.stats.heads_compiled += 1
-        return emit, rung == "int writer", rung
-
-    def _realize_columns(self, db: Database, rule: NormalizedRule,
-                         record, cols: list, nrows: int,
-                         realizer: HeadRealizer) -> None:
-        """Realise one batch of solution columns, set-at-a-time.
-
-        The record's emitter (see :meth:`_head_emitter`) asserts the
-        heads straight from the columns; plans without one fall back to
-        per-row realisation through :meth:`_realize_all`.
-        """
-        fault_point("engine.emit")
-        self.stats.batches += 1
-        self.stats.batch_rows += nrows
-        if not nrows:
-            return
-        if record.emit is not None:
-            record.emit(cols, nrows, realizer.log)
-            self.stats.firings += nrows
-            return
-        pairs = record.head_pairs
-        solutions = [
-            {var: cols[slot][i] for var, slot in pairs}
-            for i in range(nrows)
-        ]
-        self._realize_all(db, rule, solutions, realizer)
-
-    def _realize_all(self, db: Database, rule: NormalizedRule,
-                     solutions: list[Binding],
-                     realizer: HeadRealizer) -> None:
-        fault_point("engine.emit")
-        support = self.support
-        if support is not None and support.tracks(rule):
-            for binding in solutions:
-                support.observe(rule, binding, db)
-                realizer.realize(rule.head, binding)
-                self.stats.firings += 1
-            return
-        for binding in solutions:
-            realizer.realize(rule.head, binding)
-            self.stats.firings += 1
 
     # ------------------------------------------------------------------
     # Incremental maintenance entry point
@@ -559,16 +619,17 @@ class Engine:
         the run recorded support (``record_support=True``) the
         maintainer uses the counting algorithm for non-recursive
         support; otherwise everything is delete-and-rederive.
-        Maintenance counters are accumulated into this engine's
-        :attr:`stats`.
+        Maintenance rounds run on the maintainer's own
+        :class:`Evaluation` under this engine's limits and budget; the
+        maintenance counters (runs, overdeleted, rederived, reinserted)
+        are accumulated into this engine's :attr:`stats`.
         """
         from repro.engine.incremental import Maintainer
 
         return Maintainer(
-            result, base, self._rules, policy=self._policy,
-            support=self.support, interpreted=self._interpreted,
-            stats=self.stats,
-            max_virtual_depth=self._limits.max_virtual_depth,
+            result, base, self._rules, limits=self._limits,
+            policy=self._policy, support=self.support,
+            interpreted=self._interpreted, stats=self.stats,
             budget=self._budget,
         )
 

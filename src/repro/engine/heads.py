@@ -26,8 +26,8 @@ emitter.
 
 Two entry points share one set of primitives: :meth:`HeadRealizer.realize`
 walks the spine for one binding (tuple-at-a-time evaluation,
-support-tracked rules, incremental maintenance -- and the reference the
-other is tested against), and :meth:`HeadRealizer.compile_columns`
+support-tracked rules -- and the reference the other is tested
+against), and :meth:`HeadRealizer.compile_columns`
 lowers the spine once into a flat program that the columnar executor
 runs over whole solution columns.  The engine's int batch writer
 (:func:`repro.engine.columnar.columnar_head_emitter`) comes first for
@@ -78,7 +78,7 @@ class HeadRealizer:
         #: Newly asserted primitives: anything with ``append`` and
         #: ``len``.  The engine swaps in a fresh
         #: :class:`~repro.engine.delta.DeltaIndex` per round, the
-        #: maintainer a list per pass.
+        #: maintainer a list to collect what it replays.
         self.log: list[Derived] = []
         #: Total number of virtual objects this realizer created.
         self.virtuals_created = 0

@@ -31,17 +31,15 @@ instead of re-deriving the whole fixpoint from scratch:
 
 - **Insertion** is the easy monotone direction: new base facts are
   replayed into the view and the rules fire semi-naively with the
-  insertions as the initial delta, stratum by stratum (mirroring the
-  engine's own iteration, including the full-evaluation escape for
-  ``isa`` deltas).
+  insertions as the initial delta, stratum by stratum.
 
-All three passes round the way the engine does: each round partitions
-its batch once and fires only the rule positions it can seed
-(:mod:`repro.engine.delta`).  Seeded positions and goal-directed
-existence checks run on the columnar executor, and so do full firings
-(impure rules, isa readers in isa rounds), through the ad-hoc solver
-(:func:`~repro.engine.solve.solve`); a maintainer built for an
-``interpreted=True`` engine runs all three on the interpreted matcher.
+Insertion and rederivation seed the engine's own stratum loop
+(:meth:`~repro.engine.fixpoint.Evaluation.run_stratum`) on one
+:class:`~repro.engine.fixpoint.Evaluation` kept over the result
+database, sharing its records, head rungs, limits and budget.  The
+overdelete closure reads the head-variable columns of the same delta
+records.  A maintainer built for an ``interpreted=True`` engine runs
+all of it on the interpreted matcher.
 
 Re-asserted facts are bit-identical tuples of the facts that were
 removed, so **virtual-object identity is preserved** -- a rederived
@@ -72,7 +70,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 from repro.core import builtins as _builtins
 from repro.core.ast import (
@@ -84,16 +81,14 @@ from repro.core.ast import (
     Var,
 )
 from repro.core.variables import variables_of
-from repro.engine.columnar import (
-    compile_columnar_delta_plan,
-    compile_columnar_plan,
-)
+from repro.engine.columnar import compile_columnar_plan
 from repro.engine.delta import DeltaIndex, SeedIndex
-from repro.engine.heads import HeadRealizer
-from repro.engine.matching import Binding, MatchPolicy, match_atom_delta
+from repro.engine.fixpoint import EngineLimits, Evaluation
+from repro.engine.matching import Binding, MatchPolicy
 from repro.engine.normalize import ISA_PRED, NormalizedRule, Pred, pred_matches
-from repro.engine.planner import PlanCache, relevant_bound
-from repro.engine.solve import execute_plan, solve
+from repro.engine.planner import relevant_bound
+from repro.engine.profiler import EngineStats
+from repro.engine.solve import execute_plan
 from repro.engine.stratify import stratify
 from repro.flogic.atoms import EnumSupersetAtom, SupersetAtom
 from repro.oodb.database import ChangeEntry, Database
@@ -466,51 +461,34 @@ def net_changes(changes) -> tuple[list[Fact], list[Fact]]:
 # The maintainer
 # ---------------------------------------------------------------------------
 
-class _DeltaExec:
-    """Cached delta machinery for one (rule, body position)."""
-
-    __slots__ = ("plan", "execute_cols", "head_pairs")
-
-    def __init__(self, plan) -> None:
-        self.plan = plan
-        self.execute_cols = None  #: columnar executor (None: interpreted)
-        self.head_pairs: tuple = ()
-
-
 class Maintainer:
     """Maintains one materialised result database under base changes.
 
     Owned by the engine that produced the result
     (:meth:`repro.engine.fixpoint.Engine.maintainer`); one maintainer
-    per memoised result.  Plans, columnar delta kernels, and the
-    support index persist across :meth:`apply` calls, so a steady
-    stream of single-fact updates pays planning and kernel lowering
-    once.  The result database gets its own change log so its
+    per memoised result.  Its :attr:`evaluation` (plans, compiled
+    records, head emitters) and the support index persist across
+    :meth:`apply` calls, so a steady stream of single-fact updates pays
+    planning and kernel lowering once.  The result database gets its own change log so its
     cardinality catalog is patched rather than rebuilt after each
     maintenance run.
     """
 
     def __init__(self, db: Database, base: Database,
                  rules: list[NormalizedRule], *,
+                 limits: EngineLimits,
                  policy: MatchPolicy,
                  support: SupportIndex | None = None,
                  interpreted: bool = False,
-                 stats=None, max_virtual_depth: int = 32,
-                 budget=None) -> None:
+                 stats=None, budget=None) -> None:
         self._db = db
         self._base = base
         self._rules = list(rules)
-        self._policy = policy
         self._support = support
         #: Cooperative :class:`~repro.engine.budget.QueryBudget` (or
-        #: None): checked once per maintenance round, per kernel step,
-        #: and every 256 rows of a full firing.  Expiry raises mid-apply
-        #: and rides the same rollback as any other failure.
+        #: None), checked per round and kernel step: expiry raises
+        #: mid-apply and rides the same rollback as any other failure.
         self._budget = budget
-        #: Run every pass on the interpreted matcher (the test oracle).
-        self._interpreted = interpreted
-        # Columnar seeds read each round's buckets as interned columns.
-        self._partition = partial(DeltaIndex, interner=db.interner)
         self._stats = stats
         self._strata = stratify(self._rules)
         self._stratum_of: dict[int, int] = {}
@@ -532,11 +510,15 @@ class Maintainer:
             spec = self._specs[id(rule)]
             if spec is not None:
                 self._protected.update(spec.facts(db, {}))
-        self._plan_cache = PlanCache(track_version=False)
-        self._delta_execs: dict[tuple[int, int], _DeltaExec] = {}
-        self._realizer = HeadRealizer(db, max_virtual_depth=max_virtual_depth)
         # Keep the result database's own catalog patchable in place.
+        # Records compiled under the open log never take the int writer
+        # (its mirror-first writes escape the log and rollback_changes):
+        # heads write through the logged API and project boxed columns.
         db.begin_changes()
+        #: The stratum loop's state; its stats count maintenance work.
+        self.evaluation = Evaluation(
+            db, limits=limits, policy=policy, interpreted=interpreted,
+            budget=budget, support=support, stats=EngineStats())
 
     # -- public entry point ---------------------------------------------
 
@@ -560,7 +542,7 @@ class Maintainer:
         fault_point("maintain.apply")
         budget = self._budget
         if budget is not None:
-            budget.start()
+            budget.begin_run()
             budget.check("maintain.apply")
         inserted, deleted = net_changes(changes)
         report = MaintenanceReport(applied=True,
@@ -579,6 +561,7 @@ class Maintainer:
         report.rules_affected = len(affected)
         # -- writes start here; everything below is all-or-nothing ------
         checkpoint = self._db.begin_changes().cursor()
+        universe = self._db.universe()  # U as it was, restored on failure
         support = self._support
         if support is not None:
             support.begin_txn()
@@ -590,8 +573,8 @@ class Maintainer:
         except BaseException:
             if support is not None:
                 support.rollback_txn()
-            self._db.rollback_changes(checkpoint)
-            self._realizer.log = []
+            self._db.rollback_changes(checkpoint, universe)
+            self.evaluation.realizer.log = []
             raise
         if support is not None:
             support.commit_txn()
@@ -746,27 +729,37 @@ class Maintainer:
         candidate_keys: set = set()
         candidates: list = []
         budget = self._budget
+        evaluation = self.evaluation
         seeds = SeedIndex(db, affected)
         frontier = list(overdeleted)
         while frontier:
             fault_point("maintain.overdelete")
             if budget is not None:
                 budget.check("maintain.overdelete")
-            batch = self._partition(frontier)
+            batch = DeltaIndex(frontier, interner=db.interner)
             frontier = []
             for at, positions in seeds.plan(batch):
                 rule = affected[at]
                 spec = self._specs[id(rule)]
                 for position in positions:
-                    for binding in self._delta_solutions(rule, position,
-                                                         batch):
+                    record = evaluation.delta_record(rule, position)
+                    if record.execute_cols is None:
+                        bindings = evaluation.walk_delta(rule, position,
+                                                         record, batch)
+                    else:  # head-variable columns, boxed (see __init__)
+                        cols, nrows = record.execute_cols(batch)
+                        pairs = record.head_pairs
+                        bindings = [{var: cols[slot][i]
+                                     for var, slot in pairs}
+                                    for i in range(nrows)]
+                    for binding in bindings:
                         # Project onto the head variables: a support is
                         # a (rule, head binding) pair, and its later
                         # aliveness re-check must be existential over
                         # the whole body -- seeding the full (dead)
                         # body valuation would wrongly kill facts whose
                         # other valuations survive.  (The columnar
-                        # plans already project; the interpreted path
+                        # records already project; the interpreted walk
                         # yields full bindings.)
                         head_binding = {v: binding[v]
                                         for v in spec.head_vars}
@@ -799,7 +792,7 @@ class Maintainer:
         fault_point("maintain.dred")
         db = self._db
         support = self._support
-        budget = self._budget
+        realizer = self.evaluation.realizer
         removed: list[Fact] = []
         for fact in facts:
             if db.apply_entry("-", fact):
@@ -808,7 +801,7 @@ class Maintainer:
                 if support is not None:
                     support.forget(fact)
         rederived: list[Fact] = []
-        self._realizer.log = rederived
+        realizer.log = rederived
         for fact in removed:
             pred = fact_pred(fact)
             for rule in self._rules:
@@ -818,31 +811,15 @@ class Maintainer:
                 spec = self._specs[id(rule)]
                 if any(self._body_solvable(rule, binding)
                        for binding in spec.unify(db, fact)):
-                    self._realizer.replay((fact,))
+                    realizer.replay((fact,))
                     report.rederived += 1
                     break
         # Propagate: a rederived fact may restore support for other
-        # removed facts of this stratum (semi-naive, realizer-logged).
-        delta = rederived
-        group = self._strata[level]
-        seeds = SeedIndex(db, group)
-        while delta:
-            fault_point("maintain.rederive")
-            if budget is not None:
-                budget.check("maintain.rederive", stratum=level)
-            log: list = []
-            self._realizer.log = log
-            batch = self._partition(delta)
-            for at, positions in seeds.plan(batch):
-                rule = group[at]
-                for position in positions:
-                    # Materialise before realising: the realizer mutates
-                    # the indexes the delta kernels iterate.
-                    for binding in list(self._delta_solutions(
-                            rule, position, batch)):
-                        self._realizer.realize(rule.head, binding)
-            report.rederived += len(log)
-            delta = log
+        # removed facts of this stratum.
+        if rederived:
+            report.rederived += self.evaluation.run_stratum(
+                self._strata[level], level, site="maintain.rederive",
+                seed=DeltaIndex(rederived, interner=db.interner))
 
     # -- the insertion pass ---------------------------------------------
 
@@ -850,55 +827,23 @@ class Maintainer:
                      affected: list[NormalizedRule],
                      report: MaintenanceReport) -> None:
         db = self._db
-        support = self._support
-        budget = self._budget
-        carry: list[Fact] = []
-        self._realizer.log = carry
-        self._realizer.replay(inserted)
+        evaluation = self.evaluation
+        log = db.change_log
+        start = log.cursor()
+        evaluation.realizer.log = []
+        evaluation.realizer.replay(inserted)
         affected_ids = {id(rule) for rule in affected}
-        for group in self._strata:
+        for level, group in enumerate(self._strata):
             rules = [rule for rule in group if id(rule) in affected_ids]
             if not rules:
                 continue
-            seeds = SeedIndex(db, rules)
-            isa_readers = frozenset(at for at, rule in enumerate(rules)
-                                    if _reads_isa(rule))
-            delta = list(carry)
-            while delta:
-                fault_point("maintain.insert")
-                if budget is not None:
-                    budget.check("maintain.insert")
-                log: list = []
-                self._realizer.log = log
-                batch = self._partition(delta)
-                for at, positions in seeds.plan(
-                        batch, isa_readers if batch.has_isa else frozenset()):
-                    rule = rules[at]
-                    if positions is None:
-                        self._fire_full(rule, db, support)
-                        continue
-                    for position in positions:
-                        # Materialise before realising (the realizer
-                        # mutates the indexes the kernels iterate).
-                        for binding in list(self._delta_solutions(
-                                rule, position, batch)):
-                            if support is not None:
-                                support.observe(rule, binding, db)
-                            self._realizer.realize(rule.head, binding)
-                report.reinserted += len(log)
-                carry.extend(log)
-                delta = log
-
-    def _fire_full(self, rule: NormalizedRule, db: Database,
-                   support: SupportIndex | None) -> None:
-        solutions = solve(db, rule.body, {}, self._policy,
-                          cache=self._plan_cache,
-                          interpreted=self._interpreted,
-                          budget=self._budget)
-        for binding in list(solutions):
-            if support is not None:
-                support.observe(rule, binding, db)
-            self._realizer.realize(rule.head, binding)
+            # Seed: everything the pass wrote so far, from the result's
+            # change log (every maintained head writes through it).
+            carry = [fact for _, fact in log.since(start)]
+            if carry:
+                report.reinserted += evaluation.run_stratum(
+                    rules, level, site="maintain.insert",
+                    seed=DeltaIndex(carry, interner=db.interner))
 
     # -- body evaluation ------------------------------------------------
 
@@ -910,51 +855,18 @@ class Maintainer:
         (:meth:`~repro.engine.columnar.ColumnarPlan.exists`): the check
         wants the first surviving row, not all of them.
         """
+        evaluation = self.evaluation
         bound = relevant_bound(rule.body, binding)
-        plan = self._plan_cache.get(self._db, rule.body, bound)
-        if self._interpreted:
-            for _ in execute_plan(self._db, plan, binding, self._policy,
-                                  interpreted=True, budget=self._budget):
+        plan = evaluation.plan_cache.get(self._db, rule.body, bound)
+        if evaluation.interpreted:
+            for _ in execute_plan(self._db, plan, binding,
+                                  evaluation.policy, interpreted=True,
+                                  budget=self._budget):
                 return True
             return False
-        return compile_columnar_plan(self._db, plan, self._policy).exists(
-            binding, self._stats, self._budget)
-
-    def _delta_solutions(self, rule: NormalizedRule, position: int,
-                         batch: DeltaIndex):
-        """Solutions of a rule body seeded from ``batch`` at ``position``.
-
-        Yields head-variable bindings through the cached columnar delta
-        plan for the position (the engine's own semi-naive machinery),
-        or full body bindings from the interpreted seed walk.
-        """
-        atom = rule.body[position]
-        key = (id(rule), position)
-        record = self._delta_execs.get(key)
-        if record is None:
-            rest = rule.body[:position] + rule.body[position + 1:]
-            bound = relevant_bound(rest, atom.variables())
-            record = _DeltaExec(self._plan_cache.get(self._db, rest, bound))
-            if not self._interpreted:
-                record.execute_cols, record.head_pairs = \
-                    compile_columnar_delta_plan(
-                        self._db, atom, record.plan, self._policy
-                    ).column_executor(None, project=variables_of(rule.head),
-                                      budget=self._budget)
-            self._delta_execs[key] = record
-        if record.execute_cols is not None:
-            cols, nrows = record.execute_cols(batch)
-            pairs = record.head_pairs
-            if self._stats is not None:
-                self._stats.batches += 1
-                self._stats.batch_rows += nrows
-            for i in range(nrows):
-                yield {var: cols[slot][i] for var, slot in pairs}
-            return
-        for seed in match_atom_delta(self._db, atom, {}, batch.boxed(),
-                                     self._policy):
-            yield from execute_plan(self._db, record.plan, seed,
-                                    self._policy, interpreted=True)
+        return compile_columnar_plan(
+            self._db, plan, evaluation.policy).exists(
+                binding, evaluation.stats, self._budget)
 
 
 def _reads_any(rule: NormalizedRule, preds: set[Pred]) -> bool:
@@ -963,7 +875,3 @@ def _reads_any(rule: NormalizedRule, preds: set[Pred]) -> bool:
         for read in rule.weak_reads | rule.strong_reads
         for pred in preds
     )
-
-
-def _reads_isa(rule: NormalizedRule) -> bool:
-    return any(read == ISA_PRED for read in rule.weak_reads)

@@ -62,8 +62,9 @@ class EngineStats:
     #: same way for the columnar executor and the interpreted oracle.
     tuples: int = 0
     #: Columnar executions performed: one per rule firing or seeded
-    #: delta position, plus one per maintenance delta position and
-    #: goal-directed existence check (0 for an interpreted run).
+    #: delta position, plus one per goal-directed existence check (0 for
+    #: an interpreted run).  A maintainer counts these, and the other
+    #: work counters, into its own evaluation's stats.
     batches: int = 0
     #: Solution rows those columnar executions produced (for an
     #: existence check, the rows it pushed before stopping).

@@ -566,7 +566,8 @@ class Database:
             return 0
         return max(0, log.cursor() - min(cursors))
 
-    def rollback_changes(self, cursor: int) -> int:
+    def rollback_changes(self, cursor: int,
+                         universe: frozenset[Oid] | None = None) -> int:
         """Undo every change recorded after ``cursor``, newest first.
 
         The transactional backbone of incremental maintenance
@@ -587,6 +588,8 @@ class Database:
         ``-`` entry by re-asserting it; by the time an earlier entry is
         undone every later entry touching the same fact has already
         been reversed, so re-asserts can never hit a scalar conflict.
+        ``universe``, a :meth:`universe` snapshot taken with the
+        checkpoint, also drops the objects added to ``U`` since.
         Returns how many entries were undone.
         """
         log = self._change_log
@@ -595,6 +598,8 @@ class Database:
         entries = log.since(cursor)
         for sign, fact in reversed(entries):
             self.apply_entry("-" if sign == "+" else "+", fact)
+        if universe is not None:
+            self._universe &= universe
         return len(entries)
 
     def trim_changes(self) -> int:

@@ -25,7 +25,10 @@ pytestmark = pytest.mark.property
 #: Rules sweep counting (non-recursive d2/d6), DRed (recursive d1),
 #: derived-from-derived (d3), stratified negation (d4), and a
 #: virtual-creating path head (v5) -- the last two exercise the
-#: fallback-to-rebuild path under the relevant mutations.
+#: fallback-to-rebuild path under the relevant mutations.  d7 negates
+#: ``m1``, which no mutation touches, so its seeded rounds run the
+#: negation step instead of falling back; d8's variable method puts
+#: its position on the seed index's always-fire list.
 RULES = """
     p1[d1 ->> {b}].
     a[d2 -> 1].
@@ -36,6 +39,8 @@ RULES = """
     X[d4 -> 1] <- X : c1, not X[kids ->> {K}].
     X.v5[tag -> 1] <- X[color -> red].
     X : c9 <- X[boss -> Y].
+    X[d7 ->> {Y}] <- X[kids ->> {Y}], not Y[m1 -> 1].
+    X[d8 ->> {M}] <- X[M -> red].
 """
 
 QUERIES = (
@@ -46,6 +51,8 @@ QUERIES = (
     "X[d4 -> V]",
     "X[v5 -> S]",
     "X : c9",
+    "X[d7 ->> {Y}]",
+    "X[d8 ->> {M}]",
 )
 
 SUBJECTS = ("p1", "p2", "a", "b", "c")

@@ -8,7 +8,7 @@ EXPLAIN ``maintenance:`` section.
 
 import pytest
 
-from repro.engine.fixpoint import Engine
+from repro.engine.fixpoint import Engine, EngineLimits
 from repro.engine.incremental import (
     MaintenanceReport,
     SupportIndex,
@@ -505,6 +505,117 @@ class TestQueryIntegration:
         row = query.last_demand.stats.as_row()
         assert row["maintenance"] == 1
         assert row["overdeleted"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Maintenance rounds on the engine's stratum loop
+# ---------------------------------------------------------------------------
+
+PATH_DESC = """
+    X[desc ->> {Y}] <- X[kids ->> {Y}].
+    X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
+"""
+
+SAME_DEPT = "X[sameDept ->> {Y}] <- X[worksFor -> D], Y[worksFor -> D]."
+
+
+def extend_chain(db, start, stop):
+    """kids edges n<start> -> n<start+1> -> ... -> n<stop>."""
+    kids = db.obj("kids")
+    for i in range(start, stop):
+        db.assert_set_member(kids, db.obj(f"n{i}"), (), db.obj(f"n{i + 1}"))
+
+
+def staff(db):
+    works = db.obj("worksFor")
+    for i, dept in enumerate(("d1", "d1", "d2", "d2", "d2")):
+        db.assert_scalar(works, db.obj(f"e{i}"), (), db.obj(dept))
+    return works
+
+
+class TestMaintenanceRounds:
+    def test_maintenance_honours_max_iterations(self):
+        from repro.errors import ResourceLimitError
+        from repro.oodb.serialize import to_dict
+
+        limits = EngineLimits(max_iterations=6)
+        program = parse_program(PATH_DESC)
+        db = Database()
+        log = db.begin_changes()
+        extend_chain(db, 0, 3)  # a run needs four rounds
+        engine = Engine(db, program, limits=limits)
+        result = engine.run()
+        query = Query(db, program=program, magic=False, limits=limits)
+        assert len(query.all("n0[desc ->> {Y}]")) == 3
+        maintainer = engine.maintainer(result, db)
+        cursor = log.cursor()
+        extend_chain(db, 3, 20)  # 17 more edges: ~20 rounds to close
+        before = to_dict(result)
+        with pytest.raises(ResourceLimitError, match="max_iterations"):
+            maintainer.apply(log.since(cursor))
+        assert to_dict(result) == before  # rolled back, all or nothing
+        # A fresh evaluation of the changed base hits the same limit, and
+        # the served memo answers the same way instead of serving the
+        # maintained closure.
+        with pytest.raises(ResourceLimitError):
+            Engine(db, program, limits=limits).run()
+        with pytest.raises(ResourceLimitError):
+            query.all("n0[desc ->> {Y}]")
+        assert not query.last_maintenance.applied
+        assert "ResourceLimitError" in query.last_maintenance.reason
+
+    def test_maintained_inserts_take_the_column_program(self):
+        db = Database()
+        log = db.begin_changes()
+        works = staff(db)
+        program = parse_program(SAME_DEPT)
+        engine = Engine(db, program)
+        result = engine.run()
+        assert "head: int writer" in engine.explain()
+        maintainer = engine.maintainer(result, db)
+        cursor = log.cursor()
+        db.assert_scalar(works, db.obj("e5"), (), db.obj("d1"))
+        report = maintainer.apply(log.since(cursor))
+        assert report.applied and report.reinserted == 5  # 3 x 3 - 2 x 2
+        evaluation = maintainer.evaluation
+        assert evaluation.stats.heads_fallback == 0
+        assert evaluation.stats.heads_compiled == 2  # both positions
+        assert {record.head for record in evaluation.delta_records.values()} \
+            == {"column program"}
+        fresh = Engine(db, program).run()
+        assert dict(result.sets.items()) == dict(fresh.sets.items())
+
+    def test_support_tracked_inserts_stay_per_row(self):
+        db = Database()
+        log = db.begin_changes()
+        works = staff(db)
+        engine = Engine(db, parse_program(SAME_DEPT), record_support=True)
+        result = engine.run()
+        maintainer = engine.maintainer(result, db)
+        cursor = log.cursor()
+        db.assert_scalar(works, db.obj("e5"), (), db.obj("d1"))
+        assert maintainer.apply(log.since(cursor)).reinserted == 5
+        evaluation = maintainer.evaluation
+        assert evaluation.stats.heads_compiled == 0
+        assert {record.head for record in evaluation.delta_records.values()} \
+            == {"per-row realize"}
+
+    def test_maintenance_counts_into_the_report_not_the_run(self):
+        db = Database()
+        log = db.begin_changes()
+        extend_chain(db, 0, 3)
+        engine = Engine(db, parse_program(PATH_DESC))
+        result = engine.run()
+        derived, iterations = engine.stats.derived_total, \
+            list(engine.stats.iterations)
+        maintainer = engine.maintainer(result, db)
+        cursor = log.cursor()
+        extend_chain(db, 3, 5)
+        report = maintainer.apply(log.since(cursor))
+        assert report.reinserted == 15 - 6  # the closure of 5 edges grew
+        assert engine.stats.facts_reinserted == report.reinserted
+        assert engine.stats.derived_total == derived
+        assert engine.stats.iterations == iterations
 
 
 # ---------------------------------------------------------------------------
