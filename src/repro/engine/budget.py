@@ -10,15 +10,17 @@ maintenance round -- and the budget raises a typed
 :class:`~repro.errors.BudgetExceededError` carrying where evaluation
 stopped.  Nothing is pre-empted: between two checkpoints the engine
 runs unobserved, so detection latency is bounded by the work one
-checkpoint interval does (for the fixpoint loop, one iteration -- the
-B15 benchmark records the observed latency).
+checkpoint interval does (for the fixpoint loop, one iteration).
 
 Budgets are *shared* across the layers one request touches: the same
 object threads through :class:`~repro.query.query.Query`,
 :class:`~repro.engine.fixpoint.Engine`,
 :func:`~repro.engine.solve.solve`, and
-:class:`~repro.engine.incremental.Maintainer`, so a deadline covers the
-whole request, not each stage separately.  The wall-clock deadline
+:class:`~repro.engine.incremental.Maintainer` (as an argument of each
+:meth:`~repro.engine.incremental.Maintainer.apply`: a memo's upkeep is
+charged to the request that needs it, never to the one that built the
+memo), so a deadline covers the whole request, not each stage
+separately.  The wall-clock deadline
 anchors at the first :meth:`start` (or :meth:`check`); the derived-fact
 cap is per engine run (:meth:`begin_run` resets it), matching the
 intuition "no single fixpoint may derive more than N facts".

@@ -492,18 +492,17 @@ class Engine:
     @classmethod
     def for_query(cls, db: Database,
                   program: Union[Program, Iterable[Rule]],
-                  query, *, magic: bool = True, **kwargs):
+                  query, **kwargs):
         """A :class:`~repro.engine.magic.DemandEngine` for one query.
 
-        With ``magic=True`` (the default) the program is magic-set
-        rewritten so evaluation derives only the facts the query
-        demands; ``magic=False`` is the full-fixpoint baseline.
-        ``query`` may be PathLog text, parsed literals, or flattened
-        atoms; the remaining keyword arguments are this class's.
+        The program is magic-set rewritten so evaluation derives only
+        the facts the query demands.  ``query`` may be PathLog text,
+        parsed literals, or flattened atoms; the remaining keyword
+        arguments are this class's.
         """
         from repro.engine.magic import DemandEngine
 
-        return DemandEngine(db, program, query, magic=magic, **kwargs)
+        return DemandEngine(db, program, query, **kwargs)
 
     def run(self) -> Database:
         """Evaluate to fixpoint; returns the materialised database.
@@ -620,7 +619,9 @@ class Engine:
         maintainer uses the counting algorithm for non-recursive
         support; otherwise everything is delete-and-rederive.
         Maintenance rounds run on the maintainer's own
-        :class:`Evaluation` under this engine's limits and budget; the
+        :class:`Evaluation` under this engine's limits; each
+        :meth:`~repro.engine.incremental.Maintainer.apply` call brings
+        its own budget (the run's budget belonged to the run).  The
         maintenance counters (runs, overdeleted, rederived, reinserted)
         are accumulated into this engine's :attr:`stats`.
         """
@@ -630,7 +631,6 @@ class Engine:
             result, base, self._rules, limits=self._limits,
             policy=self._policy, support=self.support,
             interpreted=self._interpreted, stats=self.stats,
-            budget=self._budget,
         )
 
 

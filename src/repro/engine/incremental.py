@@ -36,8 +36,9 @@ instead of re-deriving the whole fixpoint from scratch:
 Insertion and rederivation seed the engine's own stratum loop
 (:meth:`~repro.engine.fixpoint.Evaluation.run_stratum`) on one
 :class:`~repro.engine.fixpoint.Evaluation` kept over the result
-database, sharing its records, head rungs, limits and budget.  The
-overdelete closure reads the head-variable columns of the same delta
+database, sharing its records, head rungs and limits; the budget is
+the one each :meth:`Maintainer.apply` call passes.  The overdelete
+closure reads the head-variable columns of the same delta
 records.  A maintainer built for an ``interpreted=True`` engine runs
 all of it on the interpreted matcher.
 
@@ -480,15 +481,11 @@ class Maintainer:
                  policy: MatchPolicy,
                  support: SupportIndex | None = None,
                  interpreted: bool = False,
-                 stats=None, budget=None) -> None:
+                 stats=None) -> None:
         self._db = db
         self._base = base
         self._rules = list(rules)
         self._support = support
-        #: Cooperative :class:`~repro.engine.budget.QueryBudget` (or
-        #: None), checked per round and kernel step: expiry raises
-        #: mid-apply and rides the same rollback as any other failure.
-        self._budget = budget
         self._stats = stats
         self._strata = stratify(self._rules)
         self._stratum_of: dict[int, int] = {}
@@ -516,14 +513,22 @@ class Maintainer:
         # heads write through the logged API and project boxed columns.
         db.begin_changes()
         #: The stratum loop's state; its stats count maintenance work.
+        #: Its budget is the current :meth:`apply` call's (None between
+        #: calls).
         self.evaluation = Evaluation(
             db, limits=limits, policy=policy, interpreted=interpreted,
-            budget=budget, support=support, stats=EngineStats())
+            budget=None, support=support, stats=EngineStats())
 
     # -- public entry point ---------------------------------------------
 
-    def apply(self, changes: list[ChangeEntry]) -> MaintenanceReport:
+    def apply(self, changes: list[ChangeEntry], *,
+              budget=None) -> MaintenanceReport:
         """Maintain the result under a change-log slice, all or nothing.
+
+        ``budget`` is this call's cooperative
+        :class:`~repro.engine.budget.QueryBudget` (or None), checked per
+        round and kernel step: expiry raises mid-apply and rides the
+        same rollback as any other failure.
 
         Returns the applied report, or an unapplied one carrying the
         fallback reason -- in which case **nothing was mutated** (all
@@ -540,7 +545,6 @@ class Maintainer:
         """
         started = time.perf_counter()
         fault_point("maintain.apply")
-        budget = self._budget
         if budget is not None:
             budget.begin_run()
             budget.check("maintain.apply")
@@ -565,6 +569,7 @@ class Maintainer:
         support = self._support
         if support is not None:
             support.begin_txn()
+        self.evaluation.budget = budget
         try:
             if deleted:
                 self._delete_pass(deleted, affected, report)
@@ -576,6 +581,8 @@ class Maintainer:
             self._db.rollback_changes(checkpoint, universe)
             self.evaluation.realizer.log = []
             raise
+        finally:
+            self.evaluation.budget = None
         if support is not None:
             support.commit_txn()
         # Keep the result database's private log bounded: fold the
@@ -672,7 +679,7 @@ class Maintainer:
         for entry in candidates:
             candidates_by_level.setdefault(
                 self._stratum_of[id(entry[0])], []).append(entry)
-        budget = self._budget
+        budget = self.evaluation.budget
         for level in sorted(set(by_level) | set(candidates_by_level)):
             if level < 0:
                 # Pure base data (no rule derives it): the deletion just
@@ -728,8 +735,8 @@ class Maintainer:
             overdeleted[fact] = None
         candidate_keys: set = set()
         candidates: list = []
-        budget = self._budget
         evaluation = self.evaluation
+        budget = evaluation.budget
         seeds = SeedIndex(db, affected)
         frontier = list(overdeleted)
         while frontier:
@@ -861,12 +868,12 @@ class Maintainer:
         if evaluation.interpreted:
             for _ in execute_plan(self._db, plan, binding,
                                   evaluation.policy, interpreted=True,
-                                  budget=self._budget):
+                                  budget=evaluation.budget):
                 return True
             return False
         return compile_columnar_plan(
             self._db, plan, evaluation.policy).exists(
-                binding, evaluation.stats, self._budget)
+                binding, evaluation.stats, evaluation.budget)
 
 
 def _reads_any(rule: NormalizedRule, preds: set[Pred]) -> bool:

@@ -767,19 +767,18 @@ def query_to_atoms(query: QueryLike) -> tuple[Atom, ...]:
 class DemandEngine:
     """Evaluates a program *for one query*: rewrite, then fixpoint.
 
-    With ``magic=True`` (the default) the program is rewritten by
-    :func:`rewrite_for_query` so only demanded facts are derived;
-    ``magic=False`` evaluates the full fixpoint (the baseline the B11
-    benchmark measures against).  Everything else -- semi-naive deltas,
+    The program is rewritten by :func:`rewrite_for_query` so only
+    demanded facts are derived.  Everything else -- semi-naive deltas,
     the cost-based planner, columnar kernels (or, with
     ``interpreted=True``, the interpreted oracle) -- is the ordinary
-    :class:`~repro.engine.fixpoint.Engine` machinery.
+    :class:`~repro.engine.fixpoint.Engine` machinery, which is also
+    what evaluates a program in full.
     """
 
     def __init__(self, db: Database,
                  program: Union[Program, Iterable[Rule],
                                 Iterable[NormalizedRule]],
-                 query: QueryLike, *, magic: bool = True,
+                 query: QueryLike, *,
                  seminaive: bool = True, limits=None,
                  interpreted: bool = False,
                  record_support: bool = False,
@@ -788,15 +787,9 @@ class DemandEngine:
 
         self._db = db
         self.query_atoms = query_to_atoms(query)
-        rules = normalize_program(program)
-        self.magic = magic
-        self.rewrite: MagicRewrite | None = None
-        if magic:
-            self.rewrite = rewrite_for_query(db, rules, self.query_atoms)
-            run_rules = self.rewrite.rules
-        else:
-            run_rules = rules
-        self._engine = Engine(db, run_rules, seminaive=seminaive,
+        self.rewrite: MagicRewrite = rewrite_for_query(
+            db, normalize_program(program), self.query_atoms)
+        self._engine = Engine(db, self.rewrite.rules, seminaive=seminaive,
                               limits=limits, interpreted=interpreted,
                               record_support=record_support,
                               budget=budget)
@@ -819,38 +812,27 @@ class DemandEngine:
         return self._engine.maintainer(result, base)
 
     def run(self) -> Database:
-        """Evaluate (on demand when ``magic``); returns the result db."""
+        """Evaluate on demand; returns the result db."""
         result = self._engine.run()
-        if self.rewrite is not None:
-            stats = self._engine.stats
-            stats.magic_seeds = len(self.rewrite.seeds)
-            stats.rules_rewritten = len(self.rewrite.rewritten)
-            stats.rules_fallback = len(self.rewrite.fallbacks)
+        stats = self._engine.stats
+        stats.magic_seeds = len(self.rewrite.seeds)
+        stats.rules_rewritten = len(self.rewrite.rewritten)
+        stats.rules_fallback = len(self.rewrite.fallbacks)
         self.result = result
         return result
 
     # -- EXPLAIN surface -------------------------------------------------
 
-    def demand_report(self) -> DemandReport | None:
-        """The demand section (None when ``magic=False``)."""
-        if self.rewrite is None:
-            return None
+    def demand_report(self) -> DemandReport:
+        """The demand section."""
         return self.rewrite.report()
 
     def plan_reports(self):
         """Per-rule plans of the last run, with adornment labels."""
-        adornments = self.rewrite.adornments if self.rewrite else {}
-        return self._engine.plan_reports(adornments)
+        return self._engine.plan_reports(self.rewrite.adornments)
 
     def explain(self) -> str:
         """Demand section plus the rule plans of the last run."""
-        parts = []
-        report = self.demand_report()
-        if report is not None:
-            parts.append(report.render())
-        reports = self.plan_reports()
-        if reports:
-            parts.extend(plan.render() for plan in reports)
-        elif not parts:
-            parts.append("no rule plans captured (run the engine first)")
+        parts = [self.demand_report().render()]
+        parts.extend(plan.render() for plan in self.plan_reports())
         return "\n\n".join(parts)

@@ -64,18 +64,18 @@ class Query:
     and shared by every query).  Demand evaluations are memoised per
     flattened conjunction in a bounded LRU.
 
-    With ``incremental=True`` (the default) and an active change log on
-    the base database (:meth:`~repro.oodb.database.Database.begin_changes`),
-    memoised results are **maintained in place** when base facts change:
+    With an active change log on the base database
+    (:meth:`~repro.oodb.database.Database.begin_changes`), memoised
+    results are **maintained in place** when base facts change:
     the recorded insert/delete deltas drive the counting /
     delete-and-rederive passes of :mod:`repro.engine.incremental`
     instead of re-running the fixpoint from scratch.  When maintenance
     must fall back (negation or superset atoms over changed predicates,
     isa deletions, un-rederivable heads) the result is re-derived in
     full and the recorded reason is surfaced through
-    :meth:`explain`'s ``maintenance:`` section.  ``incremental=False``
-    restores the wholesale invalidate-on-any-change baseline (what the
-    B12 benchmark measures against).
+    :meth:`explain`'s ``maintenance:`` section.  Without a change log
+    a memoised result is re-derived on its first use after any base
+    change.
     """
 
     #: Demand memo bound: each entry retains a materialised database
@@ -85,7 +85,6 @@ class Query:
     def __init__(self, db: Database, *, interpreted: bool = False,
                  program=None, magic: bool = True,
                  seminaive: bool = True, limits=None,
-                 incremental: bool = True,
                  memo_entries: int | None = None,
                  budget=None, thread_safe: bool = False) -> None:
         self._db = db
@@ -100,7 +99,6 @@ class Query:
         self._magic = magic
         self._seminaive = seminaive
         self._limits = limits
-        self._incremental = incremental
         self._memo_entries = (self._MAX_DEMAND_ENTRIES
                               if memo_entries is None else memo_entries)
         self._materialized: Database | None = None
@@ -109,7 +107,6 @@ class Query:
         #: One plan cache per memoised result database (keyed by id),
         #: so repeat queries skip planning and kernel lowering.
         self._result_caches: dict[int, PlanCache] = {}
-        self._cache_version: int | None = None
         #: Per-result maintenance bookkeeping (all keyed by result id):
         #: the engine that produced it, its lazily-built maintainer, and
         #: the (data version, change-log cursor) it is synced to.
@@ -174,20 +171,10 @@ class Query:
             budget.check("query")
         version = self._db.data_version()
         self.last_maintenance = None
-        if not self._incremental and version != self._cache_version:
-            # Baseline discipline: any base change invalidates every
-            # memoised result wholesale.
-            self._materialized = None
-            self._demand_dbs.clear()
-            self._demand_engines.clear()
-            self._result_caches.clear()
-            self._engines.clear()
-            self._maintainers.clear()
-            self._memo_state.clear()
-            self._cache_version = version
         if not self._magic:
             result = self._materialized
-            if result is not None and not self._fresh(result, version):
+            if result is not None \
+                    and not self._fresh(result, version, budget):
                 self._forget(result)
                 self._materialized = result = None
             if result is None:
@@ -212,14 +199,14 @@ class Query:
             self._demand_engines[key] = engine
             self._demand_dbs.pop(key)
             self._demand_dbs[key] = result
-            if not self._fresh(result, version):
+            if not self._fresh(result, version, budget):
                 self._evict(key)
                 result = None
         if result is None:
             from repro.engine.magic import DemandEngine
 
             engine = DemandEngine(
-                self._db, self._program, key, magic=True,
+                self._db, self._program, key,
                 seminaive=self._seminaive, limits=self._limits,
                 interpreted=self._interpreted,
                 record_support=self._record_support(),
@@ -248,7 +235,7 @@ class Query:
         *after* this memo entry simply means one more full rebuild on
         the first change -- the replacement run records support.
         """
-        return self._incremental and self._db.change_log is not None
+        return self._db.change_log is not None
 
     def _publish(self, result: Database) -> None:
         """Make ``result`` safe for unlocked concurrent readers.
@@ -268,14 +255,13 @@ class Query:
         self._publish(result)
         self._result_caches[id(result)] = PlanCache()
         log = self._db.change_log
-        if (self._incremental and log is not None
-                and log.in_sync(version, log.cursor())):
+        if log is not None and log.in_sync(version, log.cursor()):
             self._memo_state[id(result)] = (version, log.cursor())
             self._engines[id(result)] = engine
         else:
-            # No provable change log (or incremental off): cursor -1
-            # means plain version comparison -- the entry stays fresh
-            # until any base change, then is discarded.
+            # No provable change log: cursor -1 means plain version
+            # comparison -- the entry stays fresh until any base
+            # change, then is discarded.
             self._memo_state[id(result)] = (version, -1)
         self._update_hold()
 
@@ -302,13 +288,14 @@ class Query:
             self._hold.release()
             self._hold = None
 
-    def _fresh(self, result: Database, version: int) -> bool:
+    def _fresh(self, result: Database, version: int, budget=None) -> bool:
         """Whether ``result`` answers for the current base facts.
 
         True when nothing changed, or when the change log covers the
-        gap and incremental maintenance brought the result up to date.
-        False means the caller must discard and re-derive (the
-        unapplied :class:`MaintenanceReport`, if any, stays on
+        gap and incremental maintenance -- under the calling read's
+        ``budget`` -- brought the result up to date.  False means the
+        caller must discard and re-derive (the unapplied
+        :class:`MaintenanceReport`, if any, stays on
         :attr:`last_maintenance` with its fallback reason).
         """
         state = self._memo_state.get(id(result))
@@ -318,7 +305,7 @@ class Query:
         if old_version == version:
             return True
         log = self._db.change_log
-        if (not self._incremental or log is None or cursor < 0
+        if (log is None or cursor < 0
                 or not log.in_sync(version, log.cursor())
                 or not log.in_sync(old_version, cursor)):
             return False
@@ -330,7 +317,7 @@ class Query:
             maintainer = engine.maintainer(result, self._db)
             self._maintainers[id(result)] = maintainer
         try:
-            report = maintainer.apply(log.since(cursor))
+            report = maintainer.apply(log.since(cursor), budget=budget)
         except BudgetExceededError:
             # The budget expired mid-maintenance.  The maintainer rolled
             # the result back to its consistent pre-call state, so the
@@ -376,8 +363,9 @@ class Query:
         batch, while readers are still excluded: reads that follow find
         every surviving memo entry fresh and never trigger maintenance
         themselves, so result databases are only ever mutated from the
-        writer side of the gate.  Budget expiries raised by the owning
-        engines' budgets propagate after the entry is rolled back.
+        writer side of the gate.  Maintenance here runs unbudgeted: a
+        memo's upkeep is the writer's work, not any one read's, so no
+        read deadline can make it give up.
         """
         maintained = evicted = 0
         with self._lock:

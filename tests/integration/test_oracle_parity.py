@@ -125,7 +125,7 @@ def test_served_answers_match_the_oracle_under_changes(magic):
     for change in [None, *changes]:
         if change is not None:
             change()
-        scratch = Query(db, program=rules, magic=magic, incremental=False)
+        scratch = Query(db.clone(), program=rules, magic=magic)
         for text in texts:
             expected = scratch.all(text)
             assert [query.all(text) for query in queries] \

@@ -6,6 +6,7 @@ boss's city).  E2.5: the Section 2 manager query as a single reference
 vs. the three-clause O2SQL form.
 """
 
+from repro.datasets import CompanyConfig, build_company
 from repro.frontends import run_o2sql, run_xsql
 from repro.query import Query
 
@@ -45,6 +46,18 @@ class TestE21:
         conjunction = {r.value("Z")
                        for r in run_xsql(company_db, E22_XSQL)}
         assert single == conjunction == {"red"}
+        # The same two dimensions against their 1-D conjunction, over
+        # a generated company.
+        generated = Query(build_company(CompanyConfig(employees=200,
+                                                      seed=21)))
+        two_dim = generated.all(
+            "X : employee[age -> A; city -> C]"
+            "..vehicles : automobile[cylinders -> 4].color[Z]")
+        one_dim = generated.all(
+            "X : employee, X.age[A], X.city[C], X..vehicles[Y], "
+            "Y : automobile, Y.cylinders[4], Y.color[Z]",
+            variables=["X", "A", "C", "Z"])
+        assert two_dim and two_dim == one_dim
 
 
 class TestE23:
@@ -76,6 +89,13 @@ class TestE25:
                                                   variables=["X"])}
         o2sql = {r.value("X") for r in run_o2sql(company_db, E25_O2SQL)}
         assert pathlog == o2sql == {"peter"}
+        generated = build_company(CompanyConfig(employees=100, seed=31))
+        pathlog = {r.value("X")
+                   for r in Query(generated).all(E25_PATHLOG,
+                                                 variables=["X"])}
+        o2sql = {r.value("X") for r in run_o2sql(generated, E25_O2SQL)}
+        assert pathlog == o2sql
+        assert "p0" in pathlog  # the dataset's golden anchor
 
     def test_presidency_condition_matters(self, company_db):
         # john has a blue car from ford/boston: no match even though he

@@ -129,10 +129,12 @@ class TestE65GenericTc:
 
         db, _ = build_family(generations=5, branching=2, seed=23)
         via_desc = run(desc_rules(), db=db)
+        via_naive = Engine(db, desc_rules(), seminaive=False).run()
         via_tc = run(generic_tc_rules(), db=db)
         tc_kids = VirtualOid(n("tc"), n("kids"))
         for person in db.universe():
             assert via_desc.set_apply(n("desc"), person) == \
+                via_naive.set_apply(n("desc"), person) == \
                 via_tc.set_apply(tc_kids, person)
 
 

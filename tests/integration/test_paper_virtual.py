@@ -36,8 +36,11 @@ class TestAddressView:
         assert out.scalar_apply(n("city"), ann_addr) == n("newYork")
 
     def test_one_address_per_qualifying_person(self):
-        out = Engine(people_db(), parse_program(ADDRESS_RULE)).run()
+        engine = Engine(people_db(), parse_program(ADDRESS_RULE))
+        out = engine.run()
         assert out.virtual_count() == 2
+        # address, street and city: three scalars per qualifying person.
+        assert engine.stats.derived_scalar == 3 * 2
 
     def test_attributeless_person_gets_no_address(self):
         # cara has neither street nor city: the head reads fail to

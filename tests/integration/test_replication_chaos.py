@@ -91,7 +91,7 @@ def answers_at(program, entries):
     oracle = seeded_db()
     for sign, fact in entries:
         oracle.apply_entry(sign, fact)
-    scratch = Query(oracle, program=program, incremental=False)
+    scratch = Query(oracle.clone(), program=program)
     return frozenset(a.values_dict()["X"] for a in scratch.all(QUERY))
 
 
@@ -239,7 +239,7 @@ def test_apply_faults_roll_replica_batches_back_whole(seed):
 
     assert post["hits"] > 0, "the storm never crossed repl.apply"
     assert_untorn(post["answers"])
-    scratch = Query(db, program=program, incremental=False)
+    scratch = Query(db.clone(), program=program)
     assert post["answers"] == frozenset(
         a.values_dict()["X"] for a in scratch.all(QUERY))
     # (The seeded schedule may not have *fired* at any crossing --
@@ -341,10 +341,10 @@ def test_primary_restart_forces_rebootstrap_and_convergence(seed):
                 message="post-restart catch-up")
 
             # Identical denotations, computed scratch on both sides.
-            wanted = Query(second, program=program,
-                           incremental=False).objects("peter..desc")
-            got = Query(replica.database, program=program,
-                        incremental=False).objects("peter..desc")
+            wanted = Query(second.clone(),
+                           program=program).objects("peter..desc")
+            got = Query(replica.database.clone(),
+                        program=program).objects("peter..desc")
             assert got == wanted
             names = {oid.value for oid in got}
             assert f"reborn{seed}" in names and "comer" in names

@@ -157,7 +157,7 @@ def test_server_survives_fault_storms_and_disconnects(seed, rate):
     assert_untorn(post_storm["answers"])
     # The post-storm answer matches an unfaulted scratch derivation
     # of whatever state the surviving batches produced.
-    scratch = Query(db, program=program, incremental=False)
+    scratch = Query(db.clone(), program=program)
     assert post_storm["answers"] == frozenset(
         a.values_dict()["X"] for a in scratch.all(QUERY))
     # Every version bump is still explained by the log.
@@ -219,7 +219,7 @@ def test_maintain_faults_roll_batches_back_whole(seed):
     final = dict(r for r in results if r[0] == "final")
     assert_untorn(final["final"])
     assert {"after", "storm"} <= final["final"]
-    scratch = Query(db, program=program, incremental=False)
+    scratch = Query(db.clone(), program=program)
     assert final["final"] == frozenset(
         a.values_dict()["X"] for a in scratch.all(QUERY))
     # Every failed write died to the injected schedule (typed on the

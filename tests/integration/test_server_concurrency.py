@@ -62,7 +62,7 @@ def expected_prefix_states():
     program = parse_program(RULES)
 
     def answers():
-        scratch = Query(db, program=program, incremental=False)
+        scratch = Query(db.clone(), program=program)
         return frozenset(a.values_dict()["X"] for a in scratch.all(QUERY))
 
     states = [answers()]

@@ -7,8 +7,8 @@ columnar executor (int-surrogate columns with their boxed per-slot
 fallback) evaluates the rule bodies.  Random queries must return the
 same answer sets through the ad-hoc solver's columnar plans as through
 the oracle (and the same ``objects()`` denotations, pinning virtual-object
-identity), and the invariant must survive ``incremental=True``
-maintenance cycles driven by retraction-heavy mutations.  Surrogates,
+identity), and the invariant must survive incremental maintenance
+cycles driven by retraction-heavy mutations.  Surrogates,
 batching and mirror-first writes change the *representation* -- int
 columns, breadth-first batches, lazy boxed back-fill -- never the
 facts derived, the per-step row counters, or the identity of the
@@ -169,7 +169,7 @@ def test_parity_holds_under_retract_heavy_mutations(db, rules, query,
     """
     db.begin_changes()
     program = parse_program("\n".join(rules))
-    queries = [Query(db, program=program, incremental=True,
+    queries = [Query(db, program=program,
                      interpreted=interpreted) for interpreted in MODES]
     try:
         baselines = [q.all(query) for q in queries]
@@ -179,5 +179,5 @@ def test_parity_holds_under_retract_heavy_mutations(db, rules, query,
     for op in mutations:
         apply_mutation(db, op)
         maintained = [q.all(query) for q in queries]
-        scratch = Query(db, program=program, incremental=False).all(query)
+        scratch = Query(db.clone(), program=program).all(query)
         assert maintained[0] == maintained[1] == scratch

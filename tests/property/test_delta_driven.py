@@ -291,12 +291,12 @@ def test_closure_shape_does_not_change_the_closure(db, rules):
 def test_maintenance_cycles_match_scratch(db, rules, magic, ops):
     db.begin_changes()
     program = parse_program("\n".join(rules))
-    queries = [Query(db, program=program, incremental=True, magic=magic,
+    queries = [Query(db, program=program, magic=magic,
                      interpreted=interpreted) for interpreted in MODES]
     for op in [None, *ops]:
         if op is not None:
             _mutate(db, op)
-        scratch = Query(db, program=program, incremental=False, magic=magic)
+        scratch = Query(db.clone(), program=program, magic=magic)
         for text in QUERIES:
             expected = scratch.all(text)
             for maintained in queries:

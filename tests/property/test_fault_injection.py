@@ -128,8 +128,7 @@ def test_faulted_cycles_never_corrupt_answers(
                 pass  # the retry below must recover completely
         assert log.in_sync(db.data_version(), log.cursor())
         retry = answer_keys(maintained, query)
-        scratch = Query(db, program=program, magic=magic,
-                        incremental=False)
+        scratch = Query(db.clone(), program=program, magic=magic)
         assert retry == answer_keys(scratch, query)
 
 
@@ -185,6 +184,5 @@ def test_query_degrades_gracefully_under_maintenance_faults(
         apply_mutation(db, op)
         with inject_random(seed=seed, rate=0.5, sites=MAINTAIN_SITES):
             answers = answer_keys(query, "X[desc ->> {Y}]")
-        scratch = Query(db, program=program, magic=magic,
-                        incremental=False)
+        scratch = Query(db.clone(), program=program, magic=magic)
         assert answers == answer_keys(scratch, "X[desc ->> {Y}]")

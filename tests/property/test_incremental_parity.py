@@ -127,8 +127,7 @@ def test_maintained_answers_equal_scratch_after_every_mutation(
             apply_mutation(db, op)
         except PathLogError:
             continue  # e.g. an isa edge that would close a cycle
-        scratch = Query(db, program=program, magic=False,
-                        incremental=False)
+        scratch = Query(db.clone(), program=program, magic=False)
         try:
             expected = answer_keys(scratch, query)
         except PathLogError:
@@ -158,8 +157,7 @@ def test_maintained_objects_preserve_virtual_identity(db, steps):
             apply_mutation(db, op)
         except PathLogError:
             continue
-        scratch = Query(db, program=program, magic=False,
-                        incremental=False)
+        scratch = Query(db.clone(), program=program, magic=False)
         try:
             expected = scratch.objects(reference)
         except PathLogError:

@@ -275,8 +275,29 @@ class TestMaintainerBudget:
         before = dict(result.sets.items())
         clock.now = 10.0
         with pytest.raises(EvaluationTimeout):
-            maintainer.apply(log.since(cursor))
+            maintainer.apply(log.since(cursor), budget=budget)
         assert dict(result.sets.items()) == before
+
+    def test_maintenance_runs_under_the_reading_calls_budget(self):
+        # The memo was built under a short per-call deadline that has
+        # long expired; later reads maintain it under their own budget
+        # (or none), never under the one that built it.
+        from repro.datasets.genealogy import chain_family, desc_rules
+
+        clock = ManualClock()
+        db, _ = chain_family(20)
+        db.begin_changes()
+        query = Query(db, program=desc_rules(), magic=False)
+        text = "c0[desc ->> {X}]"
+        query.all(text, budget=QueryBudget(timeout_ms=50, clock=clock))
+        clock.now = 0.1
+        kids = db.obj("kids")
+        for leaf, budget in (("tail1", QueryBudget(timeout_ms=10_000)),
+                             ("tail2", None)):
+            db.assert_set_member(kids, db.obj("c19"), (), db.obj(leaf))
+            answers = {a.value("X") for a in query.all(text, budget=budget)}
+            assert query.last_maintenance.applied
+            assert leaf in answers
 
     def test_maintenance_still_works_with_roomy_budget(self):
         budget = QueryBudget(timeout_ms=10_000_000)
@@ -303,14 +324,14 @@ class TestMaintainerCheckpointSites:
     #: support with one goal-directed existence check.
     COUNTING = "X[parent -> yes] <- X[kids ->> {Y}]."
 
-    def _counting_apply(self, budget=None):
+    def _counting_apply(self):
         db = Database()
         log = db.begin_changes()
         for kid in ("tim", "mary"):
             db.assert_set_member(db.obj("kids"), db.obj("peter"), (),
                                  db.obj(kid))
         engine = Engine(db, parse_program(self.COUNTING),
-                        record_support=True, budget=budget)
+                        record_support=True)
         result = engine.run()
         cursor = log.cursor()
         db.retract_set_member(db.obj("kids"), db.obj("peter"), (),
@@ -326,11 +347,10 @@ class TestMaintainerCheckpointSites:
                 if site == "maintain.counting":
                     self.cancel()
 
-        maintainer, changes, result = self._counting_apply(
-            CancelAfterCounting())
+        maintainer, changes, result = self._counting_apply()
         before = _state(result)
         with pytest.raises(EvaluationCancelled) as info:
-            maintainer.apply(changes)
+            maintainer.apply(changes, budget=CancelAfterCounting())
         assert info.value.site == "columnar.step"
         assert _state(result) == before
 
@@ -375,7 +395,7 @@ class TestMaintainerCheckpointSites:
         before = _state(result)
         budget.armed = True
         with pytest.raises(EvaluationTimeout) as info:
-            maintainer.apply(log.since(cursor))
+            maintainer.apply(log.since(cursor), budget=budget)
         assert info.value.site == "columnar.step"
         assert _state(result) == before
 

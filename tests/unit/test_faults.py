@@ -310,3 +310,11 @@ class TestTransactionalApply:
         assert query.last_maintenance is not None
         assert not query.last_maintenance.applied
         assert "InjectedFault" in query.last_maintenance.reason
+        # The re-derived memo is maintained again on the next change.
+        db.assert_set_member(kids, db.obj("ann"), (), db.obj("bob"))
+        answers = query.all("peter[desc ->> {X}]")
+        assert query.last_maintenance.applied
+        expected = Query(db.clone(), program=parse_program(DESC_RULES),
+                         magic=False).all("peter[desc ->> {X}]")
+        assert [a.sort_key() for a in answers] \
+            == [a.sort_key() for a in expected]

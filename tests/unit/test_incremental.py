@@ -404,21 +404,16 @@ class TestQueryIntegration:
         rows = query.all("X[d1 ->> {Y}]")
         assert query._materialized is first  # patched in place
         assert query.last_maintenance.applied
-        scratch = Query(db, program=parse_program(DESC), magic=False,
-                        incremental=False)
+        scratch = Query(db.clone(), program=parse_program(DESC), magic=False)
         assert [r.sort_key() for r in rows] \
             == [r.sort_key() for r in scratch.all("X[d1 ->> {Y}]")]
 
-    def test_unchanged_base_reuses_the_memo_in_both_modes(self, db):
-        # Regression: incremental=False must still memoise between
-        # queries when nothing changed (the pre-maintenance behaviour).
-        for incremental in (True, False):
-            query = Query(db, program=parse_program(DESC), magic=False,
-                          incremental=incremental)
-            query.all("X[d1 ->> {Y}]")
-            first = query._materialized
-            query.all("X[d1 ->> {Y}]")
-            assert query._materialized is first
+    def test_unchanged_base_reuses_the_memo(self, db):
+        query = Query(db, program=parse_program(DESC), magic=False)
+        query.all("X[d1 ->> {Y}]")
+        first = query._materialized
+        query.all("X[d1 ->> {Y}]")
+        assert query._materialized is first
 
     def test_memo_entries_zero_disables_memoisation(self, db):
         query = Query(db, program=parse_program(DESC), memo_entries=0)
@@ -505,6 +500,11 @@ class TestQueryIntegration:
         row = query.last_demand.stats.as_row()
         assert row["maintenance"] == 1
         assert row["overdeleted"] >= 1
+        db.assert_set_member(db.obj("kids"), db.obj("p1"), (), db.obj("p2"))
+        query.all(text)
+        row = query.last_demand.stats.as_row()
+        assert row["maintenance"] == 2
+        assert row["reinserted"] >= 1
 
 
 # ---------------------------------------------------------------------------

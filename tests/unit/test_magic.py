@@ -166,7 +166,7 @@ class TestParity:
         full.run()
         demand = DemandEngine(chain, program, "c9[desc ->> {Y}]")
         demand.run()
-        assert demand.stats.derived_total < full.stats.derived_total
+        assert demand.stats.derived_total * 4 < full.stats.derived_total
 
 
 class TestDemandEngineSurface:
@@ -186,29 +186,15 @@ class TestDemandEngineSurface:
         result = engine.run()
         assert answers(result, "c2[desc ->> {Y}]")
 
-    def test_magic_false_is_the_full_fixpoint(self, chain):
-        engine = Engine.for_query(chain, desc_rules(), "c2[desc ->> {Y}]",
-                                  magic=False)
-        engine.run()
-        assert engine.rewrite is None
-        assert engine.stats.magic_seeds == 0
-        full = Engine(chain, desc_rules())
-        full.run()
-        assert engine.stats.derived_total == full.stats.derived_total
-
     def test_explain_names_adornments_and_demand(self, chain):
         engine = DemandEngine(chain, desc_rules(), "c2[desc ->> {Y}]")
         engine.run()
         text = engine.explain()
         assert "demand:" in text
         assert "rewritten (2)" in text
+        assert "^bf" in text
         assert "adorn" in text
         assert "magic" in text
-
-    def test_demand_report_without_magic_is_none(self, chain):
-        engine = DemandEngine(chain, desc_rules(), "c2[desc ->> {Y}]",
-                              magic=False)
-        assert engine.demand_report() is None
 
 
 class TestStratifiedInteraction:

@@ -363,6 +363,32 @@ class TestBudgetsAndDeadlines:
             assert seen["budget"].cancelled
         run_with_server(scenario)
 
+    def test_writes_maintain_memos_built_under_a_request_deadline(self):
+        # The memo's first read ran under the server's default deadline;
+        # a write long after that deadline still maintains the memo
+        # instead of dropping every memo.
+        from repro.datasets.genealogy import chain_family, desc_rules
+
+        db, _ = chain_family(20)
+
+        async def scenario(server):
+            host, port = server.address
+            async with Client(host, port) as client:
+                await client.query("c2[desc ->> {Y}]", ["Y"])
+                await asyncio.sleep(0.3)
+                applied = await client.write(
+                    [["+set", "kids", "c19", [], "tail"]])
+                answers = (await client.query("c2[desc ->> {Y}]",
+                                              ["Y"]))["answers"]
+                return (applied["maintenance"], server.stats.memo_resets,
+                        {a["Y"] for a in answers})
+
+        maintenance, resets, answers = run_with_server(
+            scenario, db=db, program=desc_rules(), default_timeout_ms=200)
+        assert maintenance == {"maintained": 1, "evicted": 0}
+        assert resets == 0
+        assert "tail" in answers
+
 
 class TestOverloadAndDrain:
     def test_sheds_with_retry_after_when_queue_full(self):

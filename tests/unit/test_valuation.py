@@ -8,6 +8,7 @@ from repro.errors import UnboundVariableError
 from repro.lang.parser import parse_reference
 from repro.oodb.database import Database
 from repro.oodb.oid import NamedOid
+from repro.query import Query
 
 
 def n(value):
@@ -80,6 +81,16 @@ class TestPaths:
         assert val(program_db, "john..kids..kids") == {
             n("g1"), n("g2"), n("g3"),
         }
+
+    @pytest.mark.parametrize("depth", [4, 16, 64])
+    def test_case3_deep_scalar_path(self, depth):
+        chain = Database()
+        for index in range(depth + 1):
+            chain.add_object(f"n{index}", scalars={"next": f"n{index + 1}"})
+        text = "n0" + ".next" * depth
+        assert val(chain, text) == {n(f"n{depth}")}
+        # Flatten-and-solve reaches the same node.
+        assert Query(chain).objects(text) == {n(f"n{depth}")}
 
 
 class TestMolecules:
