@@ -251,23 +251,23 @@ def _filter_const(passes_of_cols) -> StepBuilder:
     return builder
 
 
-def activated(execute, budget):
-    """Wrap an executor so ``budget`` is active while it runs.
+def run_budgeted(run, arg, budget):
+    """``run(arg, check)`` with ``budget`` active while it runs.
 
+    ``check`` is the budget's checkpoint (None without a budget).
     Rowwise fallback steps pick the budget up mid-batch through
-    :func:`~repro.engine.budget.active_budget`; with no budget the
-    executor is returned unwrapped (zero overhead on the common path).
+    :func:`~repro.engine.budget.active_budget`; with no budget nothing
+    is activated (zero overhead on the common path).  Executors take
+    the budget per call, so one compiled executor serves callers with
+    different budgets.
     """
     if budget is None:
-        return execute
-
-    def run(arg=None):
-        token = push_active(budget)
-        try:
-            return execute(arg)
-        finally:
-            pop_active(token)
-    return run
+        return run(arg, None)
+    token = push_active(budget)
+    try:
+        return run(arg, budget.check)
+    finally:
+        pop_active(token)
 
 
 # ---------------------------------------------------------------------------

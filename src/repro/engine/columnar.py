@@ -90,8 +90,8 @@ from repro.engine.batch import (
     _step_io,
     _take,
     _term_op,
-    activated,
     chunks,
+    run_budgeted,
 )
 from repro.engine.delta import DeltaIndex
 from repro.engine.matching import (
@@ -814,13 +814,14 @@ class ColumnarPlan:
 
     def column_executor(self, counters: list[int] | None = None,
                         project: Sequence[Var] | None = None,
-                        raw: bool = False, budget=None):
+                        raw: bool = False):
         """``(execute, out_pairs)``: column access for batch callers.
 
         With ``raw=False`` (the default) output columns hold OIDs; with
         ``raw=True`` int slots keep their surrogates (consult ``reps``).
-        ``budget`` is checked once per kernel step (the cooperative
-        cancellation granularity of columnar execution).
+        ``execute(binding=None, budget=None)`` checks its call's
+        ``budget`` once per kernel step (the cooperative cancellation
+        granularity of columnar execution).
         """
         out = self._out_pairs(project)
         steps = self._build_steps({slot for _, slot in out})
@@ -828,9 +829,8 @@ class ColumnarPlan:
         deref = (() if raw
                  else tuple(slot for _, slot in out if reps[slot]))
         resolver = self.interner.resolver()
-        check = budget.check if budget is not None else None
 
-        def execute(binding: Binding | None = None):
+        def run(binding: Binding | None, check):
             cols = self._seed(binding)
             nrows = 1
             if counters is None:
@@ -855,7 +855,10 @@ class ColumnarPlan:
                     col = cols[slot]
                     cols[slot] = [resolver[v] for v in col]
             return cols, nrows
-        return activated(execute, budget), out
+
+        def execute(binding: Binding | None = None, budget=None):
+            return run_budgeted(run, binding, budget)
+        return execute, out
 
     def rows(self, binding: Binding | None = None,
              counters: list[int] | None = None,
@@ -989,8 +992,9 @@ class ColumnarDeltaPlan:
 
     def column_executor(self, counters: list[int] | None = None,
                         project: Sequence[Var] | None = None,
-                        raw: bool = False, budget=None):
-        """``(execute, out_pairs)`` with ``execute(delta) -> (cols, nrows)``."""
+                        raw: bool = False):
+        """``(execute, out_pairs)`` with
+        ``execute(delta, budget=None) -> (cols, nrows)``."""
         out = self._out
         if project is not None:
             wanted = set(project)
@@ -1002,9 +1006,8 @@ class ColumnarDeltaPlan:
         deref = (() if raw
                  else tuple(slot for _, slot in out if reps[slot]))
         resolver = self.interner.resolver()
-        check = budget.check if budget is not None else None
 
-        def execute(delta):
+        def run(delta, check):
             cols: list = [None] * nslots
             nrows = seed(cols, delta)
             if counters is None:
@@ -1030,7 +1033,10 @@ class ColumnarDeltaPlan:
                     col = cols[slot]
                     cols[slot] = [resolver[v] for v in col]
             return cols, nrows
-        return activated(execute, budget), out
+
+        def execute(delta, budget=None):
+            return run_budgeted(run, delta, budget)
+        return execute, out
 
 
 def _apply_row(ops, values, regs) -> bool:

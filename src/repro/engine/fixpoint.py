@@ -184,7 +184,9 @@ class Evaluation:
         self.limits = limits
         self.policy = policy
         self.interpreted = interpreted
-        self.budget = budget  # checked per round and kernel step
+        #: Checked per round and kernel step; records read it per call,
+        #: so a record compiled under one budget serves any later one.
+        self.budget = budget
         self.support = support  # tracked rules observe per binding
         self.stats = stats
         self.seminaive = seminaive
@@ -295,13 +297,13 @@ class Evaluation:
                 record.execute_cols, record.head_pairs = \
                     cplan.column_executor(record.counters,
                                           project=variables_of(rule.head),
-                                          raw=raw, budget=self.budget)
+                                          raw=raw)
                 self.stats.plans_compiled += 1
             self.plan_records[id(rule)] = record
         else:
             self.plan_cache.hits += 1
         if record.execute_cols is not None:
-            cols, nrows = record.execute_cols({})
+            cols, nrows = record.execute_cols({}, self.budget)
             record.bindings += nrows
             record.firings += 1
             self._realize_columns(rule, record, cols, nrows)
@@ -322,7 +324,7 @@ class Evaluation:
         for position in positions:
             record = self.delta_record(rule, position)
             if record.execute_cols is not None:
-                cols, nrows = record.execute_cols(delta)
+                cols, nrows = record.execute_cols(delta, self.budget)
                 batches.append((record, cols, nrows))
             else:
                 solutions += self.walk_delta(rule, position, record, delta)
@@ -354,7 +356,7 @@ class Evaluation:
             record.execute_cols, record.head_pairs = \
                 cplan.column_executor(record.counters,
                                       project=variables_of(rule.head),
-                                      raw=raw, budget=self.budget)
+                                      raw=raw)
             self.stats.plans_compiled += 1
         self.delta_records[key] = record
         return record

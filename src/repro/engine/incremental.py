@@ -754,7 +754,7 @@ class Maintainer:
                         bindings = evaluation.walk_delta(rule, position,
                                                          record, batch)
                     else:  # head-variable columns, boxed (see __init__)
-                        cols, nrows = record.execute_cols(batch)
+                        cols, nrows = record.execute_cols(batch, budget)
                         pairs = record.head_pairs
                         bindings = [{var: cols[slot][i]
                                      for var, slot in pairs}

@@ -279,9 +279,11 @@ class TestMaintainerBudget:
         assert dict(result.sets.items()) == before
 
     def test_maintenance_runs_under_the_reading_calls_budget(self):
-        # The memo was built under a short per-call deadline that has
-        # long expired; later reads maintain it under their own budget
-        # (or none), never under the one that built it.
+        # The memo was built, and first maintained, under short per-call
+        # deadlines that have long expired; later reads maintain it under
+        # their own budget (or none), never under one of those.  The
+        # first maintenance compiles the delta plans the later ones
+        # reuse, so a budget captured at compile time would show here.
         from repro.datasets.genealogy import chain_family, desc_rules
 
         clock = ManualClock()
@@ -289,15 +291,53 @@ class TestMaintainerBudget:
         db.begin_changes()
         query = Query(db, program=desc_rules(), magic=False)
         text = "c0[desc ->> {X}]"
-        query.all(text, budget=QueryBudget(timeout_ms=50, clock=clock))
-        clock.now = 0.1
         kids = db.obj("kids")
+        query.all(text, budget=QueryBudget(timeout_ms=50, clock=clock))
+        db.assert_set_member(kids, db.obj("c19"), (), db.obj("tail0"))
+        query.all(text, budget=QueryBudget(timeout_ms=50, clock=clock))
+        assert query.last_maintenance.applied
+        clock.now = 0.1
         for leaf, budget in (("tail1", QueryBudget(timeout_ms=10_000)),
                              ("tail2", None)):
             db.assert_set_member(kids, db.obj("c19"), (), db.obj(leaf))
             answers = {a.value("X") for a in query.all(text, budget=budget)}
             assert query.last_maintenance.applied
             assert leaf in answers
+
+    def test_reused_delta_plans_check_the_reading_calls_budget(self):
+        # Query.sync maintains unbudgeted and compiles the delta plans;
+        # a later read's maintenance reuses them and still checks its
+        # own budget at every kernel step, then a retry recovers.
+        from repro.datasets.genealogy import chain_family, desc_rules
+
+        clock = ManualClock()
+
+        class ExpiresAtKernelStep(QueryBudget):
+            def check(self, site, **kw):
+                if site == "columnar.step":
+                    clock.now = 10.0
+                super().check(site, **kw)
+
+        db, _ = chain_family(20)
+        db.begin_changes()
+        query = Query(db, program=desc_rules(), magic=False)
+        text = "c0[desc ->> {X}]"
+        kids = db.obj("kids")
+        query.all(text)
+        db.assert_set_member(kids, db.obj("c19"), (), db.obj("tail0"))
+        assert query.sync() == {"maintained": 1, "evicted": 0}
+        db.assert_set_member(kids, db.obj("c19"), (), db.obj("tail1"))
+        with pytest.raises(EvaluationTimeout) as info:
+            query.all(text, budget=ExpiresAtKernelStep(timeout_ms=500,
+                                                       clock=clock))
+        assert info.value.site == "columnar.step"
+        # The read stopped inside its maintenance, which rolled back, so
+        # the retry maintains again (a maintenance that ran unchecked
+        # would leave the retry nothing to do).
+        answers = {a.value("X") for a in query.all(text)}
+        assert query.last_maintenance is not None
+        assert query.last_maintenance.applied
+        assert "tail1" in answers
 
     def test_maintenance_still_works_with_roomy_budget(self):
         budget = QueryBudget(timeout_ms=10_000_000)
@@ -434,8 +474,8 @@ class TestRowwiseCheckpoints:
         atoms = flatten_conjunction(parse_query(
             "X : item, not X[flag -> on]"))
         execute, _ = compile_columnar_plan(
-            db, build_plan(db, atoms)).column_executor(budget=budget)
-        return execute()[1]
+            db, build_plan(db, atoms)).column_executor()
+        return execute(budget=budget)[1]
 
     def test_detection_latency_is_one_row_interval(self):
         # Drive the fallback step directly: the kernel's clock advances
@@ -443,7 +483,7 @@ class TestRowwiseCheckpoints:
         # 300; the checkpoint at row 512 -- the first interval boundary
         # past it -- raises, so detection lags the expiry by at most
         # ROWWISE_CHECK_INTERVAL rows, never a whole batch.
-        from repro.engine.batch import _rowwise, activated
+        from repro.engine.batch import _rowwise, run_budgeted
         from repro.engine.budget import ROWWISE_CHECK_INTERVAL
 
         clock = ManualClock()
@@ -457,9 +497,9 @@ class TestRowwiseCheckpoints:
 
         step = _rowwise(((x, 0),), (), extend)((0,))
         budget = QueryBudget(timeout_ms=300, clock=clock).start()
-        run = activated(lambda _: step([list(range(1000))], 1000), budget)
         with pytest.raises(EvaluationTimeout) as info:
-            run()
+            run_budgeted(lambda _, check: step([list(range(1000))], 1000),
+                         None, budget)
         assert info.value.site == "batch.rowwise"
         assert len(rows) == 2 * ROWWISE_CHECK_INTERVAL  # 512 <= 300 + 256
 
