@@ -5,7 +5,7 @@ This module closes the durability loop opened by
 
 - :func:`write_snapshot` writes an **atomic** point-in-time snapshot --
   the canonical :func:`~repro.oodb.serialize.to_dict` encoding wrapped
-  with a format version, the durable change-log cursor it covers, and a
+  with a format version, the change-log cursor it covers, and a
   whole-file CRC32 -- via temp file + fsync + rename, so a crash during
   checkpointing can never damage the previous snapshot.
 - :func:`recover` rebuilds a database from a data directory: it loads
@@ -127,7 +127,7 @@ def write_snapshot(db: Database, data_dir: Path | str, cursor: int) -> Path:
     """Atomically write a snapshot of ``db`` covering ``cursor``.
 
     The file is a JSON object ``{"checksum": crc32, "snapshot": {...}}``
-    where the inner document carries the format version, the durable
+    where the inner document carries the format version, the change-log
     cursor, and the canonical database encoding; the checksum is the
     CRC32 of the inner document's canonical serialisation, so equal
     databases produce byte-identical snapshots (pinned by a test on
@@ -341,12 +341,9 @@ class DurableStore:
         self._retain = max(1, retain_snapshots)
         self.recovery = recovery
         self.checkpoints = 0
-        log = db.begin_changes()
-        cursor = recovery.cursor if recovery is not None else 0
-        self._base = cursor - log.cursor()
-        self._wal = _wal.WriteAheadLog(self._dir, db, fsync=fsync,
-                                       base=self._base,
-                                       flushed=log.cursor())
+        # The log continues the numbering the directory already uses.
+        db.begin_changes(recovery.cursor if recovery is not None else 0)
+        self._wal = _wal.WriteAheadLog(self._dir, db, fsync=fsync)
 
     @classmethod
     def open(cls, data_dir: Path | str, *, db: Database | None = None,
@@ -383,9 +380,9 @@ class DurableStore:
         return self._wal
 
     def durable_cursor(self) -> int:
-        """Durable cursor of the current change-log head."""
+        """The change-log head: the cursor the next snapshot carries."""
         log = self._db.change_log
-        return self._base + (log.cursor() if log is not None else 0)
+        return log.cursor() if log is not None else 0
 
     def wal_size(self) -> int:
         return self._wal.size_bytes()
@@ -412,16 +409,14 @@ class DurableStore:
         log = self._db.change_log
         if log is None:
             raise _wal.WalStateError("store has no active change log")
-        cursor = self._base + log.cursor()
+        cursor = log.cursor()
         path = write_snapshot(self._db, self._dir, cursor)
         if log.disrupted is not None:
-            # The snapshot captured the un-journalable state; restart
-            # the log (and the WAL's cursor arithmetic) under it.
-            fresh = self._db.begin_changes()
-            self._base = cursor - fresh.cursor()
-            self._wal.reattach(base=cursor, cursor=fresh.cursor())
-        else:
-            self._wal.rotate(log.cursor())
+            # The snapshot captured the un-journalable state: a new log
+            # epoch continues from this cursor, and the WAL re-pins it.
+            self._db.begin_changes()
+            self._wal.skip_to(cursor)
+        self._wal.rotate(cursor)
         self.checkpoints += 1
         self._reclaim()
         return path

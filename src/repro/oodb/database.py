@@ -19,6 +19,7 @@ The built-in ``self`` method is interpreted here, so
 
 from __future__ import annotations
 
+import uuid
 import weakref
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -70,8 +71,8 @@ class ChangeLog:
     Started by :meth:`Database.begin_changes`, the log captures every
     successful mutation that goes through the database's assertion and
     retraction API.  Consumers (memoised query results, the cardinality
-    catalog) remember a *cursor* -- ``len(entries)`` at snapshot time --
-    and later replay ``entries[cursor:]`` as their delta.
+    catalog) remember a *cursor* -- :meth:`cursor` at snapshot time --
+    and later replay :meth:`since` that cursor as their delta.
 
     Every recorded entry corresponds to exactly one ``data_version``
     bump, so :meth:`in_sync` can prove that no mutation escaped the log
@@ -80,23 +81,27 @@ class ChangeLog:
     alias change rebinds what a name denotes everywhere -- that is not
     expressible as a fact delta, so it *disrupts* the log permanently.
 
-    Cursors are **absolute**: they keep counting from the log's birth
-    even after :meth:`trim_to` drops an already-replayed prefix
-    (``offset`` remembers how many entries were discarded), so held
-    cursors never need rebasing when the log is trimmed.
+    Cursors are **absolute**: a log starts at ``origin`` (the cursor of
+    the state it began at) and keeps counting even after :meth:`trim_to`
+    drops a replayed prefix, so one state has one cursor in memory, in
+    the WAL, in snapshot files and on the replication stream.  A
+    restarted or replaced log reuses those numbers under a new,
+    process-unique ``epoch``.
     """
 
-    __slots__ = ("start_version", "entries", "disrupted", "offset")
+    __slots__ = ("start_version", "origin", "entries", "disrupted",
+                 "offset", "epoch")
 
-    def __init__(self, start_version: int) -> None:
+    def __init__(self, start_version: int, origin: int = 0) -> None:
         #: ``data_version()`` of the database when recording started.
         self.start_version = start_version
+        self.origin = origin
         self.entries: list[ChangeEntry] = []
-        #: Entries discarded from the front by :meth:`trim_to`; absolute
-        #: cursor ``c`` lives at ``entries[c - offset]``.
-        self.offset = 0
+        #: Lowest cursor still held; cursor ``c`` is ``entries[c - offset]``.
+        self.offset = origin
         #: Reason the log can no longer prove completeness, or None.
         self.disrupted: str | None = None
+        self.epoch = uuid.uuid4().hex
 
     def cursor(self) -> int:
         """The current replay position (snapshot with the data version)."""
@@ -112,16 +117,18 @@ class ChangeLog:
             self.disrupted = reason
 
     def in_sync(self, version: int, cursor: int) -> bool:
-        """Whether the first ``cursor`` changes fully explain ``version``.
+        """Whether the changes up to ``cursor`` fully explain ``version``.
 
-        True iff the log is undisrupted and exactly ``cursor`` mutations
-        happened since ``start_version`` -- i.e. nothing changed the
-        database behind the log's back up to that point.  (The check
-        needs only arithmetic, so it stays provable for cursors below
-        the trimmed prefix.)
+        True iff the log is undisrupted and exactly ``cursor - origin``
+        mutations happened since ``start_version`` -- i.e. nothing
+        changed the database behind the log's back up to that point.
+        (Pure arithmetic: it stays provable below the trimmed prefix.)
+        Cursors of a replaced log are never in sync: those below
+        ``origin`` fail the bound, its head the version (the alias
+        change that disrupted it bumped the version without an entry).
         """
-        return (self.disrupted is None
-                and self.start_version + cursor == version)
+        return (self.disrupted is None and cursor >= self.origin
+                and self.start_version + cursor - self.origin == version)
 
     def since(self, cursor: int) -> list[ChangeEntry]:
         """The changes recorded after ``cursor``, oldest first.
@@ -180,14 +187,11 @@ class ChangeLease:
             db.hold_changes(self, cursor)
 
     def move(self, cursor: int) -> None:
-        """Advance (or rebase) the pinned cursor."""
+        """Advance the pinned cursor."""
         if self.released:
             raise ValueError("cannot move a released change lease")
         self.cursor = cursor
-        if cursor is None:
-            self._db.release_changes(self)
-        else:
-            self._db.hold_changes(self, cursor)
+        self._db.hold_changes(self, cursor)
 
     def release(self) -> None:
         """Drop the registration (idempotent)."""
@@ -480,14 +484,16 @@ class Database:
         """The active :class:`ChangeLog`, or None when not recording."""
         return self._change_log
 
-    def begin_changes(self) -> ChangeLog:
+    def begin_changes(self, cursor: int = 0) -> ChangeLog:
         """Start (or continue) recording base-fact changes.
 
         Returns the active :class:`ChangeLog`.  Idempotent: calling it
         again while a healthy log is active returns the same log, so
         several consumers (queries, the catalog) can share one
-        recording; a *disrupted* log is replaced by a fresh one
-        (consumers holding cursors into the old log rebuild once).  The
+        recording; a *disrupted* log is replaced by a fresh one that
+        continues from its head (consumers holding cursors into the old
+        log rebuild once).  A first log begins at ``cursor``, e.g. the
+        cursor a recovered database was rebuilt to.  The
         log rides the existing table version counters: every recorded
         entry corresponds to exactly one ``data_version`` bump, which is
         how consumers verify nothing mutated the tables directly.
@@ -499,8 +505,10 @@ class Database:
         stays bounded by the *lag* of its slowest consumer rather than
         by total mutation count.
         """
-        if self._change_log is None or self._change_log.disrupted:
-            self._change_log = ChangeLog(self.data_version())
+        old = self._change_log
+        if old is None or old.disrupted:
+            start = cursor if old is None else old.cursor()
+            self._change_log = ChangeLog(self.data_version(), start)
             self._catalog_cursor = None
             # Held cursors referred to the replaced log; consumers
             # re-register after their next (full) rebuild.
@@ -578,8 +586,8 @@ class Database:
         does **not** truncate the log -- so every undo step is itself
         recorded and version-counted, and :meth:`ChangeLog.in_sync`
         stays provable for all live consumers (a truncation would break
-        the start_version + cursor == data_version arithmetic, since
-        versions only ever advance).
+        its ``start_version + cursor - origin == data_version``
+        arithmetic, since versions only ever advance).
 
         Each entry is undone by applying its inverse through
         :meth:`apply_entry`.  LIFO order makes each inverse exact: a

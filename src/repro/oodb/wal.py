@@ -2,7 +2,9 @@
 
 The in-memory :class:`~repro.oodb.database.ChangeLog` already gives
 every consumer an absolute-cursor replication stream; this module makes
-a prefix of that stream *durable*.  A :class:`WriteAheadLog` appends one
+a prefix of that stream *durable*, in the log's own cursors (a
+recovered database's log continues from the recovered cursor, so they
+keep counting across restarts).  A :class:`WriteAheadLog` appends one
 record per :data:`~repro.oodb.database.ChangeEntry` -- bracketed by
 ``begin``/``commit`` markers per maintenance batch -- to segment files
 in a data directory, so a crashed process can replay exactly the
@@ -22,11 +24,11 @@ runs past EOF, or the CRC mismatches) instead of replaying garbage.
 the serialisation :data:`~repro.oodb.serialize.FORMAT_VERSION` (a
 mismatch raises a typed
 :class:`~repro.oodb.serialize.SerializationError`) and the segment's
-starting *durable cursor*.  Batches then encode as::
+starting cursor.  Batches then encode as::
 
-    {"begin": B}                  -- durable cursor of the first entry
+    {"begin": B}                  -- cursor of the first entry
     {"e": [sign, fact]}           -- one change entry (serialize.encode_fact)
-    {"commit": C}                 -- durable cursor after the batch (B + n)
+    {"commit": C}                 -- cursor after the batch (B + n)
 
 The cursors inside ``begin``/``commit`` are authoritative during
 replay: a retried batch (after a failed append or fsync) re-begins at
@@ -137,7 +139,7 @@ def read_frames(data: bytes) -> tuple[list[dict], list[int], int,
 
 
 def segment_name(cursor: int) -> str:
-    """The file name of the segment starting at durable ``cursor``."""
+    """The file name of the segment starting at ``cursor``."""
     return f"wal-{cursor:020d}.log"
 
 
@@ -223,28 +225,28 @@ class WriteAheadLog:
 
     One instance owns the *current* segment file of a data directory
     and a :class:`~repro.oodb.database.ChangeLease` pinning the change
-    log at the flushed cursor.  ``base`` maps the in-memory log's
-    absolute cursors to *durable* cursors (which keep counting across
-    process restarts): ``durable = base + in_memory``.
+    log at the flushed cursor.  Its cursors are the change log's own
+    (a recovered database's log starts at the recovered cursor), so a
+    ``begin``/``commit`` marker, a segment or snapshot file name and
+    ``ChangeLog.since`` all name a state by one number.
     """
 
     def __init__(self, data_dir: Path | str, db: Database, *,
-                 fsync: str = "batch", base: int = 0,
-                 flushed: int = 0) -> None:
+                 fsync: str = "batch") -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, "
                              f"got {fsync!r}")
         self._dir = Path(data_dir)
         self._db = db
         self._fsync = fsync
-        self._base = base
-        #: In-memory change-log cursor whose prefix is durably logged.
-        self._flushed = flushed
-        self._lease = db.held_changes(cursor=flushed)
+        log = db.change_log
+        #: Pins the change log at the flushed cursor.
+        self._lease = db.held_changes(
+            cursor=log.cursor() if log is not None else 0)
         #: Byte offset of the current in-flight batch (for repair).
         self._pending_offset: int | None = None
         self._file = None
-        self._segment_start = base + flushed
+        self._segment_start = self.flushed
         self._segment_batches = 0
         #: Monotonic counters surfaced by server stats.
         self.batches = 0
@@ -260,13 +262,8 @@ class WriteAheadLog:
 
     @property
     def flushed(self) -> int:
-        """In-memory change-log cursor up to which entries are durable."""
-        return self._flushed
-
-    @property
-    def durable_cursor(self) -> int:
-        """Durable cursor of the flushed prefix (survives restarts)."""
-        return self._base + self._flushed
+        """Change-log cursor up to which entries are durable."""
+        return self._lease.cursor
 
     @property
     def segment_path(self) -> Path:
@@ -301,11 +298,12 @@ class WriteAheadLog:
             raise WalDisrupted(
                 f"change log disrupted ({log.disrupted}); a full "
                 f"checkpoint must capture this state")
-        entries = log.since(self._flushed)
+        flushed = self.flushed
+        entries = log.since(flushed)
         if not entries:
             return 0
-        head = self._flushed + len(entries)
-        body = bytearray(frame({"begin": self._base + self._flushed}))
+        head = flushed + len(entries)
+        body = bytearray(frame({"begin": flushed}))
         for sign, fact in entries:
             body += frame({"e": [sign, encode_fact(fact)]})
         self._pending_offset = self._file.tell()
@@ -313,14 +311,13 @@ class WriteAheadLog:
         self._file.write(body)
         self._flush(self._fsync == "always")
         fault_point("wal.commit")
-        self._file.write(frame({"commit": self._base + head}))
+        self._file.write(frame({"commit": head}))
         fault_point("wal.fsync")
         self._flush(self._fsync in ("always", "batch"))
         self._pending_offset = None
         self._segment_batches += 1
         self.batches += 1
         self.entries_logged += len(entries)
-        self._flushed = head
         self._lease.move(head)
         return len(entries)
 
@@ -347,16 +344,16 @@ class WriteAheadLog:
             self.skip_to(log.cursor())
 
     def skip_to(self, cursor: int) -> None:
-        """Advance the flushed cursor without logging (rollback suffix)."""
-        if cursor < self._flushed:
+        """Advance the flushed cursor without logging (a rolled-back
+        suffix, or one a snapshot just captured)."""
+        if cursor < self.flushed:
             raise WalStateError(
                 f"cannot skip the flushed cursor backwards "
-                f"({self._flushed} -> {cursor})")
-        self._flushed = cursor
+                f"({self.flushed} -> {cursor})")
         self._lease.move(cursor)
 
     def rotate(self, cursor: int) -> None:
-        """Start a fresh segment at in-memory ``cursor`` (checkpointed).
+        """Start a fresh segment at ``cursor`` (checkpointed).
 
         Called right after a snapshot covering everything below
         ``cursor`` was durably written: entries below it no longer need
@@ -364,43 +361,22 @@ class WriteAheadLog:
         batches land in the new segment.  Rotating onto an empty
         current segment at the same start is a no-op (no file churn).
         """
-        start = self._base + cursor
-        if start == self._segment_start and self._segment_batches == 0:
+        if cursor == self._segment_start and self._segment_batches == 0:
             self.skip_to(cursor)
             return
         fault_point("wal.rotate")
-        path = self._dir / segment_name(start)
+        path = self._dir / segment_name(cursor)
         try:
-            self._open_segment(start, old=self._file)
+            self._open_segment(cursor, old=self._file)
         except BaseException:
             # Never leave a header-only orphan that could shadow the
             # still-active segment in the recovery ordering.
             if self._file is not None and self.segment_path != path:
                 path.unlink(missing_ok=True)
             raise
-        self._segment_start = start
+        self._segment_start = cursor
         self._segment_batches = 0
         self.skip_to(cursor)
-
-    def reattach(self, *, base: int, cursor: int) -> None:
-        """Re-anchor onto a replacement change log (post-disruption).
-
-        ``begin_changes`` replacing a disrupted log invalidates both
-        the cursor arithmetic and the lease registration; the caller
-        (a checkpoint that just captured the full state) passes the new
-        ``base`` (the snapshot's durable cursor) and the new log's
-        current ``cursor``.
-        """
-        self._lease.release()
-        self._base = base - cursor
-        self._flushed = cursor
-        self._lease = self._db.held_changes(cursor=cursor)
-        start = base
-        if start != self._segment_start or self._segment_batches:
-            fault_point("wal.rotate")
-            self._open_segment(start, old=self._file)
-            self._segment_start = start
-            self._segment_batches = 0
 
     def close(self) -> None:
         """Flush and close the current segment; release the lease."""

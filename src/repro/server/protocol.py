@@ -102,9 +102,10 @@ async def read_frame(reader: asyncio.StreamReader,
                      max_frame: int = MAX_FRAME) -> dict | None:
     """The next decoded frame, or None at a clean end of stream.
 
-    Raises :class:`FrameTooLarge` for an oversized prefix and
-    :class:`asyncio.IncompleteReadError` for a stream truncated inside
-    a frame -- both mean the connection is unusable and must close.
+    Raises :class:`FrameTooLarge` for an oversized prefix,
+    :class:`asyncio.IncompleteReadError` for a truncated frame and
+    :class:`ValueError` for a body that is not JSON or holds ``NaN``
+    or ``Infinity`` -- each means the connection must close.
     """
     try:
         prefix = await reader.readexactly(_PREFIX)
@@ -115,7 +116,11 @@ async def read_frame(reader: asyncio.StreamReader,
         raise FrameTooLarge(f"incoming frame of {length} bytes exceeds "
                             f"the {max_frame} byte limit")
     body = await reader.readexactly(length)
-    return json.loads(body.decode("utf-8"))
+    return json.loads(body.decode("utf-8"), parse_constant=_non_finite)
+
+
+def _non_finite(name: str):
+    raise ValueError(f"non-finite number {name} in frame")
 
 
 def ok(request: dict | None = None, **payload) -> dict:

@@ -16,10 +16,11 @@ Primary side (:class:`ReplicationHub`):
   never reclaim entries a replica has not acknowledged.
 - ``ship`` returns the entries past a cursor; ``ack`` advances the
   lease as the replica confirms application.
-- ``log_id`` names the change-log *epoch* (one fresh id per log
+- ``log_id`` is the change log's ``epoch`` (one fresh id per log
   object): a primary restart or a disrupted-and-rebuilt log changes
   the epoch, and every incremental cursor from the old epoch answers
-  :class:`ResyncNeeded` -- the subscriber must re-bootstrap.
+  :class:`ResyncNeeded` -- the subscriber must re-bootstrap.  The
+  cursor numbers carry on across both, so only the epoch tells.
 - ``notify``/``wait`` implement the long poll: the maintainer wakes
   sleeping subscribers after each applied batch.
 
@@ -61,7 +62,6 @@ import asyncio
 import contextlib
 import itertools
 import time
-import uuid
 from typing import TYPE_CHECKING
 
 from repro.errors import PathLogError
@@ -109,10 +109,12 @@ def _faulted(entries: list):
 class Subscription:
     """One replica's position in the primary's change log."""
 
-    __slots__ = ("id", "lease", "cursor", "batches", "entries")
+    __slots__ = ("id", "epoch", "lease", "cursor", "batches", "entries")
 
-    def __init__(self, sub_id: str, lease, cursor: int) -> None:
+    def __init__(self, sub_id: str, epoch: str, lease, cursor: int) -> None:
         self.id = sub_id
+        #: The log epoch the cursors below count in.
+        self.epoch = epoch
         #: Pins the log at the replica's acknowledged cursor.
         self.lease = lease
         #: Last cursor the replica acknowledged as applied.
@@ -123,20 +125,17 @@ class Subscription:
 
 
 class ReplicationHub:
-    """Primary-side subscriber registry over one change-log epoch.
+    """Primary-side subscriber registry over the database's change log
+    (which a server keeps active from start to shutdown).
 
-    Construct *after* ``Database.begin_changes`` so the hub binds to
-    the active log; if the database ever swaps or disrupts its log,
-    the hub rotates ``log_id`` and drops every subscription -- the
-    old cursors count entries of a log that no longer exists.
+    Each subscription remembers the log epoch it was made in; once the
+    database replaces its log, shipping to it answers
+    :class:`ResyncNeeded` and drops it -- its cursors may coincide with
+    the new log's, but they describe another history.
     """
 
     def __init__(self, db: Database) -> None:
         self._db = db
-        self._attached = db.change_log
-        #: Epoch token; a subscriber holding a different one must
-        #: re-bootstrap (its cursors belong to a dead log).
-        self.log_id = uuid.uuid4().hex
         self._subs: dict[str, Subscription] = {}
         self._counter = itertools.count(1)
         self._wakeup = asyncio.Event()
@@ -144,15 +143,8 @@ class ReplicationHub:
     # -- the log epoch -------------------------------------------------
 
     def current_log(self):
-        """The attached, healthy change log (or :class:`ResyncNeeded`)."""
+        """The active, healthy change log (or :class:`ResyncNeeded`)."""
         log = self._db.change_log
-        if log is not self._attached:
-            # begin_changes replaced a disrupted log: new epoch.
-            self._attached = log
-            self.log_id = uuid.uuid4().hex
-            self.drop_all()
-        if log is None:
-            raise ResyncNeeded("primary has no active change log")
         if log.disrupted is not None:
             raise ResyncNeeded(f"change log disrupted ({log.disrupted}); "
                                f"incremental shipping is impossible")
@@ -170,9 +162,9 @@ class ReplicationHub:
         not incrementally servable.
         """
         log = self.current_log()
-        if log_id is not None and log_id != self.log_id:
+        if log_id is not None and log_id != log.epoch:
             raise ResyncNeeded(f"log epoch {log_id} is gone "
-                               f"(current epoch {self.log_id})")
+                               f"(current epoch {log.epoch})")
         head = log.cursor()
         if cursor is None:
             cursor = head
@@ -181,7 +173,7 @@ class ReplicationHub:
                                f"horizon ({log.offset})")
         if cursor > head:
             raise ResyncNeeded(f"cursor {cursor} is past the head ({head})")
-        sub = Subscription(f"r{next(self._counter)}",
+        sub = Subscription(f"r{next(self._counter)}", log.epoch,
                            self._db.held_changes(cursor=cursor), cursor)
         self._subs[sub.id] = sub
         return sub
@@ -209,9 +201,9 @@ class ReplicationHub:
         i.e. a subscriber that rewound) or the epoch changed.
         """
         log = self.current_log()
-        if self._subs.get(sub.id) is not sub:
-            # An epoch rotation dropped this subscription: its cursors
-            # count entries of a log that no longer exists.
+        if sub.epoch != log.epoch or self._subs.get(sub.id) is not sub:
+            # Its cursors count entries of a log that no longer exists.
+            self.drop(sub.id)
             raise ResyncNeeded("subscription belongs to a previous "
                                "log epoch")
         try:
@@ -245,8 +237,7 @@ class ReplicationHub:
 
     def replicas(self) -> list[dict]:
         """Per-subscriber shipped cursors for ``stats``."""
-        log = self._db.change_log
-        head = log.cursor() if log is not None else 0
+        head = self._db.change_log.cursor()
         return [{"sub": sub.id, "cursor": sub.cursor,
                  "lag": max(0, head - sub.cursor),
                  "shipped_batches": sub.batches,
@@ -284,19 +275,18 @@ class Replicator:
 
     # -- bootstrap -----------------------------------------------------
 
-    async def bootstrap(self, attempts: int | None = None
-                        ) -> tuple[Database, int]:
-        """Fetch + verify a snapshot, with backoff between attempts.
+    async def bootstrap(self) -> None:
+        """Fetch, verify and install a snapshot, with backoff between
+        ``bootstrap_attempts`` attempts.
 
-        Used once at startup (``Server.start`` installs the result);
-        raises :class:`ReplicationError` when every attempt failed.
+        Used once at startup, before the server listens; raises
+        :class:`ReplicationError` when every attempt failed.
         """
-        if attempts is None:
-            attempts = self._server.config.bootstrap_attempts
+        attempts = self._server.config.bootstrap_attempts
         last: Exception | None = None
         for attempt in range(attempts):
             try:
-                return await self._bootstrap_once()
+                snapshot = await self._bootstrap_once()
             except asyncio.CancelledError:
                 raise
             except Exception as err:  # noqa: BLE001 - retried, then typed
@@ -305,6 +295,9 @@ class Replicator:
                 if attempt + 1 < attempts:
                     delay = self._retry.delay_ms(attempt)
                     await asyncio.sleep(delay / 1000.0)
+            else:
+                await self._install(*snapshot)
+                return
         raise ReplicationError(
             f"bootstrap from {self.host}:{self.port} failed after "
             f"{attempts} attempts: {last}") from last
@@ -332,7 +325,8 @@ class Replicator:
         while True:
             try:
                 if self._needs_bootstrap:
-                    await self._rebootstrap()
+                    await self._install(*await self._bootstrap_once())
+                    self._server.stats.repl_rebootstraps += 1
                 await self._ensure_subscribed()
                 await self._pull_once()
                 self._failures = 0
@@ -412,15 +406,16 @@ class Replicator:
             server.stats.repl_batches_applied += 1
             server.stats.repl_entries_applied += len(entries)
 
-    async def _rebootstrap(self) -> None:
-        """Full resync: fresh snapshot, database swap, cursors rebased."""
-        db, cursor = await self._bootstrap_once()
-        await self._server._adopt_replica_db(db)
-        self.applied = cursor
-        self.head = cursor
+    async def _install(self, db: Database, cursor: int) -> None:
+        """Serve a bootstrapped snapshot; the database and the cursors
+        it is applied up to change in one exclusive section."""
+        server = self._server
+        async with server._gate.write():
+            server._serve(db)
+            self.applied = cursor
+            self.head = cursor
         self._sub = None
         self._needs_bootstrap = False
-        self._server.stats.repl_rebootstraps += 1
 
     async def _disconnect(self) -> None:
         # Subscriptions are per-connection on the primary (dropped when

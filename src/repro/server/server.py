@@ -59,8 +59,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from pathlib import Path
 
@@ -195,6 +197,42 @@ class _Connection:
     disconnected: bool = False
 
 
+class _Op(NamedTuple):
+    """How :meth:`Server._dispatch` serves one wire op: its handler
+    ``(server, request, connection) -> response``; whether it is
+    answered while draining; the ``(code, message)`` a replica refuses
+    it with (``{primary}`` names the primary); the numeric fields
+    :func:`_bad_number` checks first, and which of them must appear."""
+
+    handler: Callable
+    draining: bool = False
+    refusal: tuple[str, str] | None = None
+    numbers: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+
+
+_PRIMARY_ONLY = (protocol.BAD_REQUEST,
+                 "replication ops need a primary (this server is a "
+                 "replica)")
+
+
+def _bad_number(request: dict, op: _Op) -> str | None:
+    """Why a numeric field of ``request`` is unacceptable, or None:
+    ``*_ms`` fields take finite numbers, the others integers; none is
+    negative, and only ``op.required`` ones must appear."""
+    for name in op.numbers:
+        value = request.get(name)
+        types = (int, float) if name.endswith("_ms") else (int,)
+        # NaN fails both comparisons, an integer past the float range
+        # the second.
+        if value is None and name not in op.required or (
+                type(value) in types and 0 <= value <= sys.float_info.max):
+            continue
+        kind = "finite number" if float in types else "integer"
+        return f"{name!r} must be a non-negative {kind}"
+    return None
+
+
 class Server:
     """Serve concurrent PathLog queries over one shared Query."""
 
@@ -245,21 +283,15 @@ class Server:
                     "lives there")
             host, port = parse_endpoint(self.config.replica_of)
             self._replicator = Replicator(self, host, port)
-            db, cursor = await self._replicator.bootstrap()
-            self._db = db
-            self._replicator.applied = cursor
-            self._replicator.head = cursor
-        if self.config.data_dir is not None:
-            self._store = DurableStore.open(self.config.data_dir,
-                                            db=self._db,
-                                            fsync=self.config.fsync)
-            self._db = self._store.database
-        self._db.begin_changes()
-        if self._replicator is None:
+            await self._replicator.bootstrap()
+        else:
+            if self.config.data_dir is not None:
+                self._store = DurableStore.open(self.config.data_dir,
+                                                db=self._db,
+                                                fsync=self.config.fsync)
+                self._db = self._store.database
+            self._serve(self._db)
             self._hub = ReplicationHub(self._db)
-        self._query = Query(self._db, program=self._program,
-                            magic=self.config.magic,
-                            thread_safe=True)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="repro-server")
@@ -310,20 +342,14 @@ class Server:
         """The pull loop's state (replica servers only)."""
         return self._replicator
 
-    async def _adopt_replica_db(self, db: Database) -> None:
-        """Swap in a re-bootstrapped database (replica resync).
-
-        Exclusive, so no reader is inside while the world changes: a
-        request sees either the old consistent state or the new one.
-        The old Query's memos die with the old database; the fresh
-        shared Query re-derives on demand.
+    def _serve(self, db: Database) -> None:
+        """Make ``db`` the served database, with a fresh shared Query
+        (a replica swaps snapshots in this way, under the write gate).
         """
-        async with self._gate.write():
-            self._db = db
-            self._db.begin_changes()
-            self._query = Query(db, program=self._program,
-                                magic=self.config.magic,
-                                thread_safe=True)
+        self._db = db
+        db.begin_changes()
+        self._query = Query(db, program=self._program,
+                            magic=self.config.magic, thread_safe=True)
 
     async def serve_forever(self) -> None:
         """Block until :meth:`shutdown` completes."""
@@ -513,39 +539,48 @@ class Server:
 
     async def _dispatch(self, request: dict,
                         connection: _Connection) -> dict:
+        """Serve one request as its entry in :attr:`_OPS` says."""
         if not isinstance(request, dict) or "op" not in request:
             return protocol.error(protocol.BAD_REQUEST,
                                   "request must be an object with an 'op'",
                                   request=request
                                   if isinstance(request, dict) else None)
-        op = request["op"]
-        if op == "health":
-            return protocol.ok(request, **self._health())
-        if op == "stats":
-            return protocol.ok(request, stats=self._stats_payload())
-        if self._draining:
+        name = request["op"]
+        op = self._OPS.get(name) if isinstance(name, str) else None
+        if self._draining and (op is None or not op.draining):
             return protocol.error(protocol.SHUTTING_DOWN,
                                   "server is draining", request=request,
                                   retry_after_ms=self.config.drain_ms)
-        if op == "query":
-            return await self._handle_query(request, connection)
-        if op == "write":
-            return await self._handle_write(request)
-        if op == "repl.snapshot":
-            return await self._handle_repl_snapshot(request)
-        if op == "repl.subscribe":
-            return await self._handle_repl_subscribe(request, connection)
-        if op == "repl.batch":
-            return await self._handle_repl_batch(request)
-        if op == "shutdown":
-            if not self.config.allow_remote_shutdown:
-                return protocol.error(protocol.BAD_REQUEST,
-                                      "remote shutdown is disabled",
-                                      request=request)
-            asyncio.get_running_loop().create_task(self.shutdown())
-            return protocol.ok(request, draining=True)
-        return protocol.error(protocol.BAD_REQUEST,
-                              f"unknown op {op!r}", request=request)
+        if op is None:
+            return protocol.error(protocol.BAD_REQUEST,
+                                  f"unknown op {name!r}", request=request)
+        if op.refusal is not None and self._replicator is not None:
+            code, message = op.refusal
+            return protocol.error(
+                code, message.format(primary=self.config.replica_of),
+                request=request)
+        problem = _bad_number(request, op)
+        if problem is not None:
+            return protocol.error(protocol.BAD_REQUEST, problem,
+                                  request=request)
+        return await op.handler(self, request, connection)
+
+    async def _handle_health(self, request: dict,
+                             connection: _Connection) -> dict:
+        return protocol.ok(request, **self._health())
+
+    async def _handle_stats(self, request: dict,
+                            connection: _Connection) -> dict:
+        return protocol.ok(request, stats=self._stats_payload())
+
+    async def _handle_shutdown(self, request: dict,
+                               connection: _Connection) -> dict:
+        if not self.config.allow_remote_shutdown:
+            return protocol.error(protocol.BAD_REQUEST,
+                                  "remote shutdown is disabled",
+                                  request=request)
+        asyncio.get_running_loop().create_task(self.shutdown())
+        return protocol.ok(request, draining=True)
 
     def _health(self) -> dict:
         payload = {
@@ -570,9 +605,7 @@ class Server:
         # copy-on-write snapshots of the base (restarts with the Query).
         payload["buckets_copied"] = self._query.buckets_copied
         payload["version"] = self._db.data_version()
-        log = self._db.change_log
-        payload["log_entries"] = (len(log.entries)
-                                  if log is not None else 0)
+        payload["log_entries"] = len(self._db.change_log.entries)
         payload["durability"] = self._durability_payload()
         payload["replication"] = self._replication_payload()
         return payload
@@ -591,7 +624,7 @@ class Server:
         payload = {"role": "primary"}
         if self._hub is not None:
             replicas = self._hub.replicas()
-            payload["log_id"] = self._hub.log_id
+            payload["log_id"] = self._db.change_log.epoch
             payload["connected_replicas"] = len(replicas)
             payload["replicas"] = replicas
         return payload
@@ -599,15 +632,13 @@ class Server:
     def _durability_payload(self) -> dict | None:
         if self._store is None:
             return None
-        recovery = self._store.recovery
+        recovery = self._store.recovery  # set by DurableStore.open
         wal = self._store.wal
         return {
             "data_dir": str(self._store.data_dir),
             "fsync": wal.fsync_policy,
-            "recovered_entries": (recovery.recovered_entries
-                                  if recovery is not None else 0),
-            "truncated_tail": (recovery.truncated_tail
-                               if recovery is not None else 0),
+            "recovered_entries": recovery.recovered_entries,
+            "truncated_tail": recovery.truncated_tail,
             "durable_cursor": self._store.durable_cursor(),
             "wal_size": self._store.wal_size(),
             "wal_batches": wal.batches,
@@ -694,47 +725,26 @@ class Server:
 
     # -- replication (primary side) ------------------------------------
 
-    def _not_a_primary(self, request: dict) -> dict | None:
-        if self._hub is None:
-            return protocol.error(
-                protocol.BAD_REQUEST,
-                "replication ops need a primary (this server is a "
-                "replica)", request=request)
-        return None
-
-    async def _handle_repl_snapshot(self, request: dict) -> dict:
-        refusal = self._not_a_primary(request)
-        if refusal is not None:
-            return refusal
+    async def _handle_repl_snapshot(self, request: dict,
+                                    connection: _Connection) -> dict:
         loop = asyncio.get_running_loop()
         async with self._gate.read():
             # Read-held: the database is frozen, so the document is a
             # consistent whole-batch state at exactly this cursor.
             log = self._db.change_log
-            cursor = log.cursor() if log is not None else 0
-            version = self._db.data_version()
+            cursor, version = log.cursor(), self._db.data_version()
             document = await loop.run_in_executor(
                 self._pool, snapshot_document, self._db, cursor)
         return protocol.ok(request, snapshot=document, cursor=cursor,
-                           log_id=self._hub.log_id, version=version)
+                           log_id=log.epoch, version=version)
 
     async def _handle_repl_subscribe(self, request: dict,
                                      connection: _Connection) -> dict:
-        refusal = self._not_a_primary(request)
-        if refusal is not None:
-            return refusal
-        cursor = request.get("cursor")
-        if cursor is not None and (not isinstance(cursor, int)
-                                   or isinstance(cursor, bool)
-                                   or cursor < 0):
-            return protocol.error(
-                protocol.BAD_REQUEST,
-                "subscribe cursor must be a non-negative integer",
-                request=request)
         fault_point("repl.subscribe")
         async with self._gate.read():
             try:
-                sub = self._hub.subscribe(cursor, request.get("log_id"))
+                sub = self._hub.subscribe(request.get("cursor"),
+                                          request.get("log_id"))
             except ResyncNeeded as err:
                 return protocol.error(protocol.RESYNC_REQUIRED, str(err),
                                       request=request)
@@ -742,19 +752,11 @@ class Server:
             self.stats.repl_subscribes += 1
             head = self._db.change_log.cursor()
         return protocol.ok(request, sub=sub.id, cursor=head,
-                           log_id=self._hub.log_id)
+                           log_id=sub.epoch)
 
-    async def _handle_repl_batch(self, request: dict) -> dict:
-        refusal = self._not_a_primary(request)
-        if refusal is not None:
-            return refusal
-        cursor = request.get("cursor")
-        if (not isinstance(cursor, int) or isinstance(cursor, bool)
-                or cursor < 0):
-            return protocol.error(
-                protocol.BAD_REQUEST,
-                "repl.batch needs a non-negative integer 'cursor'",
-                request=request)
+    async def _handle_repl_batch(self, request: dict,
+                                 connection: _Connection) -> dict:
+        cursor = request["cursor"]
         sub = self._hub.get(request.get("sub"))
         if sub is None:
             return protocol.error(
@@ -762,11 +764,8 @@ class Server:
                 f"unknown subscription {request.get('sub')!r}; "
                 f"subscriptions die with their connection -- resubscribe",
                 request=request)
-        wait_ms = request.get("wait_ms", 0)
-        if (not isinstance(wait_ms, (int, float))
-                or isinstance(wait_ms, bool) or wait_ms < 0):
-            wait_ms = 0
-        wait_ms = min(float(wait_ms), self.config.repl_wait_cap_ms)
+        wait_ms = min(request.get("wait_ms") or 0,
+                      self.config.repl_wait_cap_ms)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wait_ms / 1000.0
         while True:
@@ -800,13 +799,8 @@ class Server:
 
     # -- writes (single maintainer) ------------------------------------
 
-    async def _handle_write(self, request: dict) -> dict:
-        if self._replicator is not None:
-            return protocol.error(
-                protocol.READ_ONLY,
-                f"this server is a read replica of "
-                f"{self.config.replica_of}; send writes to the primary",
-                request=request)
+    async def _handle_write(self, request: dict,
+                            connection: _Connection) -> dict:
         raw = request.get("changes")
         if not isinstance(raw, list):
             return protocol.error(protocol.BAD_REQUEST,
@@ -949,3 +943,23 @@ class Server:
             report = {"maintained": 0, "evicted": dropped}
         return {"applied": applied, "version": self._db.data_version(),
                 "maintenance": report}
+
+    #: Every wire op, as :meth:`_dispatch` serves it.
+    _OPS = {
+        "health": _Op(_handle_health, draining=True),
+        "stats": _Op(_handle_stats, draining=True),
+        "query": _Op(_handle_query,
+                     numbers=("timeout_ms", "max_derived", "limit")),
+        "write": _Op(_handle_write, refusal=(
+            protocol.READ_ONLY,
+            "this server is a read replica of {primary}; send writes "
+            "to the primary")),
+        "repl.snapshot": _Op(_handle_repl_snapshot,
+                             refusal=_PRIMARY_ONLY),
+        "repl.subscribe": _Op(_handle_repl_subscribe,
+                              refusal=_PRIMARY_ONLY, numbers=("cursor",)),
+        "repl.batch": _Op(_handle_repl_batch, refusal=_PRIMARY_ONLY,
+                          numbers=("cursor", "wait_ms"),
+                          required=("cursor",)),
+        "shutdown": _Op(_handle_shutdown),
+    }

@@ -186,6 +186,27 @@ class TestLowWaterMark:
         assert db.trim_changes() == 1
 
 
+    def test_a_replacement_log_continues_the_numbering(self, db):
+        log = db.begin_changes(7)
+        db.assert_set_member(n("kids"), n("p1"), (), n("x1"))
+        version = db.data_version()
+        assert log.cursor() == 8 and log.in_sync(version, 8)
+        assert not log.in_sync(version - 1, 6)  # before the log began
+        db.alias("first", n("p1"))  # disrupts the log
+        replacement = db.begin_changes()
+        assert replacement.origin == replacement.cursor() == 8
+        assert replacement.epoch != log.epoch
+        # Old (version, cursor) pairs never prove anything about the
+        # replacement, even where the numbers coincide.
+        for cursor in range(9):
+            assert not replacement.in_sync(version, cursor)
+        assert replacement.in_sync(db.data_version(), 8)
+        db.assert_set_member(n("kids"), n("p1"), (), n("x2"))
+        assert replacement.in_sync(db.data_version(), 9)
+        assert [fact for _, fact in replacement.since(8)] == [
+            ("set", n("kids"), n("p1"), (), n("x2"))]
+
+
 class TestQueryKeepsTheBaseLogBounded:
     PROGRAM = parse_program("X[d1 ->> {Y}] <- X[kids ->> {Y}].")
 

@@ -252,6 +252,46 @@ class TestRecover:
 
 
 class TestDurableStore:
+    def test_the_log_head_is_the_durable_cursor_across_restarts(
+            self, tmp_path):
+        def positions(store):
+            """The store's cursor, as the log, the newest snapshot and
+            the WAL's flushed prefix count it."""
+            return {store.durable_cursor(),
+                    store.database.change_log.cursor(),
+                    snapshot_files(tmp_path)[0][0], store.wal.flushed}
+
+        store = DurableStore.open(tmp_path)
+        for index in range(3):
+            store.database.assert_isa(n(f"o{index}"), n("thing"))
+            store.commit()
+        store.close()
+        store = DurableStore.open(tmp_path)
+        db = store.database
+        assert positions(store) == {3}  # recovered, then checkpointed
+        db.assert_isa(n("o3"), n("thing"))
+        store.commit()
+        assert store.durable_cursor() == db.change_log.cursor() == 4
+        store.checkpoint()
+        assert positions(store) == {4}
+        epoch = db.change_log.epoch
+        db.alias("first", n("o0"))  # disrupts the change log
+        db.assert_isa(n("o4"), n("thing"))
+        assert store.commit() == 0  # checkpointed instead
+        assert db.change_log.epoch != epoch
+        assert positions(store) == {5}
+        db.assert_isa(n("o5"), n("thing"))
+        assert store.commit() == 1
+        assert store.durable_cursor() == db.change_log.cursor() == 6
+        scan = scan_segment(store.wal.segment_path)
+        assert scan.start_cursor == 5
+        assert scan.records == [{"begin": 5}, scan.records[1],
+                                {"commit": 6}]
+        store.close()
+        result = recover(tmp_path)
+        assert result.cursor == 6
+        assert result.database._aliases["first"] == n("o0")
+
     def test_open_seeds_empty_directory(self, tmp_path):
         store = DurableStore.open(tmp_path, db=seeded())
         store.close()

@@ -17,6 +17,7 @@ from repro.oodb.database import Database
 from repro.oodb.serialize import encode_fact
 from repro.server import (
     Client,
+    ConnectionLost,
     ReadOnly,
     ReplicaStale,
     ReplicationHub,
@@ -136,18 +137,18 @@ class TestReplicationHub:
         db, hub = self.make()
         with pytest.raises(ResyncNeeded):
             hub.subscribe(0, log_id="not-this-epoch")
-        sub = hub.subscribe(0, log_id=hub.log_id)
+        sub = hub.subscribe(0, log_id=db.change_log.epoch)
         assert hub.get(sub.id) is sub
 
     def test_log_replacement_rotates_the_epoch_and_drops_subs(self):
         db, hub = self.make()
         sub = hub.subscribe(0)
-        old_epoch = hub.log_id
+        old_epoch = db.change_log.epoch
         db.change_log.disrupt("test")
         db.begin_changes()              # fresh log object
         with pytest.raises(ResyncNeeded):
             hub.ship(sub, 0)
-        assert hub.log_id != old_epoch
+        assert db.change_log.epoch != old_epoch
         assert hub.get(sub.id) is None
         # Old leases died with the drop: the fresh log trims freely.
         grow(db, 1)
@@ -361,6 +362,92 @@ class TestReplicaServer:
                 db.trim_changes()
                 log = db.change_log
                 assert log.offset == log.cursor()
+
+        asyncio.run(main())
+
+
+    def test_replica_of_a_restarted_primary_counts_in_its_cursors(
+            self, tmp_path):
+        data_dir = str(tmp_path / "data")
+
+        async def main():
+            config = ServerConfig(port=0, data_dir=data_dir)
+            async with Server(seeded_db(), config=config) as first:
+                async with Client(*first.address) as client:
+                    for name in ("a", "b", "c"):
+                        await client.write(
+                            [["+set", "kids", "peter", [], name]])
+            async with Server(Database(), config=config) as primary:
+                host, port = primary.address
+                replica = await Server(Database(), config=ServerConfig(
+                    port=0, replica_of=f"{host}:{port}",
+                    repl_poll_ms=25.0)).start()
+                try:
+                    assert replica.replicator.applied == 3
+                    async with Client(host, port) as pc:
+                        await pc.write([["+set", "kids", "peter", [], "d"]])
+                        stats = await pc.stats()
+                    durable = stats["durability"]["durable_cursor"]
+                    assert durable == 4
+                    await wait_for_cursor(replica, durable)
+                    async with Client(*replica.address) as rc:
+                        health = await rc.health()
+                        got, _ = await answers_of(rc, "peter[kids ->> {X}]")
+                    assert health["applied_cursor"] == durable
+                    assert got == {"tim", "a", "b", "c", "d"}
+                finally:
+                    await replica.shutdown()
+
+        asyncio.run(main())
+
+
+class TestReplicationWireNumbers:
+    """``repl.*`` numbers are checked where every op's are."""
+
+    async def subscribed(self, primary):
+        link = await Client(*primary.address).connect()
+        sub = await link.request({"op": "repl.subscribe", "cursor": 0})
+        return link, sub["sub"]
+
+    def test_nan_wait_cannot_outlast_the_cap(self):
+        async def main():
+            config = ServerConfig(port=0, repl_wait_cap_ms=300.0)
+            async with Server(seeded_db(), config=config) as primary:
+                link, sub = await self.subscribed(primary)
+                try:
+                    with pytest.raises(ConnectionLost):
+                        await asyncio.wait_for(link.request(
+                            {"op": "repl.batch", "sub": sub, "cursor": 0,
+                             "wait_ms": float("nan")}), 3.0)
+                finally:
+                    await link.close()
+                assert primary.stats.internal_errors == 0
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("op, fields", [
+        ("repl.batch", {"wait_ms": "soon"}),
+        ("repl.batch", {"wait_ms": -5}),
+        ("repl.batch", {"wait_ms": 10 ** 400}),
+        ("repl.batch", {"cursor": None}),
+        ("repl.batch", {"cursor": "0"}),
+        ("repl.batch", {"cursor": True}),
+        ("repl.subscribe", {"cursor": -1}),
+        ("repl.subscribe", {"cursor": 1.0}),
+    ])
+    def test_bad_numbers_answer_bad_request(self, op, fields):
+        async def main():
+            config = ServerConfig(port=0, repl_wait_cap_ms=300.0)
+            async with Server(seeded_db(), config=config) as primary:
+                link, sub = await self.subscribed(primary)
+                try:
+                    with pytest.raises(RequestError) as exc_info:
+                        await link.request({"op": op, "sub": sub,
+                                            "cursor": 0, **fields})
+                finally:
+                    await link.close()
+                assert exc_info.value.code == "bad_request"
+                assert primary.stats.internal_errors == 0
 
         asyncio.run(main())
 

@@ -12,7 +12,9 @@ import random
 
 import pytest
 
+from repro.oodb.checkpoint import recover, snapshot_files
 from repro.oodb.database import Database
+from repro.oodb.oid import NamedOid
 from repro.lang.parser import parse_program
 from repro.server import (
     AdmissionController,
@@ -307,6 +309,63 @@ class TestServerBasics:
                 assert stats["log_entries"] == 0
                 assert stats["buckets_copied"] == server.query.buckets_copied
         run_with_server(scenario)
+
+
+async def raw_request(server, body: str) -> dict | None:
+    """Send ``body`` verbatim as one frame (so it may hold what
+    ``json.dumps`` would not write); the decoded response, or None when
+    the server closed the connection instead."""
+    host, port = server.address
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        data = body.encode("utf-8")
+        writer.write(len(data).to_bytes(4, "big") + data)
+        await writer.drain()
+        return await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+    finally:
+        writer.close()
+
+
+class TestWireNumbers:
+    """Numeric request fields are checked before any handler runs."""
+
+    QUERY = '{"op": "query", "query": "X : employee", '
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_close_the_connection(self, constant):
+        async def scenario(server):
+            body = self.QUERY + f'"timeout_ms": {constant}}}'
+            assert await raw_request(server, body) is None
+            host, port = server.address
+            async with Client(host, port) as client:
+                assert (await client.health())["status"] == "ok"
+            return server.stats.internal_errors
+        assert run_with_server(scenario, max_timeout_ms=60_000.0) == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_ms", '"soon"'), ("timeout_ms", "1e999"),
+        ("timeout_ms", "-5"), ("timeout_ms", "true"),
+        ("limit", '"all"'), ("limit", "1.5"), ("limit", "-1"),
+        ("max_derived", '"many"'), ("max_derived", "-1"),
+    ])
+    def test_bad_numbers_answer_bad_request(self, field, value):
+        async def scenario(server):
+            response = await raw_request(
+                server, self.QUERY + f'"{field}": {value}}}')
+            return response, server.stats.as_dict()
+        response, stats = run_with_server(scenario)
+        assert response["error"]["code"] == protocol.BAD_REQUEST
+        assert repr(field) in response["error"]["message"]
+        assert stats["internal_errors"] == 0
+        assert stats["queries"] == 0  # refused before the handler
+
+    def test_good_numbers_pass(self):
+        async def scenario(server):
+            return await raw_request(
+                server, self.QUERY + '"timeout_ms": 2.5e3, "limit": 0, '
+                '"max_derived": null}')
+        response = run_with_server(scenario)
+        assert response["ok"] and response["answers"] == []
 
 
 class TestBudgetsAndDeadlines:
@@ -616,6 +675,55 @@ class TestDurableServer:
         assert before == after == ["d1", "p0", "p1", "p2"]
         assert durability["recovered_entries"] >= 2
         assert durability["truncated_tail"] == 0
+
+    def test_one_cursor_numbers_a_state_across_restarts(self, tmp_path):
+        data_dir = tmp_path / "data"
+
+        async def first_life(server):
+            host, port = server.address
+            async with Client(host, port) as client:
+                for name in ("a", "b", "c"):
+                    await client.write([["+isa", name, "thing"]])
+
+        async def positions(client):
+            """Every cursor the server reports for its current state."""
+            answer = await client.query("X : thing", ["X"])
+            snapshot = await client.request({"op": "repl.snapshot"})
+            stats = await client.stats()
+            return {answer["cursor"], snapshot["cursor"],
+                    snapshot["snapshot"]["snapshot"]["cursor"],
+                    stats["durability"]["durable_cursor"],
+                    snapshot_files(data_dir)[0][0]}
+
+        async def second_life(server):
+            host, port = server.address
+            db = server.database
+            async with Client(host, port) as client:
+                assert db.change_log.cursor() == 3  # the recovered cursor
+                await client.write([["+isa", "d", "thing"]])
+                server.store.checkpoint()
+                after_restart = await positions(client)
+                # An alias rebinding cannot be journalled: the next
+                # commit checkpoints, and a new log epoch continues
+                # from the snapshot's cursor.
+                epoch = db.change_log.epoch
+                db.alias("first", db.obj("a"))
+                await client.write([["+isa", "e", "thing"]])
+                assert db.change_log.epoch != epoch
+                after_disruption = await positions(client)
+                await client.write([["+isa", "f", "thing"]])
+                durable = (await client.stats())["durability"]
+            return after_restart, after_disruption, durable
+
+        run_with_server(first_life, data_dir=str(data_dir))
+        after_restart, after_disruption, durable = run_with_server(
+            second_life, db=Database(), data_dir=str(data_dir))
+        assert after_restart == {4}
+        assert after_disruption == {5}
+        assert durable["durable_cursor"] == 6
+        result = recover(data_dir)
+        assert result.cursor == 6
+        assert result.database._aliases["first"] == NamedOid("a")
 
     def test_stats_report_durability(self, tmp_path):
         async def scenario(server):

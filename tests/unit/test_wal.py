@@ -256,13 +256,14 @@ class TestWriteAheadLog:
         assert wal.commit() == 1
         wal.close()
 
-    def test_durable_cursor_applies_base(self, tmp_path):
+    def test_log_started_at_a_cursor_journals_from_it(self, tmp_path):
         db = Database()
-        db.begin_changes()
-        wal = WriteAheadLog(tmp_path, db, base=10)
+        db.begin_changes(10)
+        wal = WriteAheadLog(tmp_path, db)
         db.assert_isa(n("a"), n("b"))
         wal.commit()
-        assert wal.durable_cursor == 11
+        assert wal.flushed == db.change_log.cursor() == 11
+        assert wal.segment_path.name == segment_name(10)
         scan = scan_segment(wal.segment_path)
         assert scan.start_cursor == 10
         assert scan.records[0] == {"begin": 10}
