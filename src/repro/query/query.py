@@ -24,7 +24,7 @@ Examples::
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from repro.core.ast import Comparison, Literal, Negation, Reference, Var
 from repro.core.pretty import literal_to_text
@@ -140,6 +140,13 @@ class Query:
         #: (the server's single-writer gate guarantees exactly that).
         self._thread_safe = thread_safe
         self._lock = threading.RLock()
+        #: Encoded answers of :meth:`answer`, keyed by ``(text,
+        #: variables, limit)``: immutable ``(stamp, db, data, version,
+        #: cursor)`` tuples, at most ``memo_entries`` of them (oldest
+        #: first out).  Each dies with its answering memo in
+        #: :meth:`_forget`; :meth:`peek` serves one only while its stamp
+        #: (:meth:`_stamp`) is current.
+        self._answers: dict[tuple, tuple] = {}
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -427,6 +434,9 @@ class Query:
         for registry in (self._result_caches, self._memo_state,
                          self._maintainers, self._engines):
             registry.pop(id(result), None)
+        for key in [key for key, entry in self._answers.items()
+                    if entry[1] is result]:
+            del self._answers[key]
         self._update_hold()
 
     # ------------------------------------------------------------------
@@ -444,10 +454,19 @@ class Query:
         """
         if budget is None:
             budget = self._budget
+        yield from self._answering(query, variables, budget)[1]
+
+    def _answering(self, query: QueryInput, variables,
+                   budget) -> tuple[Database, Iterator[Answer]]:
+        """The database answering ``query`` and its answer stream."""
         literals = self._as_literals(query)
         wanted = self._wanted_variables(literals, variables)
         atoms = flatten_conjunction(literals)
         db = self._db_for(atoms, budget)
+        return db, self._project(db, atoms, wanted, budget)
+
+    def _project(self, db: Database, atoms, wanted: list[str],
+                 budget) -> Iterator[Answer]:
         seen: set[tuple] = set()
         for binding in solve(db, atoms, {}, cache=self._cache_for(db),
                              interpreted=self._interpreted,
@@ -467,6 +486,75 @@ class Query:
         if sort:
             answers.sort(key=lambda a: a.sort_key())
         return answers
+
+    # ------------------------------------------------------------------
+    # Encoded answers of repeat reads (what a server answers from)
+    # ------------------------------------------------------------------
+
+    def answer(self, text: str, variables: Sequence[str] | None,
+               limit: int | None,
+               encode: Callable[[list[Answer]], bytes], *,
+               budget=None) -> bytes:
+        """``encode`` of the first ``limit`` answers of :meth:`all`,
+        kept for :meth:`peek` when nothing moved while they were made.
+
+        The entry is stored only if the :meth:`_stamp` of the answering
+        database, taken after it was chosen (memo evaluation or
+        maintenance included) and again after encoding, did not move:
+        a concurrent read that registered names in ``U`` meanwhile may
+        have changed the answer.  One Query caches one encoding: every
+        caller must pass the same ``encode``.
+        """
+        if budget is None:
+            budget = self._budget
+        db, stream = self._answering(text, variables, budget)
+        stamp = self._stamp(db)
+        answers = sorted(stream, key=Answer.sort_key)
+        data = encode(answers if limit is None else answers[:limit])
+        key = _answer_key(text, variables, limit)
+        # Store without waiting: the lock may be held for a whole demand
+        # evaluation, and a missed store only costs the next read a miss.
+        if key is not None and self._memo_entries > 0 \
+                and self._lock.acquire(blocking=False):
+            try:
+                if self._stamp(db) == stamp \
+                        and (db is self._db or id(db) in self._memo_state):
+                    while len(self._answers) >= self._memo_entries:
+                        del self._answers[next(iter(self._answers))]
+                    log = self._db.change_log
+                    self._answers[key] = (
+                        stamp, db, data, stamp[0],
+                        None if log is None else log.cursor())
+            finally:
+                self._lock.release()
+        return data
+
+    def peek(self, text: str, variables: Sequence[str] | None = None,
+             limit: int | None = None) -> tuple | None:
+        """``(data, version, cursor)`` a repeat :meth:`answer` would
+        return now, or None when no current entry exists.
+
+        ``version`` and ``cursor`` are the base's data version and
+        change-log cursor the bytes were computed at.  Takes no lock
+        (:meth:`_db_for` holds it through a whole demand evaluation),
+        and is exact only while nothing mutates the base or its memos
+        -- a server peeks while no writer holds its gate.
+        """
+        key = _answer_key(text, variables, limit)
+        entry = None if key is None else self._answers.get(key)
+        if entry is None or self._stamp(entry[1]) != entry[0]:
+            return None
+        return entry[2:]
+
+    def _stamp(self, db: Database) -> tuple[int, int, int, int]:
+        """What an answer over ``db`` depends on: the data version and
+        ``|U|`` of the base and of ``db``.  ``|U|`` is there because
+        reads register the names they mention without a version bump,
+        and ``X[self -> X]`` answers every object in ``U``."""
+        base = self._db
+        return (base.data_version(), len(base), db.data_version(), len(db))
+
+    # ------------------------------------------------------------------
 
     def ask(self, query: QueryInput, *, budget=None) -> bool:
         """True iff the query has at least one solution.
@@ -617,6 +705,17 @@ class Query:
                 for var in variables_of(literal):
                     wanted.setdefault(var.name, None)
         return list(wanted)
+
+
+def _answer_key(text: str, variables, limit) -> tuple | None:
+    """The :meth:`Query.answer` cache key, or None when unhashable."""
+    try:
+        key = (text, None if variables is None else tuple(variables),
+               limit)
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 def sorted_objects(objects: Iterable[Oid]) -> list[Oid]:

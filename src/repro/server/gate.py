@@ -36,6 +36,11 @@ class ReadWriteGate:
         """Readers currently inside the gate."""
         return self._readers
 
+    @property
+    def writing(self) -> bool:
+        """Whether a writer is inside the gate (mutating the database)."""
+        return self._writing
+
     @asynccontextmanager
     async def read(self):
         async with self._cond:

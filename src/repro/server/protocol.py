@@ -88,10 +88,26 @@ class FrameTooLarge(ValueError):
     """A frame length prefix exceeded :data:`MAX_FRAME`."""
 
 
+def encode_json(value) -> bytes:
+    """The compact UTF-8 JSON every frame body is made of."""
+    return json.dumps(value, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
 def encode_frame(payload: dict) -> bytes:
     """One wire frame: length prefix plus compact JSON body."""
-    body = json.dumps(payload, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    return _frame(encode_json(payload))
+
+
+def answer_frame(request: dict | None, answers: bytes, **payload) -> bytes:
+    """The frame of ``ok(request, answers=..., **payload)``, with the
+    ``answers`` array given already encoded (:func:`encode_json`) --
+    spliced in as the last field, so it is never decoded again."""
+    head = encode_json(ok(request, **payload))
+    return _frame(head[:-1] + b',"answers":' + answers + b"}")
+
+
+def _frame(body: bytes) -> bytes:
     if len(body) > MAX_FRAME:
         raise FrameTooLarge(f"frame of {len(body)} bytes exceeds "
                             f"MAX_FRAME ({MAX_FRAME})")

@@ -320,7 +320,10 @@ class Replicator:
         Transient failures (dropped connection, a draining primary, an
         injected fault) back off exponentially and resubscribe at the
         applied cursor; a cursor gap or ``resync_required`` answer
-        re-bootstraps from a fresh snapshot.
+        re-bootstraps from a fresh snapshot -- at once after a healthy
+        stream, with the same backoff when the last pull failed too (a
+        primary whose log stays disrupted answers every subscribe with
+        ``resync_required``).
         """
         while True:
             try:
@@ -332,14 +335,14 @@ class Replicator:
                 self._failures = 0
             except asyncio.CancelledError:
                 raise
-            except ResyncNeeded:
-                self._needs_bootstrap = True
-                self.connected = False
-                await self._disconnect()
-            except Exception:  # noqa: BLE001 - backoff covers all faults
+            except Exception as err:  # noqa: BLE001 - backoff covers all
+                resync = isinstance(err, ResyncNeeded)
+                self._needs_bootstrap |= resync
                 self.connected = False
                 self._failures += 1
                 await self._disconnect()
+                if resync and self._failures == 1:
+                    continue
                 delay = self._retry.delay_ms(min(self._failures - 1, 10))
                 await asyncio.sleep(delay / 1000.0)
 

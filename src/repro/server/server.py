@@ -12,6 +12,10 @@ Architecture (docs/server.md has the full story):
   with a :class:`~repro.oodb.database.ChangeLease` (released in a
   ``finally``), so the log stays consistent for the memo machinery and
   ``stats`` can report how far the slowest reader lags.
+- A repeat read at an unchanged state skips all of that: while no
+  writer holds the gate, :meth:`Query.peek` hands back the answer
+  bytes an earlier evaluation stored (:meth:`Query.answer`), and the
+  response goes out straight from the event loop.
 - All writes funnel through one maintainer task.  It takes the gate
   exclusively and runs the one commit step the replica shares
   (:meth:`Server._apply_batch`): the batch's change entries apply
@@ -180,6 +184,10 @@ class ServerStats:
     repl_reconnects: int = 0
     #: Reads shed because staleness exceeded ``max_lag`` (replica).
     stale_sheds: int = 0
+    #: Reads answered from cached answer bytes on the event loop, and
+    #: reads that took the admitted, gated executor path instead.
+    answer_cache_hits: int = 0
+    answer_cache_misses: int = 0
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -231,6 +239,11 @@ def _bad_number(request: dict, op: _Op) -> str | None:
         kind = "finite number" if float in types else "integer"
         return f"{name!r} must be a non-negative {kind}"
     return None
+
+
+def _encode_answers(answers: list) -> bytes:
+    return protocol.encode_json([answer.values_dict()
+                                 for answer in answers])
 
 
 class Server:
@@ -495,11 +508,14 @@ class Server:
             self.stats.disconnect_cancels += 1
 
     async def _respond(self, connection: _Connection,
-                       response: dict) -> None:
+                       response: dict | bytes) -> None:
+        """Send one response: a dict, or a frame already encoded."""
         if connection.disconnected:
             return
         fault_point("server.respond")
-        connection.writer.write(protocol.encode_frame(response))
+        if not isinstance(response, bytes):
+            response = protocol.encode_frame(response)
+        connection.writer.write(response)
         await connection.writer.drain()
 
     # -- dispatch ------------------------------------------------------
@@ -538,7 +554,7 @@ class Server:
             connection.writer.close()
 
     async def _dispatch(self, request: dict,
-                        connection: _Connection) -> dict:
+                        connection: _Connection) -> dict | bytes:
         """Serve one request as its entry in :attr:`_OPS` says."""
         if not isinstance(request, dict) or "op" not in request:
             return protocol.error(protocol.BAD_REQUEST,
@@ -661,7 +677,7 @@ class Server:
         return QueryBudget(timeout_ms=timeout_ms, max_derived=max_derived)
 
     async def _handle_query(self, request: dict,
-                            connection: _Connection) -> dict:
+                            connection: _Connection) -> dict | bytes:
         text = request.get("query")
         if not isinstance(text, str):
             return protocol.error(protocol.BAD_REQUEST,
@@ -682,10 +698,27 @@ class Server:
                     retry_after_ms=self.config.repl_poll_ms)
         self.stats.queries += 1
         budget = self._budget_for(request)
+        if budget.timeout_ms is not None and budget.timeout_ms <= 0:
+            # Spent before it began: raises, cached answer or not.
+            budget.check("query")
         loop = asyncio.get_running_loop()
+        started = loop.time()
+        # A repeat read at an unchanged state is answered here, on the
+        # loop: no admission, gate or executor.  With no writer inside
+        # the gate nothing can move the database or the replica cursors
+        # until this handler yields.
+        cached = None if self._gate.writing \
+            else self._query.peek(text, variables, limit)
+        if cached is not None:
+            self.stats.answer_cache_hits += 1
+            answers, version, cursor = cached
+            return protocol.answer_frame(
+                request, answers, version=version, cursor=cursor,
+                elapsed_ms=(loop.time() - started) * 1000.0,
+                **self._replica_proof())
+        self.stats.answer_cache_misses += 1
         slot = await self._admission.admit()
         started = loop.time()
-        extra = {}
         async with slot:
             async with self._gate.read():
                 # The database is frozen while we hold the read side:
@@ -693,12 +726,10 @@ class Server:
                 # answer reflects, and pins it for the memo machinery.
                 lease = self._db.held_changes()
                 connection.budgets.add(budget)
-                if replicator is not None:
-                    # Captured inside the gate: the applied cursor only
-                    # moves under the write side, so this proof pairs
-                    # exactly with the database state being read.
-                    extra = {"primary_cursor": replicator.applied,
-                             "staleness": replicator.staleness()}
+                # Captured inside the gate: the applied cursor only
+                # moves under the write side, so this proof pairs
+                # exactly with the database state being read.
+                extra = self._replica_proof()
                 try:
                     if connection.disconnected:
                         budget.cancel()
@@ -711,17 +742,23 @@ class Server:
                     cursor = lease.cursor
                     lease.release()
         self._admission.observe_service((loop.time() - started) * 1000.0)
-        return protocol.ok(request, answers=answers, version=version,
-                           cursor=cursor,
-                           elapsed_ms=(loop.time() - started) * 1000.0,
-                           **extra)
+        return protocol.answer_frame(
+            request, answers, version=version, cursor=cursor,
+            elapsed_ms=(loop.time() - started) * 1000.0, **extra)
+
+    def _replica_proof(self) -> dict:
+        """A replica answer's ``primary_cursor`` and ``staleness``."""
+        replicator = self._replicator
+        if replicator is None:
+            return {}
+        return {"primary_cursor": replicator.applied,
+                "staleness": replicator.staleness()}
 
     def _run_query(self, text: str, variables, limit,
-                   budget: QueryBudget) -> list[dict]:
-        answers = self._query.all(text, variables, budget=budget)
-        if limit is not None:
-            answers = answers[:limit]
-        return [answer.values_dict() for answer in answers]
+                   budget: QueryBudget) -> bytes:
+        """The encoded ``answers`` array (worker thread, gate held)."""
+        return self._query.answer(text, variables, limit, _encode_answers,
+                                  budget=budget)
 
     # -- replication (primary side) ------------------------------------
 

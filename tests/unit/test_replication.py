@@ -366,6 +366,28 @@ class TestReplicaServer:
         asyncio.run(main())
 
 
+    def test_a_log_disrupted_for_good_backs_rebootstraps_off(self):
+        # An alias disrupts the primary's change log and nothing
+        # replaces it: every subscribe answers resync_required.  The
+        # first re-bootstrap is immediate, the ones after it back off
+        # instead of fetching a snapshot in a tight loop.
+        async def main():
+            primary, replica = await start_pair()
+            try:
+                primary.database.alias("alias1", "peter")
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                while replica.stats.repl_rebootstraps == 0:
+                    assert loop.time() - started < 2.0
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(1.0)
+                assert replica.stats.repl_rebootstraps <= 10
+            finally:
+                await replica.shutdown()
+                await primary.shutdown()
+
+        asyncio.run(main())
+
     def test_replica_of_a_restarted_primary_counts_in_its_cursors(
             self, tmp_path):
         data_dir = str(tmp_path / "data")
