@@ -32,8 +32,8 @@ applied"; this package supplies them:
   guarded rule variants, recorded fallbacks) and the
   :class:`DemandEngine` front door;
 - :mod:`repro.engine.incremental` -- incremental view maintenance:
-  support counting for non-recursive strata, delete-and-rederive for
-  recursive ones, driven by the database change log;
+  seeded semi-naive insertion and delete-and-rederive for every
+  stratum, driven by the database change log;
 - :mod:`repro.engine.fixpoint` -- the :class:`Engine` driver with naive
   and semi-naive iteration, resource limits, plan capture, and
   profiling;
@@ -45,11 +45,7 @@ applied"; this package supplies them:
 from repro.engine.budget import QueryBudget
 from repro.engine.explain import PlanReport, StepView, explain_conjunction
 from repro.engine.fixpoint import Engine, EngineLimits
-from repro.engine.incremental import (
-    MaintenanceReport,
-    Maintainer,
-    SupportIndex,
-)
+from repro.engine.incremental import MaintenanceReport, Maintainer
 from repro.engine.magic import (
     DemandEngine,
     DemandReport,
@@ -78,7 +74,6 @@ __all__ = [
     "PlanStep",
     "QueryBudget",
     "StepView",
-    "SupportIndex",
     "adornment",
     "build_plan",
     "explain_conjunction",

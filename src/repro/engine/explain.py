@@ -78,7 +78,7 @@ class PlanReport:
     maintenance: object | None = None
     #: How a rule plan's solutions become facts -- its head rung:
     #: ``int writer``, ``column program`` or ``per-row realize`` (see
-    #: ``Engine._head_emitter``); None for an ad-hoc conjunction, which
+    #: ``Evaluation._head_emitter``); None for an ad-hoc conjunction, which
     #: has no head.
     head: str | None = None
 

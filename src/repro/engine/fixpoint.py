@@ -35,8 +35,8 @@ each seeded bucket of the delta into the initial batch in a single
 pass, and rule heads are asserted straight from the solution columns
 (the int batch writer for stored filters, also over the virtual objects
 of scalar path steps; the realizer's compiled column program for the
-rest; support-tracked rules go row by row -- ``Evaluation._head_emitter``
-names the rungs, EXPLAIN shows them).
+rest -- ``Evaluation._head_emitter`` names the rungs, EXPLAIN shows
+them).
 
 Every head path of a round writes into one round object, a
 :class:`~repro.engine.delta.DeltaIndex`, which the next round reads as
@@ -167,8 +167,8 @@ class _DeltaPlanRecord:
 
 class Evaluation:
     """One evaluation's semi-naive state over one database: plan cache,
-    plan and delta records, head emitters, realizer, stats, support,
-    budget and limits.
+    plan and delta records, head emitters, realizer, stats, budget and
+    limits.
 
     :meth:`run_stratum` is the one semi-naive loop.  :meth:`Engine.run`
     calls it once per stratum with no seed; the incremental maintainer
@@ -178,7 +178,7 @@ class Evaluation:
 
     def __init__(self, db: Database, *, limits: EngineLimits,
                  policy: MatchPolicy, interpreted: bool, budget,
-                 support, stats: EngineStats, seminaive: bool = True,
+                 stats: EngineStats, seminaive: bool = True,
                  catalog=None) -> None:
         self.db = db
         self.limits = limits
@@ -187,7 +187,6 @@ class Evaluation:
         #: Checked per round and kernel step; records read it per call,
         #: so a record compiled under one budget serves any later one.
         self.budget = budget
-        self.support = support  # tracked rules observe per binding
         self.stats = stats
         self.seminaive = seminaive
         #: Statistics new plans are built against: a run pins its
@@ -394,18 +393,15 @@ class Evaluation:
           virtual objects outside the int writer's shape, computed
           methods, built-in filters.
 
-        Support recording observes per binding, so tracked rules get no
-        emitter and fall back to ``per-row realize`` -- as does a head
-        with a variable the plan does not bind.
+        A head with a variable the plan does not bind gets no emitter
+        and falls back to ``per-row realize``.
         """
-        emit = None
-        if self.support is None or not self.support.tracks(rule):
-            realizer = self.realizer
-            emit = columnar_head_emitter(self.db, rule, cplan, realizer)
-            rung = "int writer"
-            if emit is None:
-                emit = realizer.compile_columns(rule.head, cplan.slots)
-                rung = "column program"
+        realizer = self.realizer
+        emit = columnar_head_emitter(self.db, rule, cplan, realizer)
+        rung = "int writer"
+        if emit is None:
+            emit = realizer.compile_columns(rule.head, cplan.slots)
+            rung = "column program"
         if emit is None:
             rung = "per-row realize"
             self.stats.heads_fallback += 1
@@ -441,13 +437,6 @@ class Evaluation:
                      solutions: list[Binding]) -> None:
         fault_point("engine.emit")
         realizer = self.realizer
-        support = self.support
-        if support is not None and support.tracks(rule):
-            for binding in solutions:
-                support.observe(rule, binding, self.db)
-                realizer.realize(rule.head, binding)
-                self.stats.firings += 1
-            return
         for binding in solutions:
             realizer.realize(rule.head, binding)
             self.stats.firings += 1
@@ -471,7 +460,6 @@ class Engine:
                  *, seminaive: bool = True,
                  limits: EngineLimits | None = None,
                  interpreted: bool = False,
-                 record_support: bool = False,
                  budget=None) -> None:
         self._db = db
         #: Cooperative :class:`~repro.engine.budget.QueryBudget` (or
@@ -484,11 +472,6 @@ class Engine:
         self._policy = MatchPolicy(self._limits.max_method_depth)
         self._interpreted = interpreted
         self._evaluation: Evaluation | None = None  # the last run's
-        # Per-fact derivation support, recorded during run() so the
-        # result can later be maintained incrementally (built lazily in
-        # run(): stratification errors keep raising from there).
-        self._record_support = record_support
-        self.support = None
         self.stats = EngineStats(seminaive=seminaive)
 
     @classmethod
@@ -534,16 +517,11 @@ class Engine:
             source.sets.surrogate_view(source.interner)
         work = source.clone()
         strata = stratify(self._rules)
-        if self._record_support and self.support is None:
-            from repro.engine.incremental import SupportIndex
-
-            self.support = SupportIndex(self._rules)
         self.stats = EngineStats(seminaive=self._seminaive,
                                  strata=len(strata))
         evaluation = self._evaluation = Evaluation(
             work, limits=self._limits, policy=self._policy,
-            interpreted=self._interpreted, budget=budget,
-            support=self.support, stats=self.stats,
+            interpreted=self._interpreted, budget=budget, stats=self.stats,
             seminaive=self._seminaive, catalog=work.catalog())
         self.stats.snapshot_s = time.perf_counter() - started
         try:
@@ -616,11 +594,9 @@ class Engine:
         """A :class:`~repro.engine.incremental.Maintainer` for ``result``.
 
         ``result`` is the database a previous :meth:`run` produced and
-        ``base`` the live base database the change log rides on.  When
-        the run recorded support (``record_support=True``) the
-        maintainer uses the counting algorithm for non-recursive
-        support; otherwise everything is delete-and-rederive.
-        Maintenance rounds run on the maintainer's own
+        ``base`` the live base database the change log rides on.
+        Deletions are maintained by delete-and-rederive, insertions by
+        seeded semi-naive rounds, both on the maintainer's own
         :class:`Evaluation` under this engine's limits; each
         :meth:`~repro.engine.incremental.Maintainer.apply` call brings
         its own budget (the run's budget belonged to the run).  The
@@ -631,8 +607,8 @@ class Engine:
 
         return Maintainer(
             result, base, self._rules, limits=self._limits,
-            policy=self._policy, support=self.support,
-            interpreted=self._interpreted, stats=self.stats,
+            policy=self._policy, interpreted=self._interpreted,
+            stats=self.stats,
         )
 
 

@@ -25,9 +25,9 @@ its fixpoint detection; in the engine the log is the round's
 emitter.
 
 Two entry points share one set of primitives: :meth:`HeadRealizer.realize`
-walks the spine for one binding (tuple-at-a-time evaluation,
-support-tracked rules -- and the reference the other is tested
-against), and :meth:`HeadRealizer.compile_columns`
+walks the spine for one binding (tuple-at-a-time evaluation, heads
+with a variable the plan does not bind -- and the reference the other
+is tested against), and :meth:`HeadRealizer.compile_columns`
 lowers the spine once into a flat program that the columnar executor
 runs over whole solution columns.  The engine's int batch writer
 (:func:`repro.engine.columnar.columnar_head_emitter`) comes first for

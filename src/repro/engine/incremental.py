@@ -1,4 +1,4 @@
-"""Incremental view maintenance: counting + delete-and-rederive (DRed).
+"""Incremental view maintenance: delete-and-rederive (DRed).
 
 A materialised evaluation result (the database an
 :class:`~repro.engine.fixpoint.Engine` run produced, possibly for a
@@ -7,27 +7,16 @@ maintains such a view **in place** under base-fact changes recorded by
 the database's change log (:meth:`~repro.oodb.database.Database.begin_changes`),
 instead of re-deriving the whole fixpoint from scratch:
 
-- **Counting** (non-recursive support).  During fixpoint evaluation the
-  engine records, per derived fact, how many distinct ``(rule, head
-  binding)`` pairs support it (:class:`SupportIndex`).  A rule is
-  *tracked* when its head is simple enough to substitute directly and it
-  reads nothing its own stratum defines; a predicate is
-  counting-managed when every rule defining it is tracked.  On deletion,
-  each support whose derivation touched a deleted fact is re-checked
-  with one goal-directed body solve (head variables bound); dead
-  supports decrement the counts and only facts reaching zero are
-  actually removed -- facts with surviving derivations are never
-  deleted and re-inserted.
-
-- **DRed** (recursive support).  Predicates with recursive or untracked
-  definitions use the classic delete-and-rederive construction:
-  an *overdelete* closure -- seeded from the deleted base facts and
-  computed with the engine's own **columnar delta plans**
+- **Deletion** is the classic delete-and-rederive construction, for
+  recursive and non-recursive strata alike: an *overdelete* closure --
+  seeded from the deleted base facts and computed with the engine's own
+  **columnar delta plans**
   (:func:`~repro.engine.columnar.compile_columnar_delta_plan`) against
-  the pristine view -- removes every fact whose derivation may have
-  used a deleted fact, then a *rederive* pass re-asserts each removed
-  fact that is still derivable (goal-directed, head unified against
-  the fact) and propagates semi-naively within the stratum.
+  the pristine view -- collects every fact whose derivation may have
+  used a deleted fact; stratum by stratum those facts are removed, a
+  *rederive* pass re-asserts each one that is still derivable
+  (goal-directed, head unified against the fact), and the rederived
+  facts propagate semi-naively within the stratum.
 
 - **Insertion** is the easy monotone direction: new base facts are
   replayed into the view and the rules fire semi-naively with the
@@ -140,15 +129,16 @@ class HeadSpec:
     whose filters carry only names and variables (no paths, so no
     virtual objects are created, and no computed methods).  Simple
     heads support the two operations maintenance needs: producing the
-    facts of a binding (support counting, overdelete candidates) and
-    unifying a fact back into a binding (goal-directed rederivation).
+    facts of a binding (overdelete candidates, protected ground facts)
+    and unifying a fact back into a binding (goal-directed
+    rederivation).
     """
 
     __slots__ = ("head_vars", "templates")
 
     def __init__(self, head_vars: tuple[Var, ...],
                  templates: tuple[tuple, ...]) -> None:
-        #: Head variables in deterministic order (support-key layout).
+        #: Head variables in deterministic order (overdelete dedup key).
         self.head_vars = head_vars
         #: ``("scalar"|"set", method, subject, args, result)`` or
         #: ``("isa", obj, cls)`` with :class:`Name`/:class:`Var` slots.
@@ -250,151 +240,6 @@ def simple_head(rule: NormalizedRule) -> HeadSpec | None:
 
 
 # ---------------------------------------------------------------------------
-# Support counting
-# ---------------------------------------------------------------------------
-
-class _TrackedRule:
-    __slots__ = ("key", "spec")
-
-    def __init__(self, key: int, spec: HeadSpec) -> None:
-        self.key = key
-        self.spec = spec
-
-
-class SupportIndex:
-    """Per-fact derivation support, recorded during fixpoint evaluation.
-
-    Support is counted at ``(rule, head binding)`` granularity: two body
-    valuations that project onto the same head binding derive the same
-    facts and collapse into one support (deciding whether that support
-    survives a deletion is a single existential body check either way).
-    The ``seen`` set deduplicates the semi-naive engine's re-discovery
-    of the same solution through different delta positions.
-
-    Only *tracked* rules record support: simple-headed rules that read
-    nothing their own stratum defines.  A predicate is counting-managed
-    (:meth:`Maintainer` consults this) when all of its defining rules
-    are tracked; everything else is maintained by delete-and-rederive,
-    which needs no counts.
-    """
-
-    def __init__(self, rules: list[NormalizedRule]) -> None:
-        self._tracked: dict[int, _TrackedRule] = {}
-        self.counts: dict[Fact, int] = {}
-        self.seen: set[tuple] = set()
-        #: Open transaction journal (inverse operations, applied LIFO
-        #: by :meth:`rollback_txn`), or None outside a transaction.
-        self._journal: list[tuple] | None = None
-        for group in stratify(rules):
-            defines_here = [d for rule in group for d in rule.defines]
-            for rule in group:
-                if rule.is_fact:
-                    continue
-                spec = simple_head(rule)
-                if spec is None:
-                    continue
-                recursive = any(
-                    pred_matches(read, define)
-                    for read in rule.weak_reads | rule.strong_reads
-                    for define in defines_here
-                )
-                if recursive:
-                    continue
-                self._tracked[id(rule)] = _TrackedRule(len(self._tracked),
-                                                       spec)
-
-    def tracks(self, rule: NormalizedRule) -> bool:
-        """Whether this index records support for ``rule``."""
-        return id(rule) in self._tracked
-
-    def observe(self, rule: NormalizedRule, binding: Binding,
-                db: Database) -> None:
-        """Record one body solution of a tracked rule (idempotent)."""
-        tracked = self._tracked.get(id(rule))
-        if tracked is None:
-            return
-        key = (tracked.key,
-               tuple(binding[v] for v in tracked.spec.head_vars))
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        counts = self.counts
-        facts = tracked.spec.facts(db, binding)
-        if self._journal is not None:
-            self._journal.append(("observe", key, facts))
-        for fact in facts:
-            counts[fact] = counts.get(fact, 0) + 1
-
-    def support_key(self, rule: NormalizedRule,
-                    binding: Binding) -> tuple | None:
-        """The ``seen`` key of a solution, or None for untracked rules."""
-        tracked = self._tracked.get(id(rule))
-        if tracked is None:
-            return None
-        return (tracked.key,
-                tuple(binding[v] for v in tracked.spec.head_vars))
-
-    def retract(self, key: tuple, facts: tuple[Fact, ...]) -> None:
-        """Drop one dead support, decrementing its facts' counts."""
-        if self._journal is not None and key in self.seen:
-            self._journal.append(("retract", key, facts))
-        self.seen.discard(key)
-        counts = self.counts
-        for fact in facts:
-            remaining = counts.get(fact, 0) - 1
-            if remaining > 0:
-                counts[fact] = remaining
-            else:
-                counts.pop(fact, None)
-
-    def forget(self, fact: Fact) -> None:
-        """Drop a fact's counts entirely (DRed removal)."""
-        if self._journal is not None and fact in self.counts:
-            self._journal.append(("forget", fact, self.counts[fact]))
-        self.counts.pop(fact, None)
-
-    # -- transactions (the Maintainer's all-or-nothing apply) -----------
-
-    def begin_txn(self) -> None:
-        """Start journalling mutations for a possible rollback."""
-        self._journal = []
-
-    def commit_txn(self) -> None:
-        """Keep the mutations since :meth:`begin_txn`; drop the journal."""
-        self._journal = None
-
-    def rollback_txn(self) -> None:
-        """Undo every mutation since :meth:`begin_txn`, newest first.
-
-        LIFO replay of the journal makes each inverse exact even when
-        several operations touched the same fact or support key.
-        """
-        journal, self._journal = self._journal, None
-        if not journal:
-            return
-        counts = self.counts
-        for entry in reversed(journal):
-            op = entry[0]
-            if op == "observe":
-                _, key, facts = entry
-                self.seen.discard(key)
-                for fact in facts:
-                    remaining = counts.get(fact, 0) - 1
-                    if remaining > 0:
-                        counts[fact] = remaining
-                    else:
-                        counts.pop(fact, None)
-            elif op == "retract":
-                _, key, facts = entry
-                self.seen.add(key)
-                for fact in facts:
-                    counts[fact] = counts.get(fact, 0) + 1
-            else:  # "forget"
-                _, fact, count = entry
-                counts[fact] = count
-
-
-# ---------------------------------------------------------------------------
 # The maintenance report (EXPLAIN surface + stats)
 # ---------------------------------------------------------------------------
 
@@ -408,10 +253,8 @@ class MaintenanceReport:
     reason: str | None = None
     deleted_base: int = 0
     inserted_base: int = 0
-    #: Derived facts removed by the overdelete / counting passes.
+    #: Derived facts removed by the overdelete pass.
     overdeleted: int = 0
-    #: Supports that survived re-checking (facts kept without churn).
-    kept_by_support: int = 0
     #: Overdeleted facts re-asserted by the rederive pass, including
     #: its semi-naive propagation within recursive strata.
     rederived: int = 0
@@ -432,8 +275,7 @@ class MaintenanceReport:
         )
         lines.append(
             f"  overdeleted {self.overdeleted}, rederived "
-            f"{self.rederived}, reinserted {self.reinserted}, kept by "
-            f"support {self.kept_by_support} "
+            f"{self.rederived}, reinserted {self.reinserted} "
             f"({self.rules_affected} rule(s) affected)"
         )
         return "\n".join(lines)
@@ -468,9 +310,9 @@ class Maintainer:
     Owned by the engine that produced the result
     (:meth:`repro.engine.fixpoint.Engine.maintainer`); one maintainer
     per memoised result.  Its :attr:`evaluation` (plans, compiled
-    records, head emitters) and the support index persist across
-    :meth:`apply` calls, so a steady stream of single-fact updates pays
-    planning and kernel lowering once.  The result database gets its own change log so its
+    records, head emitters) persists across :meth:`apply` calls, so a
+    steady stream of single-fact updates pays planning and kernel
+    lowering once.  The result database gets its own change log so its
     cardinality catalog is patched rather than rebuilt after each
     maintenance run.
     """
@@ -479,13 +321,11 @@ class Maintainer:
                  rules: list[NormalizedRule], *,
                  limits: EngineLimits,
                  policy: MatchPolicy,
-                 support: SupportIndex | None = None,
                  interpreted: bool = False,
                  stats=None) -> None:
         self._db = db
         self._base = base
         self._rules = list(rules)
-        self._support = support
         self._stats = stats
         self._strata = stratify(self._rules)
         self._stratum_of: dict[int, int] = {}
@@ -517,7 +357,7 @@ class Maintainer:
         #: calls).
         self.evaluation = Evaluation(
             db, limits=limits, policy=policy, interpreted=interpreted,
-            budget=None, support=support, stats=EngineStats())
+            budget=None, stats=EngineStats())
 
     # -- public entry point ---------------------------------------------
 
@@ -538,8 +378,7 @@ class Maintainer:
         The write phase is transactional: any exception mid-application
         (a budget expiry, an injected fault, a genuine bug) rolls the
         result database back to its pre-call state through
-        :meth:`~repro.oodb.database.Database.rollback_changes` --
-        restoring the support index from its journal first -- and
+        :meth:`~repro.oodb.database.Database.rollback_changes` and
         re-raises.  The caller observes either a fully maintained view
         or the untouched one it started with, never a half-applied mix.
         """
@@ -566,9 +405,6 @@ class Maintainer:
         # -- writes start here; everything below is all-or-nothing ------
         checkpoint = self._db.begin_changes().cursor()
         universe = self._db.universe()  # U as it was, restored on failure
-        support = self._support
-        if support is not None:
-            support.begin_txn()
         self.evaluation.budget = budget
         try:
             if deleted:
@@ -576,15 +412,11 @@ class Maintainer:
             if inserted:
                 self._insert_pass(inserted, affected, report)
         except BaseException:
-            if support is not None:
-                support.rollback_txn()
             self._db.rollback_changes(checkpoint, universe)
             self.evaluation.realizer.log = []
             raise
         finally:
             self.evaluation.budget = None
-        if support is not None:
-            support.commit_txn()
         # Keep the result database's private log bounded: fold the
         # entries this run produced into its catalog (an O(delta)
         # patch), then drop the consumed prefix.
@@ -646,95 +478,56 @@ class Maintainer:
                             f"defining rule {rule} {what}")
         return None
 
-    # -- the deletion pass (counting + DRed) ----------------------------
+    # -- the deletion pass (DRed) -----------------------------------------
 
     def _delete_pass(self, deleted: list[Fact],
                      affected: list[NormalizedRule],
                      report: MaintenanceReport) -> None:
         db = self._db
-        support = self._support
-        overdeleted, candidates = self._overdelete_closure(deleted, affected)
-        # Group candidate facts by the stratum where their predicate is
-        # decided (the highest stratum among defining rules); facts no
-        # rule defines are pure base data, removed outright.
+        # Group the overdeleted facts by the stratum where their
+        # predicate is decided (the highest stratum among defining
+        # rules); facts no rule defines are pure base data.
         by_level: dict[int, list[Fact]] = {}
-        definers: dict[Pred, list[NormalizedRule]] = {}
-        for fact in overdeleted:
+        levels: dict[Pred, int] = {}
+        for fact in self._overdelete_closure(deleted, affected):
             pred = fact_pred(fact)
-            rules = definers.get(pred)
-            if rules is None:
-                rules = definers[pred] = [
-                    rule for rule in self._rules if not rule.is_fact
-                    and any(pred_matches(pred, d) for d in rule.defines)
-                ]
-            level = max((self._stratum_of[id(rule)] for rule in rules),
-                        default=-1)
+            level = levels.get(pred)
+            if level is None:
+                level = levels[pred] = max(
+                    (self._stratum_of[id(rule)] for rule in self._rules
+                     if not rule.is_fact
+                     and any(pred_matches(pred, d) for d in rule.defines)),
+                    default=-1)
             by_level.setdefault(level, []).append(fact)
-        counting_preds = {
-            pred: bool(rules) and support is not None
-            and all(support.tracks(rule) for rule in rules)
-            for pred, rules in definers.items()
-        }
-        candidates_by_level: dict[int, list] = {}
-        for entry in candidates:
-            candidates_by_level.setdefault(
-                self._stratum_of[id(entry[0])], []).append(entry)
-        budget = self.evaluation.budget
-        for level in sorted(set(by_level) | set(candidates_by_level)):
+        for level in sorted(by_level):
             if level < 0:
                 # Pure base data (no rule derives it): the deletion just
                 # lands in the view, counted as deleted_base already.
-                for fact in by_level.get(level, ()):
+                for fact in by_level[level]:
                     db.apply_entry("-", fact)
-                continue
-            fault_point("maintain.counting")
-            if budget is not None:
-                budget.check("maintain.counting", stratum=level)
-            # Counting first: retract dead supports of tracked rules.
-            for rule, key, facts, binding in \
-                    candidates_by_level.get(level, ()):
-                if support is None or key not in support.seen:
-                    continue
-                if self._body_solvable(rule, binding):
-                    report.kept_by_support += 1
-                    continue
-                support.retract(key, facts)
-            dred: list[Fact] = []
-            for fact in by_level.get(level, ()):
-                if counting_preds[fact_pred(fact)]:
-                    if support.counts.get(fact, 0) <= 0 \
-                            and fact_present(db, fact):
-                        db.apply_entry("-", fact)
-                        report.overdeleted += 1
-                else:
-                    dred.append(fact)
-            if dred:
-                self._dred(level, dred, report)
+            else:
+                self._dred(level, by_level[level], report)
 
     def _overdelete_closure(self, deleted: list[Fact],
-                            affected: list[NormalizedRule]):
+                            affected: list[NormalizedRule]) -> list[Fact]:
         """The classic DRed overapproximation, against the pristine view.
 
-        Returns the ordered overdelete candidate set and every candidate
-        derivation ``(rule, support key, facts, head binding)`` whose
-        body touched a candidate fact.  Nothing is removed here: facts
-        removed later (by counts reaching zero or DRed) were all seeded
+        Returns, in discovery order, the deleted facts still in the view
+        and every derived fact whose derivation may have used one of
+        them.  Nothing is removed here: every later removal was seeded
         through the closure, so matching rule bodies against the
         unmodified view keeps the overapproximation complete even for
         derivations that used several deleted facts.
         """
         db = self._db
         base = self._base
-        support = self._support
-        overdeleted: dict[Fact, None] = {}
-        for fact in deleted:
-            if not fact_present(db, fact):
-                continue
-            if fact in self._protected:
-                continue  # a ground program rule still asserts it
-            overdeleted[fact] = None
-        candidate_keys: set = set()
-        candidates: list = []
+        protected = self._protected  # a ground program rule asserts them
+        overdeleted: dict[Fact, None] = {
+            fact: None for fact in deleted
+            if fact_present(db, fact) and fact not in protected}
+        # Head bindings already expanded, per rule: body valuations that
+        # project onto one head binding derive the same facts.
+        expanded: set[tuple] = set()
         evaluation = self.evaluation
         budget = evaluation.budget
         seeds = SeedIndex(db, affected)
@@ -760,53 +553,35 @@ class Maintainer:
                                      for var, slot in pairs}
                                     for i in range(nrows)]
                     for binding in bindings:
-                        # Project onto the head variables: a support is
-                        # a (rule, head binding) pair, and its later
-                        # aliveness re-check must be existential over
-                        # the whole body -- seeding the full (dead)
-                        # body valuation would wrongly kill facts whose
-                        # other valuations survive.  (The columnar
-                        # records already project; the interpreted walk
-                        # yields full bindings.)
-                        head_binding = {v: binding[v]
-                                        for v in spec.head_vars}
-                        facts = spec.facts(db, head_binding)
-                        key = (support.support_key(rule, head_binding)
-                               if support is not None else None)
-                        if key is None:
-                            key = (id(rule), tuple(
-                                head_binding[v] for v in spec.head_vars))
-                        if key in candidate_keys:
+                        key = (id(rule),
+                               tuple(binding[v] for v in spec.head_vars))
+                        if key in expanded:
                             continue
-                        candidate_keys.add(key)
-                        candidates.append((rule, key, facts, head_binding))
-                        for fact in facts:
-                            if fact in overdeleted:
-                                continue
-                            if not fact_present(db, fact):
-                                continue
-                            if fact_present(base, fact):
-                                continue  # EDB-protected: cannot vanish
-                            if fact in self._protected:
-                                continue  # asserted by a ground rule
+                        expanded.add(key)
+                        for fact in spec.facts(db, binding):
+                            if fact in overdeleted \
+                                    or not fact_present(db, fact) \
+                                    or fact_present(base, fact) \
+                                    or fact in protected:
+                                continue  # base and ground facts stay
                             overdeleted[fact] = None
                             frontier.append(fact)
-        return overdeleted, candidates
+        return list(overdeleted)
 
     def _dred(self, level: int, facts: list[Fact],
               report: MaintenanceReport) -> None:
         """Remove, then rederive-and-propagate, within one stratum."""
         fault_point("maintain.dred")
+        budget = self.evaluation.budget
+        if budget is not None:
+            budget.check("maintain.dred", stratum=level)
         db = self._db
-        support = self._support
         realizer = self.evaluation.realizer
         removed: list[Fact] = []
         for fact in facts:
             if db.apply_entry("-", fact):
                 removed.append(fact)
                 report.overdeleted += 1
-                if support is not None:
-                    support.forget(fact)
         rederived: list[Fact] = []
         realizer.log = rederived
         for fact in removed:
@@ -821,8 +596,8 @@ class Maintainer:
                     realizer.replay((fact,))
                     report.rederived += 1
                     break
-        # Propagate: a rederived fact may restore support for other
-        # removed facts of this stratum.
+        # Propagate: a rederived fact may re-derive other removed facts
+        # of this stratum.
         if rederived:
             report.rederived += self.evaluation.run_stratum(
                 self._strata[level], level, site="maintain.rederive",

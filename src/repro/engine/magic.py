@@ -781,7 +781,6 @@ class DemandEngine:
                  query: QueryLike, *,
                  seminaive: bool = True, limits=None,
                  interpreted: bool = False,
-                 record_support: bool = False,
                  budget=None) -> None:
         from repro.engine.fixpoint import Engine
 
@@ -791,7 +790,6 @@ class DemandEngine:
             db, normalize_program(program), self.query_atoms)
         self._engine = Engine(db, self.rewrite.rules, seminaive=seminaive,
                               limits=limits, interpreted=interpreted,
-                              record_support=record_support,
                               budget=budget)
         self.result: Database | None = None
 
@@ -806,7 +804,7 @@ class DemandEngine:
         The rewritten program (seeds, magic rules, guarded variants) is
         maintained exactly like an ordinary one: demand itself is a set
         of derived facts, so base changes grow and shrink it through
-        the same counting / delete-and-rederive machinery.  See
+        the same delete-and-rederive and insertion passes.  See
         :meth:`repro.engine.fixpoint.Engine.maintainer`.
         """
         return self._engine.maintainer(result, base)

@@ -74,7 +74,8 @@ class EngineStats:
     #: compiled column head program.
     heads_compiled: int = 0
     #: Plans whose batches still go row by row through
-    #: ``HeadRealizer.realize`` (support-tracked rules).
+    #: ``HeadRealizer.realize`` (a head variable the plan does not
+    #: bind).  The ``interpreted=True`` oracle compiles no plans.
     heads_fallback: int = 0
     #: Magic seed facts asserted for a demand-driven run (0 = full run).
     magic_seeds: int = 0
@@ -85,7 +86,7 @@ class EngineStats:
     rules_fallback: int = 0
     #: Incremental maintenance runs applied to this engine's result.
     maintenance_runs: int = 0
-    #: Facts removed by the overdelete / counting deletion passes.
+    #: Facts removed by the overdelete pass.
     facts_overdeleted: int = 0
     #: Overdeleted facts the rederive pass re-asserted.
     facts_rederived: int = 0

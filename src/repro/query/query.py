@@ -67,7 +67,7 @@ class Query:
     With an active change log on the base database
     (:meth:`~repro.oodb.database.Database.begin_changes`), memoised
     results are **maintained in place** when base facts change:
-    the recorded insert/delete deltas drive the counting /
+    the recorded insert/delete deltas drive the insertion and
     delete-and-rederive passes of :mod:`repro.engine.incremental`
     instead of re-running the fixpoint from scratch.  When maintenance
     must fall back (negation or superset atoms over changed predicates,
@@ -190,7 +190,6 @@ class Query:
                 engine = Engine(
                     self._db, self._program, seminaive=self._seminaive,
                     limits=self._limits, interpreted=self._interpreted,
-                    record_support=self._record_support(),
                     budget=budget,
                 )
                 result = engine.run()
@@ -216,7 +215,6 @@ class Query:
                 self._db, self._program, key,
                 seminaive=self._seminaive, limits=self._limits,
                 interpreted=self._interpreted,
-                record_support=self._record_support(),
                 budget=budget,
             )
             result = engine.run()
@@ -233,16 +231,6 @@ class Query:
         else:
             self.last_demand = self._demand_engines[key]
         return result
-
-    def _record_support(self) -> bool:
-        """Whether a fresh evaluation should record derivation support.
-
-        Only worthwhile when maintenance can actually consume it: a
-        change log must already be active on the base.  A log begun
-        *after* this memo entry simply means one more full rebuild on
-        the first change -- the replacement run records support.
-        """
-        return self._db.change_log is not None
 
     def _publish(self, result: Database) -> None:
         """Make ``result`` safe for unlocked concurrent readers.

@@ -142,8 +142,8 @@ SITES = frozenset({
     # columnar executor (kernel steps and chunked existence checks)
     "columnar.step",
     # incremental maintenance phases
-    "maintain.apply", "maintain.counting", "maintain.dred",
-    "maintain.insert", "maintain.overdelete", "maintain.rederive",
+    "maintain.apply", "maintain.dred", "maintain.insert",
+    "maintain.overdelete", "maintain.rederive",
     # concurrent query server
     "server.accept", "server.dispatch", "server.maintain",
     "server.respond",

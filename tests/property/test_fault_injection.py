@@ -29,7 +29,7 @@ from repro.testing import InjectedFault, inject_random
 pytestmark = pytest.mark.property
 
 #: Recursive set rule (DRed + rederive), plus a scalar derived from the
-#: recursion and a class test (counting, isa deltas).
+#: recursion and a class test (non-recursive DRed, isa deltas).
 RULES = """
     X[desc ->> {Y}] <- X[kids ->> {Y}].
     X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
@@ -41,9 +41,8 @@ QUERIES = ("peter[desc ->> {X}]", "X[desc ->> {Y}]", "X[reach -> V]")
 SUBJECTS = ("peter", "tim", "mary", "tom", "ann")
 
 MAINTAIN_SITES = (
-    "maintain.apply", "maintain.overdelete", "maintain.counting",
-    "maintain.dred", "maintain.rederive", "maintain.insert",
-    "heads.replay",
+    "maintain.apply", "maintain.overdelete", "maintain.dred",
+    "maintain.rederive", "maintain.insert", "heads.replay",
 )
 
 ALL_SITES = MAINTAIN_SITES + (
@@ -142,7 +141,7 @@ def test_apply_faults_roll_back_and_retry_matches_scratch(
     db = seeded_db()
     log = db.begin_changes()
     program = parse_program(RULES)
-    engine = Engine(db, program, record_support=True)
+    engine = Engine(db, program)
     result = engine.run()
     maintainer = engine.maintainer(result, db)
     cursor = log.cursor()

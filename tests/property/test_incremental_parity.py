@@ -22,7 +22,7 @@ from tests.property.strategies import databases
 
 pytestmark = pytest.mark.property
 
-#: Rules sweep counting (non-recursive d2/d6), DRed (recursive d1),
+#: Rules sweep DRed over non-recursive (d2/d6) and recursive (d1) rules,
 #: derived-from-derived (d3), stratified negation (d4), and a
 #: virtual-creating path head (v5) -- the last two exercise the
 #: fallback-to-rebuild path under the relevant mutations.  d7 negates

@@ -358,11 +358,3 @@ class TestEngineIntegration:
         assert "int isa check" in kernels
         assert "batch isa check" in kernels
         assert any(kernel.startswith("int ") for kernel in kernels)
-
-    def test_support_recording_still_observes_per_binding(self, chain_db):
-        chain_db.begin_changes()
-        engine = Engine(chain_db, parse_program(self.PROGRAM),
-                        record_support=True)
-        engine.run()
-        assert engine.support is not None
-        assert engine.support.counts  # non-recursive rule was tracked

@@ -266,7 +266,7 @@ class TestMaintainerBudget:
         engine = Engine(db, parse_program("""
             X[desc ->> {Y}] <- X[kids ->> {Y}].
             X[desc ->> {Y}] <- X..desc[kids ->> {Y}].
-        """), record_support=True, budget=budget)
+        """), budget=budget)
         result = engine.run()
         cursor = log.cursor()
         db.assert_set_member(db.obj("kids"), db.obj("tim"), (),
@@ -360,18 +360,18 @@ def _state(db):
 class TestMaintainerCheckpointSites:
     """Where a maintenance pass notices an expiry, by the site it names."""
 
-    #: Tracked, non-recursive: deleting a kid re-checks the parent's
-    #: support with one goal-directed existence check.
-    COUNTING = "X[parent -> yes] <- X[kids ->> {Y}]."
+    #: Non-recursive: deleting a kid overdeletes the parent fact, and
+    #: DRed's rederive pass finds its other kid with one goal-directed
+    #: existence check.
+    PARENT = "X[parent -> yes] <- X[kids ->> {Y}]."
 
-    def _counting_apply(self):
+    def _dred_apply(self):
         db = Database()
         log = db.begin_changes()
         for kid in ("tim", "mary"):
             db.assert_set_member(db.obj("kids"), db.obj("peter"), (),
                                  db.obj(kid))
-        engine = Engine(db, parse_program(self.COUNTING),
-                        record_support=True)
+        engine = Engine(db, parse_program(self.PARENT))
         result = engine.run()
         cursor = log.cursor()
         db.retract_set_member(db.obj("kids"), db.obj("peter"), (),
@@ -379,18 +379,18 @@ class TestMaintainerCheckpointSites:
         return engine.maintainer(result, db), log.since(cursor), result
 
     def test_expiry_inside_an_existence_check_reports_columnar_step(self):
-        class CancelAfterCounting(QueryBudget):
-            # The counting checkpoint passes, then the budget is gone:
-            # the next checkpoint is the existence check's first step.
+        class CancelAfterDred(QueryBudget):
+            # The DRed checkpoint passes, then the budget is gone: the
+            # next checkpoint is the existence check's first step.
             def check(self, site, **kw):
                 super().check(site, **kw)
-                if site == "maintain.counting":
+                if site == "maintain.dred":
                     self.cancel()
 
-        maintainer, changes, result = self._counting_apply()
+        maintainer, changes, result = self._dred_apply()
         before = _state(result)
         with pytest.raises(EvaluationCancelled) as info:
-            maintainer.apply(changes, budget=CancelAfterCounting())
+            maintainer.apply(changes, budget=CancelAfterDred())
         assert info.value.site == "columnar.step"
         assert _state(result) == before
 
@@ -398,11 +398,11 @@ class TestMaintainerCheckpointSites:
         from repro.testing.faults import observe
 
         # The one-atom body leaves the delta plans no step to run, so
-        # every columnar.step hit here is the support re-check.
-        maintainer, changes, result = self._counting_apply()
+        # every columnar.step hit here is the rederive existence check.
+        maintainer, changes, result = self._dred_apply()
         with observe() as plan:
             report = maintainer.apply(changes)
-        assert report.kept_by_support == 1
+        assert (report.overdeleted, report.rederived) == (1, 1)
         assert plan.counts.get("columnar.step", 0) >= 1
         assert "batch.step" not in plan.counts
 

@@ -493,10 +493,3 @@ class TestStats:
         assert engine.stats.heads_compiled == engine.stats.plans_compiled
         assert engine.stats.heads_fallback == 0
         assert engine.stats.as_row()["heads-fallback"] == 0
-
-    def test_support_tracked_rules_count_as_fallback(self, db):
-        engine = Engine(db, parse_program(RULES), record_support=True)
-        engine.run()
-        assert engine.stats.heads_fallback > 0
-        assert (engine.stats.heads_compiled + engine.stats.heads_fallback
-                == engine.stats.plans_compiled)

@@ -526,8 +526,8 @@ class TestMagicGuardSeeds:
     GUARD = SetMemberAtom(Name("magic$set$commandChain$bf"),
                           Name("__demand__"), (), Var("X"))
 
-    #: The served program: a recursive chain of command and a counting
-    #: view over vehicles.
+    #: The served program: a recursive chain of command and a
+    #: non-recursive view over vehicles.
     SERVE_RULES = """
         X[commandChain ->> {Y}] <- X[mentor -> Y].
         X[commandChain ->> {Z}] <- X[commandChain ->> {Y}], Y[mentor -> Z].

@@ -1,18 +1,15 @@
-"""Fault-injection harness tests: plans, rollback, support transactions.
+"""Fault-injection harness tests: plans, rollback, transactional apply.
 
 Covers the seeded/targeted :mod:`repro.testing.faults` machinery itself,
-:meth:`Database.rollback_changes` (the transactional backbone), the
-:class:`SupportIndex` journal, and the end-to-end guarantee: a fault
-anywhere inside :meth:`Maintainer.apply` leaves the result database
-bit-identical to its pre-call state, and a retry (or a from-scratch
-re-derivation) produces the unfaulted answers.
+:meth:`Database.rollback_changes` (the transactional backbone), and the
+end-to-end guarantee: a fault anywhere inside :meth:`Maintainer.apply`
+leaves the result database bit-identical to its pre-call state, and a
+retry (or a from-scratch re-derivation) produces the unfaulted answers.
 """
 
 import pytest
 
 from repro.engine.fixpoint import Engine
-from repro.engine.incremental import SupportIndex
-from repro.engine.normalize import normalize_program
 from repro.errors import PathLogError
 from repro.lang.parser import parse_program
 from repro.oodb.database import Database
@@ -122,8 +119,7 @@ class TestFaultHarness:
         db = Database()
         log = db.begin_changes()
         kids = seed_family(db)
-        engine = Engine(db, parse_program(DESC_RULES),
-                        record_support=True)
+        engine = Engine(db, parse_program(DESC_RULES))
         result = engine.run()
         maintainer = engine.maintainer(result, db)
         cursor = log.cursor()
@@ -198,57 +194,12 @@ class TestRollbackChanges:
 
 
 # ---------------------------------------------------------------------------
-# SupportIndex transactions
-# ---------------------------------------------------------------------------
-
-class TestSupportTransactions:
-    def _index_and_rule(self):
-        rules = normalize_program(parse_program(
-            "X[senior -> yes] <- X[age -> A], A >= 65."))
-        return SupportIndex(rules), rules[0]
-
-    def test_rollback_restores_counts_and_seen(self):
-        db = Database()
-        index, rule = self._index_and_rule()
-        binding1 = {v: db.obj("p1") for v in index._tracked[
-            id(rule)].spec.head_vars}
-        index.observe(rule, binding1, db)
-        before_counts = dict(index.counts)
-        before_seen = set(index.seen)
-
-        index.begin_txn()
-        binding2 = {v: db.obj("p2") for v in index._tracked[
-            id(rule)].spec.head_vars}
-        index.observe(rule, binding2, db)
-        key1 = index.support_key(rule, binding1)
-        facts1 = index._tracked[id(rule)].spec.facts(db, binding1)
-        index.retract(key1, facts1)
-        for fact in list(index.counts):
-            index.forget(fact)
-        index.rollback_txn()
-
-        assert dict(index.counts) == before_counts
-        assert set(index.seen) == before_seen
-
-    def test_commit_keeps_mutations(self):
-        db = Database()
-        index, rule = self._index_and_rule()
-        index.begin_txn()
-        binding = {v: db.obj("p1") for v in index._tracked[
-            id(rule)].spec.head_vars}
-        index.observe(rule, binding, db)
-        index.commit_txn()
-        assert index.counts  # the observation survived
-        assert index._journal is None
-
-
-# ---------------------------------------------------------------------------
 # Transactional Maintainer.apply
 # ---------------------------------------------------------------------------
 
 MAINTAIN_SITES = [
-    "maintain.overdelete", "maintain.counting", "maintain.dred",
-    "maintain.rederive", "maintain.insert", "heads.replay",
+    "maintain.overdelete", "maintain.dred", "maintain.rederive",
+    "maintain.insert", "heads.replay",
 ]
 
 
@@ -261,8 +212,7 @@ class TestTransactionalApply:
         # deleting the mary edge exercises the rederive pass (the fact
         # is overdeleted, then found still derivable and replayed).
         db.assert_set_member(kids, db.obj("tim"), (), db.obj("tom"))
-        engine = Engine(db, parse_program(DESC_RULES),
-                        record_support=True)
+        engine = Engine(db, parse_program(DESC_RULES))
         result = engine.run()
         maintainer = engine.maintainer(result, db)
         return db, log, kids, result, maintainer

@@ -1,8 +1,8 @@
 """Unit tests for incremental view maintenance.
 
-Covers the change-log API on :class:`Database`, catalog patching, the
-support index and head specs, the maintainer's counting / DRed / insert
-passes with their fallback reasons, the query-level LRU memo, and the
+Covers the change-log API on :class:`Database`, catalog patching, head
+specs, the maintainer's DRed / insert passes with their fallback
+reasons, the query-level LRU memo, and the
 EXPLAIN ``maintenance:`` section.
 """
 
@@ -11,7 +11,6 @@ import pytest
 from repro.engine.fixpoint import Engine, EngineLimits
 from repro.engine.incremental import (
     MaintenanceReport,
-    SupportIndex,
     fact_pred,
     net_changes,
     simple_head,
@@ -158,7 +157,7 @@ class TestCatalogPatch:
 
 
 # ---------------------------------------------------------------------------
-# Support index and head specs
+# Head specs
 # ---------------------------------------------------------------------------
 
 RULES = """
@@ -169,7 +168,7 @@ RULES = """
 """
 
 
-class TestSupportIndex:
+class TestHeadSpecs:
     def rules(self):
         return normalize_program(parse_program(RULES))
 
@@ -178,21 +177,6 @@ class TestSupportIndex:
         assert simple_head(rules[0]) is not None
         assert simple_head(rules[2]) is not None
         assert simple_head(rules[3]) is None  # path head creates virtuals
-
-    def test_recursive_rules_untracked(self):
-        rules = self.rules()
-        index = SupportIndex(rules)
-        assert index.tracks(rules[0])      # base case reads only kids
-        assert not index.tracks(rules[1])  # reads its own stratum
-        assert not index.tracks(rules[3])  # complex head
-
-    def test_engine_records_distinct_supports(self, db):
-        rules = self.rules()
-        engine = Engine(db, rules, record_support=True)
-        result = engine.run()
-        red = ("scalar", db.obj("red"), db.obj("car1"), (), db.obj(1))
-        assert engine.support.counts[red] == 1
-        assert result.scalars.get(*red[1:4]) == red[4]
 
     def test_fact_pred_wildcards_virtual_methods(self, db):
         from repro.oodb.oid import VirtualOid
@@ -210,13 +194,13 @@ class TestSupportIndex:
 def maintained_pair(db, text_rules):
     """An engine-run result plus its maintainer, under a change log."""
     log = db.begin_changes()
-    engine = Engine(db, parse_program(text_rules), record_support=True)
+    engine = Engine(db, parse_program(text_rules))
     result = engine.run()
     return log, result, engine.maintainer(result, db)
 
 
 class TestMaintainer:
-    def test_counting_keeps_supported_facts(self, db):
+    def test_dred_rederives_a_fact_with_a_second_derivation(self, db):
         db.add_object("car2", scalars={"color": "red"})
         db.add_object("p1", sets={"cars": ["car1", "car2"]})
         log, result, maintainer = maintained_pair(
@@ -224,7 +208,8 @@ class TestMaintainer:
         fact = ("scalar", db.obj("hasRed"), db.obj("p1"), (), db.obj(1))
         db.retract_scalar(db.obj("color"), db.obj("car1"), ())
         report = maintainer.apply(log.since(0))
-        assert report.applied and report.kept_by_support == 1
+        assert report.applied
+        assert (report.overdeleted, report.rederived) == (1, 1)
         assert result.scalars.get(*fact[1:4]) == fact[4]
         db.retract_scalar(db.obj("color"), db.obj("car2"), ())
         report = maintainer.apply(log.since(1))
@@ -235,7 +220,7 @@ class TestMaintainer:
     def test_counting_recheck_is_existential_over_head_bindings(
             self, db, interpreted):
         # Regression: the interpreted delta path yields *full* body
-        # bindings; re-checking a support with the dead valuation
+        # bindings; re-checking a derivation with the dead valuation
         # seeded (instead of just the head binding) wrongly deleted
         # facts whose other valuations survive.
         db.add_object("car2", scalars={"color": "red"})
@@ -244,7 +229,7 @@ class TestMaintainer:
         engine = Engine(
             db, parse_program(
                 "X[hasRed -> 1] <- X[cars ->> {C}], C[color -> red]."),
-            record_support=True, interpreted=interpreted)
+            interpreted=interpreted)
         result = engine.run()
         maintainer = engine.maintainer(result, db)
         db.retract_scalar(db.obj("color"), db.obj("car1"), ())
@@ -269,7 +254,7 @@ class TestMaintainer:
         assert p2 in result.sets.get(d1, p1, ())
 
     @pytest.mark.parametrize("extra", [
-        "",  # counting stratum
+        "",  # non-recursive stratum
         "S[p ->> {V}] <- S[p ->> {W}], W[kids ->> {V}].",  # recursive/DRed
     ])
     def test_program_fact_rules_are_protected(self, db, extra):
@@ -421,16 +406,6 @@ class TestQueryIntegration:
         query.all("p1[d1 ->> {Y}]")
         assert query._demand_dbs == {}
         assert query.last_demand is not None  # still answers via a run
-
-    def test_support_recording_waits_for_a_change_log(self, db):
-        # Without a log the support index is dead weight: not recorded.
-        query = Query(db, program=parse_program(DESC))
-        query.all("p1[d1 ->> {Y}]")
-        assert query.last_demand._engine.support is None
-        db.begin_changes()
-        query2 = Query(db, program=parse_program(DESC))
-        query2.all("p1[d1 ->> {Y}]")
-        assert query2.last_demand._engine.support is not None
 
     def test_result_database_log_is_trimmed_per_maintenance_run(self, db):
         db.begin_changes()
@@ -585,20 +560,34 @@ class TestMaintenanceRounds:
         fresh = Engine(db, program).run()
         assert dict(result.sets.items()) == dict(fresh.sets.items())
 
-    def test_support_tracked_inserts_stay_per_row(self):
-        db = Database()
-        log = db.begin_changes()
-        works = staff(db)
-        engine = Engine(db, parse_program(SAME_DEPT), record_support=True)
-        result = engine.run()
-        maintainer = engine.maintainer(result, db)
-        cursor = log.cursor()
-        db.assert_scalar(works, db.obj("e5"), (), db.obj("d1"))
-        assert maintainer.apply(log.since(cursor)).reinserted == 5
-        evaluation = maintainer.evaluation
-        assert evaluation.stats.heads_compiled == 0
-        assert {record.head for record in evaluation.delta_records.values()} \
-            == {"per-row realize"}
+    def test_a_change_log_does_not_change_how_a_result_is_built(
+            self, monkeypatch):
+        engines = []
+        run = Engine.run
+
+        def recording_run(engine):
+            engines.append(engine)
+            return run(engine)
+
+        monkeypatch.setattr(Engine, "run", recording_run)
+
+        def build(logged):
+            db = Database()
+            if logged:
+                db.begin_changes()
+            staff(db)
+            query = Query(db, program=parse_program(SAME_DEPT), magic=False)
+            rows = query.all("X[sameDept ->> {Y}]")
+            engine, = engines
+            engines.clear()
+            return (engine.stats.heads_fallback, engine.stats.heads_compiled,
+                    [report.head for report in engine.plan_reports()],
+                    [row.sort_key() for row in rows])
+
+        logged, unlogged = build(True), build(False)
+        assert logged[0] == unlogged[0] == 0
+        assert logged[2] == ["int writer"]
+        assert logged == unlogged
 
     def test_maintenance_counts_into_the_report_not_the_run(self):
         db = Database()
