@@ -652,6 +652,24 @@ class Database:
         return (self.scalars.version + self.sets.version
                 + self.hierarchy.version + self._alias_version)
 
+    def version_of(self, pred: tuple) -> int:
+        """The part of :meth:`data_version` one predicate contributes.
+
+        ``pred`` is ``("scalar" | "set", method)``, ``("isa", None)``
+        (the whole class hierarchy) or ``("alias", None)``.  Each moves
+        exactly when a fact of that predicate changes (an alias, when a
+        name is rebound), so an answer reading only some predicates can
+        key on theirs and outlive writes to the others.
+        """
+        kind, method = pred
+        if kind == "scalar":
+            return self.scalars.versions.get(method, 0)
+        if kind == "set":
+            return self.sets.versions.get(method, 0)
+        if kind == "isa":
+            return self.hierarchy.version
+        return self._alias_version
+
     def catalog(self):
         """The :class:`~repro.oodb.statistics.CardinalityCatalog` of this
         database, rebuilt lazily when :meth:`data_version` changes.

@@ -20,6 +20,8 @@ methods report their exact bucket sizes to the planner.
 Both tables keep a monotone :attr:`version` counter, bumped on every
 successful mutation.  The query planner's cardinality catalog and plan
 caches key on it to notice (and only then recompute after) data changes.
+:attr:`versions` splits the same bumps by method, so a cached answer
+can key on the methods it reads only.
 
 Clones are copy-on-write: ``clone()`` copies the top-level dicts and
 shares every inner bucket until one side writes to it
@@ -304,6 +306,8 @@ class _MethodTable:
         self._pending: list[tuple[int, ...]] = []
         #: Bumped on every successful mutation (planner cache key).
         self.version = 0
+        #: The same bumps per method: ``version`` is their sum.
+        self.versions: dict[Oid, int] = {}
         #: Write token: buckets whose ``owner`` is this object are ours.
         self._token = object()
         #: Shared buckets copied before a first write (mirror excluded).
@@ -359,14 +363,14 @@ class _MethodTable:
         contradicting a stored result raises the same
         :class:`~repro.errors.ScalarConflictError` -- but it probes
         machine ints only.  Once per batch that wrote rows it drops the
-        method's cached sorted order, bumps :attr:`version` by the
-        number of new facts, and queues the boxed back-fill on
-        :attr:`_pending` as one chunk -- also when a conflict stops the
-        batch part-way, so mirror and boxed dicts keep describing one
-        set of facts.  Requires the mirror (:meth:`surrogate_view`);
-        only parameterless facts flow through it.  The input columns
-        are only read; the returned lists are the caller's to share,
-        not to change.
+        method's cached sorted order, bumps :attr:`version` and the
+        method's :attr:`versions` entry by the number of new facts, and
+        queues the boxed back-fill on :attr:`_pending` as one chunk --
+        also when a conflict stops the batch part-way, so mirror and
+        boxed dicts keep describing one set of facts.  Requires the
+        mirror (:meth:`surrogate_view`); only parameterless facts flow
+        through it.  The input columns are only read; the returned
+        lists are the caller's to share, not to change.
 
         The method's mirror slice is owned once, here.  A clone of this
         table shares the slice again, so a writer that outlived one
@@ -375,14 +379,21 @@ class _MethodTable:
         """
         view = self._surrogates
         bucket, inverse = view.own(m_sur)
-        return self._batch_writer(view, view._token, m_sur, bucket, inverse)
+        return self._batch_writer(view, view._token, method, m_sur, bucket,
+                                  inverse)
 
-    def _queue(self, view: _SurrogateView, m_sur: int, new_s: list[int],
-               new_r: list[int]) -> None:
+    def _queue(self, view: _SurrogateView, method: Oid, m_sur: int,
+               new_s: list[int], new_r: list[int]) -> None:
         """What a batch writer does once per batch that wrote rows."""
         view._sorted.pop(m_sur, None)
         self._pending.append((m_sur, *new_s, *new_r))
-        self.version += len(new_s)
+        self._bump(method, len(new_s))
+
+    def _bump(self, method: Oid, count: int = 1) -> None:
+        """Count ``count`` changed facts of ``method``."""
+        self.version += count
+        versions = self.versions
+        versions[method] = versions.get(method, 0) + count
 
     def surrogate_view(self, interner: OidInterner):
         """The int-surrogate mirror of this table (built on first use).
@@ -441,6 +452,7 @@ class _MethodTable:
         if self._surrogates is not None:
             copy._surrogates = self._surrogates.clone()
         copy.version = self.version
+        copy.versions = self.versions.copy()
         self._token = object()
         return copy
 
@@ -493,7 +505,7 @@ class ScalarMethodTable(_MethodTable):
             subj[key] = result
         pending.clear()
 
-    def _batch_writer(self, view, token, m_sur, bucket, inverse):
+    def _batch_writer(self, view, token, method, m_sur, bucket, inverse):
         """:meth:`int_writer`'s closure: a pair is a :meth:`put`."""
         get = bucket.get
         queue = self._queue
@@ -523,7 +535,7 @@ class ScalarMethodTable(_MethodTable):
                     new_r.append(r)
             finally:
                 if new_s:
-                    queue(view, m_sur, new_s, new_r)
+                    queue(view, method, m_sur, new_s, new_r)
             return new_s, new_r
         return write
 
@@ -546,7 +558,7 @@ class ScalarMethodTable(_MethodTable):
                 return False
             raise ScalarConflictError(method, subject, args, existing, result)
         self._facts[key] = result
-        self.version += 1
+        self._bump(method)
         own = self._own
         own(self._by_method, method, _OwnedDict)[key] = result
         own(self._by_method_result, (method, result), _OwnedSet).add(key)
@@ -567,7 +579,7 @@ class ScalarMethodTable(_MethodTable):
         result = self._facts.pop(key, None)
         if result is None:
             return False
-        self.version += 1
+        self._bump(method)
         self._unindex(self._by_method, method, key)
         self._unindex(self._by_method_result, (method, result), key)
         self._unindex(self._by_subject, subject, key)
@@ -749,7 +761,7 @@ class SetMethodTable(_MethodTable):
             inv.add(key)
         pending.clear()
 
-    def _batch_writer(self, view, token, m_sur, bucket, inverse):
+    def _batch_writer(self, view, token, method, m_sur, bucket, inverse):
         """:meth:`int_writer`'s closure: a pair is an :meth:`add`."""
         get = bucket.get
         queue = self._queue
@@ -775,7 +787,7 @@ class SetMethodTable(_MethodTable):
                 new_s.append(s)
                 new_r.append(r)
             if new_s:
-                queue(view, m_sur, new_s, new_r)
+                queue(view, method, m_sur, new_s, new_r)
             return new_s, new_r
         return write
 
@@ -791,7 +803,7 @@ class SetMethodTable(_MethodTable):
         if members is not None and member in members:
             return False
         self._own_members(key, members).add(member)
-        self.version += 1
+        self._bump(method)
         self._own(self._by_method_member, (method, member), _OwnedSet).add(key)
         if self._surrogates is not None and not args:
             self._surrogates.on_add(method, subject, member)
@@ -817,7 +829,7 @@ class SetMethodTable(_MethodTable):
             del self._facts[key]
             self._unindex(self._by_method, method, key)
             self._unindex(self._by_subject, subject, key)
-        self.version += 1
+        self._bump(method)
         self._unindex(self._by_method_member, (method, member), key)
         if self._surrogates is not None and not args:
             self._surrogates.on_discard(method, subject, member)

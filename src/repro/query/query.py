@@ -26,7 +26,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from repro.core.ast import Comparison, Literal, Negation, Reference, Var
+from repro.core.ast import (Comparison, Literal, Name, Negation,
+                            Reference, Var)
 from repro.core.pretty import literal_to_text
 from repro.core.valuation import VariableValuation, valuate
 from repro.core.variables import variables_of
@@ -35,6 +36,8 @@ from repro.engine.planner import PlanCache
 from repro.engine.solve import exists as solve_exists
 from repro.engine.solve import solve
 from repro.errors import BudgetExceededError, EvaluationError
+from repro.flogic.atoms import (ComparisonAtom, IsaAtom, NegationAtom,
+                                ScalarAtom, SetMemberAtom)
 from repro.flogic.flatten import flatten_conjunction
 from repro.lang.parser import parse_query, parse_reference
 from repro.oodb.database import Database
@@ -141,11 +144,11 @@ class Query:
         self._thread_safe = thread_safe
         self._lock = threading.RLock()
         #: Encoded answers of :meth:`answer`, keyed by ``(text,
-        #: variables, limit)``: immutable ``(stamp, db, data, version,
-        #: cursor)`` tuples, at most ``memo_entries`` of them (oldest
-        #: first out).  Each dies with its answering memo in
-        #: :meth:`_forget`; :meth:`peek` serves one only while its stamp
-        #: (:meth:`_stamp`) is current.
+        #: variables, limit)``: immutable ``(stamp, db, reads, data)``
+        #: tuples, at most ``memo_entries`` of them (oldest first out).
+        #: Each dies with its answering memo in :meth:`_forget`;
+        #: :meth:`peek` serves one only while its stamp (:meth:`_stamp`
+        #: of the predicates ``reads``) is current.
         self._answers: dict[tuple, tuple] = {}
 
     @property
@@ -442,16 +445,17 @@ class Query:
         """
         if budget is None:
             budget = self._budget
-        yield from self._answering(query, variables, budget)[1]
+        yield from self._answering(query, variables, budget)[2]
 
     def _answering(self, query: QueryInput, variables,
-                   budget) -> tuple[Database, Iterator[Answer]]:
-        """The database answering ``query`` and its answer stream."""
+                   budget) -> tuple[Database, tuple, Iterator[Answer]]:
+        """The database answering ``query``, the flattened atoms it
+        runs, and its answer stream."""
         literals = self._as_literals(query)
         wanted = self._wanted_variables(literals, variables)
         atoms = flatten_conjunction(literals)
         db = self._db_for(atoms, budget)
-        return db, self._project(db, atoms, wanted, budget)
+        return db, atoms, self._project(db, atoms, wanted, budget)
 
     def _project(self, db: Database, atoms, wanted: list[str],
                  budget) -> Iterator[Answer]:
@@ -486,17 +490,20 @@ class Query:
         """``encode`` of the first ``limit`` answers of :meth:`all`,
         kept for :meth:`peek` when nothing moved while they were made.
 
-        The entry is stored only if the :meth:`_stamp` of the answering
-        database, taken after it was chosen (memo evaluation or
-        maintenance included) and again after encoding, did not move:
-        a concurrent read that registered names in ``U`` meanwhile may
-        have changed the answer.  One Query caches one encoding: every
-        caller must pass the same ``encode``.
+        The entry records the predicates the query reads in the
+        answering database (:func:`_read_set`, method names resolved
+        here, once).  It is stored only if their :meth:`_stamp`, taken after
+        the database was chosen (memo evaluation or maintenance
+        included) and again after encoding, did not move: a concurrent
+        read that registered names in ``U`` meanwhile may have changed
+        the answer.  One Query caches one encoding: every caller must
+        pass the same ``encode``.
         """
         if budget is None:
             budget = self._budget
-        db, stream = self._answering(text, variables, budget)
-        stamp = self._stamp(db)
+        db, atoms, stream = self._answering(text, variables, budget)
+        reads = _read_set(db, atoms)
+        stamp = self._stamp(db, reads)
         answers = sorted(stream, key=Answer.sort_key)
         data = encode(answers if limit is None else answers[:limit])
         key = _answer_key(text, variables, limit)
@@ -505,14 +512,11 @@ class Query:
         if key is not None and self._memo_entries > 0 \
                 and self._lock.acquire(blocking=False):
             try:
-                if self._stamp(db) == stamp \
+                if self._stamp(db, reads) == stamp \
                         and (db is self._db or id(db) in self._memo_state):
                     while len(self._answers) >= self._memo_entries:
                         del self._answers[next(iter(self._answers))]
-                    log = self._db.change_log
-                    self._answers[key] = (
-                        stamp, db, data, stamp[0],
-                        None if log is None else log.cursor())
+                    self._answers[key] = (stamp, db, reads, data)
             finally:
                 self._lock.release()
         return data
@@ -522,25 +526,44 @@ class Query:
         """``(data, version, cursor)`` a repeat :meth:`answer` would
         return now, or None when no current entry exists.
 
-        ``version`` and ``cursor`` are the base's data version and
-        change-log cursor the bytes were computed at.  Takes no lock
-        (:meth:`_db_for` holds it through a whole demand evaluation),
-        and is exact only while nothing mutates the base or its memos
-        -- a server peeks while no writer holds its gate.
+        An entry is current while its answering memo is live and synced
+        to the base's data version, and the :meth:`_stamp` of what it
+        reads has not moved -- writes to other predicates leave it
+        alone.  ``version`` and ``cursor`` are the base's data version
+        and change-log cursor *now*: the state the bytes are proven
+        at.  Takes no lock (:meth:`_db_for` holds it through a whole
+        demand evaluation), and is exact only while nothing mutates the
+        base or its memos -- a server peeks while no writer holds its
+        gate.
         """
         key = _answer_key(text, variables, limit)
         entry = None if key is None else self._answers.get(key)
-        if entry is None or self._stamp(entry[1]) != entry[0]:
+        if entry is None:
             return None
-        return entry[2:]
-
-    def _stamp(self, db: Database) -> tuple[int, int, int, int]:
-        """What an answer over ``db`` depends on: the data version and
-        ``|U|`` of the base and of ``db``.  ``|U|`` is there because
-        reads register the names they mention without a version bump,
-        and ``X[self -> X]`` answers every object in ``U``."""
+        stamp, db, reads, data = entry
         base = self._db
-        return (base.data_version(), len(base), db.data_version(), len(db))
+        version = base.data_version()
+        if db is not base and \
+                self._memo_state.get(id(db), (None,))[0] != version:
+            return None
+        if self._stamp(db, reads) != stamp:
+            return None
+        log = base.change_log
+        return data, version, None if log is None else log.cursor()
+
+    def _stamp(self, db: Database, reads: tuple | None) -> tuple:
+        """What an answer over ``db`` reading the predicates ``reads``
+        depends on: ``|U|`` of the base and of ``db`` and the versions
+        of ``reads`` in ``db`` -- for a wildcard (``reads`` None), the
+        whole data versions of the base and of ``db``.  ``|U|`` is there
+        because reads register the names they mention without a version
+        bump, and ``X[self -> X]`` answers every object in ``U``."""
+        base = self._db
+        if reads is None:
+            return (len(base), len(db), base.data_version(),
+                    db.data_version())
+        version_of = db.version_of
+        return (len(base), len(db), *[version_of(pred) for pred in reads])
 
     # ------------------------------------------------------------------
 
@@ -693,6 +716,34 @@ class Query:
                 for var in variables_of(literal):
                     wanted.setdefault(var.name, None)
         return list(wanted)
+
+
+def _read_set(db: Database, atoms) -> tuple | None:
+    """The predicates a conjunction of flattened ``atoms`` reads in
+    ``db``, as :meth:`Database.version_of` keys, or None (a wildcard)
+    when it may read any: a variable method, a superset atom, or an
+    atom kind not listed here.  Negations read what their inner atoms
+    read; comparisons read no stored fact.  Method names resolve
+    through ``db``'s aliases, so the alias version is always read, and
+    register in ``U`` as the solve would (``self`` is often new there:
+    registered during the solve, it would move the stamp)."""
+    reads = {("alias", None)}
+    todo = list(atoms)
+    while todo:
+        atom = todo.pop()
+        kind = type(atom)
+        if kind is NegationAtom:
+            todo.extend(atom.inner)
+        elif kind is IsaAtom:
+            reads.add(("isa", None))
+        elif kind is ScalarAtom or kind is SetMemberAtom:
+            if not isinstance(atom.method, Name):
+                return None
+            reads.add(("scalar" if kind is ScalarAtom else "set",
+                       db.lookup_name(atom.method.value)))
+        elif kind is not ComparisonAtom:
+            return None
+    return tuple(reads)
 
 
 def _answer_key(text: str, variables, limit) -> tuple | None:

@@ -12,10 +12,12 @@ Architecture (docs/server.md has the full story):
   with a :class:`~repro.oodb.database.ChangeLease` (released in a
   ``finally``), so the log stays consistent for the memo machinery and
   ``stats`` can report how far the slowest reader lags.
-- A repeat read at an unchanged state skips all of that: while no
-  writer holds the gate, :meth:`Query.peek` hands back the answer
-  bytes an earlier evaluation stored (:meth:`Query.answer`), and the
-  response goes out straight from the event loop.
+- A repeat read whose cached answer is still current -- no write has
+  touched a predicate it reads -- skips all of that: while no writer
+  holds the gate, :meth:`Query.peek` hands back the answer bytes an
+  earlier evaluation stored (:meth:`Query.answer`), and the response
+  goes out straight from the event loop.  A read that had to wait for
+  the gate peeks once more before it goes to the executor.
 - All writes funnel through one maintainer task.  It takes the gate
   exclusively and runs the one commit step the replica shares
   (:meth:`Server._apply_batch`): the batch's change entries apply
@@ -184,8 +186,9 @@ class ServerStats:
     repl_reconnects: int = 0
     #: Reads shed because staleness exceeded ``max_lag`` (replica).
     stale_sheds: int = 0
-    #: Reads answered from cached answer bytes on the event loop, and
-    #: reads that took the admitted, gated executor path instead.
+    #: Reads answered from cached answer bytes (on the event loop, or
+    #: inside the read gate after waiting out a writer), and reads that
+    #: went on to the executor instead.
     answer_cache_hits: int = 0
     answer_cache_misses: int = 0
 
@@ -703,24 +706,25 @@ class Server:
             budget.check("query")
         loop = asyncio.get_running_loop()
         started = loop.time()
-        # A repeat read at an unchanged state is answered here, on the
+        # A repeat read with a current entry is answered here, on the
         # loop: no admission, gate or executor.  With no writer inside
         # the gate nothing can move the database or the replica cursors
         # until this handler yields.
         cached = None if self._gate.writing \
             else self._query.peek(text, variables, limit)
         if cached is not None:
-            self.stats.answer_cache_hits += 1
-            answers, version, cursor = cached
-            return protocol.answer_frame(
-                request, answers, version=version, cursor=cursor,
-                elapsed_ms=(loop.time() - started) * 1000.0,
-                **self._replica_proof())
-        self.stats.answer_cache_misses += 1
+            return self._cached_frame(request, cached, loop.time() - started)
         slot = await self._admission.admit()
         started = loop.time()
         async with slot:
             async with self._gate.read():
+                # A read that waited out a writer looks once more: the
+                # write may have left its entry current.
+                cached = self._query.peek(text, variables, limit)
+                if cached is not None:
+                    return self._cached_frame(request, cached,
+                                              loop.time() - started)
+                self.stats.answer_cache_misses += 1
                 # The database is frozen while we hold the read side:
                 # this lease records which prefix of the change log the
                 # answer reflects, and pins it for the memo machinery.
@@ -745,6 +749,15 @@ class Server:
         return protocol.answer_frame(
             request, answers, version=version, cursor=cursor,
             elapsed_ms=(loop.time() - started) * 1000.0, **extra)
+
+    def _cached_frame(self, request: dict, cached: tuple,
+                      elapsed_s: float) -> bytes:
+        """The answer frame of a :meth:`Query.peek` hit."""
+        self.stats.answer_cache_hits += 1
+        answers, version, cursor = cached
+        return protocol.answer_frame(
+            request, answers, version=version, cursor=cursor,
+            elapsed_ms=elapsed_s * 1000.0, **self._replica_proof())
 
     def _replica_proof(self) -> dict:
         """A replica answer's ``primary_cursor`` and ``staleness``."""
